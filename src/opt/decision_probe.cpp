@@ -7,27 +7,12 @@
 
 #include "bytecode/size_estimator.hpp"
 #include "opt/passes.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 
 namespace ith::opt {
 
 namespace {
-
-std::uint64_t fnv1a_init() { return 0xcbf29ce484222325ULL; }
-
-std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) {
-  h ^= b;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = fnv1a_byte(h, static_cast<unsigned char>(v & 0xff));
-    v >>= 8;
-  }
-  return h;
-}
 
 // Event stream bytes. Only the verdict of each consultation is hashed: the
 // *sequence* of consultations is itself a function of the program and the
@@ -315,7 +300,7 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
     std::vector<Frame> frames;
     int caller_words = 0;
     std::map<std::pair<bc::MethodId, std::int32_t>, bool> hot;
-    std::uint64_t hash = fnv1a_init();
+    std::uint64_t hash = codec::kFnv1aBasis;
   };
 
   // Three-valued verdict: refuse / inline fully / splice the guard head.
@@ -344,14 +329,14 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
   };
 
   std::uint64_t events = 0;
-  std::uint64_t sig = fnv1a_init();
+  std::uint64_t sig = codec::kFnv1aBasis;
 
   // Each method is a potential compilation root (the adaptive VM recompiles
   // any method the profiler promotes); the per-root decision trees are
   // hashed in method order.
   const auto num_methods = static_cast<bc::MethodId>(prog.num_methods());
   for (bc::MethodId root = 0; root < num_methods; ++root) {
-    sig = fnv1a_u64(sig, static_cast<std::uint64_t>(root));
+    sig = codec::fnv1a_u64(sig, static_cast<std::uint64_t>(root));
 
     std::vector<Path> pending;
     {
@@ -388,15 +373,15 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
             ++result.forks;
             Path alt = cur;
             alt.hot[key] = true;
-            alt.hash = fnv1a_byte(alt.hash, kForkHot);
+            alt.hash = codec::fnv1a_byte(alt.hash, kForkHot);
             pending.push_back(std::move(alt));
             cur.hot[key] = false;
-            cur.hash = fnv1a_byte(cur.hash, kForkCold);
+            cur.hash = codec::fnv1a_byte(cur.hash, kForkCold);
           }
           v = cold;
         }
         ++result.consultations;
-        cur.hash = fnv1a_byte(
+        cur.hash = codec::fnv1a_byte(
             cur.hash, !v.inline_it ? kConsultNo : (v.partial ? kConsultPartial : kConsultYes));
         return v;
       };
@@ -428,9 +413,9 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
             continue;
           }
           if (++events > opts.max_events) {
-            std::uint64_t h = fnv1a_init();
+            std::uint64_t h = codec::kFnv1aBasis;
             for (const int v : params.to_array()) {
-              h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+              h = codec::fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
             }
             result.value = h;
             result.exact = false;
@@ -483,9 +468,9 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
         if (++events > opts.max_events) {
           // Budget overflow: fall back to hashing the raw parameter vector.
           // Sound (distinct params stay distinct) but collapse-free.
-          std::uint64_t h = fnv1a_init();
+          std::uint64_t h = codec::kFnv1aBasis;
           for (const int v : params.to_array()) {
-            h = fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+            h = codec::fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
           }
           result.value = h;
           result.exact = false;
@@ -515,8 +500,8 @@ SignatureResult decision_signature(const bc::Program& prog, const heur::InlinePa
         }
       }
 
-      sig = fnv1a_u64(sig, cur.hash);
-      sig = fnv1a_byte(sig, kPathEnd);
+      sig = codec::fnv1a_u64(sig, cur.hash);
+      sig = codec::fnv1a_byte(sig, kPathEnd);
     }
   }
 

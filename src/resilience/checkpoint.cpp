@@ -1,92 +1,29 @@
 #include "resilience/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
+#include "support/codec.hpp"
 #include "support/error.hpp"
 
 namespace ith::resilience {
 
 namespace {
 
-constexpr char kMagic[8] = {'I', 'T', 'H', 'G', 'A', 'C', 'P', '1'};
+constexpr codec::FileFormat kFormat{{'I', 'T', 'H', 'G', 'A', 'C', 'P', '1'}, "checkpoint"};
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+void write_genome(codec::Writer& w, const std::vector<int>& g) {
+  w.u64(g.size());
+  for (const int x : g) w.i64(x);
 }
 
-class Writer {
- public:
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void genome(const std::vector<int>& g) {
-    u64(g.size());
-    for (const int x : g) i64(x);
-  }
-  const std::string& bytes() const { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string bytes) : buf_(std::move(bytes)) {}
-
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  double f64() {
-    double v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::vector<int> genome() {
-    const std::uint64_t n = count(u64());
-    std::vector<int> g;
-    g.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) g.push_back(static_cast<int>(i64()));
-    return g;
-  }
-  /// Element counts are validated against the bytes actually remaining, so
-  /// a corrupted length field fails as "truncated" instead of a giant alloc.
-  std::uint64_t count(std::uint64_t n) const {
-    if (n > (buf_.size() - pos_) / sizeof(std::uint64_t)) {
-      throw Error("checkpoint truncated");
-    }
-    return n;
-  }
-  bool exhausted() const { return pos_ == buf_.size(); }
-
- private:
-  void raw(void* p, std::size_t n) {
-    if (buf_.size() - pos_ < n) throw Error("checkpoint truncated");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-  std::string buf_;
-  std::size_t pos_ = 0;
-};
+std::vector<int> read_genome(codec::Reader& r) {
+  const std::uint64_t n = r.count();
+  std::vector<int> g;
+  g.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) g.push_back(static_cast<int>(r.i64()));
+  return g;
+}
 
 std::string serialize(const GaCheckpoint& cp) {
-  Writer w;
+  codec::Writer w;
   w.u64(cp.fingerprint);
   w.i64(cp.generation);
   w.u64(cp.rng_state);
@@ -94,15 +31,15 @@ std::string serialize(const GaCheckpoint& cp) {
   w.u64(cp.evaluations);
   w.u64(cp.cache_hits);
   w.f64(cp.best_ever);
-  w.genome(cp.best_genome);
+  write_genome(w, cp.best_genome);
   w.i64(cp.stale);
   w.u64(cp.population.size());
-  for (const ga::Genome& g : cp.population) w.genome(g);
+  for (const ga::Genome& g : cp.population) write_genome(w, g);
   w.u64(cp.fitness.size());
   for (const double f : cp.fitness) w.f64(f);
   w.u64(cp.cache.size());
   for (const auto& [g, f] : cp.cache) {
-    w.genome(g);
+    write_genome(w, g);
     w.f64(f);
   }
   w.u64(cp.history.size());
@@ -112,15 +49,15 @@ std::string serialize(const GaCheckpoint& cp) {
     w.f64(gs.mean);
     w.f64(gs.worst);
     w.f64(gs.diversity);
-    w.genome(gs.best_genome);
+    write_genome(w, gs.best_genome);
   }
   w.u64(cp.quarantine.size());
-  for (const std::vector<int>& q : cp.quarantine) w.genome(q);
+  for (const std::vector<int>& q : cp.quarantine) write_genome(w, q);
   return w.bytes();
 }
 
-GaCheckpoint deserialize(std::string payload) {
-  Reader r(std::move(payload));
+GaCheckpoint deserialize(std::string_view payload) {
+  codec::Reader r(payload, kFormat.what);
   GaCheckpoint cp;
   cp.fingerprint = r.u64();
   cp.generation = static_cast<int>(r.i64());
@@ -129,31 +66,31 @@ GaCheckpoint deserialize(std::string payload) {
   cp.evaluations = r.u64();
   cp.cache_hits = r.u64();
   cp.best_ever = r.f64();
-  cp.best_genome = r.genome();
+  cp.best_genome = read_genome(r);
   cp.stale = static_cast<int>(r.i64());
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
-    cp.population.push_back(r.genome());
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
+    cp.population.push_back(read_genome(r));
   }
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     cp.fitness.push_back(r.f64());
   }
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
-    ga::Genome g = r.genome();
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
+    ga::Genome g = read_genome(r);
     const double f = r.f64();
     cp.cache.emplace_back(std::move(g), f);
   }
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     ga::GenerationStats gs;
     gs.generation = static_cast<int>(r.i64());
     gs.best = r.f64();
     gs.mean = r.f64();
     gs.worst = r.f64();
     gs.diversity = r.f64();
-    gs.best_genome = r.genome();
+    gs.best_genome = read_genome(r);
     cp.history.push_back(std::move(gs));
   }
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
-    cp.quarantine.push_back(r.genome());
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
+    cp.quarantine.push_back(read_genome(r));
   }
   if (!r.exhausted()) throw Error("checkpoint has trailing bytes (corrupted file)");
   return cp;
@@ -162,62 +99,11 @@ GaCheckpoint deserialize(std::string payload) {
 }  // namespace
 
 void save_checkpoint(const std::string& path, const GaCheckpoint& cp) {
-  const std::string payload = serialize(cp);
-  const std::uint64_t size = payload.size();
-  const std::uint64_t checksum = fnv1a(payload);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    ITH_CHECK(os.good(), "cannot open checkpoint file for writing: " + tmp);
-    os.write(kMagic, sizeof kMagic);
-    os.write(reinterpret_cast<const char*>(&size), sizeof size);
-    os.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    ITH_CHECK(os.good(), "checkpoint write failed: " + tmp);
-  }
-  // Atomic publish: readers see either the old checkpoint or the new one,
-  // never a torn file, even if we are killed mid-save.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("cannot rename checkpoint into place: " + path);
-  }
+  codec::save_sealed(path, kFormat, serialize(cp));
 }
 
 GaCheckpoint load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw Error("cannot open checkpoint: " + path);
-
-  char magic[sizeof kMagic];
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw Error("not a GA checkpoint (bad magic): " + path);
-  }
-  is.read(reinterpret_cast<char*>(&size), sizeof size);
-  is.read(reinterpret_cast<char*>(&checksum), sizeof checksum);
-  if (!is.good()) throw Error("checkpoint truncated: " + path);
-
-  // Validate the declared size against the actual file length before
-  // allocating, so a corrupted header fails cleanly instead of bad_alloc.
-  const std::streampos body_start = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::uint64_t remaining = static_cast<std::uint64_t>(is.tellg() - body_start);
-  is.seekg(body_start);
-  if (size > remaining) throw Error("checkpoint truncated: " + path);
-  if (remaining > size) throw Error("checkpoint has trailing bytes (corrupted file): " + path);
-
-  std::string payload(size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size) {
-    throw Error("checkpoint truncated: " + path);
-  }
-  if (fnv1a(payload) != checksum) {
-    throw Error("checkpoint checksum mismatch (corrupted file): " + path);
-  }
-  return deserialize(std::move(payload));
+  return deserialize(codec::load_sealed(path, kFormat));
 }
 
 }  // namespace ith::resilience

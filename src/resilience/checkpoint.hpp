@@ -9,12 +9,9 @@
 // state: Pcg32 exposes its two state words, fault injection is a pure hash,
 // and fitness is memoized by genome.
 //
-// On disk: magic "ITHGACP1", payload size, FNV-1a checksum, payload
-// (host-endian — a crash-recovery journal for this machine, not a portable
-// archive). save_checkpoint writes a sibling tmp file and std::rename()s it
-// into place, so a kill mid-write leaves the previous checkpoint intact;
-// load_checkpoint rejects short files, foreign magic, and checksum
-// mismatches with distinct ith::Error messages.
+// On disk: format "ITHGACP1", a payload schema inside the support/codec.hpp
+// file envelope (host-endian — a crash-recovery journal for this machine,
+// not a portable archive).
 #pragma once
 
 #include <cstdint>
@@ -50,12 +47,14 @@ struct GaCheckpoint {
   std::vector<std::vector<int>> quarantine;
 };
 
-/// Serializes `cp` to `path` atomically (tmp file + rename). Throws
+/// Serializes `cp` to `path` with codec::atomic_write_file, so a kill or a
+/// power loss mid-save leaves the previous checkpoint intact. Throws
 /// ith::Error if the file cannot be written.
 void save_checkpoint(const std::string& path, const GaCheckpoint& cp);
 
 /// Loads and validates a checkpoint. Throws ith::Error with a distinct
-/// message for missing file, bad magic, truncation, and checksum mismatch.
+/// message for missing file, bad magic, truncation, trailing bytes and
+/// checksum mismatch.
 GaCheckpoint load_checkpoint(const std::string& path);
 
 }  // namespace ith::resilience

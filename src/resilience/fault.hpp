@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "support/env.hpp"
 #include "support/error.hpp"
@@ -71,15 +70,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
 /// Order-sensitive key combiner for deriving per-opportunity keys.
 inline std::uint64_t mix_keys(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ (mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
-inline std::uint64_t hash_string(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// Seeded, rate-driven fault plan. Default-constructed plans inject nothing

@@ -380,6 +380,7 @@ bool EvalDaemon::handle_frame(int fd, std::uint64_t conn_id, std::uint64_t seq,
         // triggers a fresh guarded run.
         if (leases_.find(sig) == leases_.end() && quarantine_.erase(sig) != 0) {
           repo_.erase(sig);
+          ++repo_version_;
           released = true;
         }
       }
@@ -414,6 +415,7 @@ bool EvalDaemon::handle_frame(int fd, std::uint64_t conn_id, std::uint64_t seq,
 
 bool EvalDaemon::admit_results_locked(std::uint64_t sig,
                                       const std::vector<tuner::BenchmarkResult>& results) {
+  ++repo_version_;
   if (any_failed(results)) quarantine_.insert(sig);
   const auto it = repo_.find(sig);
   if (it == repo_.end()) {
@@ -487,6 +489,13 @@ void EvalDaemon::write_snapshot(const char* /*why*/) {
   // ordered: a later writer can never be overwritten by an earlier, staler
   // repository state.
   std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
+  std::uint64_t version = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    version = repo_version_;
+  }
+  // Unchanged since the last published snapshot: skip the durable write.
+  if (version == snapshot_version_) return;
   tuner::EvalCacheSnapshot snap = snapshot();
   try {
     tuner::save_eval_cache(config_.snapshot_path, snap);
@@ -495,6 +504,7 @@ void EvalDaemon::write_snapshot(const char* /*why*/) {
     ++stats_.snapshots_skipped;
     return;
   }
+  snapshot_version_ = version;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.snapshots_written;
@@ -524,6 +534,7 @@ tuner::SnapshotMergeStats EvalDaemon::import_snapshot(const tuner::EvalCacheSnap
   for (const tuner::EvalCacheSnapshot::Entry& e : dst.entries) repo_.emplace(e.signature, e.results);
   quarantine_.clear();
   quarantine_.insert(dst.quarantined.begin(), dst.quarantined.end());
+  ++repo_version_;
   ++stats_.imports;
   cv_.notify_all();
   bump("svc.imports");

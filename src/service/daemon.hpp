@@ -21,9 +21,11 @@
 // an unsolicited publish, not a second lease completion).
 //
 // Persistence: the repository snapshots to an ITHEVC1 file (the evaluator
-// cache format, tmp+rename atomic publish) every `snapshot_every` publishes
-// and once more on graceful stop(). kill() simulates a crash — connections
-// die, no final snapshot — which is what the chaos fleet mode exercises.
+// cache format, published with codec::atomic_write_file) every
+// `snapshot_every` publishes and once more on graceful stop(), skipping
+// any snapshot whose repository has not changed since the last one
+// written. kill() simulates a crash — connections die, no final snapshot
+// — which is what the chaos fleet mode exercises.
 // import_snapshot() federates a foreign snapshot into the live repository
 // with the deterministic merge order of tuner::merge_eval_snapshots.
 //
@@ -118,8 +120,8 @@ class EvalDaemon {
   void start();
 
   /// Graceful shutdown: stops accepting, wakes every parked waiter, closes
-  /// connections, joins threads, writes a final snapshot, unlinks the
-  /// socket. Idempotent.
+  /// connections, joins threads, writes a final snapshot (unless nothing
+  /// changed since the last one), unlinks the socket. Idempotent.
   void stop();
 
   /// Crash simulation: like stop() but *no* final snapshot — the repository
@@ -193,6 +195,12 @@ class EvalDaemon {
   std::uint64_t next_lease_id_ = 1;
   std::uint64_t next_conn_id_ = 0;
   std::uint64_t publishes_since_snapshot_ = 0;
+  /// Bumped under mu_ by every repository or quarantine change. A snapshot
+  /// records the version it published (under snapshot_mu_), and
+  /// write_snapshot() skips when nothing changed since, so an idle daemon
+  /// pays no fsync'd write on stop().
+  std::uint64_t repo_version_ = 0;
+  std::uint64_t snapshot_version_ = 0;
   std::uint64_t snapshot_counter_ = 0;
   DaemonStats stats_;
   std::map<std::uint64_t, std::thread> conn_threads_;

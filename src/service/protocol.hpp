@@ -10,11 +10,10 @@
 //   checksum u64      FNV-1a over the payload
 //   payload  size bytes
 //
-// — the same tamper-evident envelope idiom as the ITHEVC1 snapshot and the
-// ITHGACP1 checkpoint: a torn or bit-flipped frame fails loudly (bad magic
-// or checksum mismatch) instead of desynchronizing the stream. The payload
-// encoding is the little-endian u64/length-prefixed-string scheme those
-// files use; result vectors ride as tuner::encode_results bytes, so a
+// A torn or bit-flipped frame fails loudly (bad magic or checksum
+// mismatch) instead of desynchronizing the stream. Payloads are encoded
+// with support/codec.hpp (decoders throw ith::Error("service frame
+// truncated")); result vectors ride as tuner::encode_results bytes, so a
 // served result is byte-identical to a snapshot entry.
 //
 // Conversations are strictly synchronous request/response per connection
@@ -77,40 +76,6 @@ ReadStatus read_frame(int fd, Frame* out, std::string* error = nullptr);
 /// Writes one frame. Returns false when the peer is gone or the stream
 /// fails (SIGPIPE is suppressed via MSG_NOSIGNAL).
 bool write_frame(int fd, MsgType type, const std::string& payload);
-
-/// FNV-1a over arbitrary bytes (the frame checksum).
-std::uint64_t frame_checksum(const std::string& payload);
-
-// --- payload codec -------------------------------------------------------
-
-/// Append-only payload writer (u64 / length-prefixed string).
-class PayloadWriter {
- public:
-  void u64(std::uint64_t v);
-  void str(const std::string& s);
-  const std::string& bytes() const { return buf_; }
-
- private:
-  std::string buf_;
-};
-
-/// Payload reader; throws ith::Error("service frame truncated") on
-/// malformed input. Borrows the payload — the string must outlive the
-/// reader (decode helpers satisfy this trivially).
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& bytes) : buf_(bytes) {}
-
-  std::uint64_t u64();
-  std::string str();
-  /// The rest of the payload, verbatim (for embedded encode_results bytes).
-  std::string rest();
-  bool exhausted() const { return pos_ == buf_.size(); }
-
- private:
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
 
 // --- message payloads ----------------------------------------------------
 

@@ -2,86 +2,21 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "support/codec.hpp"
 #include "support/error.hpp"
 
 namespace ith::tuner {
 
 namespace {
 
-constexpr char kMagic[8] = {'I', 'T', 'H', 'E', 'V', 'C', '1', '\0'};
+constexpr codec::FileFormat kFormat{"ITHEVC1", "evaluation cache"};
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-class Writer {
- public:
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-  void str(const std::string& s) {
-    u64(s.size());
-    raw(s.data(), s.size());
-  }
-  const std::string& bytes() const { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) { buf_.append(static_cast<const char*>(p), n); }
-  std::string buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string bytes) : buf_(std::move(bytes)) {}
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (n > buf_.size() - pos_) throw Error("evaluation cache truncated");
-    std::string s(buf_.data() + pos_, n);
-    pos_ += n;
-    return s;
-  }
-  /// Element counts are validated against the bytes actually remaining, so
-  /// a corrupted length field fails as "truncated" instead of a giant alloc.
-  std::uint64_t count(std::uint64_t n) const {
-    if (n > (buf_.size() - pos_) / sizeof(std::uint64_t)) {
-      throw Error("evaluation cache truncated");
-    }
-    return n;
-  }
-  bool exhausted() const { return pos_ == buf_.size(); }
-
- private:
-  void raw(void* p, std::size_t n) {
-    if (buf_.size() - pos_ < n) throw Error("evaluation cache truncated");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-  std::string buf_;
-  std::size_t pos_ = 0;
-};
-
-void write_results(Writer& w, const std::vector<BenchmarkResult>& results) {
+void write_results(codec::Writer& w, const std::vector<BenchmarkResult>& results) {
   w.u64(results.size());
   for (const BenchmarkResult& br : results) {
     w.str(br.name);
@@ -96,9 +31,9 @@ void write_results(Writer& w, const std::vector<BenchmarkResult>& results) {
   }
 }
 
-std::vector<BenchmarkResult> read_results(Reader& r) {
+std::vector<BenchmarkResult> read_results(codec::Reader& r) {
   std::vector<BenchmarkResult> results;
-  for (std::uint64_t j = 0, m = r.count(r.u64()); j < m; ++j) {
+  for (std::uint64_t j = 0, m = r.count(); j < m; ++j) {
     BenchmarkResult br;
     br.name = r.str();
     br.running_cycles = r.u64();
@@ -115,7 +50,7 @@ std::vector<BenchmarkResult> read_results(Reader& r) {
 }
 
 std::string serialize(const EvalCacheSnapshot& snap) {
-  Writer w;
+  codec::Writer w;
   w.u64(snap.fingerprint);
   w.u64(snap.entries.size());
   for (const EvalCacheSnapshot::Entry& e : snap.entries) {
@@ -127,17 +62,17 @@ std::string serialize(const EvalCacheSnapshot& snap) {
   return w.bytes();
 }
 
-EvalCacheSnapshot deserialize(std::string payload) {
-  Reader r(std::move(payload));
+EvalCacheSnapshot deserialize(std::string_view payload) {
+  codec::Reader r(payload, kFormat.what);
   EvalCacheSnapshot snap;
   snap.fingerprint = r.u64();
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     EvalCacheSnapshot::Entry e;
     e.signature = r.u64();
     e.results = read_results(r);
     snap.entries.push_back(std::move(e));
   }
-  for (std::uint64_t i = 0, n = r.count(r.u64()); i < n; ++i) {
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     snap.quarantined.push_back(r.u64());
   }
   if (!r.exhausted()) throw Error("evaluation cache has trailing bytes (corrupted file)");
@@ -159,27 +94,7 @@ std::size_t failed_count(const std::vector<BenchmarkResult>& results) {
 }  // namespace
 
 void save_eval_cache(const std::string& path, const EvalCacheSnapshot& snap) {
-  const std::string payload = serialize(snap);
-  const std::uint64_t size = payload.size();
-  const std::uint64_t checksum = fnv1a(payload);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    ITH_CHECK(os.good(), "cannot open evaluation cache file for writing: " + tmp);
-    os.write(kMagic, sizeof kMagic);
-    os.write(reinterpret_cast<const char*>(&size), sizeof size);
-    os.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    ITH_CHECK(os.good(), "evaluation cache write failed: " + tmp);
-  }
-  // Atomic publish: readers see either the old cache or the new one, never
-  // a torn file, even if we are killed mid-save.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("cannot rename evaluation cache into place: " + path);
-  }
+  codec::save_sealed(path, kFormat, serialize(snap));
 }
 
 bool remove_stale_eval_cache_tmp(const std::string& path) {
@@ -194,50 +109,17 @@ EvalCacheSnapshot load_eval_cache(const std::string& path) {
   // is unreferenced garbage; sweep it rather than letting it accumulate or,
   // worse, be mistaken for a cache by a human operator.
   remove_stale_eval_cache_tmp(path);
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw Error("cannot open evaluation cache: " + path);
-
-  char magic[sizeof kMagic];
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw Error("not an evaluation cache (bad magic): " + path);
-  }
-  is.read(reinterpret_cast<char*>(&size), sizeof size);
-  is.read(reinterpret_cast<char*>(&checksum), sizeof checksum);
-  if (!is.good()) throw Error("evaluation cache truncated: " + path);
-
-  // Validate the declared size against the actual file length before
-  // allocating, so a corrupted header fails cleanly instead of bad_alloc.
-  const std::streampos body_start = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::uint64_t remaining = static_cast<std::uint64_t>(is.tellg() - body_start);
-  is.seekg(body_start);
-  if (size > remaining) throw Error("evaluation cache truncated: " + path);
-  if (remaining > size) {
-    throw Error("evaluation cache has trailing bytes (corrupted file): " + path);
-  }
-
-  std::string payload(size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size) {
-    throw Error("evaluation cache truncated: " + path);
-  }
-  if (fnv1a(payload) != checksum) {
-    throw Error("evaluation cache checksum mismatch (corrupted file): " + path);
-  }
-  return deserialize(std::move(payload));
+  return deserialize(codec::load_sealed(path, kFormat));
 }
 
 std::string encode_results(const std::vector<BenchmarkResult>& results) {
-  Writer w;
+  codec::Writer w;
   write_results(w, results);
   return w.bytes();
 }
 
-std::vector<BenchmarkResult> decode_results(const std::string& bytes) {
-  Reader r(bytes);
+std::vector<BenchmarkResult> decode_results(std::string_view bytes) {
+  codec::Reader r(bytes, kFormat.what);
   std::vector<BenchmarkResult> results = read_results(r);
   if (!r.exhausted()) throw Error("evaluation results have trailing bytes");
   return results;

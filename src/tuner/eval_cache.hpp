@@ -2,9 +2,8 @@
 // SuiteEvaluator's signature->results map plus the quarantine) to a single
 // binary file, so a later tuning run against the same evaluator
 // configuration starts warm and skips every suite execution it has already
-// paid for. Format "ITHEVC1": 8-byte magic, payload size, FNV-1a checksum,
-// payload — the same tamper-evident envelope (and tmp+rename atomic
-// publish) as the GA checkpoint in resilience/checkpoint.hpp.
+// paid for. Format "ITHEVC1": a payload schema inside the support/codec.hpp
+// file envelope.
 //
 // The configuration fingerprint inside the snapshot is what makes reuse
 // safe: SuiteEvaluator::restore() refuses a snapshot whose fingerprint does
@@ -14,12 +13,13 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "tuner/evaluator.hpp"
 
 namespace ith::tuner {
 
-/// Writes the snapshot to `path` atomically (tmp file + rename): readers see
+/// Writes the snapshot to `path` with codec::atomic_write_file: readers see
 /// the old cache or the new one, never a torn file. Throws ith::Error on I/O
 /// failure.
 void save_eval_cache(const std::string& path, const EvalCacheSnapshot& snap);
@@ -45,7 +45,7 @@ std::string encode_results(const std::vector<BenchmarkResult>& results);
 
 /// Inverse of encode_results. Throws ith::Error on truncation or trailing
 /// bytes.
-std::vector<BenchmarkResult> decode_results(const std::string& bytes);
+std::vector<BenchmarkResult> decode_results(std::string_view bytes);
 
 /// Federation: merging two snapshots of the same configuration.
 struct SnapshotMergeStats {

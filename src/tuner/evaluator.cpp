@@ -6,6 +6,7 @@
 
 #include "opt/decision_probe.hpp"
 #include "resilience/guard.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 
 namespace ith::tuner {
@@ -45,11 +46,11 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 }
 
 std::uint64_t hash_program(const bc::Program& prog) {
-  std::uint64_t h = resilience::hash_string(prog.name());
+  std::uint64_t h = codec::fnv1a(prog.name());
   h = mix_u64(h, prog.globals_size());
   h = mix_u64(h, static_cast<std::uint64_t>(prog.entry()));
   for (const bc::Method& m : prog.methods()) {
-    h = mix_u64(h, resilience::hash_string(m.name()));
+    h = mix_u64(h, codec::fnv1a(m.name()));
     h = mix_u64(h, static_cast<std::uint64_t>(m.num_args()));
     h = mix_u64(h, static_cast<std::uint64_t>(m.num_locals()));
     for (const bc::Instruction& insn : m.code()) {
@@ -95,7 +96,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
       vm::VmConfig cfg = config_.vm_config;
       if (!allow_faults) cfg.faults = nullptr;
       cfg.fault_key = resilience::mix_keys(
-          fault_salt, resilience::mix_keys(resilience::hash_string(w.name),
+          fault_salt, resilience::mix_keys(codec::fnv1a(w.name),
                                            static_cast<std::uint64_t>(attempt)));
 
       resilience::GuardedRun gr;
@@ -157,7 +158,7 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   const std::uint64_t t0 = obs != nullptr ? obs->host_now_us() : 0;
 
-  Signature sig = resilience::hash_string("ith-suite-signature-v1");
+  Signature sig = codec::fnv1a("ith-suite-signature-v1");
   bool exact = true;
   std::uint64_t consultations = 0;
   std::uint64_t forks = 0;
@@ -168,7 +169,7 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
     // Without an inline pass the heuristic is never consulted: every
     // parameter vector compiles identically, so all params share one
     // signature.
-    sig = mix_u64(sig, resilience::hash_string("inlining-disabled"));
+    sig = mix_u64(sig, codec::fnv1a("inlining-disabled"));
   } else {
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
@@ -387,9 +388,9 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (fingerprint_.has_value()) return *fingerprint_;
 
-  std::uint64_t fp = resilience::hash_string("ith-eval-cache-v1");
+  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v1");
   const rt::MachineModel& m = config_.machine;
-  fp = mix_u64(fp, resilience::hash_string(m.name));
+  fp = mix_u64(fp, codec::fnv1a(m.name));
   fp = mix_double(fp, m.baseline_cpi);
   fp = mix_double(fp, m.mid_cpi);
   fp = mix_double(fp, m.opt_cpi);
@@ -429,7 +430,7 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   // stale caches.
   const opt::PipelineDesc pipeline =
       v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
-  fp = mix_u64(fp, resilience::hash_string(pipeline.to_string()));
+  fp = mix_u64(fp, codec::fnv1a(pipeline.to_string()));
 
   const resilience::RunBudget& b = v.budget;
   fp = mix_u64(fp, b.max_sim_cycles);
@@ -447,12 +448,12 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
     fp = mix_u64(fp, v.faults->sites);
     fp = mix_double(fp, v.faults->compile_inflation);
   } else {
-    fp = mix_u64(fp, resilience::hash_string("no-faults"));
+    fp = mix_u64(fp, codec::fnv1a("no-faults"));
   }
 
   fp = mix_u64(fp, suite_.size());
   for (const wl::Workload& w : suite_) {
-    fp = mix_u64(fp, resilience::hash_string(w.name));
+    fp = mix_u64(fp, codec::fnv1a(w.name));
     fp = mix_u64(fp, hash_program(w.program));
   }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/samples.hpp"
 #include "heuristics/heuristic.hpp"
 #include "obs/sink.hpp"
 #include "resilience/budget.hpp"
@@ -179,38 +180,14 @@ TEST(FaultPlan, ParseSites) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint file format: roundtrip and corruption detection.
-
-resilience::GaCheckpoint sample_checkpoint() {
-  resilience::GaCheckpoint cp;
-  cp.fingerprint = 0xfeedfacecafebeefULL;
-  cp.generation = 7;
-  cp.rng_state = 0x123456789abcdef0ULL;
-  cp.rng_inc = 0x1111111111111111ULL;
-  cp.evaluations = 42;
-  cp.cache_hits = 17;
-  cp.best_ever = 0.875;
-  cp.best_genome = {3, 1, 4, 1, 5};
-  cp.stale = 2;
-  cp.population = {{1, 2, 3, 4, 5}, {5, 4, 3, 2, 1}};
-  cp.fitness = {0.9, 1.1};
-  cp.cache = {{{1, 2, 3, 4, 5}, 0.9}, {{5, 4, 3, 2, 1}, 1.1}};
-  ga::GenerationStats gs;
-  gs.generation = 7;
-  gs.best = 0.875;
-  gs.mean = 1.0;
-  gs.worst = 1.25;
-  gs.diversity = 0.5;
-  gs.best_genome = cp.best_genome;
-  cp.history = {gs};
-  cp.quarantine = {{9, 9, 9, 9, 9}};
-  return cp;
-}
+// Checkpoint file format: roundtrip and the loader's own diagnostics
+// (truncation and bit flips are swept in tests/codec/golden_test.cpp).
 
 class CheckpointFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "resilience_cp_test.bin";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "resilience_cp_" + info->name() + ".bin";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -253,40 +230,6 @@ TEST_F(CheckpointFile, BadMagicRejected) {
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos) << e.what();
-  }
-}
-
-TEST_F(CheckpointFile, TruncationRejected) {
-  resilience::save_checkpoint(path_, sample_checkpoint());
-  std::ifstream in(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 40u);
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 24));
-  out.close();
-  try {
-    resilience::load_checkpoint(path_);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
-  }
-}
-
-TEST_F(CheckpointFile, CorruptionRejectedByChecksum) {
-  resilience::save_checkpoint(path_, sample_checkpoint());
-  std::ifstream in(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  bytes[bytes.size() / 2] ^= 0x40;  // flip one payload bit
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  try {
-    resilience::load_checkpoint(path_);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
   }
 }
 

@@ -372,6 +372,28 @@ TEST_F(DaemonTest, SnapshotPersistsAcrossRestart) {
   EXPECT_EQ(reborn.stats().imports, 1u);
 }
 
+TEST_F(DaemonTest, UnchangedRepositoryIsNotSnapshottedAgain) {
+  svc::DaemonConfig dc = daemon_config();
+  dc.snapshot_path = snapshot_;
+  dc.snapshot_every = 1;
+  svc::EvalDaemon idle(dc);
+  idle.start();
+  idle.stop();  // nothing published: no fsync'd write, no file
+  EXPECT_EQ(idle.stats().snapshots_written, 0u);
+  EXPECT_FALSE(std::ifstream(snapshot_).good());
+
+  svc::EvalDaemon daemon(dc);
+  daemon.start();
+  svc::ServiceClient client(client_config());
+  std::uint64_t lease = 0;
+  client.acquire(42, &lease);
+  client.publish(42, lease, ok_results(0));  // periodic snapshot fires here
+  while (daemon.stats().snapshots_written == 0) std::this_thread::yield();
+  daemon.stop();  // the periodic snapshot already holds everything
+  EXPECT_EQ(daemon.stats().snapshots_written, 1u);
+  EXPECT_TRUE(std::ifstream(snapshot_).good());
+}
+
 TEST_F(DaemonTest, KillLosesUnsnapshottedStateButSweepsCleanly) {
   svc::DaemonConfig dc = daemon_config();
   dc.snapshot_path = snapshot_;

@@ -142,7 +142,8 @@ TEST(EvalCacheMerge, FingerprintMismatchRejected) {
 class StaleTmp : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "eval_cache_merge_test.bin";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "stale_tmp_" + info->name() + ".bin";
     std::remove(path_.c_str());
     std::remove(tmp().c_str());
   }

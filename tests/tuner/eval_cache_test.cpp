@@ -1,8 +1,8 @@
 // Persistent evaluation cache (ITHEVC1): full-fidelity roundtrip through
-// the binary format, distinct diagnostics for every corruption mode a
-// crashed or copied file can exhibit, and the fingerprint gate that keeps a
-// cache produced under one evaluator configuration from silently feeding
-// results to a different one.
+// the binary format, the loader's own diagnostics (truncation and bit flips
+// are swept in tests/codec/golden_test.cpp), and the fingerprint gate that
+// keeps a cache produced under one evaluator configuration from silently
+// feeding results to a different one.
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/samples.hpp"
 #include "heuristics/inline_params.hpp"
 #include "resilience/budget.hpp"
 #include "support/error.hpp"
@@ -21,44 +22,11 @@
 namespace ith {
 namespace {
 
-tuner::EvalCacheSnapshot sample_snapshot() {
-  tuner::EvalCacheSnapshot snap;
-  snap.fingerprint = 0xfeedfacecafebeefULL;
-
-  tuner::EvalCacheSnapshot::Entry ok;
-  ok.signature = 0x1111222233334444ULL;
-  tuner::BenchmarkResult r1;
-  r1.name = "db";
-  r1.running_cycles = 123456789;
-  r1.total_cycles = 234567890;
-  r1.compile_cycles = 111111101;
-  r1.attempts = 2;
-  ok.results.push_back(r1);
-  tuner::BenchmarkResult r2;
-  r2.name = "compress";
-  r2.running_cycles = 42;
-  r2.total_cycles = 43;
-  r2.compile_cycles = 1;
-  ok.results.push_back(r2);
-  snap.entries.push_back(ok);
-
-  tuner::EvalCacheSnapshot::Entry failed;
-  failed.signature = 0x5555666677778888ULL;
-  tuner::BenchmarkResult rf;
-  rf.name = "db";
-  rf.outcome = resilience::EvalOutcome::make_trap(resilience::TrapKind::kInjected, "quarantined");
-  rf.attempts = 0;
-  failed.results.push_back(rf);
-  snap.entries.push_back(failed);
-
-  snap.quarantined = {0x5555666677778888ULL, 0x9999aaaabbbbccccULL};
-  return snap;
-}
-
 class EvalCacheFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "eval_cache_test.bin";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "eval_cache_" + info->name() + ".bin";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -114,28 +82,6 @@ TEST_F(EvalCacheFile, MissingFileRejected) { expect_load_error("cannot open"); }
 TEST_F(EvalCacheFile, BadMagicRejected) {
   dump("this is a perfectly ordinary text file, not an evaluation cache at all");
   expect_load_error("bad magic");
-}
-
-TEST_F(EvalCacheFile, HeaderTruncationRejected) {
-  tuner::save_eval_cache(path_, sample_snapshot());
-  dump(slurp().substr(0, 12));  // magic survives, sizes do not
-  expect_load_error("truncated");
-}
-
-TEST_F(EvalCacheFile, PayloadTruncationRejected) {
-  tuner::save_eval_cache(path_, sample_snapshot());
-  const std::string bytes = slurp();
-  ASSERT_GT(bytes.size(), 40u);
-  dump(bytes.substr(0, bytes.size() - 16));
-  expect_load_error("truncated");
-}
-
-TEST_F(EvalCacheFile, CorruptionRejectedByChecksum) {
-  tuner::save_eval_cache(path_, sample_snapshot());
-  std::string bytes = slurp();
-  bytes[bytes.size() / 2] ^= 0x20;  // flip one payload bit
-  dump(bytes);
-  expect_load_error("checksum");
 }
 
 TEST_F(EvalCacheFile, TrailingGarbageRejected) {
