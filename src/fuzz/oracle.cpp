@@ -520,7 +520,9 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
     const auto& ranges = heur::param_ranges();
     opt::SignatureOptions sopts;
     sopts.adaptive = true;
-    const std::uint64_t base_sig = opt::decision_signature(prog, params_, limits, sopts).value;
+    const opt::ProbeFacts facts(prog);  // shared by the base probe and every variant
+    const std::uint64_t base_sig =
+        opt::decision_signature(prog, facts, params_, limits, sopts).value;
     std::optional<heur::InlineParams> aliased;
     for (int v = 0; v < 4 && !aliased; ++v) {
       heur::InlineParams::Array arr = params_.to_array();
@@ -529,7 +531,7 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
                           ranges[k].lo, ranges[k].hi);
       if (arr == params_.to_array()) continue;
       const heur::InlineParams candidate = heur::InlineParams::from_array(arr);
-      if (opt::decision_signature(prog, candidate, limits, sopts).value == base_sig) {
+      if (opt::decision_signature(prog, facts, candidate, limits, sopts).value == base_sig) {
         aliased = candidate;
       }
     }

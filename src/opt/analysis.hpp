@@ -111,7 +111,8 @@ struct PartialShape {
 /// Finds the shortest valid guard head of `m` (the prefix ending just after
 /// its first reachable kRet that satisfies the purity and stack-discipline
 /// rules above), or nullopt if no prefix qualifies. Pure function of the
-/// method body; memoized per callee by AnalysisManager / ProgramFacts.
+/// method body; memoized per callee by AnalysisManager and computed once per
+/// program by ProbeFacts.
 std::optional<PartialShape> partial_inline_shape(const bc::Method& m);
 
 /// Aggregate cache statistics, exposed for the recomputation-waste tests

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bytecode/program.hpp"
@@ -47,12 +48,54 @@ struct ProbeDecision {
   const char* rule = "opaque";
 };
 
+/// One kCall in a method's original code, with everything the inliner's
+/// size arithmetic needs to consider splicing its callee there.
+struct CallSite {
+  std::int32_t pc = 0;      ///< position of the kCall in the original body
+  bc::MethodId callee = -1;
+  bool inlinable = false;   ///< Inliner::is_inlinable(callee)
+  int callee_size = 0;      ///< estimated words of the original callee
+  int head_size = -1;       ///< guard-head words, -1 for an unsplittable callee
+  // Growth of the evolving body when this site, with its own argument
+  // count, is spliced (inlinable callees only).
+  int full_words = 0;       ///< marshal stores + zeroing prologue + body - call
+  int full_insns = 0;       ///< instructions ahead of the spliced body
+  int partial_words = 0;    ///< marshal stores + rerouted head + stub reloads
+  int partial_insns = 0;    ///< instructions ahead of the residual call
+};
+
+/// Immutable per-program facts shared by the replay and the signature walk:
+/// a per-method call-site index whose entries carry the callee's shape
+/// (inlinability, estimated size, guard head) and the splice growth at that
+/// site, plus each method's estimated size and instruction count. Built
+/// once from the code; being read-only afterwards it is safe to share
+/// across threads, which is how SuiteEvaluator amortizes it over every
+/// probe of a tuning run.
+class ProbeFacts {
+ public:
+  explicit ProbeFacts(const bc::Program& prog);
+
+  std::size_t num_methods() const { return est_size_.size(); }
+  /// Call sites of `m`'s original code, in pc order.
+  std::span<const CallSite> call_sites(bc::MethodId m) const;
+  /// estimated_method_size of the original method (the initial caller_size).
+  int est_size(bc::MethodId m) const { return est_size_[static_cast<std::size_t>(m)]; }
+  /// Instruction count of the original method.
+  std::size_t num_insns(bc::MethodId m) const { return num_insns_[static_cast<std::size_t>(m)]; }
+
+ private:
+  std::vector<CallSite> sites_;             ///< all methods' sites, method-major
+  std::vector<std::uint32_t> site_begin_;   ///< method m owns [begin[m], begin[m+1])
+  std::vector<int> est_size_;
+  std::vector<std::size_t> num_insns_;
+};
+
 /// Replays Inliner::run's decision procedure under a concrete site oracle.
 class DecisionProbe {
  public:
-  /// All references are non-owning and must outlive the probe. The
-  /// heuristic is consulted through decide() (the same entry point the
-  /// Inliner uses when tracing decisions).
+  /// The heuristic is non-owning and must outlive the probe; it is
+  /// consulted through decide() (the same entry point the Inliner uses when
+  /// tracing decisions). The program is only read during construction.
   DecisionProbe(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
                 SiteOracle oracle = cold_site, InlineLimits limits = {});
 
@@ -62,7 +105,7 @@ class DecisionProbe {
   std::vector<ProbeDecision> probe_method(bc::MethodId root, InlineStats* stats = nullptr) const;
 
  private:
-  const bc::Program& prog_;
+  ProbeFacts facts_;
   const heur::InlineHeuristic& heuristic_;
   SiteOracle oracle_;
   InlineLimits limits_;
@@ -101,6 +144,14 @@ struct SignatureResult {
 /// sound collapse key across the full six-parameter space; with
 /// PARTIAL_MAX_HEAD_SIZE = 0 the byte stream is identical to the
 /// five-parameter encoding.
+///
+/// `facts` must have been built from `prog`; callers probing one program
+/// many times build it once and pass it here.
+SignatureResult decision_signature(const bc::Program& prog, const ProbeFacts& facts,
+                                   const heur::InlineParams& params, InlineLimits limits,
+                                   const SignatureOptions& opts = {});
+
+/// Convenience form that builds the ProbeFacts for a single probe.
 SignatureResult decision_signature(const bc::Program& prog, const heur::InlineParams& params,
                                    InlineLimits limits, const SignatureOptions& opts = {});
 

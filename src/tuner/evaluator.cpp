@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string_view>
 
-#include "opt/decision_probe.hpp"
 #include "resilience/guard.hpp"
 #include "support/codec.hpp"
 #include "support/error.hpp"
@@ -171,11 +170,15 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
     // signature.
     sig = mix_u64(sig, codec::fnv1a("inlining-disabled"));
   } else {
+    std::call_once(facts_once_, [this] {
+      facts_.reserve(suite_.size());
+      for (const wl::Workload& w : suite_) facts_.emplace_back(w.program);
+    });
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
-    for (const wl::Workload& w : suite_) {
-      const opt::SignatureResult r =
-          opt::decision_signature(w.program, params, config_.vm_config.inline_limits, opts);
+    for (std::size_t i = 0; i < suite_.size(); ++i) {
+      const opt::SignatureResult r = opt::decision_signature(
+          suite_[i].program, facts_[i], params, config_.vm_config.inline_limits, opts);
       sig = mix_u64(sig, r.value);
       exact = exact && r.exact;
       consultations += r.consultations;

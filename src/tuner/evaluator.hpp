@@ -22,6 +22,7 @@
 
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
+#include "opt/decision_probe.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
 #include "runtime/machine.hpp"
@@ -232,6 +233,11 @@ class SuiteEvaluator {
 
   std::vector<wl::Workload> suite_;
   EvalConfig config_;
+  /// Probe facts, one per workload, built by the first signature_of() (an
+  /// evaluator constructed only to fingerprint it never pays for them) and
+  /// read-only afterwards, so concurrent probes share them lock-free.
+  std::once_flag facts_once_;
+  std::vector<opt::ProbeFacts> facts_;
   std::map<ParamKey, Signature> param_sigs_;  ///< level 1; guarded by mu_
   std::map<Signature, Results> cache_;        ///< level 2; guarded by mu_
   /// Signatures currently being evaluated by some thread; guarded by mu_.

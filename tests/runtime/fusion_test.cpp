@@ -5,6 +5,7 @@
 // in the middle of fused windows.
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,9 +28,11 @@ namespace {
 rt::PredecodedBody predecode_method(const bc::Program& prog, const std::string& method,
                                     rt::FusionPolicy policy, rt::FusionStats* stats = nullptr,
                                     rt::Tier tier = rt::Tier::kOpt) {
-  static test::IdentitySource* leak = nullptr;  // bodies must outlive the predecode
-  leak = new test::IdentitySource(prog, tier);
-  const rt::CompiledMethod& cm = leak->invoke(prog.find_method(method));
+  // The predecoded body points back into its CompiledMethod, so every source
+  // stays alive (and is freed) with the test binary.
+  static std::vector<std::unique_ptr<test::IdentitySource>> sources;
+  sources.push_back(std::make_unique<test::IdentitySource>(prog, tier));
+  const rt::CompiledMethod& cm = sources.back()->invoke(prog.find_method(method));
   return rt::predecode(cm, rt::pentium4_model(), policy, stats);
 }
 

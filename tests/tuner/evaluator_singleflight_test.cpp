@@ -1,6 +1,10 @@
 // SuiteEvaluator cache single-flighting: concurrent GA threads asking for
 // the same uncached InlineParams must trigger exactly one full-suite
-// evaluation — the rest block and share the cached result.
+// evaluation — the rest block and share the cached result. Concurrent first
+// probes must also agree while racing to build the evaluator's lazy probe
+// facts.
+#include <cstddef>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -83,6 +87,57 @@ TEST(SuiteEvaluatorSingleFlight, AliasedParamsCollapseOntoOneEvaluation) {
   EXPECT_EQ(eval.cache_size(), 1u);
   EXPECT_EQ(eval.params_seen(), 2u);
   EXPECT_EQ(eval.signatures_seen(), 1u);
+}
+
+TEST(SuiteEvaluatorSingleFlight, ConcurrentFirstProbesMatchSingleThreaded) {
+  const auto make = [] {
+    tuner::EvalConfig config;
+    config.iterations = 1;
+    return tuner::SuiteEvaluator(wl::make_suite("specjvm98"), config);
+  };
+  // Distinct vectors, some of which collapse onto one signature (a deeper
+  // depth cap that never binds, a partial budget without an opportunity).
+  std::vector<heur::InlineParams> params;
+  for (const heur::InlineParams::Array& a : std::vector<heur::InlineParams::Array>{
+           {23, 11, 5, 2048, 135, 0}, {23, 11, 6, 2048, 135, 0}, {23, 11, 5, 2048, 135, 12},
+           {1, 1, 1, 1, 1, 0},        {1, 1, 1, 1, 1, 1},        {30, 14, 6, 1200, 200, 0},
+           {30, 14, 6, 1200, 200, 18}, {15, 10, 2, 800, 90, 9},  {20, 5, 4, 1500, 15, 40},
+           {50, 30, 15, 4000, 400, 40}}) {
+    params.push_back(heur::InlineParams::from_array(a));
+  }
+
+  tuner::SuiteEvaluator reference = make();
+  std::vector<tuner::SuiteEvaluator::Signature> expected;
+  for (const heur::InlineParams& p : params) expected.push_back(reference.signature_of(p));
+
+  // Four threads, released together so their first probes race on the lazy
+  // facts; each walks an overlapping window of the vectors in its own order.
+  tuner::SuiteEvaluator eval = make();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kWindow = 6;
+  std::vector<std::vector<tuner::SuiteEvaluator::Signature>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kWindow; ++k) {
+        const std::size_t i = (2 * t + (t % 2 == 0 ? k : kWindow - 1 - k)) % params.size();
+        got[t].push_back(eval.signature_of(params[i]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      const std::size_t i = (2 * t + (t % 2 == 0 ? k : kWindow - 1 - k)) % params.size();
+      EXPECT_EQ(got[t][k], expected[i]) << "thread " << t << ", params #" << i;
+    }
+  }
+  EXPECT_EQ(eval.params_seen(), reference.params_seen());
+  EXPECT_EQ(eval.signatures_seen(), reference.signatures_seen());
+  EXPECT_LT(reference.signatures_seen(), reference.params_seen());  // the set does collapse
 }
 
 // Benchmark failures are guarded now (they become penalized results, not

@@ -28,12 +28,17 @@
 //     run. Exit status enforces winners_match, strictly fewer fleet
 //     evaluations, and balanced leases.
 //
+// Any other argument that starts with "--" (--help included), or more than
+// one OUTPUT_PATH, prints the usage and exits 2 before anything runs or is
+// written.
+//
 // CI uploads the files as artifacts; committing a refreshed copy at the
 // repo root records the trajectory commit-over-commit.
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "dispatch_bench.hpp"
 #include "service/fleet.hpp"
@@ -248,17 +253,27 @@ int run_fleet_bench(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  std::size_t next = 0;
+  std::string mode;  // empty: the interpreter benchmark
+  if (!args.empty() &&
+      (args[0] == "--tuning" || args[0] == "--serving" || args[0] == "--fleet")) {
+    mode = args[next++];
+  }
+  if (args.size() > next + 1 || (next < args.size() && args[next].starts_with("--"))) {
+    std::cerr << "usage: bench_json [OUTPUT_PATH]\n"
+                 "       bench_json --tuning|--serving|--fleet [OUTPUT_PATH]\n";
+    return 2;
+  }
+  const auto out_path = [&](const char* fallback) {
+    return next < args.size() ? args[next] : std::string(fallback);
+  };
+
   try {
-    if (argc > 1 && std::string(argv[1]) == "--tuning") {
-      return run_tuning_bench(argc > 2 ? argv[2] : "BENCH_tuning.json");
-    }
-    if (argc > 1 && std::string(argv[1]) == "--serving") {
-      return run_serving_bench(argc > 2 ? argv[2] : "BENCH_serving.json");
-    }
-    if (argc > 1 && std::string(argv[1]) == "--fleet") {
-      return run_fleet_bench(argc > 2 ? argv[2] : "BENCH_fleet.json");
-    }
-    const std::string path = argc > 1 ? argv[1] : "BENCH_interpreter.json";
+    if (mode == "--tuning") return run_tuning_bench(out_path("BENCH_tuning.json"));
+    if (mode == "--serving") return run_serving_bench(out_path("BENCH_serving.json"));
+    if (mode == "--fleet") return run_fleet_bench(out_path("BENCH_fleet.json"));
+    const std::string path = out_path("BENCH_interpreter.json");
     ith::bench::DispatchBenchConfig config;
     const auto results = ith::bench::run_dispatch_bench(config);
     std::ofstream out(path);
