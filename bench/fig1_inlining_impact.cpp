@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
       cfg.obs = bx.obs();
       tuner::SuiteEvaluator eval(wl::make_suite("specjvm98"), cfg);
 
-      heur::NeverInlineHeuristic never;
-      const auto no_inlining = eval.evaluate_heuristic(never);
+      const auto no_inlining = eval.evaluate_heuristic([] { return heur::make_never(); });
       const auto with_default = eval.default_results();
 
       std::cout << "(" << panel[i] << ") " << vm::scenario_name(scenarios[i])

@@ -78,7 +78,7 @@ void BM_ICacheProbe(benchmark::State& state) {
   rt::ICache cache(8192, 64, 4);
   Pcg32 rng(1);
   std::vector<std::uint64_t> addrs(4096);
-  for (auto& a : addrs) a = rng.range(0, 1 << 20);
+  for (auto& a : addrs) a = static_cast<std::uint64_t>(rng.range(0, 1 << 20));
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.probe(addrs[i++ & 4095]));

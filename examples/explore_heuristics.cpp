@@ -57,14 +57,17 @@ int main(int argc, char** argv) {
             << vm::scenario_name(cfg.scenario) << "), geomeans normalized to the default:\n";
   {
     Table t({"heuristic", "running (geomean)", "total (geomean)"});
-    heur::NeverInlineHeuristic never;
-    heur::AlwaysInlineHeuristic always;
-    heur::KnapsackHeuristic knap05(0.05), knap20(0.20);
-    heur::ProfileDirectedHeuristic profile_directed;  // needs Adapt profiles to act
-    for (heur::InlineHeuristic* h : std::initializer_list<heur::InlineHeuristic*>{
-             &never, &always, &knap05, &knap20, &profile_directed}) {
-      const SuiteTimes s = normalized(eval.evaluate_heuristic(*h), *base);
-      t.add_row({h->name(), cell_ratio(s.running_geomean_norm), cell_ratio(s.total_geomean_norm)});
+    const auto knapsack = [](double budget) -> tuner::HeuristicFactory {
+      return [budget] { return std::make_unique<heur::KnapsackHeuristic>(budget); };
+    };
+    for (const tuner::HeuristicFactory& make : std::initializer_list<tuner::HeuristicFactory>{
+             [] { return heur::make_never(); }, [] { return heur::make_always(); },
+             knapsack(0.05), knapsack(0.20),
+             // needs Adapt profiles to act
+             [] { return std::make_unique<heur::ProfileDirectedHeuristic>(); }}) {
+      const SuiteTimes s = normalized(eval.evaluate_heuristic(make), *base);
+      t.add_row({make()->name(), cell_ratio(s.running_geomean_norm),
+                 cell_ratio(s.total_geomean_norm)});
     }
     t.add_row({"jikes-default", cell_ratio(1.0), cell_ratio(1.0)});
     t.render(std::cout);

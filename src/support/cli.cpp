@@ -1,6 +1,8 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 
 #include "support/error.hpp"
 
@@ -25,6 +27,31 @@ CliParser::CliParser(int argc, const char* const* argv) {
       flags_[arg] = "true";  // bare boolean flag
     }
   }
+}
+
+std::string usage_text(const std::string& tool, const std::vector<FlagSpec>& flags) {
+  constexpr std::size_t kHelpColumn = 26;
+  std::string out = "usage: " + tool + " [flags]\n";
+  for (const FlagSpec& f : flags) {
+    std::string line = "  --" + f.name + (f.arg.empty() ? "" : "=" + f.arg);
+    line.resize(std::max(kHelpColumn, line.size() + 2), ' ');
+    std::istringstream help(f.help);
+    std::string help_line;
+    bool first = true;
+    while (std::getline(help, help_line)) {
+      out += (first ? line : std::string(kHelpColumn, ' ')) + help_line + "\n";
+      first = false;
+    }
+  }
+  return out;
+}
+
+bool CliParser::only_declared(const std::vector<FlagSpec>& flags) const {
+  if (!positional_.empty()) return false;
+  return std::all_of(flags_.begin(), flags_.end(), [&](const auto& given) {
+    return std::any_of(flags.begin(), flags.end(),
+                       [&](const FlagSpec& f) { return f.name == given.first; });
+  });
 }
 
 bool CliParser::has(const std::string& name) const { return flags_.count(name) != 0; }

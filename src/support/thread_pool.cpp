@@ -14,6 +14,11 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
 }
 
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool;
+  return pool;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,4 +1,5 @@
-// Fixed-size worker pool used to evaluate GA individuals in parallel.
+// Fixed-size worker pool: evaluates GA individuals in parallel, and through
+// the one process-wide shared() instance runs a suite's benchmarks at once.
 //
 // The pool is deliberately minimal: submit() returns a std::future, and
 // parallel_for() provides the common "independent index range" pattern with
@@ -28,6 +29,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  /// The process-wide pool (hardware_concurrency workers), built on first
+  /// use, so a process that never asks for it starts no threads. A task run
+  /// on it must never wait on it: with every worker blocked, nothing would
+  /// run the tasks they wait for.
+  static ThreadPool& shared();
 
   /// Enqueues a task; the future reports its result or exception.
   template <typename F>

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string_view>
 
 #include "resilience/guard.hpp"
 #include "support/codec.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ith::tuner {
 
@@ -72,9 +74,9 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   config_.vm_config.obs = config_.obs;
 }
 
-std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
+std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& make_heuristic,
                                                        std::uint64_t fault_salt,
-                                                       bool allow_faults) const {
+                                                       bool allow_faults) {
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   obs::ScopedSpan suite_span(obs, obs::Category::kEval, "eval.suite",
@@ -83,11 +85,16 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
   const resilience::FaultPlan* const plan = allow_faults ? config_.vm_config.faults : nullptr;
   const bool compile_faults = plan != nullptr && plan->armed() &&
                               plan->enabled(resilience::FaultSite::kCompileInflate);
-  std::vector<BenchmarkResult> results;
-  results.reserve(suite_.size());
-  for (const wl::Workload& w : suite_) {
+  std::vector<BenchmarkResult> results(suite_.size());
+  // One benchmark, start to finish, on whichever thread runs it: its own
+  // heuristic (prepare() rewrites per-program state, so concurrent VMs
+  // cannot share one), its retry loop and its eval.bench span.
+  const auto run_benchmark = [&](std::size_t i) {
+    const wl::Workload& w = suite_[i];
     const std::uint64_t t0 = trace ? obs->host_now_us() : 0;
-    BenchmarkResult br;
+    const std::unique_ptr<heur::InlineHeuristic> h = make_heuristic();
+    ITH_CHECK(h != nullptr, "heuristic factory returned null");
+    BenchmarkResult& br = results[i];
     br.name = w.name;
 
     const int max_attempts = 1 + config_.max_retries;
@@ -104,7 +111,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
         gr.outcome = resilience::EvalOutcome::make_trap(resilience::TrapKind::kInjected,
                                                         "injected evaluator fault");
       } else {
-        gr = resilience::guarded_run(w.program, config_.machine, h, cfg, config_.iterations);
+        gr = resilience::guarded_run(w.program, config_.machine, *h, cfg, config_.iterations);
       }
 
       br.attempts = attempt + 1;
@@ -133,14 +140,42 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(heur::InlineHeuristic& h,
                      {"outcome", br.outcome.to_string()},
                      {"attempts", br.attempts}});
     }
-    results.push_back(std::move(br));
+  };
+
+  // A one-benchmark suite (the serving shadow evaluator) gains nothing from
+  // the pool, so it never builds it. Larger suites fan out across the shared
+  // pool, longest first: with more benchmarks than workers, a long one
+  // started last would run alone at the end.
+  if (suite_.size() == 1) {
+    run_benchmark(0);
+  } else {
+    std::vector<std::size_t> order(suite_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!dispatch_order_.empty()) order = dispatch_order_;
+    }
+    ThreadPool::shared().parallel_for(order.size(),
+                                      [&](std::size_t k) { run_benchmark(order[k]); });
+  }
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dispatch_order_.empty()) {
+    // Simulated cycles, not host time: the order is a pure function of the
+    // first completed run, whatever else the host is doing.
+    dispatch_order_.resize(suite_.size());
+    std::iota(dispatch_order_.begin(), dispatch_order_.end(), std::size_t{0});
+    std::stable_sort(dispatch_order_.begin(), dispatch_order_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return results[a].total_cycles > results[b].total_cycles;
+                     });
   }
   return results;
 }
 
-std::vector<BenchmarkResult> SuiteEvaluator::evaluate_heuristic(heur::InlineHeuristic& h,
-                                                                std::uint64_t fault_salt) const {
-  return run_suite(h, fault_salt, /*allow_faults=*/true);
+std::vector<BenchmarkResult> SuiteEvaluator::evaluate_heuristic(
+    const HeuristicFactory& make_heuristic, std::uint64_t fault_salt) {
+  return run_suite(make_heuristic, fault_salt, /*allow_faults=*/true);
 }
 
 SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams& params) {
@@ -343,8 +378,8 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate(const heur::InlineParams& param
   // "behaviourally equivalent" genomes observably different.
   return evaluate_signature(sig, /*allow_quarantine=*/true, /*allow_backend=*/true,
                             [&] {
-                              heur::JikesHeuristic h(params);
-                              return run_suite(h, sig, /*allow_faults=*/true);
+                              return run_suite([&params] { return heur::make_jikes(params); },
+                                               sig, /*allow_faults=*/true);
                             },
                             cache_event);
 }
@@ -359,8 +394,8 @@ SuiteEvaluator::Results SuiteEvaluator::default_results() {
   // are emitted, matching the historical behaviour of this path.
   return evaluate_signature(sig, /*allow_quarantine=*/false, /*allow_backend=*/false,
                             [&, params] {
-                              heur::JikesHeuristic h(params);
-                              return run_suite(h, sig, /*allow_faults=*/false);
+                              return run_suite([&params] { return heur::make_jikes(params); },
+                                               sig, /*allow_faults=*/false);
                             },
                             [](const char*) {});
 }

@@ -74,6 +74,11 @@ class EvalBackend {
                        const std::vector<BenchmarkResult>& results) = 0;
 };
 
+/// Builds a fresh heuristic. run_suite calls it once per benchmark run,
+/// concurrently from pool workers, so it must be safe to call from several
+/// threads at once.
+using HeuristicFactory = std::function<std::unique_ptr<heur::InlineHeuristic>()>;
+
 struct EvalConfig {
   rt::MachineModel machine = rt::pentium4_model();
   vm::Scenario scenario = vm::Scenario::kAdapt;
@@ -145,12 +150,13 @@ class SuiteEvaluator {
   /// result without re-running anything.
   Results evaluate(const heur::InlineParams& params);
 
-  /// Runs every benchmark under an arbitrary heuristic (not memoized).
-  /// `fault_salt` differentiates fault-injection draws between logical
-  /// evaluations (the memoized path salts with the decision signature, so
-  /// signature-aliased params see identical fault draws).
-  std::vector<BenchmarkResult> evaluate_heuristic(heur::InlineHeuristic& h,
-                                                  std::uint64_t fault_salt = 0) const;
+  /// Runs every benchmark under an arbitrary heuristic (not memoized), one
+  /// heuristic from `make_heuristic` per benchmark run. `fault_salt`
+  /// differentiates fault-injection draws between logical evaluations (the
+  /// memoized path salts with the decision signature, so signature-aliased
+  /// params see identical fault draws).
+  std::vector<BenchmarkResult> evaluate_heuristic(const HeuristicFactory& make_heuristic,
+                                                  std::uint64_t fault_salt = 0);
 
   /// Results under the shipped default parameters (computed lazily once;
   /// the denominator for normalized figures and the balance factor).
@@ -221,8 +227,11 @@ class SuiteEvaluator {
 
   /// The uncached evaluation path: every benchmark through guarded_run with
   /// the retry loop. `allow_faults` is false for the default-params baseline.
-  std::vector<BenchmarkResult> run_suite(heur::InlineHeuristic& h, std::uint64_t fault_salt,
-                                         bool allow_faults) const;
+  /// Suites of two or more benchmarks run concurrently on
+  /// ThreadPool::shared(), started in dispatch_order_; results[i] is always
+  /// suite_[i]'s, so the order changes wall time only.
+  std::vector<BenchmarkResult> run_suite(const HeuristicFactory& make_heuristic,
+                                         std::uint64_t fault_salt, bool allow_faults);
 
   /// Shared single-flight body of evaluate()/default_results(): looks up /
   /// claims `sig`, consulting the shared backend (when `allow_backend`) and
@@ -247,6 +256,9 @@ class SuiteEvaluator {
   /// Signatures whose suite failed even after retries; guarded by mu_.
   std::set<Signature> quarantine_;
   std::uint64_t evaluations_performed_ = 0;
+  /// Suite indices by descending total_cycles of the first completed suite
+  /// run (empty until then: suite order); guarded by mu_.
+  std::vector<std::size_t> dispatch_order_;
   mutable std::optional<std::uint64_t> fingerprint_;  ///< guarded by mu_
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -43,7 +43,9 @@ TuneResult tune(SuiteEvaluator& evaluator, Goal goal, ga::GaConfig ga_config,
 
 /// Convenience: a GA configuration scaled for the bench harnesses.
 /// Population 20 (the paper's), `generations` as given, memoized,
-/// single-threaded (evaluations already saturate one core), patience 10.
+/// single-threaded, patience 10. The parallelism is one level down: each
+/// real fitness call runs its suite's benchmarks concurrently on the shared
+/// pool (SuiteEvaluator), so the GA itself stays serial and deterministic.
 ga::GaConfig default_ga_config(int generations, std::uint64_t seed);
 
 }  // namespace ith::tuner

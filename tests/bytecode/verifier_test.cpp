@@ -134,7 +134,7 @@ TEST(Verifier, UnreachableCodeIsNotVerifiedForDepth) {
 TEST(Verifier, LoopsVerify) {
   const Program p = ith::test::make_loop_program(5);
   const auto infos = verify_program(p);
-  EXPECT_GT(infos[p.entry()].max_stack, 0);
+  EXPECT_GT(infos[static_cast<std::size_t>(p.entry())].max_stack, 0);
 }
 
 TEST(Verifier, ErrorMessageNamesMethodAndPc) {

@@ -36,8 +36,7 @@ TEST(Pipeline, WholeSuiteEvaluationIsDeterministic) {
 TEST(Pipeline, DefaultBeatsNeverInlineOnRunningTime) {
   // Figure 1's core premise: inlining improves SPEC running time a lot.
   tuner::SuiteEvaluator eval(wl::make_suite("specjvm98"), opt_x86());
-  heur::NeverInlineHeuristic never;
-  const auto no_inline = eval.evaluate_heuristic(never);
+  const auto no_inline = eval.evaluate_heuristic([] { return heur::make_never(); });
   const auto with_default = eval.default_results();
   const auto rows = tuner::compare_results(*with_default, no_inline);
   const double avg_running = tuner::average_row(rows).running_ratio;
@@ -47,10 +46,8 @@ TEST(Pipeline, DefaultBeatsNeverInlineOnRunningTime) {
 TEST(Pipeline, AggressiveInliningInflatesOptCompileTime) {
   // Figure 1's other half: the cost side of the trade-off.
   tuner::SuiteEvaluator eval(wl::make_suite("dacapo+jbb"), opt_x86());
-  heur::NeverInlineHeuristic never;
-  heur::AlwaysInlineHeuristic always;
-  const auto off = eval.evaluate_heuristic(never);
-  const auto on = eval.evaluate_heuristic(always);
+  const auto off = eval.evaluate_heuristic([] { return heur::make_never(); });
+  const auto on = eval.evaluate_heuristic([] { return heur::make_always(); });
   std::uint64_t compile_off = 0, compile_on = 0;
   for (std::size_t i = 0; i < off.size(); ++i) {
     compile_off += off[i].compile_cycles;

@@ -252,7 +252,7 @@ TEST(DecisionProbe, MatchesInlinerOverPartialSplices) {
     heur::InlineParams p = heur::default_params();
     p.partial_max_head_size = head;
     for (std::size_t li = 0; li < limit_variants.size(); ++li) {
-      const auto& [oracle_name, oracle] = oracles[(head / 8 + li) % oracles.size()];
+      const auto& [oracle_name, oracle] = oracles[(static_cast<std::size_t>(head / 8) + li) % oracles.size()];
       expect_probe_matches_inliner(prog, p, oracle, limit_variants[li],
                                    "partial_head" + std::to_string(head) + "/limits" +
                                        std::to_string(li) + "/" + oracle_name);

@@ -82,9 +82,9 @@ std::vector<SweepCase> sweep_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPassesAllSeeds, PassEquivalence, ::testing::ValuesIn(sweep_cases()),
-                         [](const ::testing::TestParamInfo<SweepCase>& info) {
-                           return std::string(passes()[info.param.pass_index].name) + "_seed" +
-                                  std::to_string(info.param.seed);
+                         [](const ::testing::TestParamInfo<SweepCase>& param_info) {
+                           return std::string(passes()[param_info.param.pass_index].name) +
+                                  "_seed" + std::to_string(param_info.param.seed);
                          });
 
 // Passes must be idempotent after compaction settles: a second application

@@ -206,7 +206,7 @@ TEST(Interpreter, GlobalsPersistAcrossRunsUntilReset) {
 // Profiling hooks.
 class RecordingSource final : public CodeSource {
  public:
-  explicit RecordingSource(const bc::Program& prog) : inner_(prog), profile_(prog.num_methods()) {}
+  explicit RecordingSource(const bc::Program& prog) : profile_(prog.num_methods()), inner_(prog) {}
   const CompiledMethod& invoke(bc::MethodId id) override {
     profile_.record_invocation(id);
     return inner_.invoke(id);

@@ -107,8 +107,8 @@ INSTANTIATE_TEST_SUITE_P(AllBinaryOps, OpcodeMatrix,
                          ::testing::Values(bc::Op::kAdd, bc::Op::kSub, bc::Op::kMul, bc::Op::kDiv,
                                            bc::Op::kMod, bc::Op::kCmpLt, bc::Op::kCmpLe,
                                            bc::Op::kCmpEq, bc::Op::kCmpNe),
-                         [](const ::testing::TestParamInfo<bc::Op>& info) {
-                           return std::string(bc::op_info(info.param).name);
+                         [](const ::testing::TestParamInfo<bc::Op>& param_info) {
+                           return std::string(bc::op_info(param_info.param).name);
                          });
 
 TEST(OpcodeMatrix, EveryOpcodeAppearsInTheDifferentialFuzzCorpus) {

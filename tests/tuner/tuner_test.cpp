@@ -150,8 +150,7 @@ TEST(Evaluator, EmptySuiteRejected) {
 
 TEST(Evaluator, HeuristicEvaluationNotMemoized) {
   SuiteEvaluator eval(tiny_suite(), EvalConfig{});
-  heur::NeverInlineHeuristic never;
-  const auto r = eval.evaluate_heuristic(never);
+  const auto r = eval.evaluate_heuristic([] { return heur::make_never(); });
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(eval.cache_size(), 0u);
 }

@@ -11,38 +11,8 @@
 // (killed run + resumed run) must print the same BEST line as a single
 // straight-through run — the property the CI chaos job asserts.
 //
-// Flags:
-//   --workloads=CSV        benchmark names or a suite name (default compress,db)
-//   --scenario=S           adapt (default) or opt
-//   --arch=A               x86 (default) or ppc
-//   --goal=G               running | total (default) | balance
-//   --generations=N        GA generations (default 6)
-//   --pop=N                population size (default 8)
-//   --seed=N               GA seed (default 7)
-//   --iterations=N         VM iterations per benchmark (default 2)
-//   --retries=N            guarded retries per benchmark (default 2)
-//   --fault-rate=R         per-opportunity injection probability (default 0)
-//   --fault-seed=N         fault-plan seed (default 1)
-//   --fault-sites=CSV      vm,compile,eval,sink or all (default all)
-//   --compile-inflation=X  compile-cycle multiplier for compile faults
-//   --budget-cycles=N      sim-cycle cap per benchmark run (0 = unlimited)
-//   --budget-compile=N     compile-cycle cap (auto-derived from the default
-//                          heuristic when compile faults are armed and this
-//                          is unset, so inflated compiles are caught)
-//   --budget-instructions=N  dynamic-instruction cap per iteration
-//   --budget-frames=N      simulated frame-depth cap
-//   --budget-wall-ms=N     host wall-clock deadline per run
-//   --checkpoint=PATH      journal GA state here after every generation
-//   --checkpoint-every=N   journal cadence (default 1)
-//   --resume               continue from --checkpoint instead of starting over
-//   --kill-at=G            exit(3) right after generation G's checkpoint lands
-//   --trace=PATH           write a JSONL trace (feed it to trace_report)
-//   --eval-cache=PATH      persistent evaluation cache: load it before the
-//                          tune (cold start if absent; warn and start cold on
-//                          corruption/fingerprint mismatch) and save the
-//                          merged cache back after. A warm cache whose
-//                          configuration matches performs zero real suite
-//                          executions. Composes with --resume.
+// The flags are declared once, in kFlags below; --help or any undeclared
+// flag prints the usage generated from them and exits 2.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -65,6 +35,42 @@
 using namespace ith;
 
 namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"workloads", "CSV", "benchmark names or a suite name (default compress,db)"},
+    {"scenario", "S", "adapt (default) or opt"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"goal", "G", "running | total (default) | balance"},
+    {"generations", "N", "GA generations (default 6)"},
+    {"pop", "N", "population size (default 8)"},
+    {"seed", "N", "GA seed (default 7)"},
+    {"iterations", "N", "VM iterations per benchmark (default 2)"},
+    {"retries", "N", "guarded retries per benchmark (default 2)"},
+    {"fault-rate", "R", "per-opportunity injection probability (default 0)"},
+    {"fault-seed", "N", "fault-plan seed (default 1)"},
+    {"fault-sites", "CSV", "vm,compile,eval,sink or all (default all)"},
+    {"compile-inflation", "X", "compile-cycle multiplier for compile faults"},
+    {"budget-cycles", "N", "sim-cycle cap per benchmark run (0 = unlimited)"},
+    {"budget-compile", "N",
+     "compile-cycle cap (auto-derived from the default\n"
+     "heuristic when compile faults are armed and this\n"
+     "is unset, so inflated compiles are caught)"},
+    {"budget-instructions", "N", "dynamic-instruction cap per iteration"},
+    {"budget-frames", "N", "simulated frame-depth cap"},
+    {"budget-wall-ms", "N", "host wall-clock deadline per run"},
+    {"checkpoint", "PATH", "journal GA state here after every generation"},
+    {"checkpoint-every", "N", "journal cadence (default 1)"},
+    {"resume", "", "continue from --checkpoint instead of starting over"},
+    {"kill-at", "G", "exit(3) right after generation G's checkpoint lands"},
+    {"trace", "PATH", "write a JSONL trace (feed it to trace_report)"},
+    {"eval-cache", "PATH",
+     "persistent evaluation cache: load it before the\n"
+     "tune (cold start if absent; warn and start cold on\n"
+     "corruption/fingerprint mismatch) and save the\n"
+     "merged cache back after. A warm cache whose\n"
+     "configuration matches performs zero real suite\n"
+     "executions. Composes with --resume."},
+};
 
 /// "compress,db" -> individual workloads; "specjvm98"/"dacapo+jbb"/"all"
 /// expand to the whole suite.
@@ -94,6 +100,10 @@ tuner::Goal parse_goal(const std::string& s) {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
+    if (!cli.only_declared(kFlags)) {
+      std::cerr << usage_text("chaos_tune", kFlags);
+      return 2;
+    }
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
     ITH_CHECK(scenario == "adapt" || scenario == "opt", "--scenario must be adapt or opt");

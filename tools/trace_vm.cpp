@@ -1,8 +1,7 @@
 // trace_vm: run one workload through the VM with tracing on and write the
 // trace — the smallest end-to-end demonstration of the observability layer.
 //
-//   trace_vm --workload=compress --scenario=adapt --trace=out.json \
-//            --trace-format=chrome
+//   trace_vm --workload=compress --scenario=adapt --trace=out.json --trace-format=chrome
 //
 // The chrome format opens directly in chrome://tracing or
 // https://ui.perfetto.dev. Process 1 is the simulated-cycle timeline
@@ -10,21 +9,14 @@
 // promotions, hot-site trips, code installs); process 2 is the host
 // wall-clock timeline (optimizer passes, inlining decisions).
 //
-// Flags:
-//   --workload=NAME    workload to run (default compress; see workloads/)
-//   --scenario=S       adapt (default) or opt
-//   --arch=A           x86 (default) or ppc
-//   --iterations=N     VM iterations (default 2)
-//   --trace=PATH       output file (default trace.json)
-//   --trace-format=F   chrome (default) or jsonl
-//   --trace-cats=CSV   category filter (default all)
-//   --inline-report    print the structured inline report (every method
-//                      compiled once through a cold-profile PassManager)
-//   --partial=N        PARTIAL_MAX_HEAD_SIZE for the report's heuristic
-//                      (default 0 = partial inlining off)
+// The flags are declared once, in kFlags below; --help or any undeclared
+// flag prints the usage generated from them and exits 2 without running or
+// writing anything.
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
@@ -37,9 +29,33 @@
 
 using namespace ith;
 
+namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"workload", "NAME", "workload to run (default compress; see workloads/)"},
+    {"scenario", "S", "adapt (default) or opt"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"iterations", "N", "VM iterations (default 2)"},
+    {"trace", "PATH", "output file (default trace.json)"},
+    {"trace-format", "F", "chrome (default) or jsonl"},
+    {"trace-cats", "CSV", "category filter (default all)"},
+    {"inline-report", "",
+     "print the structured inline report (every method\n"
+     "compiled once through a cold-profile PassManager)"},
+    {"partial", "N",
+     "PARTIAL_MAX_HEAD_SIZE for the report's heuristic\n"
+     "(default 0 = partial inlining off)"},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
+    if (!cli.only_declared(kFlags)) {
+      std::cerr << usage_text("trace_vm", kFlags);
+      return 2;
+    }
     const std::string workload = cli.get_or("workload", "compress");
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
