@@ -9,6 +9,7 @@
 // Tracing: --trace=PATH --trace-format=jsonl|chrome --trace-cats=eval,ga.
 
 #include <iostream>
+#include <iterator>
 
 #include "harness.hpp"
 #include "support/table.hpp"
@@ -23,11 +24,13 @@ int main(int argc, char** argv) {
   // Table 1: the search space.
   {
     Table t({"parameter", "description", "range"});
-    const char* desc[5] = {"Maximum callee size allowable to inline",
-                           "Callees smaller than this are always inlined",
-                           "Maximum inlining depth at a call site",
-                           "Maximum caller size to inline into",
-                           "Maximum hot callee to inline"};
+    const char* desc[] = {"Maximum callee size allowable to inline",
+                          "Callees smaller than this are always inlined",
+                          "Maximum inlining depth at a call site",
+                          "Maximum caller size to inline into",
+                          "Maximum hot callee to inline",
+                          "Maximum guard head to splice (partial inlining; not in the paper)"};
+    static_assert(std::size(desc) == heur::InlineParams::kNumParams);
     const auto& ranges = heur::param_ranges();
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       t.add_row({ranges[i].name, desc[i],

@@ -135,15 +135,15 @@ std::span<const CallSite> ProbeFacts::call_sites(bc::MethodId m) const {
                                                    site_begin_[i + 1] - site_begin_[i]);
 }
 
-DecisionProbe::DecisionProbe(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
+DecisionProbe::DecisionProbe(const ProbeFacts& facts, const heur::InlineHeuristic& heuristic,
                              SiteOracle oracle, InlineLimits limits)
-    : facts_(prog), heuristic_(heuristic), oracle_(std::move(oracle)), limits_(limits) {
+    : facts_(facts), heuristic_(heuristic), oracle_(std::move(oracle)), limits_(limits) {
   ITH_CHECK(oracle_ != nullptr, "DecisionProbe requires a site oracle");
 }
 
-std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
-                                                       InlineStats* stats) const {
-  std::vector<ProbeDecision> trace;
+void DecisionProbe::probe_method(bc::MethodId root, VerdictTrace& out) const {
+  std::vector<ProbeDecision>& trace = out.decisions;
+  trace.clear();
   InlineStats local;
   local.size_before_words = facts_.est_size(root);
 
@@ -248,8 +248,7 @@ std::vector<ProbeDecision> DecisionProbe::probe_method(bc::MethodId root,
   scan(scan, root, 0);
 
   local.size_after_words = caller_words;
-  if (stats != nullptr) *stats = local;
-  return trace;
+  out.stats = local;
 }
 
 SignatureResult decision_signature(const bc::Program& prog, const heur::InlineParams& params,

@@ -31,23 +31,6 @@
 
 namespace ith::opt {
 
-/// One predicted heuristic consultation, mirroring the fields the Inliner
-/// attaches to its `inline.decision` trace events.
-struct ProbeDecision {
-  bc::MethodId root = -1;        ///< method being compiled
-  bc::MethodId callee = -1;
-  std::size_t call_pc = 0;       ///< pc of the kCall in the evolving body
-  int depth = 0;
-  int callee_size = 0;           ///< estimated words of the original callee
-  int caller_size = 0;           ///< estimated words of the evolving body
-  int head_size = -1;            ///< guard-head words offered to the heuristic
-  bool is_hot = false;
-  std::uint64_t site_count = 0;
-  bool inlined = false;
-  bool partial = false;          ///< verdict was "splice the guard head only"
-  const char* rule = "opaque";
-};
-
 /// One kCall in a method's original code, with everything the inliner's
 /// size arithmetic needs to consider splicing its callee there.
 struct CallSite {
@@ -93,19 +76,21 @@ class ProbeFacts {
 /// Replays Inliner::run's decision procedure under a concrete site oracle.
 class DecisionProbe {
  public:
-  /// The heuristic is non-owning and must outlive the probe; it is
-  /// consulted through decide() (the same entry point the Inliner uses when
-  /// tracing decisions). The program is only read during construction.
-  DecisionProbe(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
+  /// `facts` (built from the program the inliner compiles) and the
+  /// heuristic are non-owning and must outlive the probe; the heuristic is
+  /// consulted through decide() (the same entry point the Inliner uses).
+  DecisionProbe(const ProbeFacts& facts, const heur::InlineHeuristic& heuristic,
                 SiteOracle oracle = cold_site, InlineLimits limits = {});
 
   /// Predicts every heuristic consultation Inliner::run(root) would make,
-  /// in consultation order. `stats` (optional) receives the InlineStats the
-  /// real run would report. No code is produced or mutated.
-  std::vector<ProbeDecision> probe_method(bc::MethodId root, InlineStats* stats = nullptr) const;
+  /// in consultation order, into `out.decisions`, and the InlineStats the
+  /// real run would report into `out.stats` — the verdict list
+  /// Inliner::run can replay. `out` is overwritten (its capacity is kept).
+  /// No code is produced or mutated.
+  void probe_method(bc::MethodId root, VerdictTrace& out) const;
 
  private:
-  ProbeFacts facts_;
+  const ProbeFacts& facts_;
   const heur::InlineHeuristic& heuristic_;
   SiteOracle oracle_;
   InlineLimits limits_;

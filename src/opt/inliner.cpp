@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <string>
 
 #include "bytecode/size_estimator.hpp"
 #include "opt/passes.hpp"
@@ -277,7 +278,8 @@ bool Inliner::splice_partial(AnnotatedMethod& am, std::size_t call_pc,
   return true;
 }
 
-AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* report) const {
+AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* report,
+                             const VerdictTrace* verdicts) const {
   AnnotatedMethod am = AnnotatedMethod::from_method(prog_.method(id), id);
   InlineStats local;
   local.size_before_words = bc::estimated_method_size(am.method);
@@ -287,6 +289,11 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
   // this run only.
   AnalysisManager private_analyses(prog_);
   AnalysisManager& analyses = analyses_ != nullptr ? *analyses_ : private_analyses;
+
+  std::size_t next_verdict = 0;  // replay cursor into verdicts->decisions
+  const auto replay_error = [&](const std::string& what) {
+    return Error("inline verdict replay diverged in '" + prog_.method(id).name() + "': " + what);
+  };
 
   std::size_t pc = 0;
   while (pc < am.method.size()) {
@@ -354,7 +361,29 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
     const std::optional<PartialShape>& shape = analyses.partial_shape(callee);
     req.head_size = shape ? shape->head_words : -1;
 
-    const heur::InlineDecision decision = heuristic_.decide(req);
+    heur::InlineDecision decision;
+    if (verdicts == nullptr) {
+      decision = heuristic_.decide(req);
+    } else {
+      const std::vector<ProbeDecision>& list = verdicts->decisions;
+      if (next_verdict == list.size()) {
+        throw replay_error("no verdict left for the call to '" + prog_.method(callee).name() +
+                           "' at pc " + std::to_string(pc));
+      }
+      const ProbeDecision& v = list[next_verdict++];
+      if (v.callee != callee || v.call_pc != pc || v.depth != meta.depth) {
+        throw replay_error("verdict #" + std::to_string(next_verdict - 1) + " is for callee " +
+                           std::to_string(v.callee) + " at pc " + std::to_string(v.call_pc) +
+                           " depth " + std::to_string(v.depth) + ", the inliner is at callee " +
+                           std::to_string(callee) + " pc " + std::to_string(pc) + " depth " +
+                           std::to_string(meta.depth));
+      }
+      if (v.partial && !shape) {
+        throw replay_error("partial verdict for '" + prog_.method(callee).name() +
+                           "', which has no guard head");
+      }
+      decision = heur::InlineDecision{v.inlined, v.rule, v.partial};
+    }
     if (obs_ != nullptr && obs_->enabled(obs::Category::kInline)) {
       obs_->instant(obs::Category::kInline, "inline.decision", obs::Domain::kHost,
                     obs_->host_now_us(),
@@ -391,6 +420,13 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
   }
 
   local.size_after_words = bc::estimated_method_size(am.method);
+  if (verdicts != nullptr) {
+    if (next_verdict != verdicts->decisions.size()) {
+      throw replay_error(std::to_string(verdicts->decisions.size() - next_verdict) +
+                         " verdict(s) left over");
+    }
+    if (!(local == verdicts->stats)) throw replay_error("inline stats differ from the probe's");
+  }
   if (stats != nullptr) *stats = local;
   return am;
 }

@@ -52,6 +52,33 @@ struct InlineStats {
   int max_depth_reached = 0;
   int size_before_words = 0;   ///< estimated machine words before inlining
   int size_after_words = 0;    ///< and after
+
+  friend bool operator==(const InlineStats&, const InlineStats&) = default;
+};
+
+/// One heuristic consultation as DecisionProbe predicts it, mirroring the
+/// fields the Inliner attaches to its `inline.decision` trace events.
+struct ProbeDecision {
+  bc::MethodId root = -1;        ///< method being compiled
+  bc::MethodId callee = -1;
+  std::size_t call_pc = 0;       ///< pc of the kCall in the evolving body
+  int depth = 0;
+  int callee_size = 0;           ///< estimated words of the original callee
+  int caller_size = 0;           ///< estimated words of the evolving body
+  int head_size = -1;            ///< guard-head words offered to the heuristic
+  bool is_hot = false;
+  std::uint64_t site_count = 0;
+  bool inlined = false;
+  bool partial = false;          ///< verdict was "splice the guard head only"
+  const char* rule = "opaque";
+};
+
+/// Every verdict of one root's inlining session, in consultation order,
+/// plus the InlineStats that session reports. DecisionProbe::probe_method
+/// fills it; Inliner::run can replay it instead of consulting the heuristic.
+struct VerdictTrace {
+  std::vector<ProbeDecision> decisions;
+  InlineStats stats;
 };
 
 /// One row of the structured inline report: every call site the inliner
@@ -86,6 +113,8 @@ struct InlineLimits {
   int hard_depth_cap = 20;           ///< absolute depth bound
   int max_recursive_occurrences = 1; ///< times one method may appear on a chain
   int max_body_words = 200000;       ///< give up growing a single body past this
+
+  friend bool operator==(const InlineLimits&, const InlineLimits&) = default;
 };
 
 class Inliner {
@@ -103,8 +132,16 @@ class Inliner {
   /// Inlines into (a copy of) method `id` and returns the transformed body.
   /// `report`, when non-null, receives one InlineReportEntry per considered
   /// call site (appended; the caller owns clearing).
+  ///
+  /// `verdicts`, when non-null, is the probe's trace of this very session:
+  /// each consultation takes the next entry's verdict instead of asking the
+  /// heuristic, after checking that its (callee, call_pc, depth) matches.
+  /// A mismatch, a missing or left-over entry, or final stats that differ
+  /// from `verdicts->stats` throw ith::Error — a probe/inliner divergence
+  /// fails loudly rather than producing a body the verdicts do not describe.
   AnnotatedMethod run(bc::MethodId id, InlineStats* stats = nullptr,
-                      InlineReport* report = nullptr) const;
+                      InlineReport* report = nullptr,
+                      const VerdictTrace* verdicts = nullptr) const;
 
   /// True if `callee` can structurally be spliced: single-value returns
   /// (operand stack depth exactly 1 at every kRet) and no kHalt.

@@ -32,12 +32,14 @@ class InlinePass final : public Pass {
       // Call-free root: the inliner would copy the body and report sizes.
       // Skipping the scan is what turns the recompilation ladder's repeated
       // leaf compiles into pure cache hits.
+      ITH_CHECK(ctx.verdicts == nullptr || ctx.verdicts->decisions.empty(),
+                "inline verdict replay diverged: verdicts given for a call-free method");
       is.size_before_words = analyses.method_size(ctx.root);
       is.size_after_words = is.size_before_words;
       return 0;
     }
     const Inliner inliner(ctx.prog, ctx.heuristic, ctx.oracle, ctx.limits, ctx.obs, &analyses);
-    am = inliner.run(ctx.root, &is, ctx.report);
+    am = inliner.run(ctx.root, &is, ctx.report, ctx.verdicts);
     preserved = PreservedAnalyses::none();
     return is.sites_inlined + is.sites_partially_inlined;
   }
@@ -335,7 +337,8 @@ std::size_t PassManager::run_one(Registered& reg, AnnotatedMethod& am, PassConte
   return n;
 }
 
-OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report) {
+OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report,
+                                const VerdictTrace* verdicts) {
   analyses_.begin_body();
 
   OptimizeResult result;
@@ -351,7 +354,7 @@ OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report) {
                              : std::vector<obs::Arg>{});
 
   result.body = AnnotatedMethod::from_method(prog_.method(id), id);
-  PassContext ctx{prog_, id, heuristic_, oracle_, limits_, obs_, result.stats, report};
+  PassContext ctx{prog_, id, heuristic_, oracle_, limits_, obs_, result.stats, report, verdicts};
 
   for (Registered& reg : setup_) run_one(reg, result.body, ctx, result, trace);
 

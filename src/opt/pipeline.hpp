@@ -41,6 +41,8 @@ struct OptStats {
   std::size_t unreachable_removed = 0;
   std::size_t instructions_compacted = 0;
   int iterations = 0;
+
+  friend bool operator==(const OptStats&, const OptStats&) = default;
 };
 
 /// Structured per-pass statistics for one compilation.
@@ -105,6 +107,8 @@ struct PassContext {
   obs::Context* obs;      ///< may be null
   OptStats& stats;
   InlineReport* report;   ///< may be null
+  /// The inline pass's verdict list (Inliner::run); null = ask the heuristic.
+  const VerdictTrace* verdicts;
 };
 
 /// One registered transformation. run() rewrites `am`, records what it
@@ -135,7 +139,12 @@ class PassManager {
 
   /// Compiles method `id` through the pipeline. `report`, when non-null,
   /// receives the structured inline report for this compilation.
-  OptimizeResult run(bc::MethodId id, InlineReport* report = nullptr);
+  /// `verdicts`, when non-null, is DecisionProbe's trace for `id` under this
+  /// manager's heuristic, oracle and limits: the inline pass replays it in
+  /// place of consulting the heuristic and throws ith::Error on any
+  /// divergence (see Inliner::run).
+  OptimizeResult run(bc::MethodId id, InlineReport* report = nullptr,
+                     const VerdictTrace* verdicts = nullptr);
 
   const PipelineDesc& pipeline() const { return pipeline_; }
   AnalysisManager& analyses() { return analyses_; }

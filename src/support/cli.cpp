@@ -46,8 +46,8 @@ std::string usage_text(const std::string& tool, const std::vector<FlagSpec>& fla
   return out;
 }
 
-bool CliParser::only_declared(const std::vector<FlagSpec>& flags) const {
-  if (!positional_.empty()) return false;
+bool CliParser::only_declared(const std::vector<FlagSpec>& flags, std::size_t positionals) const {
+  if (positional_.size() != positionals) return false;
   return std::all_of(flags_.begin(), flags_.end(), [&](const auto& given) {
     return std::any_of(flags.begin(), flags.end(),
                        [&](const FlagSpec& f) { return f.name == given.first; });

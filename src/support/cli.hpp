@@ -4,6 +4,7 @@
 // undeclared flags from that one list.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -38,9 +39,10 @@ class CliParser {
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;
 
-  /// True when every flag given is declared in `flags` and no positional
-  /// argument was given. --help is never declared, so it fails this too.
-  bool only_declared(const std::vector<FlagSpec>& flags) const;
+  /// True when every flag given is declared in `flags` and exactly
+  /// `positionals` positional arguments were given. --help is never
+  /// declared, so it fails this too.
+  bool only_declared(const std::vector<FlagSpec>& flags, std::size_t positionals = 0) const;
 
   /// Non-flag positional arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

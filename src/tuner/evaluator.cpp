@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string_view>
 
+#include "opt/decision_probe.hpp"
 #include "resilience/guard.hpp"
 #include "support/codec.hpp"
 #include "support/error.hpp"
@@ -65,13 +66,24 @@ std::uint64_t hash_program(const bc::Program& prog) {
 
 }  // namespace
 
-SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig config)
+SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig config,
+                               std::size_t memo_budget_bytes)
     : suite_(std::move(suite)), config_(config) {
   ITH_CHECK(!suite_.empty(), "evaluator needs a non-empty suite");
   ITH_CHECK(config_.iterations >= 1, "need at least one iteration");
   ITH_CHECK(config_.max_retries >= 0, "max_retries must be >= 0");
   config_.vm_config.scenario = config_.scenario;
   config_.vm_config.obs = config_.obs;
+  std::vector<const bc::Program*> programs;
+  for (const wl::Workload& w : suite_) programs.push_back(&w.program);
+  memo_ = std::make_unique<opt::BodyMemo>(std::move(programs), pipeline(),
+                                          config_.vm_config.inline_limits, config_.obs,
+                                          memo_budget_bytes);
+}
+
+opt::PipelineDesc SuiteEvaluator::pipeline() const {
+  const vm::VmConfig& v = config_.vm_config;
+  return v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
 }
 
 std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& make_heuristic,
@@ -101,6 +113,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& m
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       vm::VmConfig cfg = config_.vm_config;
       if (!allow_faults) cfg.faults = nullptr;
+      cfg.body_memo = memo_.get();
       cfg.fault_key = resilience::mix_keys(
           fault_salt, resilience::mix_keys(codec::fnv1a(w.name),
                                            static_cast<std::uint64_t>(attempt)));
@@ -196,24 +209,18 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   bool exact = true;
   std::uint64_t consultations = 0;
   std::uint64_t forks = 0;
-  const opt::PipelineDesc pipeline =
-      config_.vm_config.pipeline ? *config_.vm_config.pipeline
-                                 : opt::pipeline_from_options(config_.vm_config.opt_options);
-  if (!pipeline.has_pass("inline")) {
+  if (!pipeline().has_pass("inline")) {
     // Without an inline pass the heuristic is never consulted: every
     // parameter vector compiles identically, so all params share one
     // signature.
     sig = mix_u64(sig, codec::fnv1a("inlining-disabled"));
   } else {
-    std::call_once(facts_once_, [this] {
-      facts_.reserve(suite_.size());
-      for (const wl::Workload& w : suite_) facts_.emplace_back(w.program);
-    });
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
     for (std::size_t i = 0; i < suite_.size(); ++i) {
-      const opt::SignatureResult r = opt::decision_signature(
-          suite_[i].program, facts_[i], params, config_.vm_config.inline_limits, opts);
+      const opt::SignatureResult r =
+          opt::decision_signature(suite_[i].program, memo_->facts(static_cast<int>(i)), params,
+                                  config_.vm_config.inline_limits, opts);
       sig = mix_u64(sig, r.value);
       exact = exact && r.exact;
       consultations += r.consultations;

@@ -22,7 +22,7 @@
 
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
-#include "opt/decision_probe.hpp"
+#include "opt/body_memo.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
 #include "runtime/machine.hpp"
@@ -122,7 +122,10 @@ struct EvalCacheSnapshot {
 
 class SuiteEvaluator {
  public:
-  SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig config);
+  /// `memo_budget_bytes` bounds the evaluator's memo of optimized bodies;
+  /// only tests pass anything but the default.
+  SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig config,
+                 std::size_t memo_budget_bytes = opt::BodyMemo::kBudgetBytes);
 
   /// Decision signature of one parameter vector over the whole suite: the
   /// level-2 cache key, the quarantine key, and the fault salt.
@@ -225,6 +228,10 @@ class SuiteEvaluator {
   using ParamKey = heur::InlineParams::Array;
   static_assert(std::tuple_size_v<ParamKey> == heur::InlineParams::kNumParams);
 
+  /// The effective pipeline: vm_config.pipeline, else the one opt_options
+  /// maps to.
+  opt::PipelineDesc pipeline() const;
+
   /// The uncached evaluation path: every benchmark through guarded_run with
   /// the retry loop. `allow_faults` is false for the default-params baseline.
   /// Suites of two or more benchmarks run concurrently on
@@ -242,11 +249,12 @@ class SuiteEvaluator {
 
   std::vector<wl::Workload> suite_;
   EvalConfig config_;
-  /// Probe facts, one per workload, built by the first signature_of() (an
-  /// evaluator constructed only to fingerprint it never pays for them) and
-  /// read-only afterwards, so concurrent probes share them lock-free.
-  std::once_flag facts_once_;
-  std::vector<opt::ProbeFacts> facts_;
+  /// Optimized bodies shared by every VM this evaluator starts (see
+  /// opt/body_memo.hpp), under the fixed budget BodyMemo::kBudgetBytes. It
+  /// also owns the workloads' ProbeFacts, built on first use (an evaluator
+  /// constructed only to fingerprint it never pays for them) and read
+  /// lock-free by concurrent probes and compiles.
+  std::unique_ptr<opt::BodyMemo> memo_;
   std::map<ParamKey, Signature> param_sigs_;  ///< level 1; guarded by mu_
   std::map<Signature, Results> cache_;        ///< level 2; guarded by mu_
   /// Signatures currently being evaluated by some thread; guarded by mu_.

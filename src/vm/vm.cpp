@@ -63,10 +63,23 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
       return sp;
     };
   }
-  pass_manager_ = std::make_unique<opt::PassManager>(
-      prog_, heuristic_, std::move(oracle),
-      config_.pipeline ? *config_.pipeline : opt::pipeline_from_options(config_.opt_options),
-      config_.inline_limits, config_.obs);
+  opt::PipelineDesc pipeline =
+      config_.pipeline ? *config_.pipeline : opt::pipeline_from_options(config_.opt_options);
+  if (config_.body_memo != nullptr && opt::BodyMemo::supports(pipeline)) {
+    ITH_CHECK(config_.body_memo->serves(pipeline, config_.inline_limits),
+              "VmConfig::body_memo was built for another pipeline or other inline limits");
+    memo_key_.program = config_.body_memo->program_index(prog_);
+    if (memo_key_.program >= 0) {
+      memo_ = config_.body_memo;
+      if (pipeline.has_pass("inline")) {
+        probe_ = std::make_unique<opt::DecisionProbe>(memo_->facts(memo_key_.program), heuristic_,
+                                                      oracle, config_.inline_limits);
+      }
+    }
+  }
+  pass_manager_ = std::make_unique<opt::PassManager>(prog_, heuristic_, std::move(oracle),
+                                                     std::move(pipeline), config_.inline_limits,
+                                                     config_.obs);
   if (config_.simulate_icache) {
     icache_ = std::make_unique<rt::ICache>(machine_.icache_bytes, machine_.icache_line_bytes,
                                            machine_.icache_assoc);
@@ -160,15 +173,34 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_baseline(bc::MethodI
 }
 
 std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id, rt::Tier tier) {
-  opt::OptimizeResult result = pass_manager_->run(id);
-
   auto cm = std::make_unique<rt::CompiledMethod>();
-  cm->body = std::move(result.body.method);
   cm->tier = tier;
   cm->method_id = id;
-  cm->origin.reserve(result.body.meta.size());
-  for (const opt::InstrMeta& m : result.body.meta) {
-    cm->origin.emplace_back(m.origin_method, m.origin_pc);
+  opt::OptStats stats;
+
+  std::shared_ptr<const opt::BodyMemo::Body> memoized;
+  if (memo_ != nullptr) {
+    if (probe_ != nullptr) probe_->probe_method(id, verdicts_);
+    memo_key_.method = id;
+    memo_key_.verdicts = opt::verdict_bytes(verdicts_.decisions);
+    memoized = memo_->find(memo_key_);
+  }
+  if (memoized != nullptr) {
+    const bc::Method& original = prog_.method(id);
+    cm->body = bc::Method(original.name(), original.num_args(), memoized->num_locals);
+    cm->body.mutable_code() = memoized->code;
+    cm->origin = memoized->expand_origins();
+    stats = memoized->stats;
+  } else {
+    opt::OptimizeResult result =
+        pass_manager_->run(id, nullptr, probe_ != nullptr ? &verdicts_ : nullptr);
+    if (memo_ != nullptr) memo_->insert(memo_key_, result);
+    stats = result.stats;
+    cm->body = std::move(result.body.method);
+    cm->origin.reserve(result.body.meta.size());
+    for (const opt::InstrMeta& m : result.body.meta) {
+      cm->origin.emplace_back(m.origin_method, m.origin_pc);
+    }
   }
   cm->finalize();
 
@@ -185,29 +217,29 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id,
                    obs::Domain::kSim, sim_now_, cycles,
                    {{"method", prog_.method(id).name()},
                     {"size_words", cm->size_words()},
-                    {"sites_inlined", result.stats.inline_stats.sites_inlined},
-                    {"sites_considered", result.stats.inline_stats.sites_considered}});
+                    {"sites_inlined", stats.inline_stats.sites_inlined},
+                    {"sites_considered", stats.inline_stats.sites_considered}});
     obs_->counter(full ? "vm.compiles.opt" : "vm.compiles.mid").add(1);
   }
   sim_now_ += cycles;  // cursor advances even when kCompile is masked out
 
   auto& agg = live_result_->opt_stats;
-  agg.inline_stats.sites_considered += result.stats.inline_stats.sites_considered;
-  agg.inline_stats.sites_inlined += result.stats.inline_stats.sites_inlined;
-  agg.inline_stats.sites_partially_inlined += result.stats.inline_stats.sites_partially_inlined;
-  agg.inline_stats.sites_refused_by_heuristic += result.stats.inline_stats.sites_refused_by_heuristic;
-  agg.inline_stats.sites_refused_structural += result.stats.inline_stats.sites_refused_structural;
+  agg.inline_stats.sites_considered += stats.inline_stats.sites_considered;
+  agg.inline_stats.sites_inlined += stats.inline_stats.sites_inlined;
+  agg.inline_stats.sites_partially_inlined += stats.inline_stats.sites_partially_inlined;
+  agg.inline_stats.sites_refused_by_heuristic += stats.inline_stats.sites_refused_by_heuristic;
+  agg.inline_stats.sites_refused_structural += stats.inline_stats.sites_refused_structural;
   agg.inline_stats.max_depth_reached =
-      std::max(agg.inline_stats.max_depth_reached, result.stats.inline_stats.max_depth_reached);
-  agg.folds += result.stats.folds;
-  agg.copyprops += result.stats.copyprops;
-  agg.dead_stores += result.stats.dead_stores;
-  agg.branch_simplifications += result.stats.branch_simplifications;
-  agg.algebraic_simplifications += result.stats.algebraic_simplifications;
-  agg.compare_fusions += result.stats.compare_fusions;
-  agg.tail_calls_eliminated += result.stats.tail_calls_eliminated;
-  agg.unreachable_removed += result.stats.unreachable_removed;
-  agg.instructions_compacted += result.stats.instructions_compacted;
+      std::max(agg.inline_stats.max_depth_reached, stats.inline_stats.max_depth_reached);
+  agg.folds += stats.folds;
+  agg.copyprops += stats.copyprops;
+  agg.dead_stores += stats.dead_stores;
+  agg.branch_simplifications += stats.branch_simplifications;
+  agg.algebraic_simplifications += stats.algebraic_simplifications;
+  agg.compare_fusions += stats.compare_fusions;
+  agg.tail_calls_eliminated += stats.tail_calls_eliminated;
+  agg.unreachable_removed += stats.unreachable_removed;
+  agg.instructions_compacted += stats.instructions_compacted;
   return cm;
 }
 

@@ -30,6 +30,8 @@
 #include "bytecode/program.hpp"
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
+#include "opt/body_memo.hpp"
+#include "opt/decision_probe.hpp"
 #include "opt/optimizer.hpp"
 #include "resilience/budget.hpp"
 #include "resilience/fault.hpp"
@@ -95,6 +97,17 @@ struct VmConfig {
   /// sites. Non-owning, may be null (= no injection, one branch per site);
   /// must outlive the VM.
   const resilience::FaultPlan* faults = nullptr;
+  /// Memo of optimized bodies shared by every VM of one
+  /// tuner::SuiteEvaluator, which sets it. Non-owning, may be null (= every
+  /// optimizing compile runs the passes); must outlive the VM. When set, and
+  /// the pipeline runs the inline pass at most once as a setup pass, each
+  /// optimizing compile first walks the method with DecisionProbe under
+  /// this VM's oracle and heuristic, then installs the memo's body for
+  /// (program, method, verdicts) or, on a miss, runs the passes replaying
+  /// those verdicts and stores the result. Bodies, OptStats and compile
+  /// cycles are identical either way; a hit runs no passes, so it emits no
+  /// opt.pass.* counters, optimizer spans or inline.decision events.
+  opt::BodyMemo* body_memo = nullptr;
   /// Caller identity mixed into every fault-injection key so distinct
   /// evaluations (genome, workload, attempt) see independent fault draws.
   std::uint64_t fault_key = 0;
@@ -191,6 +204,15 @@ class VirtualMachine final : private rt::CodeSource {
   /// Persistent across compilations: one PassManager per VM session so the
   /// AnalysisManager's program-scope caches amortize over the whole run.
   std::unique_ptr<opt::PassManager> pass_manager_;
+
+  /// config_.body_memo when it serves this VM's program (else null), the
+  /// probe that yields each compile's verdicts (null without an inline
+  /// pass: every body then has the empty verdict list), and per-compile
+  /// scratch reused across compiles.
+  opt::BodyMemo* memo_ = nullptr;
+  std::unique_ptr<opt::DecisionProbe> probe_;
+  opt::VerdictTrace verdicts_;
+  opt::BodyMemo::Key memo_key_;
 
   std::vector<std::unique_ptr<rt::CompiledMethod>> current_;
   std::vector<std::unique_ptr<rt::CompiledMethod>> retired_;

@@ -279,7 +279,9 @@ TEST(ObsSchema, CounterEventsRequireRegisteredFamilies) {
   // Every registered counter family passes...
   for (const char* key : {"vm.installs", "ga.evaluations_saved", "sig.hits", "serve.requests",
                           "resil.outcome.ok", "eval.cache_hits", "rt.fused_bodies",
-                          "rt.fused_rule.load_const_cmplt_jz"}) {
+                          "rt.fused_rule.load_const_cmplt_jz", "opt.pass.fold.runs",
+                          "opt.analysis_hits", "opt.memo_hits", "opt.memo_evictions",
+                          "svc.hits"}) {
     EXPECT_EQ(validate_event(event_json(std::string(R"({"name":"c","cat":"vm","ph":"C",)") +
                                         R"("ts":0,"pid":2,"tid":0,"args":{")" + key +
                                         R"(":1}})")),
@@ -287,9 +289,13 @@ TEST(ObsSchema, CounterEventsRequireRegisteredFamilies) {
         << key;
   }
   // ...an unregistered family is rejected on counter events...
-  EXPECT_NE(validate_event(event_json(
-                R"({"name":"c","cat":"vm","ph":"C","ts":0,"pid":2,"tid":0,"args":{"typo.x":1}})")),
-            std::nullopt);
+  for (const char* key : {"typo.x", "opt.memo", "opt.compiles"}) {
+    EXPECT_NE(validate_event(event_json(std::string(R"({"name":"c","cat":"vm","ph":"C",)") +
+                                        R"("ts":0,"pid":2,"tid":0,"args":{")" + key +
+                                        R"(":1}})")),
+              std::nullopt)
+        << key;
+  }
   // ...but the same key is fine as a span/instant annotation.
   EXPECT_EQ(validate_event(event_json(
                 R"({"name":"x","cat":"vm","ph":"i","ts":0,"pid":1,"tid":0,"args":{"typo.x":1}})")),

@@ -46,7 +46,9 @@ void expect_probe_matches_inliner(const bc::Program& prog, const heur::InlinePar
                                   const opt::SiteOracle& oracle, opt::InlineLimits limits,
                                   const std::string& label) {
   const heur::JikesHeuristic heuristic(params);
-  const opt::DecisionProbe probe(prog, heuristic, oracle, limits);
+  const opt::ProbeFacts facts(prog);
+  const opt::DecisionProbe probe(facts, heuristic, oracle, limits);
+  opt::VerdictTrace trace;
 
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
     obs::MemorySink sink;
@@ -55,8 +57,9 @@ void expect_probe_matches_inliner(const bc::Program& prog, const heur::InlinePar
 
     opt::InlineStats real_stats;
     const opt::AnnotatedMethod am = inliner.run(id, &real_stats);
-    opt::InlineStats probe_stats;
-    const std::vector<opt::ProbeDecision> predicted = probe.probe_method(id, &probe_stats);
+    probe.probe_method(id, trace);
+    const std::vector<opt::ProbeDecision>& predicted = trace.decisions;
+    const opt::InlineStats& probe_stats = trace.stats;
 
     const std::vector<obs::Event> events = sink.events();
     ASSERT_EQ(predicted.size(), events.size())

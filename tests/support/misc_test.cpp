@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -142,6 +143,16 @@ TEST(Cli, Positionals) {
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "input.txt");
   EXPECT_EQ(cli.positional()[1], "output.txt");
+}
+
+TEST(Cli, OnlyDeclaredCountsFlagsAndPositionals) {
+  const std::vector<FlagSpec> flags = {{"k", "N", "a number"}, {"check", "", "a switch"}};
+  const char* argv[] = {"prog", "trace.json", "--k=1", "--check"};
+  EXPECT_TRUE(CliParser(4, argv).only_declared(flags, 1));
+  EXPECT_FALSE(CliParser(4, argv).only_declared(flags));     // one positional too many
+  EXPECT_FALSE(CliParser(3, argv).only_declared(flags, 2));  // one too few
+  const char* help[] = {"prog", "trace.json", "--help"};
+  EXPECT_FALSE(CliParser(3, help).only_declared(flags, 1));
 }
 
 TEST(Cli, MalformedIntThrows) {

@@ -7,11 +7,14 @@
 //   fuzz_vm --replay=FILE.mbc [--oracle-seed=N] [--dump]   # triage a repro
 //
 // Exit status: 0 when every seed and corpus entry agrees across all tiers,
-// 1 when any divergence was found, 2 on usage errors.
+// 1 when any divergence was found, 2 on usage errors. The flags are declared
+// once, in kFlags below; --help or any undeclared flag prints the usage
+// generated from them and exits 2 without running or writing anything.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bytecode/binary.hpp"
 #include "bytecode/serializer.hpp"
@@ -21,6 +24,20 @@
 #include "support/error.hpp"
 
 namespace {
+
+const std::vector<ith::FlagSpec> kFlags = {
+    {"seeds", "A..B", "seed range to walk (default 1..100; A..0 with --budget is open-ended)"},
+    {"budget", "SECONDS", "stop the walk after this much wall time (default 0 = none)"},
+    {"corpus", "DIR", "replay DIR's .mbc entries first and write shrunk repros there"},
+    {"no-shrink", "", "report divergences without shrinking them"},
+    {"no-bisect", "", "skip the guilty-pass bisection"},
+    {"no-write", "", "write no repro files"},
+    {"quiet", "", "no per-seed log"},
+    {"emit-edge-corpus", "DIR", "(re)write the built-in edge cases into DIR and exit"},
+    {"replay", "FILE", "triage one .mbc repro and exit"},
+    {"oracle-seed", "N", "oracle seed for --replay (default 1)"},
+    {"dump", "", "print the disassembly of the --replay program"},
+};
 
 bool parse_seed_range(const std::string& text, std::uint64_t& begin, std::uint64_t& end) {
   const auto dots = text.find("..");
@@ -41,13 +58,9 @@ bool parse_seed_range(const std::string& text, std::uint64_t& begin, std::uint64
 
 int main(int argc, char** argv) {
   const ith::CliParser cli(argc, argv);
-
-  if (cli.has("help")) {
-    std::cout << "usage: fuzz_vm [--seeds=A..B] [--budget=SECONDS] [--corpus=DIR]\n"
-                 "               [--no-shrink] [--no-bisect] [--no-write] [--quiet]\n"
-                 "               [--emit-edge-corpus=DIR]\n"
-                 "       fuzz_vm --replay=FILE.mbc [--oracle-seed=N] [--dump]\n";
-    return 0;
+  if (!cli.only_declared(kFlags)) {
+    std::cerr << ith::usage_text("fuzz_vm", kFlags);
+    return 2;
   }
 
   if (cli.has("replay")) {

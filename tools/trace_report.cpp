@@ -9,6 +9,10 @@
 // timebases: process 1 events are in simulated cycles (compile-time
 // attribution that matches the VM's RunResult exactly), process 2 events
 // are host wall-clock microseconds.
+//
+// The flags are declared once, in kFlags below; --help, any undeclared flag
+// or anything but exactly one TRACE prints the usage generated from them and
+// exits 2 without reading or writing anything.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -26,6 +30,11 @@
 using namespace ith;
 
 namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"validate", "", "check every event against the trace schema (src/obs/schema.hpp)"},
+    {"ga-csv", "PATH", "write the per-generation fitness CSV to PATH"},
+};
 
 /// Loads every event object from a JSONL or Chrome-format trace file.
 std::vector<JsonValue> load_events(const std::string& path) {
@@ -91,8 +100,10 @@ struct SpanAgg {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
-    ITH_CHECK(!cli.positional().empty(),
-              "usage: trace_report TRACE [--validate] [--ga-csv=PATH]");
+    if (!cli.only_declared(kFlags, 1)) {
+      std::cerr << usage_text("trace_report TRACE", kFlags);
+      return 2;
+    }
     const std::string path = cli.positional().front();
     const std::vector<JsonValue> events = load_events(path);
 
@@ -109,7 +120,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::cout << events.size() << " events OK\n";
-      if (!cli.has("ga-csv") && cli.positional().size() == 1) return 0;
+      if (!cli.has("ga-csv")) return 0;
     }
 
     if (cli.has("ga-csv")) {
@@ -237,10 +248,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Passes: the pass manager's per-pass run/change totals plus the
-    // analysis cache's hit/miss/invalidation traffic, so a traced tune
-    // answers "which passes do the work, and does the cached-analysis layer
-    // actually avoid recomputation" at a glance.
+    // Passes: the pass manager's per-pass run/change totals, the analysis
+    // cache's hit/miss/invalidation traffic and the body memo's hit ratio,
+    // so a traced tune answers "which passes do the work, and how much
+    // recomputation do the caches avoid" at a glance.
     std::map<std::string, std::int64_t> opt_counters;
     for (const auto& [name, v] : counters) {
       if (name.rfind("opt.", 0) == 0) opt_counters[name] = v;
@@ -279,6 +290,20 @@ int main(int argc, char** argv) {
                               static_cast<double>(ahits + amisses),
                           1)
                   << "%), " << oval("opt.analysis_invalidations") << " invalidations\n";
+      }
+      // The evaluator's memo of optimized bodies: a hit installs a stored
+      // body without running any pass, so the per-pass rows above count
+      // misses (and VMs outside an evaluator) only.
+      if (opt_counters.count("opt.memo_hits") != 0) {
+        const std::int64_t mhits = oval("opt.memo_hits");
+        const std::int64_t mlookups = mhits + oval("opt.memo_misses");
+        std::cout << "body memo: " << mhits << "/" << mlookups << " compiles served";
+        if (mlookups > 0) {
+          std::cout << " ("
+                    << cell(100.0 * static_cast<double>(mhits) / static_cast<double>(mlookups), 1)
+                    << "%)";
+        }
+        std::cout << ", " << oval("opt.memo_evictions") << " evictions\n";
       }
     }
 
