@@ -14,7 +14,11 @@
 // registered counter family (vm. | ga. | sig. | serve. | resil. | eval. |
 // rt.fused* | opt.pass. | opt.analysis_ | opt.memo_ | svc.) so dashboards
 // never silently chart a typo'd counter name. opt.memo_hits / _misses /
-// _evictions are the evaluator's body memo (opt/body_memo.hpp).
+// _evictions are the evaluator's body memo (opt/body_memo.hpp);
+// eval.bench_runs / eval.bench_reused count the benchmarks its suite
+// evaluations ran and took from the per-benchmark store, and sig.restored
+// the parameter vectors a snapshot restored without a probe
+// (tuner/evaluator.hpp).
 //
 // trace_report uses the same routine, so "validates in CI" and "parses in
 // the report tool" can never drift apart.

@@ -96,6 +96,13 @@ class DecisionProbe {
   InlineLimits limits_;
 };
 
+/// Version of the signature walk's output. Anything that persists
+/// signatures across processes (the evaluation cache's params → keys table)
+/// mixes it into its fingerprint, so bump it whenever a change to the walk
+/// moves any signature value or exact flag — and re-record
+/// tests/opt/signature_golden_test.cpp under the new number.
+inline constexpr std::uint64_t kSignatureVersion = 1;
+
 struct SignatureOptions {
   /// Explore every profile-consistent hot/cold labelling of origin call
   /// sites (the adaptive scenario, where recompilations can see any profile

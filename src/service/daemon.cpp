@@ -513,6 +513,7 @@ void EvalDaemon::write_snapshot(const char* /*why*/) {
 }
 
 tuner::EvalCacheSnapshot EvalDaemon::snapshot() const {
+  // No params table: clients send signatures, never parameter vectors.
   tuner::EvalCacheSnapshot snap;
   snap.fingerprint = config_.fingerprint;
   std::lock_guard<std::mutex> lock(mu_);

@@ -20,8 +20,10 @@
 // never double-counted (a publish under a reclaimed lease id is accepted as
 // an unsolicited publish, not a second lease completion).
 //
-// Persistence: the repository snapshots to an ITHEVC1 file (the evaluator
-// cache format, published with codec::atomic_write_file) every
+// Persistence: the repository snapshots to an ITHEVC2 file (the evaluator
+// cache format, through the same save_eval_cache, published with
+// codec::atomic_write_file; its params table is empty, since the daemon
+// sees signatures, never parameter vectors) every
 // `snapshot_every` publishes and once more on graceful stop(), skipping
 // any snapshot whose repository has not changed since the last one
 // written. kill() simulates a crash — connections die, no final snapshot
@@ -60,7 +62,7 @@ struct DaemonConfig {
   /// SuiteEvaluator::cache_fingerprint). A mismatching hello is rejected —
   /// results from different configurations must never mix.
   std::uint64_t fingerprint = 0;
-  /// ITHEVC1 snapshot file. Empty = no persistence. When the file exists at
+  /// ITHEVC2 snapshot file. Empty = no persistence. When the file exists at
   /// start(), it is loaded and federated into the repository.
   std::string snapshot_path;
   /// Publishes between periodic snapshots (0 = only the stop() snapshot).

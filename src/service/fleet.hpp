@@ -51,11 +51,11 @@ struct FleetConfig {
   std::uint64_t base_seed = 7;
   std::uint64_t seed_stride = 0;
   std::string socket_path = "fleet.sock";
-  /// Daemon persistence (ITHEVC1). Empty = in-memory only; the chaos leg
+  /// Daemon persistence (ITHEVC2). Empty = in-memory only; the chaos leg
   /// needs it, or there is nothing for the restarted daemon to reload.
   std::string snapshot_path;
   std::uint64_t snapshot_every = 4;
-  /// Foreign ITHEVC1 snapshots federated into the daemon before the run.
+  /// Foreign ITHEVC2 snapshots federated into the daemon before the run.
   std::vector<std::string> import_paths;
   /// Daemon-side infrastructure faults (the kSvc* sites).
   resilience::FaultPlan service_faults{};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -14,7 +15,7 @@ namespace ith::tuner {
 
 namespace {
 
-constexpr codec::FileFormat kFormat{"ITHEVC1", "evaluation cache"};
+constexpr codec::FileFormat kFormat{"ITHEVC2", "evaluation cache"};
 
 void write_results(codec::Writer& w, const std::vector<BenchmarkResult>& results) {
   w.u64(results.size());
@@ -59,6 +60,15 @@ std::string serialize(const EvalCacheSnapshot& snap) {
   }
   w.u64(snap.quarantined.size());
   for (const std::uint64_t sig : snap.quarantined) w.u64(sig);
+  w.u64(snap.params.size());
+  for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
+    for (const int v : row.params) w.i64(v);
+    w.u64(row.keys.size());
+    for (const WorkloadKey& k : row.keys) {
+      w.u64(k.value);
+      w.u64(k.exact ? 1 : 0);
+    }
+  }
   return w.bytes();
 }
 
@@ -74,6 +84,24 @@ EvalCacheSnapshot deserialize(std::string_view payload) {
   }
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     snap.quarantined.push_back(r.u64());
+  }
+  for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
+    EvalCacheSnapshot::ParamsKeys row;
+    for (int& v : row.params) {
+      const std::int64_t raw = r.i64();
+      ITH_CHECK(raw >= std::numeric_limits<int>::min() && raw <= std::numeric_limits<int>::max(),
+                "evaluation cache parameter out of range (corrupted file)");
+      v = static_cast<int>(raw);
+    }
+    for (std::uint64_t j = 0, m = r.count(); j < m; ++j) {
+      WorkloadKey k;
+      k.value = r.u64();
+      const std::uint64_t exact = r.u64();
+      ITH_CHECK(exact <= 1, "evaluation cache key flag is not 0 or 1 (corrupted file)");
+      k.exact = exact == 1;
+      row.keys.push_back(k);
+    }
+    snap.params.push_back(std::move(row));
   }
   if (!r.exhausted()) throw Error("evaluation cache has trailing bytes (corrupted file)");
   return snap;

@@ -1,9 +1,21 @@
 // Persistent evaluation cache: serializes an EvalCacheSnapshot (the
-// SuiteEvaluator's signature->results map plus the quarantine) to a single
-// binary file, so a later tuning run against the same evaluator
-// configuration starts warm and skips every suite execution it has already
-// paid for. Format "ITHEVC1": a payload schema inside the support/codec.hpp
-// file envelope.
+// SuiteEvaluator's signature->results map, the quarantine and the params ->
+// per-workload keys table) to a single binary file, so a later tuning run
+// against the same evaluator configuration starts warm: it skips every
+// suite execution it has already paid for and every probe of a parameter
+// vector it has already seen. Format "ITHEVC2", a payload schema inside the
+// support/codec.hpp file envelope:
+//
+//   fingerprint  u64
+//   entries      count, then per entry: signature u64, results
+//   quarantined  count, then one signature u64 each
+//   params       count, then per row: InlineParams::kNumParams i64 values,
+//                key count, then per key: value u64, exact u64 (0 or 1)
+//
+// where results is a count and per result: name, running, total and
+// compile cycles, outcome kind/budget/trap, detail, attempts. The first
+// three sections are ITHEVC1's payload; ITHEVC1 files are not read (their
+// magic is rejected, and a tool that finds one starts cold).
 //
 // The configuration fingerprint inside the snapshot is what makes reuse
 // safe: SuiteEvaluator::restore() refuses a snapshot whose fingerprint does
@@ -25,8 +37,9 @@ namespace ith::tuner {
 void save_eval_cache(const std::string& path, const EvalCacheSnapshot& snap);
 
 /// Loads and validates a cache file. Throws ith::Error with a distinct
-/// message for each failure mode: unopenable file, bad magic, truncation,
-/// trailing bytes, checksum mismatch. Fingerprint compatibility is *not*
+/// message for each failure mode: unopenable file, bad magic (an ITHEVC1
+/// file included), truncation, trailing bytes, checksum mismatch, a params
+/// table value out of range. Fingerprint compatibility is *not*
 /// checked here — that is SuiteEvaluator::restore()'s job, against the live
 /// configuration. A stale `path + ".tmp"` sibling (a partially written save
 /// abandoned by a crash) is removed first — rename() already guarantees the
@@ -55,9 +68,11 @@ struct SnapshotMergeStats {
 };
 
 /// Merges `src` into `dst`. Throws ith::Error when the fingerprints differ
-/// (results from different configurations must never mix). Conflicting
-/// entries — possible because host wall-clock budget verdicts are timing-
-/// dependent — are resolved by a deterministic total order (fewest failed
+/// (results from different configurations must never mix). Only entries
+/// and quarantine merge: `dst.params` is left as it is (the daemon, which
+/// federates, keeps no params table). Conflicting entries — possible
+/// because host wall-clock budget verdicts are timing-dependent — are
+/// resolved by a deterministic total order (fewest failed
 /// benchmarks first, then smallest encoding), which makes federation
 /// commutative and associative: any merge order of any snapshot set yields
 /// one canonical cache. `dst`'s entries come out sorted by signature.

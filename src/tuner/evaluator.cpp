@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <string_view>
 
 #include "opt/decision_probe.hpp"
@@ -86,18 +87,18 @@ opt::PipelineDesc SuiteEvaluator::pipeline() const {
   return v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
 }
 
-std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& make_heuristic,
-                                                       std::uint64_t fault_salt,
-                                                       bool allow_faults) {
+void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
+                                    const HeuristicFactory& make_heuristic,
+                                    const std::vector<std::uint64_t>& salts, bool allow_faults,
+                                    std::vector<BenchmarkResult>& results) {
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   obs::ScopedSpan suite_span(obs, obs::Category::kEval, "eval.suite",
-                             trace ? std::vector<obs::Arg>{{"benchmarks", suite_.size()}}
+                             trace ? std::vector<obs::Arg>{{"benchmarks", which.size()}}
                                    : std::vector<obs::Arg>{});
   const resilience::FaultPlan* const plan = allow_faults ? config_.vm_config.faults : nullptr;
   const bool compile_faults = plan != nullptr && plan->armed() &&
                               plan->enabled(resilience::FaultSite::kCompileInflate);
-  std::vector<BenchmarkResult> results(suite_.size());
   // One benchmark, start to finish, on whichever thread runs it: its own
   // heuristic (prepare() rewrites per-program state, so concurrent VMs
   // cannot share one), its retry loop and its eval.bench span.
@@ -115,8 +116,8 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& m
       if (!allow_faults) cfg.faults = nullptr;
       cfg.body_memo = memo_.get();
       cfg.fault_key = resilience::mix_keys(
-          fault_salt, resilience::mix_keys(codec::fnv1a(w.name),
-                                           static_cast<std::uint64_t>(attempt)));
+          salts[i], resilience::mix_keys(codec::fnv1a(w.name),
+                                         static_cast<std::uint64_t>(attempt)));
 
       resilience::GuardedRun gr;
       if (cfg.faults != nullptr &&
@@ -155,43 +156,67 @@ std::vector<BenchmarkResult> SuiteEvaluator::run_suite(const HeuristicFactory& m
     }
   };
 
-  // A one-benchmark suite (the serving shadow evaluator) gains nothing from
-  // the pool, so it never builds it. Larger suites fan out across the shared
-  // pool, longest first: with more benchmarks than workers, a long one
-  // started last would run alone at the end.
-  if (suite_.size() == 1) {
-    run_benchmark(0);
-  } else {
-    std::vector<std::size_t> order(suite_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!dispatch_order_.empty()) order = dispatch_order_;
+  // A single benchmark (the serving shadow evaluator's whole suite, or the
+  // one a new signature has not seen) gains nothing from the pool, so it
+  // runs on the caller. More fan out across the shared pool, longest
+  // first: with more benchmarks than workers, a long one started last
+  // would run alone at the end.
+  if (which.size() == 1) {
+    run_benchmark(which[0]);
+    return;
+  }
+  std::vector<std::size_t> order;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (dispatch_order_.empty()) {
+      order = which;
+    } else {
+      std::vector<bool> wanted(suite_.size(), false);
+      for (const std::size_t i : which) wanted[i] = true;
+      for (const std::size_t i : dispatch_order_) {
+        if (wanted[i]) order.push_back(i);
+      }
     }
-    ThreadPool::shared().parallel_for(order.size(),
-                                      [&](std::size_t k) { run_benchmark(order[k]); });
   }
+  ThreadPool::shared().parallel_for(order.size(),
+                                    [&](std::size_t k) { run_benchmark(order[k]); });
+}
 
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dispatch_order_.empty()) {
-    // Simulated cycles, not host time: the order is a pure function of the
-    // first completed run, whatever else the host is doing.
-    dispatch_order_.resize(suite_.size());
-    std::iota(dispatch_order_.begin(), dispatch_order_.end(), std::size_t{0});
-    std::stable_sort(dispatch_order_.begin(), dispatch_order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return results[a].total_cycles > results[b].total_cycles;
-                     });
-  }
-  return results;
+void SuiteEvaluator::note_dispatch_order(const std::vector<BenchmarkResult>& results) {
+  if (!dispatch_order_.empty() || results.size() != suite_.size()) return;
+  // Simulated cycles, not host time: the order is a pure function of the
+  // first complete result, whatever else the host is doing.
+  dispatch_order_.resize(suite_.size());
+  std::iota(dispatch_order_.begin(), dispatch_order_.end(), std::size_t{0});
+  std::stable_sort(dispatch_order_.begin(), dispatch_order_.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return results[a].total_cycles > results[b].total_cycles;
+                   });
 }
 
 std::vector<BenchmarkResult> SuiteEvaluator::evaluate_heuristic(
     const HeuristicFactory& make_heuristic, std::uint64_t fault_salt) {
-  return run_suite(make_heuristic, fault_salt, /*allow_faults=*/true);
+  std::vector<std::size_t> all(suite_.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<BenchmarkResult> results(suite_.size());
+  run_benchmarks(all, make_heuristic, std::vector<std::uint64_t>(suite_.size(), fault_salt),
+                 /*allow_faults=*/true, results);
+  std::lock_guard<std::mutex> lock(mu_);
+  note_dispatch_order(results);
+  return results;
 }
 
-SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams& params) {
+SuiteEvaluator::Signature SuiteEvaluator::suite_signature(const std::vector<WorkloadKey>& keys) {
+  Signature sig = codec::fnv1a("ith-suite-signature-v1");
+  // Without an inline pass the heuristic is never consulted: every
+  // parameter vector compiles identically, so all params share one
+  // signature (and have no per-workload keys).
+  if (keys.empty()) return mix_u64(sig, codec::fnv1a("inlining-disabled"));
+  for (const WorkloadKey& k : keys) sig = mix_u64(sig, k.value);
+  return sig;
+}
+
+SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
   const ParamKey key = params.to_array();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -199,34 +224,31 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
     if (it != param_sigs_.end()) return it->second;
   }
 
-  // Probe outside the lock: the signature is a pure function of (program,
+  // Probe outside the lock: the keys are a pure function of (program,
   // params, limits), so a concurrent duplicate probe lands the same value.
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   const std::uint64_t t0 = obs != nullptr ? obs->host_now_us() : 0;
 
-  Signature sig = codec::fnv1a("ith-suite-signature-v1");
+  Probed probed;
   bool exact = true;
   std::uint64_t consultations = 0;
   std::uint64_t forks = 0;
-  if (!pipeline().has_pass("inline")) {
-    // Without an inline pass the heuristic is never consulted: every
-    // parameter vector compiles identically, so all params share one
-    // signature.
-    sig = mix_u64(sig, codec::fnv1a("inlining-disabled"));
-  } else {
+  if (pipeline().has_pass("inline")) {
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
+    probed.keys.reserve(suite_.size());
     for (std::size_t i = 0; i < suite_.size(); ++i) {
       const opt::SignatureResult r =
           opt::decision_signature(suite_[i].program, memo_->facts(static_cast<int>(i)), params,
                                   config_.vm_config.inline_limits, opts);
-      sig = mix_u64(sig, r.value);
+      probed.keys.push_back(WorkloadKey{r.value, r.exact});
       exact = exact && r.exact;
       consultations += r.consultations;
       forks += r.forks;
     }
   }
+  probed.sig = suite_signature(probed.keys);
 
   if (obs != nullptr) {
     const std::uint64_t dur = obs->host_now_us() - t0;
@@ -236,7 +258,7 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
     if (trace) {
       obs->complete(obs::Category::kEval, "sig.probe", obs::Domain::kHost, t0, dur,
                     {{"params", params.to_string()},
-                     {"signature", static_cast<std::int64_t>(sig)},
+                     {"signature", static_cast<std::int64_t>(probed.sig)},
                      {"consultations", consultations},
                      {"forks", forks},
                      {"exact", exact}});
@@ -244,11 +266,11 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, fresh] = param_sigs_.emplace(key, sig);
+  const auto [it, fresh] = param_sigs_.emplace(key, std::move(probed));
   if (fresh && obs != nullptr) {
     bool collapsed = false;
-    for (const auto& [other_key, other_sig] : param_sigs_) {
-      if (other_sig == sig && other_key != key) {
+    for (const auto& [other_key, other] : param_sigs_) {
+      if (other.sig == it->second.sig && other_key != key) {
         collapsed = true;
         break;
       }
@@ -258,11 +280,20 @@ SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams&
   return it->second;
 }
 
+SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams& params) {
+  return probe(params).sig;
+}
+
+std::vector<WorkloadKey> SuiteEvaluator::workload_keys(const heur::InlineParams& params) {
+  return probe(params).keys;
+}
+
 SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
-    Signature sig, bool allow_quarantine, bool allow_backend,
-    const std::function<std::vector<BenchmarkResult>()>& compute,
+    const heur::InlineParams& params, const Probed& probed, bool baseline,
     const std::function<void(const char*)>& cache_event) {
   obs::Context* const obs = config_.obs;
+  const Signature sig = probed.sig;
+  const bool allow_quarantine = !baseline;
   bool quarantined = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -285,7 +316,7 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
   }
 
   // From here until the signature is cached, *any* exit — including a
-  // throwing trace sink inside cache_event or the compute body — must
+  // throwing trace sink inside cache_event or a benchmark run — must
   // release it, or single-flight waiters block forever. RAII, not a catch
   // block, so no path can be missed. (Local classes have the enclosing
   // member function's access rights, hence the private member touches.)
@@ -310,13 +341,23 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
       quarantine_.insert(sig);
     }
   };
+  // Ok results enter the per-benchmark store under their workload keys;
+  // a result vector that does not line up with the suite is not indexed.
+  const auto store_ok = [&](const std::vector<BenchmarkResult>& rs) {
+    if (probed.keys.empty() || rs.size() != suite_.size()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      if (rs[i].outcome.ok() && rs[i].name == suite_[i].name) {
+        bench_store_.emplace(std::make_pair(i, probed.keys[i]), rs[i]);
+      }
+    }
+  };
 
+  const std::size_t n = suite_.size();
   std::vector<BenchmarkResult> results;
-  bool have_results = false;
-  std::uint64_t backend_lease = 0;
   if (quarantined) {
     if (obs != nullptr) obs->counter("resil.quarantine_hits").add(1);
-    results.reserve(suite_.size());
+    results.reserve(n);
     for (const wl::Workload& w : suite_) {
       BenchmarkResult br;
       br.name = w.name;
@@ -325,40 +366,79 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
       br.attempts = 0;
       results.push_back(std::move(br));
     }
-    have_results = true;
-  } else if (allow_backend && config_.backend != nullptr) {
-    // Shared-cache consult first: another process may have already paid for
-    // this signature (or be computing it right now — acquire blocks through
-    // the daemon's cross-process single-flight). The served bytes are
-    // bit-identical to a local run under the matching fingerprint, so the
-    // quarantine decision mirrors the local path exactly.
-    if (std::optional<std::vector<BenchmarkResult>> remote =
-            config_.backend->acquire(sig, &backend_lease)) {
-      cache_event("eval.remote_hit");
-      results = std::move(*remote);
-      quarantine_if_failed(results);
-      have_results = true;
-    }
-  }
-  if (!have_results) {
-    cache_event("eval.cache_miss");
+  } else {
+    // Whatever the store already holds needs no run; only ok results are
+    // stored, so an assembled suite never inherits a failure.
+    results.resize(n);
+    std::vector<std::size_t> missing;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++evaluations_performed_;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto it = probed.keys.empty()
+                            ? bench_store_.end()
+                            : bench_store_.find(std::make_pair(i, probed.keys[i]));
+        if (it != bench_store_.end()) {
+          results[i] = it->second;
+        } else {
+          missing.push_back(i);
+        }
+      }
     }
-    results = compute();
-    quarantine_if_failed(results);
-    // Report the freshly paid-for run back to the fleet, failures included
-    // (the daemon runs the same quarantine rule server-side). Best-effort:
-    // the backend absorbs I/O errors.
-    if (allow_backend && config_.backend != nullptr) {
-      config_.backend->publish(sig, backend_lease, results);
+    bool have_results = missing.empty();
+    if (have_results) {
+      cache_event("eval.cache_hit");
+      if (obs != nullptr) obs->counter("eval.bench_reused").add(n);
+    }
+    std::uint64_t backend_lease = 0;
+    if (!have_results && !baseline && config_.backend != nullptr) {
+      // Shared-cache consult, at suite granularity: another process may
+      // have already paid for this signature (or be computing it right now
+      // — acquire blocks through the daemon's cross-process single-flight).
+      // The served bytes are bit-identical to a local run under the
+      // matching fingerprint, so the quarantine decision mirrors the local
+      // path exactly.
+      if (std::optional<std::vector<BenchmarkResult>> remote =
+              config_.backend->acquire(sig, &backend_lease)) {
+        cache_event("eval.remote_hit");
+        results = std::move(*remote);
+        quarantine_if_failed(results);
+        store_ok(results);
+        have_results = true;
+      }
+    }
+    if (!have_results) {
+      cache_event("eval.cache_miss");
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++evaluations_performed_;
+        benchmark_runs_ += missing.size();
+      }
+      if (obs != nullptr) {
+        obs->counter("eval.bench_runs").add(missing.size());
+        obs->counter("eval.bench_reused").add(n - missing.size());
+      }
+      // Each benchmark is salted with its own key, not the suite
+      // signature: a stored result is then exactly what every suite
+      // sharing that key would have drawn, whatever the evaluation order.
+      std::vector<std::uint64_t> salts(n, sig);
+      for (std::size_t i = 0; i < probed.keys.size(); ++i) salts[i] = probed.keys[i].salt();
+      run_benchmarks(missing, [&params] { return heur::make_jikes(params); }, salts,
+                     /*allow_faults=*/!baseline, results);
+      store_ok(results);
+      quarantine_if_failed(results);
+      // Report the freshly paid-for run back to the fleet, failures
+      // included (the daemon runs the same quarantine rule server-side).
+      // Best-effort: the backend absorbs I/O errors.
+      if (!baseline && config_.backend != nullptr) {
+        config_.backend->publish(sig, backend_lease, results);
+      }
     }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   release.armed = false;  // the guard would deadlock re-locking mu_ from here
   in_flight_.erase(sig);
+  if (!quarantined) note_dispatch_order(results);
   // Notify before emplace: if the insert throws, woken waiters re-check
   // under this same lock and simply become the new owner — no missed wakeup.
   cv_.notify_all();
@@ -369,42 +449,30 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
 SuiteEvaluator::Results SuiteEvaluator::evaluate(const heur::InlineParams& params) {
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
-  const Signature sig = signature_of(params);
+  const Probed probed = probe(params);
   const auto cache_event = [&](const char* what) {
     if (trace) {
       obs->instant(obs::Category::kEval, what, obs::Domain::kHost, obs->host_now_us(),
-                   {{"params", params.to_string()}, {"signature", static_cast<std::int64_t>(sig)}});
+                   {{"params", params.to_string()},
+                    {"signature", static_cast<std::int64_t>(probed.sig)}});
     }
     if (obs != nullptr) {
       obs->counter(what).add(1);
       obs->counter(std::string_view(what) == "eval.cache_miss" ? "sig.misses" : "sig.hits").add(1);
     }
   };
-  // The fault salt is the *signature*, not the raw params: aliased param
-  // vectors must see identical fault draws, or a transient fault could make
-  // "behaviourally equivalent" genomes observably different.
-  return evaluate_signature(sig, /*allow_quarantine=*/true, /*allow_backend=*/true,
-                            [&] {
-                              return run_suite([&params] { return heur::make_jikes(params); },
-                                               sig, /*allow_faults=*/true);
-                            },
-                            cache_event);
+  return evaluate_signature(params, probed, /*baseline=*/false, cache_event);
 }
 
 SuiteEvaluator::Results SuiteEvaluator::default_results() {
   const heur::InlineParams params = heur::default_params();
-  const Signature sig = signature_of(params);
   // Faults suppressed: the baseline is the denominator of every normalized
   // figure, so a chaos campaign must never see a penalized default run. The
-  // quarantine is bypassed for the same reason (a quarantined signature
-  // aliasing the defaults must not poison the baseline); no cache events
-  // are emitted, matching the historical behaviour of this path.
-  return evaluate_signature(sig, /*allow_quarantine=*/false, /*allow_backend=*/false,
-                            [&, params] {
-                              return run_suite([&params] { return heur::make_jikes(params); },
-                                               sig, /*allow_faults=*/false);
-                            },
-                            [](const char*) {});
+  // quarantine and the shared backend are bypassed for the same reason (a
+  // quarantined signature aliasing the defaults must not poison the
+  // baseline); no cache events are emitted, matching the historical
+  // behaviour of this path.
+  return evaluate_signature(params, probe(params), /*baseline=*/true, [](const char*) {});
 }
 
 std::size_t SuiteEvaluator::cache_size() const {
@@ -417,6 +485,11 @@ std::uint64_t SuiteEvaluator::evaluations_performed() const {
   return evaluations_performed_;
 }
 
+std::uint64_t SuiteEvaluator::benchmark_runs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return benchmark_runs_;
+}
+
 std::size_t SuiteEvaluator::params_seen() const {
   std::lock_guard<std::mutex> lock(mu_);
   return param_sigs_.size();
@@ -425,7 +498,7 @@ std::size_t SuiteEvaluator::params_seen() const {
 std::size_t SuiteEvaluator::signatures_seen() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::set<Signature> distinct;
-  for (const auto& [key, sig] : param_sigs_) distinct.insert(sig);
+  for (const auto& [key, probed] : param_sigs_) distinct.insert(probed.sig);
   return distinct.size();
 }
 
@@ -433,7 +506,10 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (fingerprint_.has_value()) return *fingerprint_;
 
-  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v1");
+  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v2");
+  // The params -> keys table is only as good as the probe that filled it.
+  fp = mix_u64(fp, opt::kSignatureVersion);
+  fp = mix_u64(fp, opt::SignatureOptions{}.max_events);
   const rt::MachineModel& m = config_.machine;
   fp = mix_u64(fp, codec::fnv1a(m.name));
   fp = mix_double(fp, m.baseline_cpi);
@@ -515,19 +591,50 @@ EvalCacheSnapshot SuiteEvaluator::snapshot() const {
     snap.entries.push_back(EvalCacheSnapshot::Entry{sig, *results});
   }
   snap.quarantined.assign(quarantine_.begin(), quarantine_.end());
+  snap.params.reserve(param_sigs_.size());
+  for (const auto& [key, probed] : param_sigs_) {
+    snap.params.push_back(EvalCacheSnapshot::ParamsKeys{key, probed.keys});
+  }
   return snap;
 }
 
 void SuiteEvaluator::restore(const EvalCacheSnapshot& snap) {
   ITH_CHECK(snap.fingerprint == cache_fingerprint(),
             "evaluation cache fingerprint mismatch (different evaluator configuration)");
+  const std::size_t want_keys = pipeline().has_pass("inline") ? suite_.size() : 0;
+  for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
+    ITH_CHECK(row.keys.size() == want_keys,
+              "evaluation cache params table has " + std::to_string(row.keys.size()) +
+                  " keys per row, this suite needs " + std::to_string(want_keys));
+  }
+
+  // Suite signatures are recomputed from the keys, never read: the table
+  // cannot name a signature its keys do not mix into.
+  std::map<Signature, const std::vector<WorkloadKey>*> keys_of;
+  std::uint64_t restored = 0;
   std::lock_guard<std::mutex> lock(mu_);
+  for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
+    const auto [it, fresh] =
+        param_sigs_.emplace(row.params, Probed{suite_signature(row.keys), row.keys});
+    keys_of.emplace(it->second.sig, &it->second.keys);
+    restored += fresh ? 1 : 0;
+  }
   for (const EvalCacheSnapshot::Entry& e : snap.entries) {
     // Never displace a live entry: an in-flight owner is about to publish
     // the same results anyway.
     cache_.emplace(e.signature, std::make_shared<std::vector<BenchmarkResult>>(e.results));
+    const auto keys = keys_of.find(e.signature);
+    if (keys == keys_of.end() || keys->second->empty() || e.results.size() != suite_.size()) {
+      continue;
+    }
+    for (std::size_t i = 0; i < e.results.size(); ++i) {
+      if (e.results[i].outcome.ok() && e.results[i].name == suite_[i].name) {
+        bench_store_.emplace(std::make_pair(i, (*keys->second)[i]), e.results[i]);
+      }
+    }
   }
   quarantine_.insert(snap.quarantined.begin(), snap.quarantined.end());
+  if (config_.obs != nullptr) config_.obs->counter("sig.restored").add(restored);
 }
 
 std::vector<std::vector<int>> SuiteEvaluator::quarantined_keys() const {

@@ -1,13 +1,17 @@
 // SuiteEvaluator: runs a benchmark suite under a candidate heuristic and
 // reports per-benchmark running/total cycles. This is the expensive inner
 // loop of tuning, so results are memoized — in two levels. Level 1 maps a
-// parameter vector to its *decision signature* (a cheap static probe of
-// every inline decision the params imply; see opt/decision_probe.hpp).
-// Level 2 maps signatures to suite results. Distinct params that drive the
-// optimizer to identical decisions collapse onto one signature, so only one
-// of them ever pays for a real suite run.
+// parameter vector to its per-workload keys (a cheap static probe of every
+// inline decision the params imply in each program; see
+// opt/decision_probe.hpp) and the suite signature they mix into. Level 2
+// maps suite signatures to suite results, and below it a per-benchmark
+// store maps (benchmark, workload key) to that benchmark's ok result.
+// Distinct params that drive the optimizer to identical decisions collapse
+// onto one signature, so only one of them ever pays for a suite run; and a
+// new signature runs only the benchmarks whose keys the store has not seen.
 #pragma once
 
+#include <compare>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -18,6 +22,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "heuristics/heuristic.hpp"
@@ -74,7 +79,7 @@ class EvalBackend {
                        const std::vector<BenchmarkResult>& results) = 0;
 };
 
-/// Builds a fresh heuristic. run_suite calls it once per benchmark run,
+/// Builds a fresh heuristic. run_benchmarks calls it once per benchmark run,
 /// concurrently from pool workers, so it must be safe to call from several
 /// threads at once.
 using HeuristicFactory = std::function<std::unique_ptr<heur::InlineHeuristic>()>;
@@ -105,11 +110,30 @@ struct EvalConfig {
   int max_retries = 2;
 };
 
-/// Serializable image of the evaluator's signature-level state: every
-/// signature with completed results plus the quarantine set, stamped with a
-/// fingerprint of everything that could change what a suite run returns
-/// (machine model, scenario, VM/optimizer configuration, fault plan,
-/// workload programs). eval_cache.hpp persists this as an ITHEVC1 file.
+/// One benchmark's share of a decision signature: the probe's value over
+/// that benchmark's program, and whether it was exact. An inexact value is
+/// the raw parameter hash — still a sound key, it just never collapses —
+/// and the flag keeps it from ever equalling an exact one. A benchmark's
+/// result is a pure function of its program and this key under one
+/// evaluator fingerprint, which is what lets suites share results per
+/// benchmark.
+struct WorkloadKey {
+  std::uint64_t value = 0;
+  bool exact = true;
+
+  /// The fault salt of every run of a benchmark under this key, so a stored
+  /// result is exactly what any suite sharing the key would have drawn.
+  std::uint64_t salt() const { return resilience::mix_keys(value, exact ? 1 : 0); }
+  friend auto operator<=>(const WorkloadKey&, const WorkloadKey&) = default;
+};
+
+/// Serializable image of the evaluator's cached state: every signature with
+/// completed results, the quarantine set and every probed parameter
+/// vector's per-workload keys, stamped with a fingerprint of everything
+/// that could change what a suite run or a probe returns (machine model,
+/// scenario, VM/optimizer configuration, fault plan, workload programs,
+/// probe version and budget). eval_cache.hpp persists this as an ITHEVC2
+/// file.
 struct EvalCacheSnapshot {
   std::uint64_t fingerprint = 0;
   struct Entry {
@@ -118,6 +142,13 @@ struct EvalCacheSnapshot {
   };
   std::vector<Entry> entries;
   std::vector<std::uint64_t> quarantined;
+  /// Level 1: a probed parameter vector and its keys, one per suite
+  /// benchmark in suite order (none when the pipeline has no inline pass).
+  struct ParamsKeys {
+    heur::InlineParams::Array params{};
+    std::vector<WorkloadKey> keys;
+  };
+  std::vector<ParamsKeys> params;
 };
 
 class SuiteEvaluator {
@@ -128,7 +159,7 @@ class SuiteEvaluator {
                  std::size_t memo_budget_bytes = opt::BodyMemo::kBudgetBytes);
 
   /// Decision signature of one parameter vector over the whole suite: the
-  /// level-2 cache key, the quarantine key, and the fault salt.
+  /// level-2 cache key and the quarantine key.
   using Signature = std::uint64_t;
 
   /// One memoized suite run. Shared ownership: the pointer (and everything
@@ -145,6 +176,13 @@ class SuiteEvaluator {
   /// suite, the others block until its result lands in the cache instead
   /// of recomputing it.
   ///
+  /// A signature miss first assembles the suite from the per-benchmark
+  /// store; when every benchmark is found nothing runs (no backend call,
+  /// not counted in evaluations_performed). Otherwise the backend is
+  /// consulted for the whole suite, and failing that only the missing
+  /// benchmarks run, each salted with its own workload key. Only ok
+  /// results enter the store, so failures are re-run, never reused.
+  ///
   /// Every benchmark executes under vm_config.budget via a guarded run:
   /// failures become penalized BenchmarkResults (see BenchmarkResult::
   /// outcome), never exceptions. Signatures whose suite still fails after
@@ -156,8 +194,8 @@ class SuiteEvaluator {
   /// Runs every benchmark under an arbitrary heuristic (not memoized), one
   /// heuristic from `make_heuristic` per benchmark run. `fault_salt`
   /// differentiates fault-injection draws between logical evaluations (the
-  /// memoized path salts with the decision signature, so signature-aliased
-  /// params see identical fault draws).
+  /// memoized path salts each benchmark with its WorkloadKey::salt(), so
+  /// params that share a key there see identical fault draws).
   std::vector<BenchmarkResult> evaluate_heuristic(const HeuristicFactory& make_heuristic,
                                                   std::uint64_t fault_salt = 0);
 
@@ -174,28 +212,43 @@ class SuiteEvaluator {
   /// sig.overflow / sig.probe_us).
   Signature signature_of(const heur::InlineParams& params);
 
+  /// The other half of the level-1 entry: `params`' key per suite
+  /// benchmark, in suite order (empty when the pipeline has no inline
+  /// pass). Probes on first use, like signature_of.
+  std::vector<WorkloadKey> workload_keys(const heur::InlineParams& params);
+
   const std::vector<wl::Workload>& suite() const { return suite_; }
   const EvalConfig& config() const { return config_; }
   std::size_t cache_size() const;
-  /// Number of full-suite evaluations actually performed by evaluate()
-  /// (cache hits, signature collapses and single-flight waiters excluded).
+  /// Number of suite evaluations that ran at least one benchmark, by
+  /// evaluate() or default_results() (cache hits, signature collapses,
+  /// suites assembled wholly from the per-benchmark store and single-flight
+  /// waiters excluded).
   std::uint64_t evaluations_performed() const;
+  /// Benchmark runs those evaluations made: at most suite size times
+  /// evaluations_performed(), less every benchmark the store supplied.
+  std::uint64_t benchmark_runs() const;
   /// Distinct parameter vectors probed so far (level-1 size).
   std::size_t params_seen() const;
   /// Distinct decision signatures those params collapsed onto.
   std::size_t signatures_seen() const;
 
   /// Fingerprint of everything that determines suite results for a given
-  /// signature. Snapshots carry it; restore() refuses a mismatch.
+  /// signature and the keys a probe returns for given params. Snapshots
+  /// carry it; restore() refuses a mismatch.
   std::uint64_t cache_fingerprint() const;
 
-  /// Copies the completed signature->results entries and the quarantine
-  /// set. In-flight evaluations are not included.
+  /// Copies the completed signature->results entries, the quarantine set
+  /// and every level-1 entry. In-flight evaluations are not included.
   EvalCacheSnapshot snapshot() const;
   /// Merges a snapshot produced by an identically-configured evaluator:
-  /// restored entries satisfy later evaluate() calls without a run (and
-  /// without counting as evaluations_performed). Throws ith::Error when the
-  /// snapshot's fingerprint does not match cache_fingerprint().
+  /// restored params need no probe (their suite signatures are recomputed
+  /// from the keys), restored entries satisfy later evaluate() calls
+  /// without a run (and without counting as evaluations_performed), and
+  /// the ok results of entries whose keys the table names seed the
+  /// per-benchmark store. Throws ith::Error, having applied nothing, when
+  /// the snapshot's fingerprint does not match cache_fingerprint() or a
+  /// table row has the wrong number of keys for this suite.
   void restore(const EvalCacheSnapshot& snap);
 
   /// Quarantined signatures, widened for checkpoint serialization (two
@@ -208,7 +261,8 @@ class SuiteEvaluator {
 
   /// Lifts the quarantine on `sig` and drops its cached (penalized) results
   /// so the next evaluate() of any aliasing params performs a fresh guarded
-  /// run. Returns true when the signature was actually quarantined. This is
+  /// run of the benchmarks that failed (the store never holds a failure).
+  /// Returns true when the signature was actually quarantined. This is
   /// the online tuner's retry path: the quarantine is keyed on signature,
   /// so a seed genome quarantined by a transient fault would otherwise pin
   /// every later retune of that genome to the penalty result forever —
@@ -232,19 +286,39 @@ class SuiteEvaluator {
   /// maps to.
   opt::PipelineDesc pipeline() const;
 
-  /// The uncached evaluation path: every benchmark through guarded_run with
-  /// the retry loop. `allow_faults` is false for the default-params baseline.
-  /// Suites of two or more benchmarks run concurrently on
-  /// ThreadPool::shared(), started in dispatch_order_; results[i] is always
-  /// suite_[i]'s, so the order changes wall time only.
-  std::vector<BenchmarkResult> run_suite(const HeuristicFactory& make_heuristic,
-                                         std::uint64_t fault_salt, bool allow_faults);
+  /// A level-1 entry: the suite signature and the keys it mixes.
+  struct Probed {
+    Signature sig = 0;
+    std::vector<WorkloadKey> keys;
+  };
+  /// The level-1 lookup behind signature_of and workload_keys.
+  Probed probe(const heur::InlineParams& params);
+
+  /// The suite signature `keys` mix into (the one signature_of returns).
+  static Signature suite_signature(const std::vector<WorkloadKey>& keys);
+
+  /// The uncached evaluation path: runs the benchmarks `which` (suite
+  /// indices) through guarded_run with the retry loop, benchmark i salted
+  /// with salts[i], into results[i]; other slots are left alone.
+  /// `allow_faults` is false for the default-params baseline. Two or more
+  /// benchmarks run concurrently on ThreadPool::shared(), started in
+  /// dispatch_order_; a slot always gets its own benchmark's result, so the
+  /// order changes wall time only.
+  void run_benchmarks(const std::vector<std::size_t>& which,
+                      const HeuristicFactory& make_heuristic,
+                      const std::vector<std::uint64_t>& salts, bool allow_faults,
+                      std::vector<BenchmarkResult>& results);
+
+  /// Sets dispatch_order_ from the first complete suite result; caller
+  /// holds mu_.
+  void note_dispatch_order(const std::vector<BenchmarkResult>& results);
 
   /// Shared single-flight body of evaluate()/default_results(): looks up /
-  /// claims `sig`, consulting the shared backend (when `allow_backend`) and
-  /// running `compute` only when this caller owns the miss.
-  Results evaluate_signature(Signature sig, bool allow_quarantine, bool allow_backend,
-                             const std::function<std::vector<BenchmarkResult>()>& compute,
+  /// claims `sig`, then assembles the suite from the per-benchmark store,
+  /// the shared backend (when not `baseline`) or runs of the missing
+  /// benchmarks. `baseline` also suppresses faults and the quarantine.
+  Results evaluate_signature(const heur::InlineParams& params, const Probed& probed,
+                             bool baseline,
                              const std::function<void(const char*)>& cache_event);
 
   std::vector<wl::Workload> suite_;
@@ -255,8 +329,11 @@ class SuiteEvaluator {
   /// constructed only to fingerprint it never pays for them) and read
   /// lock-free by concurrent probes and compiles.
   std::unique_ptr<opt::BodyMemo> memo_;
-  std::map<ParamKey, Signature> param_sigs_;  ///< level 1; guarded by mu_
-  std::map<Signature, Results> cache_;        ///< level 2; guarded by mu_
+  std::map<ParamKey, Probed> param_sigs_;  ///< level 1; guarded by mu_
+  std::map<Signature, Results> cache_;     ///< level 2; guarded by mu_
+  /// Ok results by (suite index, workload key); guarded by mu_. Failures
+  /// never enter it, so quarantine and its release keep suite meaning.
+  std::map<std::pair<std::size_t, WorkloadKey>, BenchmarkResult> bench_store_;
   /// Signatures currently being evaluated by some thread; guarded by mu_.
   /// Waiters block on cv_ until the owning thread caches the result (or
   /// abandons the signature by exception) rather than re-running the suite.
@@ -264,8 +341,9 @@ class SuiteEvaluator {
   /// Signatures whose suite failed even after retries; guarded by mu_.
   std::set<Signature> quarantine_;
   std::uint64_t evaluations_performed_ = 0;
-  /// Suite indices by descending total_cycles of the first completed suite
-  /// run (empty until then: suite order); guarded by mu_.
+  std::uint64_t benchmark_runs_ = 0;
+  /// Suite indices by descending total_cycles of the first complete suite
+  /// result (empty until then: suite order); guarded by mu_.
   std::vector<std::size_t> dispatch_order_;
   mutable std::optional<std::uint64_t> fingerprint_;  ///< guarded by mu_
   mutable std::mutex mu_;

@@ -1,10 +1,13 @@
 // Byte formats pinned against golden data, and one integrity suite for all
 // of them.
 //
-// golden/sample.evc and golden/sample.gacp are samples.hpp's records as
-// written by the encoders that predate support/codec; the ITHSVP1 frames
-// below are pinned the same way. Loading a golden file must give back the
-// sample, and saving the sample must reproduce the file byte for byte.
+// golden/sample.evc (ITHEVC2) and golden/sample.gacp are samples.hpp's
+// records as the encoders write them (the checkpoint's bytes predate
+// support/codec); the ITHSVP1 frames below are pinned the same way.
+// Loading a golden file must give back the sample, and saving the sample
+// must reproduce the file byte for byte. golden/sample.v1.evc is the same
+// snapshot as the retired ITHEVC1 format wrote it, which must now be
+// refused as bad magic.
 //
 // The Envelope suite feeds every truncation prefix and every single-byte
 // flip of the golden files, and of encoded frames, to the real loaders and
@@ -41,6 +44,7 @@ void dump(const std::string& path, const std::string& bytes) {
 }
 
 const std::string kGoldenEvc = slurp(ITH_GOLDEN_DIR "/sample.evc");
+const std::string kGoldenEvcV1 = slurp(ITH_GOLDEN_DIR "/sample.v1.evc");
 const std::string kGoldenGacp = slurp(ITH_GOLDEN_DIR "/sample.gacp");
 
 // ITHSVP1 frames: 32-byte header (magic, type, reserved, size, checksum),
@@ -137,6 +141,11 @@ TEST_F(GoldenFile, EvalCacheLoadsToSampleAndResavesIdentically) {
               tuner::encode_results(want.entries[i].results));
   }
   EXPECT_EQ(got.entries[1].results[0].outcome.detail, "quarantined");
+  ASSERT_EQ(got.params.size(), want.params.size());
+  for (std::size_t i = 0; i < want.params.size(); ++i) {
+    EXPECT_EQ(got.params[i].params, want.params[i].params);
+    EXPECT_EQ(got.params[i].keys, want.params[i].keys);
+  }
 
   tuner::save_eval_cache(path_, want);
   EXPECT_EQ(slurp(path_), kGoldenEvc);
@@ -224,7 +233,7 @@ struct SealedFormat {
 };
 
 const SealedFormat kFileFormats[] = {
-    {"ITHEVC1", &kGoldenEvc, [](const std::string& p) { tuner::load_eval_cache(p); }},
+    {"ITHEVC2", &kGoldenEvc, [](const std::string& p) { tuner::load_eval_cache(p); }},
     {"ITHGACP1", &kGoldenGacp, [](const std::string& p) { resilience::load_checkpoint(p); }},
 };
 
@@ -287,9 +296,39 @@ TEST_F(Envelope, EverySingleByteFlipOfAGoldenFileIsAnError) {
 
 TEST_F(Envelope, TrailingBytesAreAnError) {
   for (const SealedFormat& format : kFileFormats) {
-    const std::string error = load_error(format, *format.golden + '\0');
-    EXPECT_NE(error.find("trailing"), std::string::npos) << format.name << ": " << error;
+    for (const std::string& extra : {std::string(1, '\0'), std::string("extra")}) {
+      const std::string error = load_error(format, *format.golden + extra);
+      EXPECT_NE(error.find("trailing"), std::string::npos) << format.name << ": " << error;
+    }
   }
+}
+
+TEST_F(Envelope, MissingFileIsAnError) {
+  for (const SealedFormat& format : kFileFormats) {
+    try {
+      format.load(path_);  // SetUp removed it
+      ADD_FAILURE() << format.name << " loaded a missing file";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos)
+          << format.name << ": " << e.what();
+    }
+  }
+}
+
+TEST_F(Envelope, ForeignBytesAreBadMagic) {
+  for (const SealedFormat& format : kFileFormats) {
+    const std::string error =
+        load_error(format, "this is a perfectly ordinary text file, not a sealed file at all");
+    EXPECT_NE(error.find("bad magic"), std::string::npos) << format.name << ": " << error;
+  }
+}
+
+TEST_F(Envelope, RetiredEvalCacheVersionIsBadMagic) {
+  // An ITHEVC1 file is whole and checksummed, but its format is retired:
+  // a tool handed one reports bad magic and starts cold.
+  ASSERT_EQ(kGoldenEvcV1.substr(0, 8), std::string("ITHEVC1\0", 8));
+  const std::string error = load_error(kFileFormats[0], kGoldenEvcV1);
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
 struct PinnedFrame {

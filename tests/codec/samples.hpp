@@ -1,6 +1,9 @@
-// The sample records the format tests share. The files in golden/ are
-// these samples as written by the encoders before the codec was unified;
-// changing a sample means regenerating its golden file too.
+// The sample records the format tests share. golden/sample.gacp is the
+// checkpoint sample as written by the encoder before the codec was unified,
+// golden/sample.evc the snapshot sample as written in ITHEVC2 (the first
+// three sections byte-identical to the ITHEVC1 golden, kept as
+// golden/sample.v1.evc); changing a sample means regenerating its golden
+// file too.
 #pragma once
 
 #include "resilience/budget.hpp"
@@ -40,6 +43,10 @@ inline tuner::EvalCacheSnapshot sample_snapshot() {
   snap.entries.push_back(failed);
 
   snap.quarantined = {0x5555666677778888ULL, 0x9999aaaabbbbccccULL};
+
+  snap.params.push_back({{1, 1, 1, 1, 1, 0}, {{0x0123456789abcdefULL, true}, {0x42, true}}});
+  snap.params.push_back(
+      {{23, 11, 5, 2048, 135, 12}, {{0xfedcba9876543210ULL, false}, {0x42, true}}});
   return snap;
 }
 

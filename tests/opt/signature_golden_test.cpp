@@ -8,7 +8,15 @@
 // (exact=false). Every row is checked through both entry points: the
 // wrapper that builds its own ProbeFacts, and the overload that reuses one
 // ProbeFacts per program the way SuiteEvaluator does.
+//
+// The table is pinned to opt::kSignatureVersion through kRecorded below:
+// evaluation caches persist per-workload signatures under that version, so
+// re-recording the table (a changed walk) must bump the constant and append
+// a row to kRecorded, or a stale cache could serve results for decisions
+// the probe no longer predicts.
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -115,6 +123,44 @@ constexpr GoldenRow kGolden[] = {
     {"dacapo+jbb", false, {20, 5, 4, 1500, 15, 0}, 0x6e9fc9db27f7843fULL, true, 3309, 0},
     {"dacapo+jbb", false, {20, 5, 4, 1500, 15, 40}, 0x6e9fc9db27f7843fULL, true, 3309, 0},
 };
+
+/// The golden table's header: each signature version the table was recorded
+/// under, with a digest of the rows as recorded then. Append, never edit.
+struct RecordedVersion {
+  std::uint64_t version;
+  std::uint64_t table_digest;
+};
+constexpr RecordedVersion kRecorded[] = {
+    {1, 0x850ddb7774c09becULL},
+};
+
+std::uint64_t table_digest() {
+  std::uint64_t h = codec::kFnv1aBasis;
+  for (const GoldenRow& row : kGolden) {
+    h = codec::fnv1a(row.suite, h);
+    h = codec::fnv1a_u64(h, row.adaptive ? 1 : 0);
+    for (const int v : row.params) {
+      h = codec::fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    }
+    h = codec::fnv1a_u64(h, row.value);
+    h = codec::fnv1a_u64(h, row.exact ? 1 : 0);
+    h = codec::fnv1a_u64(h, row.consultations);
+    h = codec::fnv1a_u64(h, row.forks);
+  }
+  return h;
+}
+
+TEST(SignatureGolden, TableIsRecordedUnderTheCurrentProbeVersion) {
+  const RecordedVersion& latest = kRecorded[std::size(kRecorded) - 1];
+  EXPECT_EQ(latest.version, opt::kSignatureVersion)
+      << "bumped opt::kSignatureVersion without re-recording the table";
+  EXPECT_EQ(latest.table_digest, table_digest())
+      << "re-recorded the table: bump opt::kSignatureVersion and append its row";
+  for (std::size_t i = 1; i < std::size(kRecorded); ++i) {
+    EXPECT_LT(kRecorded[i - 1].version, kRecorded[i].version);
+    EXPECT_NE(kRecorded[i - 1].table_digest, kRecorded[i].table_digest);
+  }
+}
 
 /// One suite's programs and, built once, their ProbeFacts.
 struct Suite {

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,14 +79,17 @@ TEST_P(MemoizedSuite, EvaluateMatchesSerialRunsWithoutMemo) {
   tuner::EvalConfig config;
   config.scenario = c.scenario;
 
-  // The serial reference runs once; signatures (the fault salts) depend on
-  // the configuration only, so every evaluator below shares them.
+  // The serial reference runs once; workload keys (the fault salts) depend
+  // on the configuration only, so every evaluator below shares them.
   tuner::SuiteEvaluator reference(suite, config);
   const std::vector<heur::InlineParams> params = distinct_signature_params(reference, kParams);
   std::vector<std::vector<BenchmarkResult>> want;
+  std::set<std::pair<std::size_t, tuner::WorkloadKey>> distinct_runs;
   for (const heur::InlineParams& p : params) {
     heur::JikesHeuristic h(p);
-    want.push_back(serial_suite(suite, config, h, reference.signature_of(p)));
+    want.push_back(serial_suite(suite, config, h, test::key_salts(reference, p)));
+    const std::vector<tuner::WorkloadKey> keys = reference.workload_keys(p);
+    for (std::size_t i = 0; i < keys.size(); ++i) distinct_runs.emplace(i, keys[i]);
   }
 
   // The default budget, then one of 128 KiB: a few dozen bodies, so
@@ -100,7 +104,10 @@ TEST_P(MemoizedSuite, EvaluateMatchesSerialRunsWithoutMemo) {
       SCOPED_TRACE(params[i].to_string());
       expect_same(*eval.evaluate(params[i]), want[i]);
     }
-    EXPECT_EQ(eval.evaluations_performed(), kParams);
+    // Distinct signatures, but a suite whose every benchmark key an
+    // earlier suite already ran is assembled from the per-benchmark store.
+    EXPECT_LE(eval.evaluations_performed(), kParams);
+    EXPECT_EQ(eval.benchmark_runs(), distinct_runs.size());
     EXPECT_GT(ctx.counter("opt.memo_misses").value(), 0u);
     if (budget == opt::BodyMemo::kBudgetBytes) {
       EXPECT_GT(ctx.counter("opt.memo_hits").value(), 0u);

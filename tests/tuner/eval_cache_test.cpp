@@ -1,12 +1,14 @@
-// Persistent evaluation cache (ITHEVC1): full-fidelity roundtrip through
-// the binary format, the loader's own diagnostics (truncation and bit flips
-// are swept in tests/codec/golden_test.cpp), and the fingerprint gate that
-// keeps a cache produced under one evaluator configuration from silently
-// feeding results to a different one.
+// Persistent evaluation cache (ITHEVC2): full-fidelity roundtrip through
+// the binary format, trailing bytes after a whole file (the other loader
+// diagnostics — missing file, bad magic, truncation, bit flips — are swept
+// in tests/codec/golden_test.cpp's Envelope suite), and the fingerprint gate
+// that keeps a cache produced under one evaluator configuration from
+// silently feeding results to a different one.
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "codec/samples.hpp"
 #include "heuristics/inline_params.hpp"
 #include "resilience/budget.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 #include "tuner/eval_cache.hpp"
 #include "tuner/evaluator.hpp"
@@ -31,22 +34,6 @@ class EvalCacheFile : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::string slurp() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  }
-  void dump(const std::string& bytes) const {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  void expect_load_error(const char* needle) const {
-    try {
-      tuner::load_eval_cache(path_);
-      FAIL() << "expected Error mentioning \"" << needle << "\"";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
-    }
-  }
   std::string path_;
 };
 
@@ -75,19 +62,52 @@ TEST_F(EvalCacheFile, Roundtrip) {
       EXPECT_EQ(have.attempts, want.attempts);
     }
   }
-}
-
-TEST_F(EvalCacheFile, MissingFileRejected) { expect_load_error("cannot open"); }
-
-TEST_F(EvalCacheFile, BadMagicRejected) {
-  dump("this is a perfectly ordinary text file, not an evaluation cache at all");
-  expect_load_error("bad magic");
+  ASSERT_EQ(got.params.size(), snap.params.size());
+  for (std::size_t i = 0; i < snap.params.size(); ++i) {
+    EXPECT_EQ(got.params[i].params, snap.params[i].params);
+    EXPECT_EQ(got.params[i].keys, snap.params[i].keys);
+  }
 }
 
 TEST_F(EvalCacheFile, TrailingGarbageRejected) {
   tuner::save_eval_cache(path_, sample_snapshot());
-  dump(slurp() + "extra");
-  expect_load_error("trailing");
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    out << "extra";
+  }
+  try {
+    tuner::load_eval_cache(path_);
+    FAIL() << "loaded a cache with trailing bytes";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(EvalCacheFile, MalformedParamsTableRejected) {
+  // Well-sealed payloads (so the checksum passes) whose params table is
+  // out of range: the decoder itself must refuse them.
+  tuner::save_eval_cache(path_, sample_snapshot());
+  std::ifstream in(path_, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::string payload = file.substr(24);  // past magic, size, checksum
+  // The sample's table: a count, then two rows of six params, a key count
+  // and two (value, exact) keys.
+  constexpr std::size_t kRowBytes = 6 * 8 + 8 + 2 * 16;
+  const std::size_t first_param = payload.size() - 2 * kRowBytes;
+  const std::size_t last_flag = payload.size() - 8;
+  const codec::FileFormat format{"ITHEVC2", "evaluation cache"};
+  for (const auto& [offset, needle] : {std::pair{first_param, "out of range"},
+                                       std::pair{last_flag, "not 0 or 1"}}) {
+    std::string bad = payload;
+    bad[offset + 5] = '\x01';  // 2^40: no int, and no flag
+    codec::save_sealed(path_, format, bad);
+    try {
+      tuner::load_eval_cache(path_);
+      ADD_FAILURE() << "loaded a table damaged at byte " << offset;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

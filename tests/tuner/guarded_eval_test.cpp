@@ -81,10 +81,11 @@ TEST(GuardedEvaluation, TransientFaultIsRetriedToSuccess) {
   const heur::InlineParams params = candidate_params();
   // Replicate the evaluator's fault-key derivation and pick a plan seed for
   // which attempt 0 faults and attempt 1 does not — the retry must clear it.
-  // The salt is the decision signature (not the raw params), so that
-  // signature-aliased params draw identical faults; the signature ignores
-  // the fault plan, so a fault-free evaluator can compute it up front.
-  const std::uint64_t salt = make_evaluator(nullptr, /*retries=*/0).signature_of(params);
+  // The salt is the benchmark's workload key (not the raw params), so that
+  // params sharing the key draw identical faults; the key ignores the fault
+  // plan, so a fault-free evaluator can compute it up front.
+  const std::uint64_t salt =
+      make_evaluator(nullptr, /*retries=*/0).workload_keys(params).at(0).salt();
   const std::uint64_t key0 =
       resilience::mix_keys(salt, resilience::mix_keys(codec::fnv1a("db"), 0));
   const std::uint64_t key1 =

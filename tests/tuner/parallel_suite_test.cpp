@@ -92,7 +92,7 @@ TEST_P(ParallelSuite, EvaluateMatchesSerialGuardedRuns) {
     const tuner::SuiteEvaluator::Results got = eval.evaluate(params);
     heur::JikesHeuristic h(params);
     const std::vector<BenchmarkResult> want =
-        serial_suite(suite, config, h, eval.signature_of(params));
+        serial_suite(suite, config, h, test::key_salts(eval, params));
     expect_same(*got, want);
     bool failed = false;
     for (const BenchmarkResult& r : want) {
@@ -128,7 +128,8 @@ TEST(ParallelSuiteHeuristic, KnapsackFactoryMatchesSerialRuns) {
   const std::vector<BenchmarkResult> got =
       eval.evaluate_heuristic([] { return std::make_unique<heur::KnapsackHeuristic>(0.05); });
   heur::KnapsackHeuristic serial(0.05);
-  expect_same(got, serial_suite(suite, config, serial, /*salt=*/0));
+  expect_same(got,
+              serial_suite(suite, config, serial, std::vector<std::uint64_t>(suite.size(), 0)));
 }
 
 TEST(ParallelSuiteHeuristic, ConcurrentEvaluateMatchesSequentialCalls) {

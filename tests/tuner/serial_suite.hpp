@@ -1,7 +1,7 @@
 // Serial reference for suite evaluations: every benchmark of a suite in
 // order on the calling thread through resilience::guarded_run, with the
-// evaluator's documented fault keys and retry rule, under one shared
-// heuristic and no memo of optimized bodies. SuiteEvaluator results must
+// evaluator's documented fault keys (one salt per benchmark) and retry
+// rule, under one shared heuristic and no memo of optimized bodies. SuiteEvaluator results must
 // equal it field by field.
 #pragma once
 
@@ -22,23 +22,27 @@
 namespace ith::test {
 
 /// Serial reference: every benchmark in suite order on the calling thread,
-/// under one shared heuristic, with the evaluator's fault keys and retries.
+/// under one shared heuristic, with the evaluator's fault keys and retries;
+/// benchmark i is salted with salts[i].
 inline std::vector<tuner::BenchmarkResult> serial_suite(const std::vector<wl::Workload>& suite,
                                                         const tuner::EvalConfig& config,
                                                         heur::InlineHeuristic& h,
-                                                        std::uint64_t salt) {
+                                                        const std::vector<std::uint64_t>& salts) {
   const resilience::FaultPlan* plan = config.vm_config.faults;
   const bool compile_faults = plan != nullptr && plan->armed() &&
                               plan->enabled(resilience::FaultSite::kCompileInflate);
+  EXPECT_EQ(salts.size(), suite.size());
   std::vector<tuner::BenchmarkResult> out;
-  for (const wl::Workload& w : suite) {
+  for (std::size_t i = 0; i < suite.size() && i < salts.size(); ++i) {
+    const wl::Workload& w = suite[i];
     tuner::BenchmarkResult br;
     br.name = w.name;
     for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
       vm::VmConfig cfg = config.vm_config;
       cfg.scenario = config.scenario;
       cfg.fault_key = resilience::mix_keys(
-          salt, resilience::mix_keys(codec::fnv1a(w.name), static_cast<std::uint64_t>(attempt)));
+          salts[i],
+          resilience::mix_keys(codec::fnv1a(w.name), static_cast<std::uint64_t>(attempt)));
       resilience::GuardedRun gr;
       if (plan != nullptr &&
           plan->should_inject(resilience::FaultSite::kEvaluator, cfg.fault_key)) {
@@ -66,6 +70,14 @@ inline std::vector<tuner::BenchmarkResult> serial_suite(const std::vector<wl::Wo
     out.push_back(std::move(br));
   }
   return out;
+}
+
+/// The salts evaluate() gives `params`' benchmarks: each one's workload key.
+inline std::vector<std::uint64_t> key_salts(tuner::SuiteEvaluator& eval,
+                                            const heur::InlineParams& params) {
+  std::vector<std::uint64_t> salts;
+  for (const tuner::WorkloadKey& k : eval.workload_keys(params)) salts.push_back(k.salt());
+  return salts;
 }
 
 inline void expect_same(const std::vector<tuner::BenchmarkResult>& got,

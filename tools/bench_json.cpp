@@ -9,8 +9,9 @@
 //   bench_json --tuning [OUTPUT_PATH]
 //     Times one cold and one warm tuning run (default GA config, fixed
 //     seed) and emits BENCH_tuning.json: tune wall-clock for each, the
-//     signature-collapse statistics, and how many real suite evaluations
-//     the two cache levels saved. The warm run restores the cold run's
+//     signature-collapse statistics, the real suite evaluations and
+//     benchmark runs each performed, and how many evaluations the two
+//     cache levels saved. The warm run restores the cold run's
 //     evaluation-cache snapshot, so it must perform zero real suite
 //     executions and land on the identical winner — both are recorded.
 //
@@ -55,6 +56,7 @@ struct TuneSample {
   std::uint64_t params_seen = 0;
   std::uint64_t distinct_signatures = 0;
   std::uint64_t real_evaluations = 0;
+  std::uint64_t benchmark_runs = 0;
   std::string winner;
   double fitness = 0.0;
 };
@@ -70,6 +72,7 @@ TuneSample timed_tune(ith::tuner::SuiteEvaluator& evaluator, const ith::ga::GaCo
   s.params_seen = evaluator.params_seen();
   s.distinct_signatures = evaluator.signatures_seen();
   s.real_evaluations = evaluator.evaluations_performed();
+  s.benchmark_runs = evaluator.benchmark_runs();
   s.winner = result.best.to_string();
   s.fitness = result.best_fitness;
   return s;
@@ -110,9 +113,11 @@ int run_tuning_bench(const std::string& path) {
       << "  \"cold\": {\"seconds\": " << num(cold.seconds)
       << ", \"params_seen\": " << cold.params_seen
       << ", \"distinct_signatures\": " << cold.distinct_signatures
-      << ", \"real_evaluations\": " << cold.real_evaluations << "},\n"
+      << ", \"real_evaluations\": " << cold.real_evaluations
+      << ", \"benchmark_runs\": " << cold.benchmark_runs << "},\n"
       << "  \"warm\": {\"seconds\": " << num(warm.seconds)
-      << ", \"real_evaluations\": " << warm.real_evaluations << "},\n"
+      << ", \"real_evaluations\": " << warm.real_evaluations
+      << ", \"benchmark_runs\": " << warm.benchmark_runs << "},\n"
       << "  \"evaluations_saved_by_collapse\": " << (cold.params_seen - cold.distinct_signatures)
       << ",\n"
       << "  \"evaluations_saved_by_persistence\": "

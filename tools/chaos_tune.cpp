@@ -69,7 +69,7 @@ const std::vector<FlagSpec> kFlags = {
      "corruption/fingerprint mismatch) and save the\n"
      "merged cache back after. A warm cache whose\n"
      "configuration matches performs zero real suite\n"
-     "executions. Composes with --resume."},
+     "executions and zero probes. Composes with --resume."},
 };
 
 /// "compress,db" -> individual workloads; "specjvm98"/"dacapo+jbb"/"all"
@@ -214,8 +214,12 @@ int main(int argc, char** argv) {
       }
     };
 
+    // Probes of this campaign only (the compile-cap derivation above has
+    // its own evaluator on the same context).
+    const std::uint64_t probes_before = ctx.counter("sig.probes").value();
     const tuner::TuneResult result =
         tuner::tune(evaluator, parse_goal(cli.get_or("goal", "total")), ga_cfg, checkpoint);
+    const std::uint64_t probes = ctx.counter("sig.probes").value() - probes_before;
 
     ctx.flush();
     sink.reset();
@@ -233,7 +237,8 @@ int main(int argc, char** argv) {
     const std::uint64_t sigs_seen = evaluator.signatures_seen();
     const std::uint64_t real_evals = evaluator.evaluations_performed();
     std::cout << "eval-cache: params_seen=" << params_seen << " distinct_signatures=" << sigs_seen
-              << " real_evaluations=" << real_evals
+              << " real_evaluations=" << real_evals << " probes=" << probes
+              << " benchmark_runs=" << evaluator.benchmark_runs()
               << " saved_by_collapse=" << (params_seen - sigs_seen)
               << " saved_by_persistence=" << (sigs_seen - std::min(sigs_seen, real_evals)) << "\n";
 

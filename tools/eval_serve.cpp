@@ -8,29 +8,13 @@
 // configuration flags pick the evaluator fingerprint it will accept): it
 // answers acquire requests from the shared repository, grants leases on
 // misses, parks concurrent askers behind the leaseholder (cross-process
-// single-flight), and persists the repository as an ITHEVC1 snapshot that
+// single-flight), and persists the repository as an ITHEVC2 snapshot that
 // any tuning tool (or another daemon) can import.
 //
 // Runs until SIGINT/SIGTERM (graceful: final snapshot) or --run-seconds.
 //
-// Flags:
-//   --socket=PATH          unix domain socket to bind (required)
-//   --workloads=CSV        evaluator config, matching the clients' (default
-//   --scenario=S           compress,db / adapt / x86 / 2 / 2 — the same
-//   --arch=A               defaults as chaos_tune, so default daemons and
-//   --iterations=N         default clients agree on the fingerprint)
-//   --retries=N
-//   --eval-fault-rate=R    eval-site fault plan, part of the fingerprint —
-//   --eval-fault-seed=N    must mirror the clients' --fault-* eval settings
-//   --eval-fault-sites=CSV (vm,compile,eval,sink)
-//   --snapshot=PATH        ITHEVC1 persistence (loaded at start if present)
-//   --snapshot-every=N     publishes between periodic snapshots (default 8)
-//   --import=CSV           foreign snapshots to federate in at start
-//   --fault-rate=R         *service*-site fault plan (accept,read,write,
-//   --fault-seed=N         dispatch,snapshot) — infrastructure chaos,
-//   --fault-sites=CSV      default svc
-//   --run-seconds=N        exit after N seconds (0 = until signal)
-//   --trace=PATH           JSONL trace (svc.* counters for trace_report)
+// The flags are declared once, in kFlags below; --help or any undeclared
+// flag prints the usage generated from them and exits 2.
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -54,6 +38,36 @@
 using namespace ith;
 
 namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"socket", "PATH", "unix domain socket to bind (required)"},
+    {"workloads", "CSV",
+     "benchmark names or a suite name (default\n"
+     "compress,db). This flag and the next four set the\n"
+     "evaluator config, which must match the clients';\n"
+     "they default as chaos_tune's do, so default\n"
+     "daemons and clients agree on the fingerprint"},
+    {"scenario", "S", "adapt (default) or opt"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"iterations", "N", "VM iterations per benchmark (default 2)"},
+    {"retries", "N", "guarded retries per benchmark (default 2)"},
+    {"eval-fault-rate", "R",
+     "eval-site fault plan (default 0), part of the\n"
+     "fingerprint — must mirror the clients' --fault-*\n"
+     "eval settings"},
+    {"eval-fault-seed", "N", "eval-site fault-plan seed (default 1)"},
+    {"eval-fault-sites", "CSV", "vm,compile,eval,sink"},
+    {"snapshot", "PATH", "ITHEVC2 persistence (loaded at start if present)"},
+    {"snapshot-every", "N", "publishes between periodic snapshots (default 8)"},
+    {"import", "CSV", "foreign snapshots to federate in at start"},
+    {"fault-rate", "R",
+     "*service*-site fault plan (accept,read,write,\n"
+     "dispatch,snapshot) — infrastructure chaos"},
+    {"fault-seed", "N", "service fault-plan seed (default 1)"},
+    {"fault-sites", "CSV", "service fault sites (default svc)"},
+    {"run-seconds", "N", "exit after N seconds (0 = until signal)"},
+    {"trace", "PATH", "JSONL trace (svc.* counters for trace_report)"},
+};
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
@@ -87,6 +101,10 @@ std::vector<std::string> split_csv(const std::string& spec) {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
+    if (!cli.only_declared(kFlags)) {
+      std::cerr << usage_text("eval_serve", kFlags);
+      return 2;
+    }
     const std::string socket_path = cli.get_or("socket", "");
     ITH_CHECK(!socket_path.empty(), "--socket=PATH is required");
 

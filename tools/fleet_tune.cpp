@@ -20,41 +20,9 @@
 //   - LEASES line: every lease granted is published or reclaimed (no leaks),
 //     even under injected faults and a mid-flight daemon kill.
 //
-// Flags (chaos_tune-style defaults):
-//   --clients=N            fleet size (default 3)
-//   --workloads=CSV        benchmark names or a suite name (default compress,db)
-//   --scenario=S           adapt (default) or opt
-//   --arch=A               x86 (default) or ppc
-//   --goal=G               running | total (default) | balance
-//   --generations=N        GA generations per client (default 4)
-//   --pop=N                population per client (default 6)
-//   --seed=N               base GA seed (default 7)
-//   --seed-stride=K        client i tunes with seed N+i*K. Default 0: the
-//                          whole fleet runs one campaign and the daemon
-//                          collapses its suite runs; non-zero = a
-//                          heterogeneous fleet (sharing only where
-//                          signature spaces collide)
-//   --iterations=N         VM iterations per benchmark (default 2)
-//   --retries=N            guarded retries per benchmark (default 2)
-//   --socket=PATH          daemon socket (default fleet_tune.sock)
-//   --snapshot=PATH        daemon ITHEVC1 persistence (default none)
-//   --snapshot-every=N     publishes between periodic snapshots (default 4)
-//   --import=CSV           foreign snapshots federated in at start
-//   --fault-rate=R         fault probability (default 0)
-//   --fault-seed=N         fault-plan seed (default 1)
-//   --fault-sites=CSV      any mix of eval sites (vm,compile,eval,sink) and
-//                          service sites (accept,read,write,dispatch,
-//                          snapshot / svc / all); the mask is split — eval
-//                          sites arm the evaluators (identically on every
-//                          client AND in the solo reruns, so winners stay
-//                          comparable), service sites arm the daemon
-//                          (default svc)
-//   --kill-daemon-at=G     kill the daemon after client 0's generation G;
-//                          restart it one generation later (chaos fleet
-//                          mode; -1 = never)
-//   --no-restart           degrade-only chaos: never restart after the kill
-//   --verify-solo          rerun each client standalone and diff winners
-//   --timeout-ms=N         per-request client deadline (default 30000)
+// The flags (chaos_tune-style defaults) are declared once, in kFlags
+// below; --help or any undeclared flag prints the usage generated from them
+// and exits 2.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -74,6 +42,46 @@
 using namespace ith;
 
 namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"clients", "N", "fleet size (default 3)"},
+    {"workloads", "CSV", "benchmark names or a suite name (default compress,db)"},
+    {"scenario", "S", "adapt (default) or opt"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"goal", "G", "running | total (default) | balance"},
+    {"generations", "N", "GA generations per client (default 4)"},
+    {"pop", "N", "population per client (default 6)"},
+    {"seed", "N", "base GA seed (default 7)"},
+    {"seed-stride", "K",
+     "client i tunes with seed N+i*K. Default 0: the\n"
+     "whole fleet runs one campaign and the daemon\n"
+     "collapses its suite runs; non-zero = a\n"
+     "heterogeneous fleet (sharing only where\n"
+     "signature spaces collide)"},
+    {"iterations", "N", "VM iterations per benchmark (default 2)"},
+    {"retries", "N", "guarded retries per benchmark (default 2)"},
+    {"socket", "PATH", "daemon socket (default fleet_tune.sock)"},
+    {"snapshot", "PATH", "daemon ITHEVC2 persistence (default none)"},
+    {"snapshot-every", "N", "publishes between periodic snapshots (default 4)"},
+    {"import", "CSV", "foreign snapshots federated in at start"},
+    {"fault-rate", "R", "fault probability (default 0)"},
+    {"fault-seed", "N", "fault-plan seed (default 1)"},
+    {"fault-sites", "CSV",
+     "any mix of eval sites (vm,compile,eval,sink) and\n"
+     "service sites (accept,read,write,dispatch,\n"
+     "snapshot / svc / all); the mask is split — eval\n"
+     "sites arm the evaluators (identically on every\n"
+     "client AND in the solo reruns, so winners stay\n"
+     "comparable), service sites arm the daemon\n"
+     "(default svc)"},
+    {"kill-daemon-at", "G",
+     "kill the daemon after client 0's generation G;\n"
+     "restart it one generation later (chaos fleet\n"
+     "mode; -1 = never)"},
+    {"no-restart", "", "degrade-only chaos: never restart after the kill"},
+    {"verify-solo", "", "rerun each client standalone and diff winners"},
+    {"timeout-ms", "N", "per-request client deadline (default 30000)"},
+};
 
 std::vector<wl::Workload> parse_workloads(const std::string& spec) {
   if (spec == "specjvm98" || spec == "dacapo+jbb" || spec == "all") {
@@ -111,6 +119,10 @@ std::vector<std::string> split_csv(const std::string& spec) {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
+    if (!cli.only_declared(kFlags)) {
+      std::cerr << usage_text("fleet_tune", kFlags);
+      return 2;
+    }
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
     ITH_CHECK(scenario == "adapt" || scenario == "opt", "--scenario must be adapt or opt");

@@ -208,13 +208,14 @@ int main(int argc, char** argv) {
     }
 
     // Signature cache: the decision-probe layer's counters (probe activity,
-    // hit/miss traffic at the signature-keyed result cache) plus the
+    // hit/miss traffic at the signature-keyed result cache, params restored
+    // from a snapshot), the per-benchmark store's runs and reuses, plus the
     // tuner's collapse totals, summarized so a tuning trace answers "how
-    // many suite runs did the cache save" at a glance.
+    // many suite and benchmark runs did the cache save" at a glance.
     std::map<std::string, std::int64_t> sig_counters;
     for (const auto& [name, v] : counters) {
       if (name.rfind("sig.", 0) == 0 || name.rfind("ga.distinct_", 0) == 0 ||
-          name == "ga.evaluations_saved") {
+          name.rfind("eval.bench_", 0) == 0 || name == "ga.evaluations_saved") {
         sig_counters[name] = v;
       }
     }
@@ -240,6 +241,15 @@ int main(int argc, char** argv) {
         std::cout << "collapse: " << dp << " distinct params -> " << ds << " signatures ("
                   << cell(static_cast<double>(dp) / static_cast<double>(ds), 2)
                   << "x fewer suite runs)\n";
+      }
+      const std::int64_t reused = val("eval.bench_reused");
+      const std::int64_t ran = val("eval.bench_runs");
+      if (reused + ran > 0) {
+        std::cout << "per-benchmark reuse: " << reused << "/" << (reused + ran)
+                  << " benchmark results served by the store ("
+                  << cell(100.0 * static_cast<double>(reused) / static_cast<double>(reused + ran),
+                          1)
+                  << "%), " << ran << " run\n";
       }
       const std::int64_t probes = val("sig.probes");
       if (probes > 0) {
