@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "bytecode/method.hpp"
@@ -18,6 +16,9 @@ class ProfileData {
 
   void record_invocation(bc::MethodId m) { ++methods_[check(m)].invocations; }
   void record_back_edge(bc::MethodId m) { ++methods_[check(m)].back_edges; }
+  /// Counts one execution of the call written at `origin_pc` of
+  /// `origin_method`. A synthetic instruction (negative origin) has nothing
+  /// to attribute and is ignored.
   void record_call_site(bc::MethodId origin_method, std::int32_t origin_pc);
 
   std::uint64_t invocations(bc::MethodId m) const { return methods_[check(m)].invocations; }
@@ -40,7 +41,9 @@ class ProfileData {
   std::size_t check(bc::MethodId m) const;
 
   mutable std::vector<MethodCounters> methods_;
-  std::map<std::pair<bc::MethodId, std::int32_t>, std::uint64_t> sites_;
+  /// Call-site counts: sites_[method][origin pc], grown on first record.
+  /// Every dynamic call lands here, so an index, not a search.
+  std::vector<std::vector<std::uint64_t>> sites_;
 };
 
 }  // namespace ith::rt

@@ -4,6 +4,13 @@
 
 namespace ith {
 
+namespace {
+
+/// The pool whose worker is running on this thread; null off the workers.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -29,6 +36,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -43,15 +51,26 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  // A task of this pool waiting on this pool would block a worker the
+  // queued indices may need; with every worker waiting, none would run.
+  // So a nested call runs its indices here, with the same placement and
+  // error rule.
+  const bool nested = t_worker_of == this;
   std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+  if (!nested) {
+    futures.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(submit([&fn, i] { fn(i); }));
+    }
   }
   std::exception_ptr first_error;
-  for (auto& f : futures) {
+  for (std::size_t i = 0; i < n; ++i) {
     try {
-      f.get();
+      if (nested) {
+        fn(i);
+      } else {
+        futures[i].get();
+      }
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }

@@ -32,8 +32,9 @@ class ThreadPool {
 
   /// The process-wide pool (hardware_concurrency workers), built on first
   /// use, so a process that never asks for it starts no threads. A task run
-  /// on it must never wait on it: with every worker blocked, nothing would
-  /// run the tasks they wait for.
+  /// on it must not wait on futures of it: with every worker blocked,
+  /// nothing would run the tasks they wait for (parallel_for is safe, see
+  /// below).
   static ThreadPool& shared();
 
   /// Enqueues a task; the future reports its result or exception.
@@ -51,7 +52,10 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// complete. Exceptions from any index are rethrown (first one wins).
+  /// complete. Exceptions from any index are rethrown (the lowest failing
+  /// index wins). Called from a task of this same pool, it runs every index
+  /// on the calling worker, in order, instead of queueing them: a worker
+  /// waiting on its own pool could otherwise deadlock it.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -237,11 +237,21 @@ SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
   if (pipeline().has_pass("inline")) {
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
-    probed.keys.reserve(suite_.size());
-    for (std::size_t i = 0; i < suite_.size(); ++i) {
-      const opt::SignatureResult r =
-          opt::decision_signature(suite_[i].program, memo_->facts(static_cast<int>(i)), params,
-                                  config_.vm_config.inline_limits, opts);
+    // One walk per workload, each a pure function of its program and writing
+    // only its own slot, so they run at once and the caller waits for the
+    // slowest; a lone workload walks on the caller and never builds the pool.
+    std::vector<opt::SignatureResult> walks(suite_.size());
+    const auto walk = [&](std::size_t i) {
+      walks[i] = opt::decision_signature(suite_[i].program, memo_->facts(static_cast<int>(i)),
+                                         params, config_.vm_config.inline_limits, opts);
+    };
+    if (suite_.size() == 1) {
+      walk(0);
+    } else {
+      ThreadPool::shared().parallel_for(suite_.size(), walk);
+    }
+    probed.keys.reserve(walks.size());
+    for (const opt::SignatureResult& r : walks) {
       probed.keys.push_back(WorkloadKey{r.value, r.exact});
       exact = exact && r.exact;
       consultations += r.consultations;

@@ -207,9 +207,12 @@ class SuiteEvaluator {
 
   /// The level-1 lookup: memoized decision signature of `params`. Public
   /// because collapse statistics and tests want the mapping without paying
-  /// for a suite run. First call per distinct params runs the probe (traced
-  /// as a "sig.probe" kEval span; counters sig.probes / sig.collapsed /
-  /// sig.overflow / sig.probe_us).
+  /// for a suite run. First call per distinct params runs the probe: one
+  /// decision walk per workload, concurrently on ThreadPool::shared() when
+  /// the suite has two or more (traced as a "sig.probe" kEval span;
+  /// counters sig.probes / sig.collapsed / sig.overflow / sig.probe_us,
+  /// where the span and sig.probe_us are the probe's wall time, not the sum
+  /// of its walks).
   Signature signature_of(const heur::InlineParams& params);
 
   /// The other half of the level-1 entry: `params`' key per suite

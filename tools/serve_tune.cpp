@@ -10,29 +10,8 @@
 // files — across thread counts and across both interpreter engines. That
 // property is what the CI serving job diffs.
 //
-// Flags:
-//   --workload=NAME     kv_server | query_dispatch | text_pipe | all (default)
-//   --seed=N            arrival/request seed (default 1)
-//   --instances=N       fleet size (default 4)
-//   --requests=N        measured requests per workload (default 1024)
-//   --load=R            offered load vs calibrated capacity (default 0.7)
-//   --scenario=S        adapt (default) or opt
-//   --arch=A            x86 (default) or ppc
-//   --engine=E          fast (default) or reference
-//   --threads=N         serving worker threads (0 = hardware, default)
-//   --online            enable online re-tuning (off by default)
-//   --generations=N     shadow GA generations == retune epochs (default 6)
-//   --pop=N             shadow GA population (default 12)
-//   --ga-seed=N         shadow GA seed (default 7)
-//   --goal=G            running | total | balance (default)
-//   --slo-mult=X        SLO = X * calibrated mean service (default 32; 0 = off)
-//   --rollout=R         rolling (default) or all
-//   --no-quarantine-retry  disable the online quarantine release path
-//   --fault-rate=R --fault-seed=N --fault-sites=CSV --compile-inflation=X
-//                       deterministic fault injection (as chaos_tune)
-//   --latency-out=PATH  per-request latency vector, one "id latency" per line
-//   --json=PATH         summary JSON (percentiles, installs, final genome)
-//   --trace=PATH        JSONL trace (feed it to trace_report)
+// The flags are declared once, in kFlags below; --help or any undeclared
+// flag prints the usage generated from them and exits 2.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -50,6 +29,34 @@
 using namespace ith;
 
 namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"workload", "NAME", "kv_server | query_dispatch | text_pipe | all (default)"},
+    {"seed", "N", "arrival/request seed (default 1)"},
+    {"instances", "N", "fleet size (default 4)"},
+    {"requests", "N", "measured requests per workload (default 1024)"},
+    {"load", "R", "offered load vs calibrated capacity (default 0.7)"},
+    {"scenario", "S", "adapt (default) or opt"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"engine", "E", "fast (default) or reference"},
+    {"threads", "N", "serving worker threads (0 = hardware, default)"},
+    {"online", "", "enable online re-tuning (off by default)"},
+    {"generations", "N", "shadow GA generations == retune epochs (default 6)"},
+    {"pop", "N", "shadow GA population (default 12)"},
+    {"ga-seed", "N", "shadow GA seed (default 7)"},
+    {"goal", "G", "running | total | balance (default)"},
+    {"slo-mult", "X", "SLO = X * calibrated mean service (default 32; 0 = off)"},
+    {"rollout", "R", "rolling (default) or all"},
+    {"no-quarantine-retry", "", "disable the online quarantine release path"},
+    {"fault-rate", "R", "fault probability (default 0); with the next three,\n"
+                        "deterministic fault injection as chaos_tune's"},
+    {"fault-seed", "N", "fault-plan seed (default 1)"},
+    {"fault-sites", "CSV", "vm,compile,eval,sink or all (default all)"},
+    {"compile-inflation", "X", "compile-cycle multiplier for compile faults"},
+    {"latency-out", "PATH", "per-request latency vector, one \"id latency\" per line"},
+    {"json", "PATH", "summary JSON (percentiles, installs, final genome)"},
+    {"trace", "PATH", "JSONL trace (feed it to trace_report)"},
+};
 
 tuner::Goal parse_goal(const std::string& s) {
   if (s == "running") return tuner::Goal::kRunning;
@@ -86,6 +93,10 @@ void write_json(std::ostream& out, const serving::ServingConfig& config,
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
+    if (!cli.only_declared(kFlags)) {
+      std::cerr << usage_text("serve_tune", kFlags);
+      return 2;
+    }
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
     const std::string engine = cli.get_or("engine", "fast");

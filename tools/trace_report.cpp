@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
       }
       const std::int64_t probes = val("sig.probes");
       if (probes > 0) {
-        std::cout << "probe cost: " << val("sig.probe_us") << " us over " << probes
+        std::cout << "probe cost: " << val("sig.probe_us") << " us wall over " << probes
                   << " probes\n";
       }
     }

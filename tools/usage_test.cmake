@@ -1,12 +1,15 @@
 # Checks that a tool treats flags it does not declare as usage errors: each
 # invocation in CASES must print the tool's usage text to stderr and exit 2
-# without writing anything into its (empty) working directory.
+# without writing anything into its (empty) working directory. Each
+# invocation in the optional ACCEPTS, run afterwards, must exit 0 without
+# printing the usage text.
 #
 #   cmake -DTOOL=<path to tool> -DWORK_DIR=<work dir> \
-#         "-DCASES=--help|--bogus|--known=1 --bogus" -P usage_test.cmake
+#         "-DCASES=--help|--bogus|--known=1 --bogus" \
+#         "-DACCEPTS=--known=1|--flag" -P usage_test.cmake
 #
-# CASES separates invocations with '|'; each invocation is a space-separated
-# argument list.
+# CASES and ACCEPTS separate invocations with '|'; each invocation is a
+# space-separated argument list.
 if(NOT TOOL OR NOT WORK_DIR OR NOT CASES)
   message(FATAL_ERROR "set TOOL, WORK_DIR and CASES")
 endif()
@@ -33,5 +36,22 @@ foreach(case IN LISTS cases)
   file(GLOB written "${WORK_DIR}/*")
   if(written)
     message(FATAL_ERROR "${tool_name} ${case}: wrote ${written}")
+  endif()
+endforeach()
+
+string(REPLACE "|" ";" accepts "${ACCEPTS}")
+foreach(case IN LISTS accepts)
+  separate_arguments(args UNIX_COMMAND "${case}")
+  execute_process(COMMAND "${TOOL}" ${args}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 60)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "${tool_name} ${case}: exit status ${status}, want 0\n${err}")
+  endif()
+  if(err MATCHES "usage: ${tool_name}")
+    message(FATAL_ERROR "${tool_name} ${case}: printed usage text for declared flags")
   endif()
 endforeach()
