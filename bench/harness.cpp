@@ -10,6 +10,21 @@
 
 namespace ith::bench {
 
+const std::vector<FlagSpec>& BenchContext::flags() {
+  static const std::vector<FlagSpec> kFlags = {
+      {"generations", "N", "GA generations (ITH_GA_GENERATIONS, default 40)"},
+      {"pop", "N", "GA population (ITH_GA_POP, default 20)"},
+      {"seed", "N", "GA seed (ITH_GA_SEED, default 42)"},
+      {"retune", "", "re-run the GA instead of the recorded Table 4 params (ITH_RETUNE=1)"},
+      {"eval-cache", "PATH", "persistent evaluation cache for --retune (ITH_EVAL_CACHE)"},
+      {"csv-dir", "DIR", "write CSV series into DIR (ITH_CSV_DIR)"},
+      {"trace", "PATH", "write a structured trace (off when absent)"},
+      {"trace-format", "F", "jsonl (default) or chrome"},
+      {"trace-cats", "CSV", "category filter, e.g. eval,ga (default all)"},
+  };
+  return kFlags;
+}
+
 BenchContext::BenchContext(int argc, const char* const* argv, const std::string& title,
                            const std::string& paper_ref)
     : cli_(argc, argv) {
@@ -134,6 +149,10 @@ void BenchContext::print_figure_panels(const ScenarioSpec& spec,
 int bench_main(int argc, const char* const* argv, const std::string& title,
                const std::string& paper_ref, const std::function<int(BenchContext&)>& body) {
   try {
+    if (!CliParser(argc, argv).only_declared(BenchContext::flags())) {
+      std::cerr << usage_text(title, BenchContext::flags());
+      return 2;
+    }
     BenchContext bx(argc, argv, title, paper_ref);
     return body(bx);
   } catch (const Error& e) {

@@ -24,6 +24,9 @@
 //   --trace-format=F  jsonl (default) or chrome (chrome://tracing/Perfetto)
 //   --trace-cats=CSV  category filter, e.g. "eval,ga" (default: all)
 //
+// These are declared once, in BenchContext::flags(); --help or any other
+// flag prints the usage generated from them and exits 2.
+//
 // Usage:
 //   int main(int argc, char** argv) {
 //     return bench::bench_main(argc, argv, "fig5_adapt_x86", "Figure 5 — ...",
@@ -39,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "obs/context.hpp"
@@ -71,6 +75,9 @@ class BenchContext {
   BenchContext(const BenchContext&) = delete;
   BenchContext& operator=(const BenchContext&) = delete;
 
+  /// The flags every bench main accepts.
+  static const std::vector<FlagSpec>& flags();
+
   const BenchOptions& options() const { return opts_; }
   const CliParser& cli() const { return cli_; }
 
@@ -102,6 +109,7 @@ class BenchContext {
 
 /// Runs `body` with a fully wired BenchContext; catches ith::Error into a
 /// message + non-zero exit so every bench main reports failures uniformly.
+/// An undeclared flag prints the usage, titled `title`, and returns 2.
 int bench_main(int argc, const char* const* argv, const std::string& title,
                const std::string& paper_ref, const std::function<int(BenchContext&)>& body);
 

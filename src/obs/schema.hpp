@@ -15,10 +15,12 @@
 // rt.fused* | opt.pass. | opt.analysis_ | opt.memo_ | svc.) so dashboards
 // never silently chart a typo'd counter name. opt.memo_hits / _misses /
 // _evictions are the evaluator's body memo (opt/body_memo.hpp);
-// eval.bench_runs / eval.bench_reused count the benchmarks its suite
-// evaluations ran and took from the per-benchmark store, and sig.restored
-// the parameter vectors a snapshot restored without a probe
-// (tuner/evaluator.hpp).
+// eval.bench_runs / eval.bench_reused / eval.bench_replayed count the
+// benchmarks its suite evaluations ran, took from the per-benchmark store
+// and reused by run-level replay, eval.replay_us / eval.replay_trie_bytes
+// what the replay checks cost and what the decision tries hold
+// (tuner/decision_trie.hpp), and sig.restored the parameter vectors a
+// snapshot restored without a probe (tuner/evaluator.hpp).
 //
 // trace_report uses the same routine, so "validates in CI" and "parses in
 // the report tool" can never drift apart.

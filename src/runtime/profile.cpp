@@ -32,6 +32,17 @@ std::uint64_t ProfileData::site_count(bc::MethodId origin_method, std::int32_t o
   return pc < counts.size() ? counts[pc] : 0;
 }
 
+void ProfileData::hot_sites(std::uint64_t threshold, std::vector<std::uint64_t>& out) const {
+  out.clear();
+  for (std::size_t m = 0; m < sites_.size(); ++m) {
+    for (std::size_t pc = 0; pc < sites_[m].size(); ++pc) {
+      if (sites_[m][pc] >= threshold) {
+        out.push_back(site_key(static_cast<bc::MethodId>(m), static_cast<std::int32_t>(pc)));
+      }
+    }
+  }
+}
+
 void ProfileData::clear() {
   for (auto& c : methods_) c = MethodCounters{};
   for (auto& counts : sites_) counts.clear();

@@ -30,6 +30,17 @@ class ProfileData {
 
   std::uint64_t site_count(bc::MethodId origin_method, std::int32_t origin_pc) const;
 
+  /// One call site as a single ordered key: the method in the high word,
+  /// the pc in the low word.
+  static std::uint64_t site_key(bc::MethodId origin_method, std::int32_t origin_pc) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin_method)) << 32) |
+           static_cast<std::uint32_t>(origin_pc);
+  }
+
+  /// Overwrites `out` with the site_key of every recorded site whose count
+  /// has reached `threshold`, ascending.
+  void hot_sites(std::uint64_t threshold, std::vector<std::uint64_t>& out) const;
+
   void clear();
 
  private:

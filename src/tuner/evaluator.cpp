@@ -1,6 +1,7 @@
 #include "tuner/evaluator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -8,9 +9,11 @@
 
 #include "opt/decision_probe.hpp"
 #include "resilience/guard.hpp"
+#include "runtime/profile.hpp"
 #include "support/codec.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
+#include "tuner/decision_trie.hpp"
 
 namespace ith::tuner {
 
@@ -80,17 +83,60 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   memo_ = std::make_unique<opt::BodyMemo>(std::move(programs), pipeline(),
                                           config_.vm_config.inline_limits, config_.obs,
                                           memo_budget_bytes);
+  // The condition under which VirtualMachine gives each compile a probe
+  // walk, and so records its compile trace.
+  traced_ = opt::BodyMemo::supports(pipeline()) && pipeline().has_pass("inline");
+  for (std::size_t i = 0; i < suite_.size(); ++i) {
+    tries_.push_back(std::make_unique<DecisionTrie>());
+  }
 }
+
+SuiteEvaluator::~SuiteEvaluator() = default;
 
 opt::PipelineDesc SuiteEvaluator::pipeline() const {
   const vm::VmConfig& v = config_.vm_config;
   return v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
 }
 
-void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
-                                    const HeuristicFactory& make_heuristic,
-                                    const std::vector<std::uint64_t>& salts, bool allow_faults,
-                                    std::vector<BenchmarkResult>& results) {
+bool SuiteEvaluator::replay_enabled() const {
+  const resilience::FaultPlan* const plan = config_.vm_config.faults;
+  return traced_ && (plan == nullptr || !plan->armed());
+}
+
+std::optional<BenchmarkResult> SuiteEvaluator::find_replay(std::size_t i,
+                                                           const heur::InlineParams& params) {
+  const std::unique_ptr<heur::InlineHeuristic> h = heur::make_jikes(params);
+  const opt::ProbeFacts& facts = memo_->facts(static_cast<int>(i));
+  const bool adaptive = config_.scenario == vm::Scenario::kAdapt;
+  const std::uint64_t threshold = config_.vm_config.hot_site_threshold;
+  opt::VerdictTrace walk;
+  return tries_[i]->find([&](bc::MethodId method, const std::vector<std::uint64_t>& hot) {
+    opt::SiteOracle oracle = opt::cold_site;
+    if (adaptive) {
+      // The VM's oracle, with the live profile's counts replaced by the
+      // recorded hot set: the Jikes heuristic reads only is_hot.
+      oracle = [&hot, threshold](bc::MethodId m, std::int32_t pc) {
+        opt::SiteProfile sp;
+        if (m >= 0 && pc >= 0) {
+          sp.count = std::binary_search(hot.begin(), hot.end(), rt::ProfileData::site_key(m, pc))
+                         ? threshold
+                         : 0;
+          sp.is_hot = sp.count >= threshold;
+        }
+        return sp;
+      };
+    }
+    opt::DecisionProbe(facts, *h, std::move(oracle), config_.vm_config.inline_limits)
+        .probe_method(method, walk);
+    return opt::verdict_bytes(walk.decisions);
+  });
+}
+
+std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
+                                           const HeuristicFactory& make_heuristic,
+                                           const std::vector<std::uint64_t>& salts,
+                                           bool allow_faults, const heur::InlineParams* replay,
+                                           std::vector<BenchmarkResult>& results) {
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   obs::ScopedSpan suite_span(obs, obs::Category::kEval, "eval.suite",
@@ -99,17 +145,34 @@ void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
   const resilience::FaultPlan* const plan = allow_faults ? config_.vm_config.faults : nullptr;
   const bool compile_faults = plan != nullptr && plan->armed() &&
                               plan->enabled(resilience::FaultSite::kCompileInflate);
-  // One benchmark, start to finish, on whichever thread runs it: its own
-  // heuristic (prepare() rewrites per-program state, so concurrent VMs
-  // cannot share one), its retry loop and its eval.bench span.
+  std::atomic<std::size_t> replayed{0};
+  // One benchmark, start to finish, on whichever thread runs it: its
+  // replay check, its own heuristic (prepare() rewrites per-program state,
+  // so concurrent VMs cannot share one), its retry loop and its eval.bench
+  // span.
   const auto run_benchmark = [&](std::size_t i) {
     const wl::Workload& w = suite_[i];
-    const std::uint64_t t0 = trace ? obs->host_now_us() : 0;
+    const std::uint64_t t0 = obs != nullptr ? obs->host_now_us() : 0;
+    if (replay != nullptr) {
+      std::optional<BenchmarkResult> hit = find_replay(i, *replay);
+      if (obs != nullptr) obs->counter("eval.replay_us").add(obs->host_now_us() - t0);
+      if (hit.has_value()) {
+        results[i] = std::move(*hit);
+        replayed.fetch_add(1, std::memory_order_relaxed);
+        if (trace) {
+          obs->complete(obs::Category::kEval, "eval.replay", obs::Domain::kHost, t0,
+                        obs->host_now_us() - t0,
+                        {{"bench", w.name}, {"total_cycles", results[i].total_cycles}});
+        }
+        return;
+      }
+    }
     const std::unique_ptr<heur::InlineHeuristic> h = make_heuristic();
     ITH_CHECK(h != nullptr, "heuristic factory returned null");
     BenchmarkResult& br = results[i];
     br.name = w.name;
 
+    std::vector<vm::CompileEvent> compile_trace;
     const int max_attempts = 1 + config_.max_retries;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       vm::VmConfig cfg = config_.vm_config;
@@ -134,6 +197,7 @@ void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
         br.running_cycles = gr.result.running_cycles;
         br.total_cycles = gr.result.total_cycles;
         br.compile_cycles = gr.result.compile_cycles_all;
+        compile_trace = std::move(gr.result.compile_trace);
         break;
       }
       if (attempt + 1 < max_attempts && retryable(gr.outcome, compile_faults)) {
@@ -143,6 +207,10 @@ void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
       break;  // final failure: penalized result (cycle fields stay zero)
     }
 
+    if (replay != nullptr && br.outcome.ok() && br.attempts == 1) {
+      const std::size_t added = tries_[i]->insert(compile_trace, br);
+      if (obs != nullptr) obs->counter("eval.replay_trie_bytes").add(added);
+    }
     if (obs != nullptr) obs->counter(outcome_counter(br.outcome)).add(1);
     if (trace) {
       obs->complete(obs::Category::kEval, "eval.bench", obs::Domain::kHost, t0,
@@ -163,7 +231,7 @@ void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
   // would run alone at the end.
   if (which.size() == 1) {
     run_benchmark(which[0]);
-    return;
+    return replayed.load();
   }
   std::vector<std::size_t> order;
   {
@@ -180,6 +248,7 @@ void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
   }
   ThreadPool::shared().parallel_for(order.size(),
                                     [&](std::size_t k) { run_benchmark(order[k]); });
+  return replayed.load();
 }
 
 void SuiteEvaluator::note_dispatch_order(const std::vector<BenchmarkResult>& results) {
@@ -200,7 +269,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::evaluate_heuristic(
   std::iota(all.begin(), all.end(), std::size_t{0});
   std::vector<BenchmarkResult> results(suite_.size());
   run_benchmarks(all, make_heuristic, std::vector<std::uint64_t>(suite_.size(), fault_salt),
-                 /*allow_faults=*/true, results);
+                 /*allow_faults=*/true, /*replay=*/nullptr, results);
   std::lock_guard<std::mutex> lock(mu_);
   note_dispatch_order(results);
   return results;
@@ -421,19 +490,26 @@ SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++evaluations_performed_;
-        benchmark_runs_ += missing.size();
       }
-      if (obs != nullptr) {
-        obs->counter("eval.bench_runs").add(missing.size());
-        obs->counter("eval.bench_reused").add(n - missing.size());
-      }
+      if (obs != nullptr) obs->counter("eval.bench_reused").add(n - missing.size());
       // Each benchmark is salted with its own key, not the suite
       // signature: a stored result is then exactly what every suite
       // sharing that key would have drawn, whatever the evaluation order.
       std::vector<std::uint64_t> salts(n, sig);
       for (std::size_t i = 0; i < probed.keys.size(); ++i) salts[i] = probed.keys[i].salt();
-      run_benchmarks(missing, [&params] { return heur::make_jikes(params); }, salts,
-                     /*allow_faults=*/!baseline, results);
+      const std::size_t replayed =
+          run_benchmarks(missing, [&params] { return heur::make_jikes(params); }, salts,
+                         /*allow_faults=*/!baseline, replay_enabled() ? &params : nullptr,
+                         results);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        benchmark_runs_ += missing.size() - replayed;
+        benchmark_replays_ += replayed;
+      }
+      if (obs != nullptr) {
+        obs->counter("eval.bench_runs").add(missing.size() - replayed);
+        obs->counter("eval.bench_replayed").add(replayed);
+      }
       store_ok(results);
       quarantine_if_failed(results);
       // Report the freshly paid-for run back to the fleet, failures
@@ -498,6 +574,11 @@ std::uint64_t SuiteEvaluator::evaluations_performed() const {
 std::uint64_t SuiteEvaluator::benchmark_runs() const {
   std::lock_guard<std::mutex> lock(mu_);
   return benchmark_runs_;
+}
+
+std::uint64_t SuiteEvaluator::benchmark_replays() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return benchmark_replays_;
 }
 
 std::size_t SuiteEvaluator::params_seen() const {

@@ -9,6 +9,9 @@
 // Distinct params that drive the optimizer to identical decisions collapse
 // onto one signature, so only one of them ever pays for a suite run; and a
 // new signature runs only the benchmarks whose keys the store has not seen.
+// Below the store, run-level replay proves most of those runs identical to
+// one already recorded and reuses its result (tuner/decision_trie.hpp,
+// DESIGN.md §10).
 #pragma once
 
 #include <compare>
@@ -151,12 +154,15 @@ struct EvalCacheSnapshot {
   std::vector<ParamsKeys> params;
 };
 
+class DecisionTrie;
+
 class SuiteEvaluator {
  public:
   /// `memo_budget_bytes` bounds the evaluator's memo of optimized bodies;
   /// only tests pass anything but the default.
   SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig config,
                  std::size_t memo_budget_bytes = opt::BodyMemo::kBudgetBytes);
+  ~SuiteEvaluator();
 
   /// Decision signature of one parameter vector over the whole suite: the
   /// level-2 cache key and the quarantine key.
@@ -182,6 +188,15 @@ class SuiteEvaluator {
   /// consulted for the whole suite, and failing that only the missing
   /// benchmarks run, each salted with its own workload key. Only ok
   /// results enter the store, so failures are re-run, never reused.
+  ///
+  /// Run-level replay: with no armed fault plan and a pipeline whose
+  /// compiles the body memo keys by one probe walk (so every VM records a
+  /// compile trace), each missing benchmark first walks its decision trie
+  /// of recorded runs, probing `params` at each recorded compile; a walk
+  /// that reaches a leaf reuses that run's result instead of running (and
+  /// stores it under the new key like a run's), and a walk that falls off
+  /// runs the benchmark and records its trace. default_results() replays
+  /// and records the same way; evaluate_heuristic() does neither.
   ///
   /// Every benchmark executes under vm_config.budget via a guarded run:
   /// failures become penalized BenchmarkResults (see BenchmarkResult::
@@ -223,14 +238,19 @@ class SuiteEvaluator {
   const std::vector<wl::Workload>& suite() const { return suite_; }
   const EvalConfig& config() const { return config_; }
   std::size_t cache_size() const;
-  /// Number of suite evaluations that ran at least one benchmark, by
-  /// evaluate() or default_results() (cache hits, signature collapses,
-  /// suites assembled wholly from the per-benchmark store and single-flight
-  /// waiters excluded).
+  /// Number of suite evaluations that ran or replayed at least one
+  /// benchmark, by evaluate() or default_results() (cache hits, signature
+  /// collapses, suites assembled wholly from the per-benchmark store or
+  /// served by the backend, and single-flight waiters excluded).
   std::uint64_t evaluations_performed() const;
-  /// Benchmark runs those evaluations made: at most suite size times
-  /// evaluations_performed(), less every benchmark the store supplied.
+  /// Interpreter runs those evaluations made: at most suite size times
+  /// evaluations_performed(), less every benchmark the store supplied or a
+  /// replay reused.
   std::uint64_t benchmark_runs() const;
+  /// Missing benchmarks those evaluations served by run-level replay.
+  /// Without failures, benchmark_runs() + benchmark_replays() is the number
+  /// of distinct (benchmark, workload key) pairs evaluated.
+  std::uint64_t benchmark_replays() const;
   /// Distinct parameter vectors probed so far (level-1 size).
   std::size_t params_seen() const;
   /// Distinct decision signatures those params collapsed onto.
@@ -303,14 +323,28 @@ class SuiteEvaluator {
   /// The uncached evaluation path: runs the benchmarks `which` (suite
   /// indices) through guarded_run with the retry loop, benchmark i salted
   /// with salts[i], into results[i]; other slots are left alone.
-  /// `allow_faults` is false for the default-params baseline. Two or more
-  /// benchmarks run concurrently on ThreadPool::shared(), started in
-  /// dispatch_order_; a slot always gets its own benchmark's result, so the
-  /// order changes wall time only.
-  void run_benchmarks(const std::vector<std::size_t>& which,
-                      const HeuristicFactory& make_heuristic,
-                      const std::vector<std::uint64_t>& salts, bool allow_faults,
-                      std::vector<BenchmarkResult>& results);
+  /// `allow_faults` is false for the default-params baseline. `replay`,
+  /// when not null, is the parameter vector make_heuristic builds the Jikes
+  /// heuristic of: each benchmark is first checked against its decision
+  /// trie, and first-attempt ok runs are recorded. Two or more benchmarks
+  /// run concurrently on ThreadPool::shared(), started in dispatch_order_;
+  /// a slot always gets its own benchmark's result, so the order changes
+  /// wall time only. Returns how many benchmarks were replayed.
+  std::size_t run_benchmarks(const std::vector<std::size_t>& which,
+                             const HeuristicFactory& make_heuristic,
+                             const std::vector<std::uint64_t>& salts, bool allow_faults,
+                             const heur::InlineParams* replay,
+                             std::vector<BenchmarkResult>& results);
+
+  /// True when runs may be recorded and replayed: every VM records a
+  /// compile trace and no fault plan is armed (fault draws are salted by
+  /// workload key, so a run under another key may draw differently).
+  bool replay_enabled() const;
+
+  /// Walks benchmark i's decision trie under `params`: at each recorded
+  /// compile, DecisionProbe with the Jikes heuristic and the VM's site
+  /// oracle over the recorded hot set.
+  std::optional<BenchmarkResult> find_replay(std::size_t i, const heur::InlineParams& params);
 
   /// Sets dispatch_order_ from the first complete suite result; caller
   /// holds mu_.
@@ -337,6 +371,12 @@ class SuiteEvaluator {
   /// Ok results by (suite index, workload key); guarded by mu_. Failures
   /// never enter it, so quarantine and its release keep suite meaning.
   std::map<std::pair<std::size_t, WorkloadKey>, BenchmarkResult> bench_store_;
+  /// One decision trie of recorded runs per suite benchmark (each locks
+  /// itself); unbounded, like bench_store_, and as long-lived.
+  std::vector<std::unique_ptr<DecisionTrie>> tries_;
+  /// The pipeline runs the inline pass once, as a setup pass: each VM's
+  /// compiles are keyed by one probe walk and recorded.
+  bool traced_ = false;
   /// Signatures currently being evaluated by some thread; guarded by mu_.
   /// Waiters block on cv_ until the owning thread caches the result (or
   /// abandons the signature by exception) rather than re-running the suite.
@@ -345,6 +385,7 @@ class SuiteEvaluator {
   std::set<Signature> quarantine_;
   std::uint64_t evaluations_performed_ = 0;
   std::uint64_t benchmark_runs_ = 0;
+  std::uint64_t benchmark_replays_ = 0;
   /// Suite indices by descending total_cycles of the first complete suite
   /// result (empty until then: suite order); guarded by mu_.
   std::vector<std::size_t> dispatch_order_;

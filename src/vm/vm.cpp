@@ -184,6 +184,16 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id,
     memo_key_.method = id;
     memo_key_.verdicts = opt::verdict_bytes(verdicts_.decisions);
     memoized = memo_->find(memo_key_);
+    if (probe_ != nullptr) {
+      ITH_ASSERT(live_result_ != nullptr, "compilation outside a run");
+      CompileEvent& event = live_result_->compile_trace.emplace_back();
+      event.method = id;
+      event.tier = tier;
+      if (config_.scenario == Scenario::kAdapt) {
+        profile_.hot_sites(config_.hot_site_threshold, event.hot_sites);
+      }
+      event.verdicts = memo_key_.verdicts;
+    }
   }
   if (memoized != nullptr) {
     const bc::Method& original = prog_.method(id);

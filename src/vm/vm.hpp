@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <chrono>
@@ -128,6 +129,20 @@ struct IterationStats {
   std::size_t opt_compiles = 0;
 };
 
+/// One optimizing compile, as run-level replay (tuner/decision_trie.hpp)
+/// records it: which method at which tier, the origin call sites the live
+/// profile reported hot at that moment, and the probe's verdict bytes (the
+/// body memo's key). Under one configuration the body installed is a pure
+/// function of (method, verdicts).
+struct CompileEvent {
+  bc::MethodId method = -1;
+  rt::Tier tier = rt::Tier::kOpt;
+  /// rt::ProfileData::site_key of every site at or above
+  /// hot_site_threshold, ascending; empty under Opt, whose oracle is cold.
+  std::vector<std::uint64_t> hot_sites;
+  std::string verdicts;
+};
+
 struct RunResult {
   std::vector<IterationStats> iterations;
   /// Iteration-1 wall time: execution plus compilation (the paper's "total").
@@ -142,6 +157,10 @@ struct RunResult {
   std::size_t code_words_emitted = 0;
   /// Summed optimizer statistics over all optimizing compilations.
   opt::OptStats opt_stats;
+  /// Every optimizing compile in order, recorded only when the VM probes
+  /// its compiles (VmConfig::body_memo serves the program and the pipeline
+  /// has an inline pass); empty otherwise.
+  std::vector<CompileEvent> compile_trace;
 };
 
 class VirtualMachine final : private rt::CodeSource {

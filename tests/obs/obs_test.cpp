@@ -281,7 +281,9 @@ TEST(ObsSchema, CounterEventsRequireRegisteredFamilies) {
                           "resil.outcome.ok", "eval.cache_hits", "rt.fused_bodies",
                           "rt.fused_rule.load_const_cmplt_jz", "opt.pass.fold.runs",
                           "opt.analysis_hits", "opt.memo_hits", "opt.memo_evictions",
-                          "eval.bench_runs", "eval.bench_reused", "sig.restored", "svc.hits"}) {
+                          "eval.bench_runs", "eval.bench_reused", "eval.bench_replayed",
+                          "eval.replay_us", "eval.replay_trie_bytes", "sig.restored",
+                          "svc.hits"}) {
     EXPECT_EQ(validate_event(event_json(std::string(R"({"name":"c","cat":"vm","ph":"C",)") +
                                         R"("ts":0,"pid":2,"tid":0,"args":{")" + key +
                                         R"(":1}})")),

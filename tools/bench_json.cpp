@@ -57,6 +57,7 @@ struct TuneSample {
   std::uint64_t distinct_signatures = 0;
   std::uint64_t real_evaluations = 0;
   std::uint64_t benchmark_runs = 0;
+  std::uint64_t benchmark_replays = 0;
   std::string winner;
   double fitness = 0.0;
 };
@@ -73,6 +74,7 @@ TuneSample timed_tune(ith::tuner::SuiteEvaluator& evaluator, const ith::ga::GaCo
   s.distinct_signatures = evaluator.signatures_seen();
   s.real_evaluations = evaluator.evaluations_performed();
   s.benchmark_runs = evaluator.benchmark_runs();
+  s.benchmark_replays = evaluator.benchmark_replays();
   s.winner = result.best.to_string();
   s.fitness = result.best_fitness;
   return s;
@@ -114,10 +116,12 @@ int run_tuning_bench(const std::string& path) {
       << ", \"params_seen\": " << cold.params_seen
       << ", \"distinct_signatures\": " << cold.distinct_signatures
       << ", \"real_evaluations\": " << cold.real_evaluations
-      << ", \"benchmark_runs\": " << cold.benchmark_runs << "},\n"
+      << ", \"benchmark_runs\": " << cold.benchmark_runs
+      << ", \"benchmark_replays\": " << cold.benchmark_replays << "},\n"
       << "  \"warm\": {\"seconds\": " << num(warm.seconds)
       << ", \"real_evaluations\": " << warm.real_evaluations
-      << ", \"benchmark_runs\": " << warm.benchmark_runs << "},\n"
+      << ", \"benchmark_runs\": " << warm.benchmark_runs
+      << ", \"benchmark_replays\": " << warm.benchmark_replays << "},\n"
       << "  \"evaluations_saved_by_collapse\": " << (cold.params_seen - cold.distinct_signatures)
       << ",\n"
       << "  \"evaluations_saved_by_persistence\": "

@@ -239,6 +239,7 @@ int main(int argc, char** argv) {
     std::cout << "eval-cache: params_seen=" << params_seen << " distinct_signatures=" << sigs_seen
               << " real_evaluations=" << real_evals << " probes=" << probes
               << " benchmark_runs=" << evaluator.benchmark_runs()
+              << " replayed=" << evaluator.benchmark_replays()
               << " saved_by_collapse=" << (params_seen - sigs_seen)
               << " saved_by_persistence=" << (sigs_seen - std::min(sigs_seen, real_evals)) << "\n";
 

@@ -209,13 +209,15 @@ int main(int argc, char** argv) {
 
     // Signature cache: the decision-probe layer's counters (probe activity,
     // hit/miss traffic at the signature-keyed result cache, params restored
-    // from a snapshot), the per-benchmark store's runs and reuses, plus the
-    // tuner's collapse totals, summarized so a tuning trace answers "how
-    // many suite and benchmark runs did the cache save" at a glance.
+    // from a snapshot), the per-benchmark store's runs and reuses, run-level
+    // replays, plus the tuner's collapse totals, summarized so a tuning
+    // trace answers "how many suite and benchmark runs did the cache save"
+    // at a glance.
     std::map<std::string, std::int64_t> sig_counters;
     for (const auto& [name, v] : counters) {
       if (name.rfind("sig.", 0) == 0 || name.rfind("ga.distinct_", 0) == 0 ||
-          name.rfind("eval.bench_", 0) == 0 || name == "ga.evaluations_saved") {
+          name.rfind("eval.bench_", 0) == 0 || name.rfind("eval.replay_", 0) == 0 ||
+          name == "ga.evaluations_saved") {
         sig_counters[name] = v;
       }
     }
@@ -244,12 +246,25 @@ int main(int argc, char** argv) {
       }
       const std::int64_t reused = val("eval.bench_reused");
       const std::int64_t ran = val("eval.bench_runs");
-      if (reused + ran > 0) {
-        std::cout << "per-benchmark reuse: " << reused << "/" << (reused + ran)
+      const std::int64_t replayed = val("eval.bench_replayed");
+      const std::int64_t needed = reused + ran + replayed;
+      if (needed > 0) {
+        std::cout << "per-benchmark reuse: " << reused << "/" << needed
                   << " benchmark results served by the store ("
-                  << cell(100.0 * static_cast<double>(reused) / static_cast<double>(reused + ran),
-                          1)
+                  << cell(100.0 * static_cast<double>(reused) / static_cast<double>(needed), 1)
                   << "%), " << ran << " run\n";
+      }
+      // Run-level replay: of the benchmarks neither the store nor the
+      // backend supplied, how many a decision-trie walk proved identical to
+      // a recorded run, and what the walks cost.
+      if (sig_counters.count("eval.bench_replayed") != 0 && replayed + ran > 0) {
+        std::cout << "run replays: " << replayed << " of " << (replayed + ran)
+                  << " missing benchmarks ("
+                  << cell(100.0 * static_cast<double>(replayed) /
+                              static_cast<double>(replayed + ran),
+                          1)
+                  << "%), checks " << val("eval.replay_us") << " us, tries "
+                  << val("eval.replay_trie_bytes") << " bytes\n";
       }
       const std::int64_t probes = val("sig.probes");
       if (probes > 0) {
