@@ -8,6 +8,7 @@
 #include "bytecode/verifier.hpp"
 #include "ga/ga.hpp"
 #include "heuristics/heuristic.hpp"
+#include "opt/decision_probe.hpp"
 #include "opt/optimizer.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/interpreter.hpp"
@@ -86,13 +87,19 @@ void BM_ICacheProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_ICacheProbe);
 
+// The inline pass's work per method: the decision walk, then its splice.
 void BM_InlinerOnWorkload(benchmark::State& state) {
   const wl::Workload w = wl::make_workload("jess");
   heur::JikesHeuristic h;
-  const opt::Inliner inliner(w.program, h);
+  const opt::ProbeFacts facts(w.program);
+  const opt::DecisionProbe probe(facts, h);
+  const opt::Inliner inliner(w.program);
+  opt::VerdictTrace walk;
   for (auto _ : state) {
     for (std::size_t m = 0; m < w.program.num_methods(); ++m) {
-      benchmark::DoNotOptimize(inliner.run(static_cast<bc::MethodId>(m)).method.size());
+      const auto id = static_cast<bc::MethodId>(m);
+      probe.probe_method(id, walk);
+      benchmark::DoNotOptimize(inliner.run(id, walk).method.size());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,9 +1,9 @@
 #include "opt/analysis.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "bytecode/size_estimator.hpp"
-#include "opt/inliner.hpp"
 #include "opt/passes.hpp"
 #include "support/error.hpp"
 
@@ -12,7 +12,6 @@ namespace ith::opt {
 const char* analysis_name(AnalysisId id) {
   switch (id) {
     case AnalysisId::kMethodSize: return "method_size";
-    case AnalysisId::kInlinability: return "inlinability";
     case AnalysisId::kPrologue: return "prologue";
     case AnalysisId::kPartialShape: return "partial_shape";
     case AnalysisId::kCallGraph: return "call_graph";
@@ -129,7 +128,6 @@ AnalysisManager::AnalysisManager(const bc::Program& prog, obs::Context* obs)
     : prog_(prog),
       obs_(obs),
       method_size_(prog.num_methods(), -1),
-      inlinable_(prog.num_methods(), -1),
       prologue_(prog.num_methods(), -1),
       partial_known_(prog.num_methods(), 0),
       partial_(prog.num_methods()),
@@ -163,17 +161,6 @@ int AnalysisManager::method_size(bc::MethodId m) {
   count_miss(AnalysisId::kMethodSize);
   memo = bc::estimated_method_size(prog_.method(m));
   return memo;
-}
-
-bool AnalysisManager::inlinable(bc::MethodId m) {
-  signed char& memo = inlinable_[static_cast<std::size_t>(m)];
-  if (memo >= 0) {
-    count_hit(AnalysisId::kInlinability);
-    return memo == 1;
-  }
-  count_miss(AnalysisId::kInlinability);
-  memo = Inliner::is_inlinable(prog_, m) ? 1 : 0;
-  return memo == 1;
 }
 
 bool AnalysisManager::needs_prologue(bc::MethodId m) {

@@ -4,8 +4,8 @@
 // Two scopes of facts, mirroring what the passes actually consume:
 //
 //   Program scope — pure functions of the immutable bc::Program (estimated
-//   method sizes, inlinability, splice-prologue need, partial-inline head
-//   shapes, the call graph). Passes mutate only a *copy* of a body, so these
+//   method sizes, splice-prologue need, partial-inline head shapes, the call
+//   graph). Passes mutate only a *copy* of a body, so these
 //   are computed once per manager lifetime and shared across compilations;
 //   the VM keeps one manager for its whole session, which is what turns the
 //   O1->O2 recompilation ladder's repeated structural queries into hits.
@@ -42,7 +42,6 @@ namespace ith::opt {
 enum class AnalysisId : unsigned {
   // Program scope.
   kMethodSize = 0,   ///< bc::estimated_method_size of the original method
-  kInlinability,     ///< Inliner::is_inlinable
   kPrologue,         ///< splice needs a zeroing prologue (!definitely_assigned)
   kPartialShape,     ///< partial-inline head shape (see partial_inline_shape)
   kCallGraph,        ///< distinct call targets of the original method
@@ -52,7 +51,7 @@ enum class AnalysisId : unsigned {
   kReachability,     ///< reachable-pc set of the current body
 };
 
-constexpr unsigned kNumAnalyses = 8;
+constexpr unsigned kNumAnalyses = 7;
 constexpr unsigned kFirstBodyAnalysis = static_cast<unsigned>(AnalysisId::kBranchTargets);
 
 const char* analysis_name(AnalysisId id);
@@ -134,7 +133,6 @@ class AnalysisManager {
 
   // --- Program scope (never invalidated; shared across compilations) ---
   int method_size(bc::MethodId m);
-  bool inlinable(bc::MethodId m);
   bool needs_prologue(bc::MethodId m);
   const std::optional<PartialShape>& partial_shape(bc::MethodId m);
   /// Distinct call targets of the *original* body, ascending. Empty for
@@ -175,7 +173,6 @@ class AnalysisManager {
 
   // Program scope, lazily filled per method (-1 / unset = not yet computed).
   std::vector<int> method_size_;
-  std::vector<signed char> inlinable_;
   std::vector<signed char> prologue_;
   std::vector<signed char> partial_known_;
   std::vector<std::optional<PartialShape>> partial_;

@@ -150,8 +150,13 @@ BodyMemo::Stats BodyMemo::stats() const {
 std::string verdict_bytes(const std::vector<ProbeDecision>& decisions) {
   std::string bytes;
   bytes.reserve(decisions.size());
+  using Outcome = ProbeDecision::Outcome;
   for (const ProbeDecision& d : decisions) {
-    bytes.push_back(static_cast<char>(!d.inlined ? 0 : (d.partial ? 2 : 1)));
+    // A structural refusal follows from the verdicts before it, as the scan
+    // itself does, so it adds no byte.
+    if (d.outcome == Outcome::kRefusedStructural) continue;
+    bytes.push_back(static_cast<char>(
+        d.outcome == Outcome::kRefusedHeuristic ? 0 : (d.outcome == Outcome::kPartial ? 2 : 1)));
   }
   return bytes;
 }

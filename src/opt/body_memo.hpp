@@ -2,12 +2,12 @@
 //
 // Under one pipeline and one set of inline limits, the body PassManager::run
 // builds for a method depends only on the program, the method and the
-// inliner's verdict sequence: the inliner's walk is a function of its
-// verdicts, and every later pass is deterministic. DecisionProbe predicts
-// that sequence without touching code, so a VM probes first, looks up
-// (program, method, verdict bytes) here and runs the passes only on a miss
-// — replaying the probe's verdicts, so the stored body is exactly what the
-// key describes. A hit installs the same code, provenance and OptStats the
+// heuristic verdicts of its decision walk: the walk is a function of those
+// verdicts (its structural refusals follow from them), the Inliner splices
+// it, and every later pass is deterministic. DecisionProbe walks without
+// touching code, so a VM walks first, looks up (program, method, verdict
+// bytes) here and runs the passes only on a miss — splicing that same walk,
+// so the stored body is exactly what the key describes. A hit installs the same code, provenance and OptStats the
 // passes would have produced, and simulated compile cycles come from the
 // body's size, so ExecStats, fitness and tuned winners cannot move.
 //
@@ -137,8 +137,8 @@ class BodyMemo {
   Stats stats_;
 };
 
-/// The memo key bytes of a verdict list: one byte per consultation (refuse,
-/// inline fully, splice the guard head).
+/// The memo key bytes of a walk: one byte per heuristic verdict (refuse,
+/// inline fully, splice the guard head); structural refusals add none.
 std::string verdict_bytes(const std::vector<ProbeDecision>& decisions);
 
 }  // namespace ith::opt

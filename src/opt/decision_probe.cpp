@@ -27,16 +27,20 @@ constexpr unsigned char kForkCold = 0xB0;
 constexpr unsigned char kForkHot = 0xB1;
 constexpr unsigned char kPathEnd = 0x55;
 
-/// Structural guards exactly as Inliner::run applies them, in order: depth
-/// cap, recursion bound (only below the root level, where the instruction
-/// has an inline chain; `occurrences` counts the callee on that chain of
-/// methods inlined through), evolving-body size, callee shape.
-bool structurally_ok(const InlineLimits& limits, int depth, int occurrences, int caller_words,
-                     const CallSite& site) {
-  return depth < limits.hard_depth_cap &&
-         (depth == 0 || occurrences < limits.max_recursive_occurrences) &&
-         caller_words < limits.max_body_words && site.inlinable;
+}  // namespace
+
+const char* structural_rule(const InlineLimits& limits, int depth, int occurrences,
+                            int caller_words, const CallSite& site) {
+  if (depth >= limits.hard_depth_cap) return "structural:depth_cap";
+  if (depth > 0 && occurrences >= limits.max_recursive_occurrences) {
+    return "structural:recursive_chain";
+  }
+  if (caller_words >= limits.max_body_words) return "structural:body_too_big";
+  if (!site.inlinable) return "structural:not_inlinable";
+  return nullptr;
 }
+
+namespace {
 
 /// Budget overflow: the signature falls back to hashing the raw parameter
 /// vector. Sound (distinct params stay distinct) but collapse-free.
@@ -106,8 +110,8 @@ ProbeFacts::ProbeFacts(const bc::Program& prog)
                 "call to unknown method id " + std::to_string(insn.a));
       const Callee& c = callees[static_cast<std::size_t>(insn.a)];
       site.inlinable = c.inlinable;
+      site.callee_size = est_size_[static_cast<std::size_t>(insn.a)];
       if (c.inlinable) {
-        site.callee_size = est_size_[static_cast<std::size_t>(insn.a)];
         // A full splice prepends the marshalling stores and, unless every
         // non-argument local is assigned before use, a zeroing prologue;
         // the body replaces the call.
@@ -176,7 +180,16 @@ void DecisionProbe::probe_method(bc::MethodId root, VerdictTrace& out) const {
       while (true) {
         const auto occurrences =
             static_cast<int>(std::count(chain.begin(), chain.end(), callee));
-        if (!structurally_ok(limits_, cur_depth, occurrences, caller_words, site)) {
+        ProbeDecision& pd = trace.emplace_back();
+        pd.root = root;
+        pd.callee = callee;
+        pd.call_pc = vpc;
+        pd.depth = cur_depth;
+        pd.callee_size = site.callee_size;
+        pd.caller_size = caller_words;
+        if (const char* rule =
+                structural_rule(limits_, cur_depth, occurrences, caller_words, site)) {
+          pd.rule = rule;
           ++local.sites_refused_structural;
           ++vpc;
           break;
@@ -198,21 +211,14 @@ void DecisionProbe::probe_method(bc::MethodId root, VerdictTrace& out) const {
         req.is_hot = profile.is_hot;
         req.site_count = profile.count;
         const heur::InlineDecision decision = heuristic_.decide(req);
-
-        ProbeDecision pd;
-        pd.root = root;
-        pd.callee = callee;
-        pd.call_pc = vpc;
-        pd.depth = cur_depth;
-        pd.callee_size = req.callee_size;
-        pd.caller_size = req.caller_size;
         pd.head_size = req.head_size;
         pd.is_hot = req.is_hot;
         pd.site_count = req.site_count;
-        pd.inlined = decision.inline_it;
-        pd.partial = decision.partial;
+        pd.outcome = !decision.inline_it
+                         ? ProbeDecision::Outcome::kRefusedHeuristic
+                         : (decision.partial ? ProbeDecision::Outcome::kPartial
+                                             : ProbeDecision::Outcome::kInlined);
         pd.rule = decision.rule;
-        trace.push_back(pd);
 
         if (!decision.inline_it) {
           ++local.sites_refused_by_heuristic;
@@ -398,7 +404,7 @@ SignatureResult decision_signature(const bc::Program& prog, const ProbeFacts& fa
         for (std::size_t k = 1; k < cur.frames.size(); ++k) {
           occurrences += cur.frames[k].method == site.callee ? 1 : 0;
         }
-        if (!structurally_ok(limits, depth, occurrences, cur.caller_words, site)) {
+        if (structural_rule(limits, depth, occurrences, cur.caller_words, site) != nullptr) {
           // Structural refusals are not consultations: no hash byte, the
           // call simply stays as emitted.
           ++f.next;

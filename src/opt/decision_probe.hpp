@@ -1,16 +1,18 @@
-// Decision probe: replays the inliner's recursive decision procedure for a
-// program without transforming or executing any code.
+// Decision probe: the inliner's decision procedure, walked without
+// transforming or executing any code.
 //
-// The probe walks a method exactly the way Inliner::run does — same
-// structural guards in the same order, same size arithmetic after simulated
-// splicing (bytecode/size_estimator), same depth/chain bookkeeping — and
-// records every heuristic consultation it predicts. Because the splice only
-// rewrites operands (and kRet into kJmp) while per-instruction word
-// estimates depend on the opcode alone, the probe's virtual size accounting
-// is exact, so its predicted decisions match the real inliner bit for bit
-// (enforced by tests/opt/decision_probe_test.cpp over the fuzz corpus).
+// DecisionProbe::probe_method is the one place that decides a call site:
+// the structural guards (structural_rule), the size arithmetic after each
+// simulated splice (bytecode/size_estimator) and the depth/chain
+// bookkeeping live here alone, and the heuristic is asked here. The walk
+// it returns lists every call site the scan reaches, in scan order, with
+// its verdict and rule; Inliner::run splices that walk and throws if the
+// real body ever disagrees with it, and the same entries are the
+// structured inline report. Because a splice only rewrites operands (and
+// kRet into kJmp) while per-instruction word estimates depend on the
+// opcode alone, the walk's virtual size accounting is exact.
 //
-// On top of the replay sits the decision *signature*: a canonical FNV-1a
+// On top of the walk sits the decision *signature*: a canonical FNV-1a
 // hash of every decision the Figure 3/4 heuristic with a given parameter
 // vector would make over the program, across every profile-consistent
 // hot/cold labelling of call sites. Two parameter vectors with equal
@@ -31,13 +33,13 @@
 
 namespace ith::opt {
 
-/// One kCall in a method's original code, with everything the inliner's
-/// size arithmetic needs to consider splicing its callee there.
+/// One kCall in a method's original code, with everything the walk's size
+/// arithmetic needs to consider splicing its callee there.
 struct CallSite {
   std::int32_t pc = 0;      ///< position of the kCall in the original body
   bc::MethodId callee = -1;
   bool inlinable = false;   ///< Inliner::is_inlinable(callee)
-  int callee_size = 0;      ///< estimated words of the original callee
+  int callee_size = 0;      ///< estimated words of the original callee (every site)
   int head_size = -1;       ///< guard-head words, -1 for an unsplittable callee
   // Growth of the evolving body when this site, with its own argument
   // count, is spliced (inlinable callees only).
@@ -73,20 +75,29 @@ class ProbeFacts {
   std::vector<std::size_t> num_insns_;
 };
 
-/// Replays Inliner::run's decision procedure under a concrete site oracle.
+/// The structural guard that refuses splicing `site` with the walk in the
+/// given state, or null when none does. In order: depth cap, recursion
+/// bound (only below the root level; `occurrences` counts the callee on the
+/// chain of methods inlined through), evolving-body size, callee shape.
+/// The walk names the rule in its entry; the signature only asks whether
+/// one fired.
+const char* structural_rule(const InlineLimits& limits, int depth, int occurrences,
+                            int caller_words, const CallSite& site);
+
+/// The decision procedure of the inline pass, under a concrete site oracle.
 class DecisionProbe {
  public:
-  /// `facts` (built from the program the inliner compiles) and the
-  /// heuristic are non-owning and must outlive the probe; the heuristic is
-  /// consulted through decide() (the same entry point the Inliner uses).
+  /// `facts` (built from the program being compiled) and the heuristic are
+  /// non-owning and must outlive the probe; the heuristic is consulted
+  /// through decide().
   DecisionProbe(const ProbeFacts& facts, const heur::InlineHeuristic& heuristic,
                 SiteOracle oracle = cold_site, InlineLimits limits = {});
 
-  /// Predicts every heuristic consultation Inliner::run(root) would make,
-  /// in consultation order, into `out.decisions`, and the InlineStats the
-  /// real run would report into `out.stats` — the verdict list
-  /// Inliner::run can replay. `out` is overwritten (its capacity is kept).
-  /// No code is produced or mutated.
+  /// Walks `root`: one entry per call site the scan reaches, in scan order,
+  /// into `out.decisions` (structural refusals included, each naming its
+  /// guard), and the InlineStats of the session into `out.stats` — the walk
+  /// Inliner::run splices. `out` is overwritten (its capacity is kept). No
+  /// code is produced or mutated.
   void probe_method(bc::MethodId root, VerdictTrace& out) const;
 
  private:

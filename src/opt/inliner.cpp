@@ -15,20 +15,20 @@ SiteProfile cold_site(bc::MethodId, std::int32_t) { return SiteProfile{}; }
 
 std::string format_inline_report(const bc::Program& prog, const InlineReport& report) {
   std::ostringstream os;
-  for (const InlineReportEntry& e : report) {
-    os << "inline: '" << prog.method(e.caller).name() << "' <- '" << prog.method(e.callee).name()
+  for (const ProbeDecision& e : report) {
+    os << "inline: '" << prog.method(e.root).name() << "' <- '" << prog.method(e.callee).name()
        << "' @" << e.call_pc << " depth=" << e.depth << " callee=" << e.callee_size
        << "w caller=" << e.caller_size << "w";
     if (e.is_hot) os << " hot(" << e.site_count << ")";
     switch (e.outcome) {
-      case InlineReportEntry::Outcome::kInlined:
+      case ProbeDecision::Outcome::kInlined:
         os << ": inlined";
         break;
-      case InlineReportEntry::Outcome::kPartial:
+      case ProbeDecision::Outcome::kPartial:
         os << ": partially inlined, head=" << e.head_size << "w";
         break;
-      case InlineReportEntry::Outcome::kRefusedHeuristic:
-      case InlineReportEntry::Outcome::kRefusedStructural:
+      case ProbeDecision::Outcome::kRefusedHeuristic:
+      case ProbeDecision::Outcome::kRefusedStructural:
         os << ": rejected";
         break;
     }
@@ -37,16 +37,8 @@ std::string format_inline_report(const bc::Program& prog, const InlineReport& re
   return os.str();
 }
 
-Inliner::Inliner(const bc::Program& prog, const heur::InlineHeuristic& heuristic, SiteOracle oracle,
-                 InlineLimits limits, obs::Context* obs, AnalysisManager* analyses)
-    : prog_(prog),
-      heuristic_(heuristic),
-      oracle_(std::move(oracle)),
-      limits_(limits),
-      obs_(obs),
-      analyses_(analyses) {
-  ITH_CHECK(oracle_ != nullptr, "Inliner requires a site oracle");
-}
+Inliner::Inliner(const bc::Program& prog, obs::Context* obs, AnalysisManager* analyses)
+    : prog_(prog), obs_(obs), analyses_(analyses) {}
 
 bool Inliner::is_inlinable(const bc::Program& prog, bc::MethodId callee) {
   const bc::Method& m = prog.method(callee);
@@ -98,7 +90,7 @@ bool Inliner::is_inlinable(const bc::Program& prog, bc::MethodId callee) {
   return true;
 }
 
-bool Inliner::splice(AnnotatedMethod& am, std::size_t call_pc, AnalysisManager& analyses) const {
+void Inliner::splice(AnnotatedMethod& am, std::size_t call_pc, AnalysisManager& analyses) const {
   auto& code = am.method.mutable_code();
   const bc::Instruction call = code[call_pc];
   ITH_ASSERT(call.op == bc::Op::kCall, "splice target is not a call");
@@ -184,10 +176,9 @@ bool Inliner::splice(AnnotatedMethod& am, std::size_t call_pc, AnalysisManager& 
   am.meta.insert(am.meta.begin() + static_cast<std::ptrdiff_t>(call_pc), region_meta.begin(),
                  region_meta.end());
   ITH_ASSERT(am.consistent(), "annotation length diverged from code length");
-  return true;
 }
 
-bool Inliner::splice_partial(AnnotatedMethod& am, std::size_t call_pc,
+void Inliner::splice_partial(AnnotatedMethod& am, std::size_t call_pc,
                              const PartialShape& shape) const {
   auto& code = am.method.mutable_code();
   const bc::Instruction call = code[call_pc];
@@ -275,24 +266,24 @@ bool Inliner::splice_partial(AnnotatedMethod& am, std::size_t call_pc,
   am.meta.insert(am.meta.begin() + static_cast<std::ptrdiff_t>(call_pc), region_meta.begin(),
                  region_meta.end());
   ITH_ASSERT(am.consistent(), "annotation length diverged from code length");
-  return true;
 }
 
-AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* report,
-                             const VerdictTrace* verdicts) const {
+AnnotatedMethod Inliner::run(bc::MethodId id, const VerdictTrace& walk,
+                             InlineStats* stats) const {
   AnnotatedMethod am = AnnotatedMethod::from_method(prog_.method(id), id);
   InlineStats local;
   local.size_before_words = bc::estimated_method_size(am.method);
 
-  // Structural facts come from the shared AnalysisManager when the caller
+  // Splice facts come from the shared AnalysisManager when the caller
   // provided one (the pass-manager path); otherwise a private one serves
   // this run only.
   AnalysisManager private_analyses(prog_);
   AnalysisManager& analyses = analyses_ != nullptr ? *analyses_ : private_analyses;
 
-  std::size_t next_verdict = 0;  // replay cursor into verdicts->decisions
-  const auto replay_error = [&](const std::string& what) {
-    return Error("inline verdict replay diverged in '" + prog_.method(id).name() + "': " + what);
+  const std::vector<ProbeDecision>& entries = walk.decisions;
+  std::size_t next = 0;  // cursor into entries
+  const auto diverged = [&](const std::string& what) {
+    return Error("inline walk diverged in '" + prog_.method(id).name() + "': " + what);
   };
 
   std::size_t pc = 0;
@@ -306,113 +297,57 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
     const bc::MethodId callee = insn.a;
     // Copy: splice() below invalidates references into am.meta.
     const InstrMeta meta = am.meta[pc];
-
-    auto record = [&](InlineReportEntry::Outcome outcome, const char* rule,
-                      const heur::InlineRequest* req) {
-      if (report == nullptr) return;
-      InlineReportEntry e;
-      e.caller = id;
-      e.callee = callee;
-      e.call_pc = pc;
-      e.depth = meta.depth;
-      e.callee_size = req != nullptr ? req->callee_size : analyses.method_size(callee);
-      e.caller_size =
-          req != nullptr ? req->caller_size : bc::estimated_method_size(am.method);
-      e.head_size = req != nullptr ? req->head_size : -1;
-      if (req != nullptr) {
-        e.is_hot = req->is_hot;
-        e.site_count = req->site_count;
-      }
-      e.outcome = outcome;
-      e.rule = rule;
-      report->push_back(e);
-    };
-
-    // Structural guards, independent of the tuned heuristic.
-    const char* structural_rule = nullptr;
-    if (meta.depth >= limits_.hard_depth_cap) {
-      structural_rule = "structural:depth_cap";
-    } else if (meta.chain &&
-               std::count(meta.chain->begin(), meta.chain->end(), callee) >=
-                   limits_.max_recursive_occurrences) {
-      structural_rule = "structural:recursive_chain";
-    } else if (bc::estimated_method_size(am.method) >= limits_.max_body_words) {
-      structural_rule = "structural:body_too_big";
-    } else if (!analyses.inlinable(callee)) {
-      structural_rule = "structural:not_inlinable";
+    if (next == entries.size()) {
+      throw diverged("no entry left for the call to '" + prog_.method(callee).name() +
+                     "' at pc " + std::to_string(pc));
     }
-    if (structural_rule != nullptr) {
+    const ProbeDecision& e = entries[next++];
+    if (e.callee != callee || e.call_pc != pc || e.depth != meta.depth) {
+      throw diverged("entry #" + std::to_string(next - 1) + " is for callee " +
+                     std::to_string(e.callee) + " at pc " + std::to_string(e.call_pc) +
+                     " depth " + std::to_string(e.depth) + ", the scan is at callee " +
+                     std::to_string(callee) + " pc " + std::to_string(pc) + " depth " +
+                     std::to_string(meta.depth));
+    }
+    if (e.outcome == ProbeDecision::Outcome::kRefusedStructural) {
       ++local.sites_refused_structural;
-      record(InlineReportEntry::Outcome::kRefusedStructural, structural_rule, nullptr);
       ++pc;
       continue;
     }
 
-    const SiteProfile profile = oracle_(meta.origin_method, meta.origin_pc);
-    heur::InlineRequest req;
-    req.caller = id;
-    req.callee = callee;
-    req.call_pc = pc;
-    req.callee_size = analyses.method_size(callee);
-    req.caller_size = bc::estimated_method_size(am.method);
-    req.depth = meta.depth;
-    req.is_hot = profile.is_hot;
-    req.site_count = profile.count;
-    const std::optional<PartialShape>& shape = analyses.partial_shape(callee);
-    req.head_size = shape ? shape->head_words : -1;
-
-    heur::InlineDecision decision;
-    if (verdicts == nullptr) {
-      decision = heuristic_.decide(req);
-    } else {
-      const std::vector<ProbeDecision>& list = verdicts->decisions;
-      if (next_verdict == list.size()) {
-        throw replay_error("no verdict left for the call to '" + prog_.method(callee).name() +
-                           "' at pc " + std::to_string(pc));
-      }
-      const ProbeDecision& v = list[next_verdict++];
-      if (v.callee != callee || v.call_pc != pc || v.depth != meta.depth) {
-        throw replay_error("verdict #" + std::to_string(next_verdict - 1) + " is for callee " +
-                           std::to_string(v.callee) + " at pc " + std::to_string(v.call_pc) +
-                           " depth " + std::to_string(v.depth) + ", the inliner is at callee " +
-                           std::to_string(callee) + " pc " + std::to_string(pc) + " depth " +
-                           std::to_string(meta.depth));
-      }
-      if (v.partial && !shape) {
-        throw replay_error("partial verdict for '" + prog_.method(callee).name() +
-                           "', which has no guard head");
-      }
-      decision = heur::InlineDecision{v.inlined, v.rule, v.partial};
-    }
+    const bool partial = e.outcome == ProbeDecision::Outcome::kPartial;
+    const bool inlined = partial || e.outcome == ProbeDecision::Outcome::kInlined;
     if (obs_ != nullptr && obs_->enabled(obs::Category::kInline)) {
       obs_->instant(obs::Category::kInline, "inline.decision", obs::Domain::kHost,
                     obs_->host_now_us(),
                     {{"caller", prog_.method(id).name()},
                      {"callee", prog_.method(callee).name()},
-                     {"rule", decision.rule},
-                     {"inlined", decision.inline_it},
-                     {"partial", decision.partial},
-                     {"depth", req.depth},
-                     {"callee_size", req.callee_size},
-                     {"caller_size", req.caller_size},
-                     {"hot", req.is_hot},
-                     {"site_count", req.site_count}});
+                     {"rule", e.rule},
+                     {"inlined", inlined},
+                     {"partial", partial},
+                     {"depth", e.depth},
+                     {"callee_size", e.callee_size},
+                     {"caller_size", e.caller_size},
+                     {"hot", e.is_hot},
+                     {"site_count", e.site_count}});
     }
-    if (!decision.inline_it) {
+    if (!inlined) {
       ++local.sites_refused_by_heuristic;
-      record(InlineReportEntry::Outcome::kRefusedHeuristic, decision.rule, &req);
       ++pc;
       continue;
     }
 
-    if (decision.partial) {
+    if (partial) {
+      const std::optional<PartialShape>& shape = analyses.partial_shape(callee);
+      if (!shape) {
+        throw diverged("partial verdict for '" + prog_.method(callee).name() +
+                       "', which has no guard head");
+      }
       splice_partial(am, pc, *shape);
       ++local.sites_partially_inlined;
-      record(InlineReportEntry::Outcome::kPartial, decision.rule, &req);
     } else {
       splice(am, pc, analyses);
       ++local.sites_inlined;
-      record(InlineReportEntry::Outcome::kInlined, decision.rule, &req);
     }
     local.max_depth_reached = std::max(local.max_depth_reached, meta.depth + 1);
     // Do not advance pc: the spliced region starts here and may itself begin
@@ -420,13 +355,10 @@ AnnotatedMethod Inliner::run(bc::MethodId id, InlineStats* stats, InlineReport* 
   }
 
   local.size_after_words = bc::estimated_method_size(am.method);
-  if (verdicts != nullptr) {
-    if (next_verdict != verdicts->decisions.size()) {
-      throw replay_error(std::to_string(verdicts->decisions.size() - next_verdict) +
-                         " verdict(s) left over");
-    }
-    if (!(local == verdicts->stats)) throw replay_error("inline stats differ from the probe's");
+  if (next != entries.size()) {
+    throw diverged(std::to_string(entries.size() - next) + " entry(ies) left over");
   }
+  if (!(local == walk.stats)) throw diverged("inline stats differ from the walk's");
   if (stats != nullptr) *stats = local;
   return am;
 }

@@ -1,10 +1,13 @@
 // The inliner: a real program transformation, not a cost-model annotation.
 //
-// For every kCall the heuristic approves, the callee body is spliced into
-// the caller: arguments become stores into fresh caller locals, callee
-// locals are renumbered, internal branches are rebased, and each kRet turns
-// into a jump to the landing pc (its return value simply stays on the
-// operand stack, which is exactly where the caller expects it).
+// DecisionProbe (decision_probe.hpp) walks a method and decides every call
+// site: the structural guards, the size arithmetic and the heuristic call
+// live there alone. The Inliner splices that walk. For every kCall the walk
+// approves, the callee body is spliced into the caller: arguments become
+// stores into fresh caller locals, callee locals are renumbered, internal
+// branches are rebased, and each kRet turns into a jump to the landing pc
+// (its return value simply stays on the operand stack, which is exactly
+// where the caller expects it).
 //
 // Splicing is iterative and depth-aware: calls *inside* a spliced body are
 // revisited at depth+1, so the MAX_INLINE_DEPTH parameter the paper tunes
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "bytecode/program.hpp"
-#include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
 #include "opt/analysis.hpp"
 #include "opt/annotated.hpp"
@@ -56,44 +58,19 @@ struct InlineStats {
   friend bool operator==(const InlineStats&, const InlineStats&) = default;
 };
 
-/// One heuristic consultation as DecisionProbe predicts it, mirroring the
-/// fields the Inliner attaches to its `inline.decision` trace events.
+/// One call site the decision walk (DecisionProbe::probe_method) scanned:
+/// the verdict Inliner::run splices there, and one row of the structured
+/// inline report — LLVM's -Rpass=inline in miniature.
 struct ProbeDecision {
+  enum class Outcome : std::uint8_t { kRefusedStructural, kRefusedHeuristic, kInlined, kPartial };
+
   bc::MethodId root = -1;        ///< method being compiled
   bc::MethodId callee = -1;
   std::size_t call_pc = 0;       ///< pc of the kCall in the evolving body
   int depth = 0;
   int callee_size = 0;           ///< estimated words of the original callee
   int caller_size = 0;           ///< estimated words of the evolving body
-  int head_size = -1;            ///< guard-head words offered to the heuristic
-  bool is_hot = false;
-  std::uint64_t site_count = 0;
-  bool inlined = false;
-  bool partial = false;          ///< verdict was "splice the guard head only"
-  const char* rule = "opaque";
-};
-
-/// Every verdict of one root's inlining session, in consultation order,
-/// plus the InlineStats that session reports. DecisionProbe::probe_method
-/// fills it; Inliner::run can replay it instead of consulting the heuristic.
-struct VerdictTrace {
-  std::vector<ProbeDecision> decisions;
-  InlineStats stats;
-};
-
-/// One row of the structured inline report: every call site the inliner
-/// looked at, with the verdict and the exact rule (Figure 3/4 term or
-/// structural guard) that produced it — LLVM's -Rpass=inline in miniature.
-struct InlineReportEntry {
-  enum class Outcome { kInlined, kPartial, kRefusedHeuristic, kRefusedStructural };
-
-  bc::MethodId caller = -1;     ///< root method being compiled
-  bc::MethodId callee = -1;
-  std::size_t call_pc = 0;      ///< pc in the evolving caller body
-  int depth = 0;
-  int callee_size = 0;
-  int caller_size = 0;
-  int head_size = -1;           ///< guard-head words, -1 when the callee has none
+  int head_size = -1;            ///< guard-head words offered to the heuristic, else -1
   bool is_hot = false;
   std::uint64_t site_count = 0;
   Outcome outcome = Outcome::kRefusedStructural;
@@ -102,7 +79,16 @@ struct InlineReportEntry {
   const char* rule = "";
 };
 
-using InlineReport = std::vector<InlineReportEntry>;
+/// One root's decision walk: every call site it scanned, in scan order,
+/// plus the InlineStats the session reports. DecisionProbe::probe_method
+/// fills it; Inliner::run splices it.
+struct VerdictTrace {
+  std::vector<ProbeDecision> decisions;
+  InlineStats stats;
+};
+
+/// The structured inline report: the walks' entries, appended per compile.
+using InlineReport = std::vector<ProbeDecision>;
 
 /// Human-readable rendering, one line per decision.
 std::string format_inline_report(const bc::Program& prog, const InlineReport& report);
@@ -117,44 +103,38 @@ struct InlineLimits {
   friend bool operator==(const InlineLimits&, const InlineLimits&) = default;
 };
 
+/// Splices a decision walk into its root's body. Deciding is
+/// DecisionProbe's job; the Inliner only applies the verdicts it is given.
 class Inliner {
  public:
   /// `obs` is non-owning and may be null (no decision tracing); it must
   /// outlive the inliner. With the kInline category enabled it receives one
-  /// instant event per heuristic consultation, carrying the Figure 3/4 rule
-  /// that fired (InlineHeuristic::decide). `analyses` is an optional shared
-  /// AnalysisManager (same program) whose cached structural facts replace
-  /// per-site recomputation; when null the inliner computes privately.
-  explicit Inliner(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
-                   SiteOracle oracle = cold_site, InlineLimits limits = {},
-                   obs::Context* obs = nullptr, AnalysisManager* analyses = nullptr);
+  /// instant event per heuristic verdict, carrying the Figure 3/4 rule that
+  /// fired. `analyses` is an optional shared AnalysisManager (same program)
+  /// whose cached splice facts replace per-run recomputation; when null the
+  /// inliner computes privately.
+  explicit Inliner(const bc::Program& prog, obs::Context* obs = nullptr,
+                   AnalysisManager* analyses = nullptr);
 
-  /// Inlines into (a copy of) method `id` and returns the transformed body.
-  /// `report`, when non-null, receives one InlineReportEntry per considered
-  /// call site (appended; the caller owns clearing).
-  ///
-  /// `verdicts`, when non-null, is the probe's trace of this very session:
-  /// each consultation takes the next entry's verdict instead of asking the
-  /// heuristic, after checking that its (callee, call_pc, depth) matches.
-  /// A mismatch, a missing or left-over entry, or final stats that differ
-  /// from `verdicts->stats` throw ith::Error — a probe/inliner divergence
-  /// fails loudly rather than producing a body the verdicts do not describe.
-  AnnotatedMethod run(bc::MethodId id, InlineStats* stats = nullptr,
-                      InlineReport* report = nullptr,
-                      const VerdictTrace* verdicts = nullptr) const;
+  /// Splices `walk` (DecisionProbe::probe_method of `id`) into a copy of
+  /// method `id` and returns the transformed body. Each kCall the scan
+  /// reaches must match the walk's next entry (callee, call_pc, depth); a
+  /// mismatch, a partial verdict for a callee without a guard head, a
+  /// missing or left-over entry, or final stats (size_after_words measured
+  /// from the real body) that differ from `walk.stats` throw ith::Error — a
+  /// walk that does not describe this body fails loudly.
+  AnnotatedMethod run(bc::MethodId id, const VerdictTrace& walk,
+                      InlineStats* stats = nullptr) const;
 
   /// True if `callee` can structurally be spliced: single-value returns
   /// (operand stack depth exactly 1 at every kRet) and no kHalt.
   static bool is_inlinable(const bc::Program& prog, bc::MethodId callee);
 
  private:
-  bool splice(AnnotatedMethod& am, std::size_t call_pc, AnalysisManager& analyses) const;
-  bool splice_partial(AnnotatedMethod& am, std::size_t call_pc, const PartialShape& shape) const;
+  void splice(AnnotatedMethod& am, std::size_t call_pc, AnalysisManager& analyses) const;
+  void splice_partial(AnnotatedMethod& am, std::size_t call_pc, const PartialShape& shape) const;
 
   const bc::Program& prog_;
-  const heur::InlineHeuristic& heuristic_;
-  SiteOracle oracle_;
-  InlineLimits limits_;
   obs::Context* obs_;
   AnalysisManager* analyses_;
 };

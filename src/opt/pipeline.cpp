@@ -29,17 +29,20 @@ class InlinePass final : public Pass {
                   PreservedAnalyses& preserved) override {
     InlineStats& is = ctx.stats.inline_stats;
     if (analyses.callees(ctx.root).empty()) {
-      // Call-free root: the inliner would copy the body and report sizes.
-      // Skipping the scan is what turns the recompilation ladder's repeated
+      // Call-free root: the walk would be empty and the splice a copy.
+      // Skipping both is what turns the recompilation ladder's repeated
       // leaf compiles into pure cache hits.
-      ITH_CHECK(ctx.verdicts == nullptr || ctx.verdicts->decisions.empty(),
-                "inline verdict replay diverged: verdicts given for a call-free method");
+      ITH_CHECK(ctx.walk == nullptr || ctx.walk->decisions.empty(),
+                "inline walk diverged: entries given for a call-free method");
       is.size_before_words = analyses.method_size(ctx.root);
       is.size_after_words = is.size_before_words;
       return 0;
     }
-    const Inliner inliner(ctx.prog, ctx.heuristic, ctx.oracle, ctx.limits, ctx.obs, &analyses);
-    am = inliner.run(ctx.root, &is, ctx.report, ctx.verdicts);
+    const VerdictTrace& walk = ctx.walk != nullptr ? *ctx.walk : ctx.manager.walk(ctx.root);
+    am = Inliner(ctx.prog, ctx.obs, &analyses).run(ctx.root, walk, &is);
+    if (ctx.report != nullptr) {
+      ctx.report->insert(ctx.report->end(), walk.decisions.begin(), walk.decisions.end());
+    }
     preserved = PreservedAnalyses::none();
     return is.sites_inlined + is.sites_partially_inlined;
   }
@@ -337,8 +340,16 @@ std::size_t PassManager::run_one(Registered& reg, AnnotatedMethod& am, PassConte
   return n;
 }
 
-OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report,
-                                const VerdictTrace* verdicts) {
+const VerdictTrace& PassManager::walk(bc::MethodId id) {
+  if (probe_ == nullptr) {
+    facts_ = std::make_unique<const ProbeFacts>(prog_);
+    probe_ = std::make_unique<const DecisionProbe>(*facts_, heuristic_, oracle_, limits_);
+  }
+  probe_->probe_method(id, walk_);
+  return walk_;
+}
+
+OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report, const VerdictTrace* walk) {
   analyses_.begin_body();
 
   OptimizeResult result;
@@ -354,7 +365,7 @@ OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report,
                              : std::vector<obs::Arg>{});
 
   result.body = AnnotatedMethod::from_method(prog_.method(id), id);
-  PassContext ctx{prog_, id, heuristic_, oracle_, limits_, obs_, result.stats, report, verdicts};
+  PassContext ctx{prog_, id, *this, obs_, result.stats, report, walk};
 
   for (Registered& reg : setup_) run_one(reg, result.body, ctx, result, trace);
 
@@ -392,8 +403,10 @@ OptimizeResult reference_optimize(const bc::Program& prog, bc::MethodId id,
   OptimizeResult result;
 
   if (options.enable_inlining) {
-    const Inliner inliner(prog, heuristic, oracle, limits);
-    result.body = inliner.run(id, &result.stats.inline_stats);
+    const ProbeFacts facts(prog);
+    VerdictTrace walk;
+    DecisionProbe(facts, heuristic, oracle, limits).probe_method(id, walk);
+    result.body = Inliner(prog).run(id, walk, &result.stats.inline_stats);
   } else {
     result.body = AnnotatedMethod::from_method(prog.method(id), id);
   }

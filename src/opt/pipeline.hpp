@@ -6,6 +6,10 @@
 // long as they remain true, and each pass leaves a PassStat row
 // ("[pass inline] inst 42→40, time 3us") plus opt.pass.* obs counters.
 //
+// The inline pass splices DecisionProbe's walk of the method (the one
+// decision procedure, decision_probe.hpp): the walk the caller passes, or
+// one the manager takes under its own heuristic, oracle and limits.
+//
 // The legacy Optimizer facade (optimizer.hpp) maps its boolean options onto
 // a pipeline via pipeline_from_options(); for every five-parameter genome
 // the PassManager's output is bit-identical to the frozen reference_optimize
@@ -22,6 +26,7 @@
 #include "heuristics/heuristic.hpp"
 #include "obs/context.hpp"
 #include "opt/analysis.hpp"
+#include "opt/decision_probe.hpp"
 #include "opt/inliner.hpp"
 
 namespace ith::opt {
@@ -97,18 +102,19 @@ const std::vector<std::string>& known_pass_names();
 /// pipeline whose output is bit-identical to the legacy orchestration).
 PipelineDesc pipeline_from_options(const OptimizerOptions& options);
 
+class PassManager;
+
 /// Shared state every pass sees during one compilation.
 struct PassContext {
   const bc::Program& prog;
   bc::MethodId root;
-  const heur::InlineHeuristic& heuristic;
-  const SiteOracle& oracle;
-  const InlineLimits& limits;
+  PassManager& manager;
   obs::Context* obs;      ///< may be null
   OptStats& stats;
   InlineReport* report;   ///< may be null
-  /// The inline pass's verdict list (Inliner::run); null = ask the heuristic.
-  const VerdictTrace* verdicts;
+  /// The decision walk of `root` the caller passed to PassManager::run, or
+  /// null: the inline pass then takes manager.walk(root).
+  const VerdictTrace* walk;
 };
 
 /// One registered transformation. run() rewrites `am`, records what it
@@ -138,13 +144,19 @@ class PassManager {
               InlineLimits limits = {}, obs::Context* obs = nullptr);
 
   /// Compiles method `id` through the pipeline. `report`, when non-null,
-  /// receives the structured inline report for this compilation.
-  /// `verdicts`, when non-null, is DecisionProbe's trace for `id` under this
-  /// manager's heuristic, oracle and limits: the inline pass replays it in
-  /// place of consulting the heuristic and throws ith::Error on any
-  /// divergence (see Inliner::run).
+  /// receives the entries of the walk the inline pass spliced (appended).
+  /// `walk`, when non-null, is DecisionProbe's walk of `id` under this
+  /// manager's heuristic, oracle and limits, and the inline pass splices it;
+  /// otherwise the pass splices walk(id). A walk that does not describe the
+  /// body throws ith::Error (see Inliner::run).
   OptimizeResult run(bc::MethodId id, InlineReport* report = nullptr,
-                     const VerdictTrace* verdicts = nullptr);
+                     const VerdictTrace* walk = nullptr);
+
+  /// DecisionProbe::probe_method of `id` under this manager's heuristic,
+  /// oracle and limits. The ProbeFacts it reads are built by the first call
+  /// and kept for the manager's lifetime; the walk is valid until the next
+  /// call.
+  const VerdictTrace& walk(bc::MethodId id);
 
   const PipelineDesc& pipeline() const { return pipeline_; }
   AnalysisManager& analyses() { return analyses_; }
@@ -168,6 +180,9 @@ class PassManager {
   InlineLimits limits_;
   obs::Context* obs_;
   AnalysisManager analyses_;
+  std::unique_ptr<const ProbeFacts> facts_;  ///< built by the first walk()
+  std::unique_ptr<const DecisionProbe> probe_;
+  VerdictTrace walk_;
   std::vector<Registered> setup_;
   std::vector<Registered> fixpoint_;
   std::size_t num_stats_ = 0;

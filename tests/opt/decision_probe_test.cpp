@@ -1,8 +1,9 @@
-// DecisionProbe equivalence: the probe's predicted decision trace must match
-// the real Inliner's traced decisions bit for bit — same consultations, same
-// order, same sizes/depths/rules — across workloads, hand-written edge
-// cases, generated adversarial programs, oracles and limit variants. Plus
-// unit coverage for the decision signature built on top of the replay.
+// DecisionProbe walks against the real splice: every walk must describe
+// the body the Inliner builds from it — no divergence thrown, and the
+// walk's virtual size equal to the real estimate — across workloads,
+// hand-written edge cases, generated adversarial programs, oracles and
+// limit variants. Plus unit coverage for the decision signature built on
+// top of the walk.
 #include <cstdint>
 #include <map>
 #include <random>
@@ -15,8 +16,6 @@
 #include "bytecode/size_estimator.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/generator.hpp"
-#include "obs/context.hpp"
-#include "obs/sink.hpp"
 #include "opt/decision_probe.hpp"
 #include "opt/inliner.hpp"
 #include "workloads/suite.hpp"
@@ -24,77 +23,35 @@
 namespace ith {
 namespace {
 
-std::int64_t arg_int(const obs::Event& e, const std::string& key) {
-  for (const obs::Arg& a : e.args) {
-    if (a.key == key) return std::get<std::int64_t>(a.value);
-  }
-  ADD_FAILURE() << "missing int arg " << key;
-  return -1;
-}
-
-std::string arg_str(const obs::Event& e, const std::string& key) {
-  for (const obs::Arg& a : e.args) {
-    if (a.key == key) return std::get<std::string>(a.value);
-  }
-  ADD_FAILURE() << "missing string arg " << key;
-  return "";
-}
-
-/// Runs the real Inliner with decision tracing on and the probe side by
-/// side over every method of `prog`, and requires identical traces + stats.
-void expect_probe_matches_inliner(const bc::Program& prog, const heur::InlineParams& params,
-                                  const opt::SiteOracle& oracle, opt::InlineLimits limits,
-                                  const std::string& label) {
+/// Walks every method of `prog` and splices each walk: the Inliner must
+/// accept it (any divergence from the real body throws), and the walk's
+/// virtual size accounting must agree with the real estimate of the
+/// spliced body.
+void expect_walks_splice(const bc::Program& prog, const heur::InlineParams& params,
+                         const opt::SiteOracle& oracle, opt::InlineLimits limits,
+                         const std::string& label) {
   const heur::JikesHeuristic heuristic(params);
   const opt::ProbeFacts facts(prog);
   const opt::DecisionProbe probe(facts, heuristic, oracle, limits);
-  opt::VerdictTrace trace;
-
+  const opt::Inliner inliner(prog);
+  opt::VerdictTrace walk;
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
-    obs::MemorySink sink;
-    obs::Context ctx(&sink, static_cast<std::uint32_t>(obs::Category::kInline));
-    const opt::Inliner inliner(prog, heuristic, oracle, limits, &ctx);
-
-    opt::InlineStats real_stats;
-    const opt::AnnotatedMethod am = inliner.run(id, &real_stats);
-    probe.probe_method(id, trace);
-    const std::vector<opt::ProbeDecision>& predicted = trace.decisions;
-    const opt::InlineStats& probe_stats = trace.stats;
-
-    const std::vector<obs::Event> events = sink.events();
-    ASSERT_EQ(predicted.size(), events.size())
-        << label << ": method " << prog.method(id).name() << " consultation count";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const obs::Event& e = events[i];
-      const opt::ProbeDecision& p = predicted[i];
-      SCOPED_TRACE(label + ": method " + prog.method(id).name() + " consultation #" +
-                   std::to_string(i));
-      EXPECT_EQ(e.name, std::string("inline.decision"));
-      EXPECT_EQ(arg_str(e, "caller"), prog.method(p.root).name());
-      EXPECT_EQ(arg_str(e, "callee"), prog.method(p.callee).name());
-      EXPECT_EQ(arg_str(e, "rule"), std::string(p.rule));
-      EXPECT_EQ(arg_int(e, "inlined"), p.inlined ? 1 : 0);
-      EXPECT_EQ(arg_int(e, "depth"), p.depth);
-      EXPECT_EQ(arg_int(e, "callee_size"), p.callee_size);
-      EXPECT_EQ(arg_int(e, "caller_size"), p.caller_size);
-      EXPECT_EQ(arg_int(e, "hot"), p.is_hot ? 1 : 0);
-      EXPECT_EQ(arg_int(e, "site_count"), static_cast<std::int64_t>(p.site_count));
-      EXPECT_EQ(arg_int(e, "partial"), p.partial ? 1 : 0);
-    }
-
-    EXPECT_EQ(probe_stats.sites_considered, real_stats.sites_considered) << label;
-    EXPECT_EQ(probe_stats.sites_inlined, real_stats.sites_inlined) << label;
-    EXPECT_EQ(probe_stats.sites_partially_inlined, real_stats.sites_partially_inlined) << label;
-    EXPECT_EQ(probe_stats.sites_refused_by_heuristic, real_stats.sites_refused_by_heuristic)
-        << label;
-    EXPECT_EQ(probe_stats.sites_refused_structural, real_stats.sites_refused_structural) << label;
-    EXPECT_EQ(probe_stats.max_depth_reached, real_stats.max_depth_reached) << label;
-    EXPECT_EQ(probe_stats.size_before_words, real_stats.size_before_words) << label;
-    EXPECT_EQ(probe_stats.size_after_words, real_stats.size_after_words) << label;
-    // The probe's virtual size accounting must agree with the real estimate
-    // of the actually-spliced body, not just with the stats struct.
-    EXPECT_EQ(probe_stats.size_after_words, bc::estimated_method_size(am.method)) << label;
+    SCOPED_TRACE(label + ": method " + prog.method(id).name());
+    probe.probe_method(id, walk);
+    EXPECT_NO_THROW({
+      const opt::AnnotatedMethod am = inliner.run(id, walk);
+      EXPECT_EQ(bc::estimated_method_size(am.method), walk.stats.size_after_words);
+    });
   }
+}
+
+/// The body the inline pass builds for `id`: walk, then splice.
+opt::AnnotatedMethod inline_body(const bc::Program& prog, const opt::ProbeFacts& facts,
+                                 const heur::InlineHeuristic& h, const opt::SiteOracle& oracle,
+                                 bc::MethodId id) {
+  opt::VerdictTrace walk;
+  opt::DecisionProbe(facts, h, oracle).probe_method(id, walk);
+  return opt::Inliner(prog).run(id, walk);
 }
 
 std::vector<heur::InlineParams> param_variants() {
@@ -157,7 +114,7 @@ TEST(DecisionProbe, MatchesInlinerOverWorkloads) {
   for (const wl::Workload& w : wl::make_suite("all")) {
     for (std::size_t pi = 0; pi < params.size(); ++pi) {
       const auto& [oracle_name, oracle] = oracles[pi % oracles.size()];
-      expect_probe_matches_inliner(w.program, params[pi], oracle, opt::InlineLimits{},
+      expect_walks_splice(w.program, params[pi], oracle, opt::InlineLimits{},
                                    w.name + "/params" + std::to_string(pi) + "/" + oracle_name);
     }
   }
@@ -174,7 +131,7 @@ TEST(DecisionProbe, MatchesInlinerOverEdgeCasesAndLimits) {
   for (const auto& [name, prog] : fuzz::builtin_edge_cases()) {
     for (std::size_t li = 0; li < limit_variants.size(); ++li) {
       const auto& [oracle_name, oracle] = oracles[li % oracles.size()];
-      expect_probe_matches_inliner(prog, heur::default_params(), oracle, limit_variants[li],
+      expect_walks_splice(prog, heur::default_params(), oracle, limit_variants[li],
                                    name + "/limits" + std::to_string(li) + "/" + oracle_name);
     }
   }
@@ -189,15 +146,15 @@ TEST(DecisionProbe, MatchesInlinerOverGeneratedPrograms) {
     const bc::Program prog = fuzz::generate_adversarial(spec);
     const heur::InlineParams& p = params[seed % params.size()];
     const auto& [oracle_name, oracle] = oracles[seed % oracles.size()];
-    expect_probe_matches_inliner(prog, p, oracle, opt::InlineLimits{},
+    expect_walks_splice(prog, p, oracle, opt::InlineLimits{},
                                  "gen" + std::to_string(seed) + "/" + oracle_name);
   }
 }
 
 #ifdef ITH_FUZZ_CORPUS_DIR
 // The acceptance bar for the probe: every checked-in fuzz-corpus repro —
-// programs specifically shrunk to stress the optimizer — replays bit for
-// bit. A corpus entry the probe mispredicts would poison the signature
+// programs specifically shrunk to stress the optimizer — splices exactly as
+// walked. A corpus entry the walk mispredicts would poison the signature
 // cache for exactly the programs most likely to expose it.
 TEST(DecisionProbe, MatchesInlinerOverFuzzCorpus) {
   const auto entries = fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
@@ -208,7 +165,7 @@ TEST(DecisionProbe, MatchesInlinerOverFuzzCorpus) {
   for (const auto& [name, prog] : entries) {
     for (std::size_t pi = 0; pi < params.size(); ++pi, ++i) {
       const auto& [oracle_name, oracle] = oracles[i % oracles.size()];
-      expect_probe_matches_inliner(prog, params[pi], oracle, opt::InlineLimits{},
+      expect_walks_splice(prog, params[pi], oracle, opt::InlineLimits{},
                                    name + "/params" + std::to_string(pi) + "/" + oracle_name);
     }
   }
@@ -219,7 +176,7 @@ TEST(DecisionProbe, MatchesInlinerOverFuzzCorpus) {
 
 // guard(n): pure six-instruction head, fat accumulation tail — the shape
 // partial inlining targets (same fixture as partial_inline_test.cpp). main
-// calls it twice so the probe must replay the splice, the residual stub
+// calls it twice so the walk must cover the splice, the residual stub
 // consultation and the structural refusal of the re-expanded stub.
 bc::Program make_guard_program() {
   bc::ProgramBuilder pb("partial", 0);
@@ -256,7 +213,7 @@ TEST(DecisionProbe, MatchesInlinerOverPartialSplices) {
     p.partial_max_head_size = head;
     for (std::size_t li = 0; li < limit_variants.size(); ++li) {
       const auto& [oracle_name, oracle] = oracles[(static_cast<std::size_t>(head / 8) + li) % oracles.size()];
-      expect_probe_matches_inliner(prog, p, oracle, limit_variants[li],
+      expect_walks_splice(prog, p, oracle, limit_variants[li],
                                    "partial_head" + std::to_string(head) + "/limits" +
                                        std::to_string(li) + "/" + oracle_name);
     }
@@ -399,6 +356,7 @@ TEST(DecisionSignature, EqualSignaturesImplyIdenticalOptimizedCode) {
   opt::SignatureOptions opts;
   opts.max_events = std::size_t{1} << 18;
 
+  const opt::ProbeFacts facts(prog);
   std::map<std::uint64_t, heur::InlineParams> by_sig;
   std::size_t aliased_pairs = 0;
   for (int c = 10; c <= 40; ++c) {
@@ -412,10 +370,9 @@ TEST(DecisionSignature, EqualSignaturesImplyIdenticalOptimizedCode) {
     const heur::JikesHeuristic h1(it->second);
     const heur::JikesHeuristic h2(p);
     for (const auto& [oracle_name, oracle] : oracles) {
-      const opt::Inliner i1(prog, h1, oracle);
-      const opt::Inliner i2(prog, h2, oracle);
       for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
-        EXPECT_EQ(i1.run(id).method, i2.run(id).method)
+        EXPECT_EQ(inline_body(prog, facts, h1, oracle, id).method,
+                  inline_body(prog, facts, h2, oracle, id).method)
             << "aliased params diverged: method " << prog.method(id).name() << " oracle "
             << oracle_name << " callee_max " << it->second.callee_max_size << " vs "
             << p.callee_max_size;

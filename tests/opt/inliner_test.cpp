@@ -1,6 +1,7 @@
 // Inliner correctness: the transformed body must verify and compute the
 // same values, call sites must disappear, and the structural guards
-// (recursion, depth, shape) must hold.
+// (recursion, depth, shape) must hold. Bodies are built the way the inline
+// pass builds them: DecisionProbe walks the method, the Inliner splices it.
 #include "opt/inliner.hpp"
 
 #include <gtest/gtest.h>
@@ -10,18 +11,28 @@
 #include "bytecode/size_estimator.hpp"
 #include "bytecode/verifier.hpp"
 #include "heuristics/heuristic.hpp"
+#include "opt/decision_probe.hpp"
 #include "testing.hpp"
 
 namespace ith::opt {
 namespace {
+
+/// Walks method `id` and splices the walk.
+AnnotatedMethod inline_body(const bc::Program& prog, bc::MethodId id,
+                            const heur::InlineHeuristic& h, InlineStats* stats = nullptr,
+                            InlineLimits limits = {}, SiteOracle oracle = cold_site) {
+  const ProbeFacts facts(prog);
+  VerdictTrace walk;
+  DecisionProbe(facts, h, std::move(oracle), limits).probe_method(id, walk);
+  return Inliner(prog).run(id, walk, stats);
+}
 
 /// Replaces method `id`'s body with the inlined version and returns the
 /// resulting runnable program.
 bc::Program with_inlined(const bc::Program& prog, bc::MethodId id,
                          const heur::InlineHeuristic& h, InlineStats* stats = nullptr,
                          InlineLimits limits = {}) {
-  const Inliner inliner(prog, h, cold_site, limits);
-  AnnotatedMethod am = inliner.run(id, stats);
+  AnnotatedMethod am = inline_body(prog, id, h, stats, limits);
   bc::Program out = prog;
   out.mutable_method(id) = am.method;
   return out;
@@ -135,8 +146,7 @@ TEST(Inliner, MultipleReturnsBecomeJumpsToLanding) {
   EXPECT_EQ(ith::test::run_exit_value(p), 30);
 
   heur::AlwaysInlineHeuristic h;
-  const Inliner inliner(p, h);
-  AnnotatedMethod am = inliner.run(p.entry());
+  AnnotatedMethod am = inline_body(p, p.entry(), h);
   bc::Program q = p;
   q.mutable_method(q.entry()) = am.method;
   bc::verify_program(q);
@@ -153,15 +163,12 @@ TEST(Inliner, HotOracleRoutesToFigure4) {
   heur::JikesHeuristic h(params);
 
   InlineStats cold_stats;
-  const Inliner cold(p, h);
-  cold.run(p.entry(), &cold_stats);
+  inline_body(p, p.entry(), h, &cold_stats);
   EXPECT_EQ(cold_stats.sites_inlined, 0u);
 
   InlineStats hot_stats;
-  const Inliner hot(p, h, [](bc::MethodId, std::int32_t) {
-    return SiteProfile{true, 1000};
-  });
-  hot.run(p.entry(), &hot_stats);
+  inline_body(p, p.entry(), h, &hot_stats, {},
+              [](bc::MethodId, std::int32_t) { return SiteProfile{true, 1000}; });
   EXPECT_EQ(hot_stats.sites_inlined, 1u);
 }
 

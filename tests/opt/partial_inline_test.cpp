@@ -118,8 +118,8 @@ TEST(PartialInline, ReportRecordsPartialOutcomes) {
   optimizer.optimize(p.find_method("main"), &report);
 
   std::size_t partial_rows = 0;
-  for (const InlineReportEntry& e : report) {
-    if (e.outcome != InlineReportEntry::Outcome::kPartial) continue;
+  for (const ProbeDecision& e : report) {
+    if (e.outcome != ProbeDecision::Outcome::kPartial) continue;
     ++partial_rows;
     EXPECT_EQ(e.callee, p.find_method("guard"));
     EXPECT_GT(e.head_size, 0);

@@ -9,11 +9,12 @@
 // promotions, hot-site trips, code installs); process 2 is the host
 // wall-clock timeline (optimizer passes, inlining decisions).
 //
-// The flags are declared once, in kFlags below; --help or any undeclared
-// flag prints the usage generated from them and exits 2 without running or
-// writing anything.
+// The flags are declared once, in kFlags below; --help, any undeclared flag,
+// or an --iterations or --partial value out of range prints the usage
+// generated from them and exits 2 without running or writing anything.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +36,7 @@ const std::vector<FlagSpec> kFlags = {
     {"workload", "NAME", "workload to run (default compress; see workloads/)"},
     {"scenario", "S", "adapt (default) or opt"},
     {"arch", "A", "x86 (default) or ppc"},
-    {"iterations", "N", "VM iterations (default 2)"},
+    {"iterations", "N", "VM iterations, 1 or more (default 2)"},
     {"trace", "PATH", "output file (default trace.json)"},
     {"trace-format", "F", "chrome (default) or jsonl"},
     {"trace-cats", "CSV", "category filter (default all)"},
@@ -43,8 +44,8 @@ const std::vector<FlagSpec> kFlags = {
      "print the structured inline report (every method\n"
      "compiled once through a cold-profile PassManager)"},
     {"partial", "N",
-     "PARTIAL_MAX_HEAD_SIZE for the report's heuristic\n"
-     "(default 0 = partial inlining off)"},
+     "PARTIAL_MAX_HEAD_SIZE for the report's heuristic,\n"
+     "within its tuning range (default 0 = partial inlining off)"},
 };
 
 }  // namespace
@@ -52,14 +53,23 @@ const std::vector<FlagSpec> kFlags = {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
-    if (!cli.only_declared(kFlags)) {
+    const auto usage = [] {
       std::cerr << usage_text("trace_vm", kFlags);
       return 2;
+    };
+    if (!cli.only_declared(kFlags)) return usage();
+    const std::int64_t iterations = cli.get_int_or("iterations", 2);
+    const std::int64_t partial =
+        cli.get_int_or("partial", heur::default_params().partial_max_head_size);
+    // PARTIAL_MAX_HEAD_SIZE is the last gene.
+    const heur::ParamRange& partial_range = heur::param_ranges().back();
+    if (iterations < 1 || iterations > std::numeric_limits<int>::max() ||
+        partial < partial_range.lo || partial > partial_range.hi) {
+      return usage();
     }
     const std::string workload = cli.get_or("workload", "compress");
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
-    const int iterations = static_cast<int>(cli.get_int_or("iterations", 2));
     const std::string path = cli.get_or("trace", "trace.json");
     const std::string format = cli.get_or("trace-format", "chrome");
     const std::uint32_t cats = obs::category_mask_from_string(cli.get_or("trace-cats", "all"));
@@ -86,7 +96,7 @@ int main(int argc, char** argv) {
     cfg.obs = &ctx;
 
     vm::VirtualMachine machine_vm(w.program, machine, heuristic, cfg);
-    const vm::RunResult rr = machine_vm.run(iterations);
+    const vm::RunResult rr = machine_vm.run(static_cast<int>(iterations));
     ctx.flush();
     sink.reset();  // chrome sink closes its JSON array here
 
@@ -107,8 +117,7 @@ int main(int argc, char** argv) {
       // through a fresh PassManager (profiles from the traced run above do
       // not apply — the report is a static what-would-the-inliner-do dump).
       heur::InlineParams p = heur::default_params();
-      p.partial_max_head_size =
-          static_cast<int>(cli.get_int_or("partial", p.partial_max_head_size));
+      p.partial_max_head_size = static_cast<int>(partial);
       heur::JikesHeuristic h(p);
       opt::PassManager pm(w.program, h);
       opt::InlineReport report;
