@@ -5,29 +5,16 @@
 #include "resilience/budget.hpp"
 #include "support/error.hpp"
 
-// Dispatch strategy: computed goto (direct threading) on compilers that
-// support the labels-as-values extension, dense switch otherwise. Override
-// with -DITH_COMPUTED_GOTO=0 to force the portable fallback.
-#ifndef ITH_COMPUTED_GOTO
-#if defined(__GNUC__) || defined(__clang__)
-#define ITH_COMPUTED_GOTO 1
-#else
-#define ITH_COMPUTED_GOTO 0
+// Dispatch is direct threading by computed goto. Labels-as-values is a GNU
+// extension that GCC and Clang (the toolchains of this POSIX-only build)
+// both provide; the reference engine is the portable switch-dispatch oracle.
+#ifndef __GNUC__
+#error "the fast engine dispatches by computed goto: build with GCC or Clang"
 #endif
-#endif
-
-#if ITH_COMPUTED_GOTO && defined(__GNUC__)
-// Labels-as-values and computed goto are GNU extensions.
 #pragma GCC diagnostic ignored "-Wpedantic"
-#endif
 
-#if defined(__GNUC__) || defined(__clang__)
 #define ITH_ALWAYS_INLINE __attribute__((always_inline))
 #define ITH_LIKELY(x) __builtin_expect(!!(x), 1)
-#else
-#define ITH_ALWAYS_INLINE
-#define ITH_LIKELY(x) (x)
-#endif
 
 namespace ith::rt {
 
@@ -56,7 +43,7 @@ PredecodedBody& FastInterpreter::body_for(const CompiledMethod& cm) {
 
 PredecodedBody& FastInterpreter::attach(const CompiledMethod& cm, const void* const* labels) {
   PredecodedBody& body = body_for(cm);
-  if (labels != nullptr && !body.threaded) {
+  if (!body.threaded) {
     for (PredecodedInsn& pi : body.code) pi.target = labels[static_cast<int>(pi.xop)];
     body.threaded = true;
   }
@@ -149,8 +136,7 @@ ExecStats FastInterpreter::run() {
       options_.max_instructions == ~0ULL ? ~0ULL : options_.max_instructions + 1;
   std::uint64_t remaining = budget_steps;
 
-#if ITH_COMPUTED_GOTO
-  static_assert(kNumXOps == 101, "update kLabels when the extended instruction set changes");
+  static_assert(kNumXOps == 64, "update kLabels when the extended instruction set changes");
   static const void* const kLabels[kNumXOps] = {
       // bc::Op mirror region (unfused dispatch)
       &&lbl_kConst, &&lbl_kLoad,  &&lbl_kStore, &&lbl_kAdd,    &&lbl_kSub,  &&lbl_kMul,
@@ -158,26 +144,14 @@ ExecStats FastInterpreter::run() {
       &&lbl_kCmpNe, &&lbl_kJmp,   &&lbl_kJz,    &&lbl_kJnz,    &&lbl_kCall, &&lbl_kRet,
       &&lbl_kGLoad, &&lbl_kGStore, &&lbl_kPop,  &&lbl_kNop,    &&lbl_kHalt,
       // fused superinstructions
-      &&lbl_kFConstAdd, &&lbl_kFConstSub, &&lbl_kFConstMul,
-      &&lbl_kFLoadLoadAdd, &&lbl_kFLoadLoadSub, &&lbl_kFLoadLoadMul,
-      &&lbl_kFCmpLtJz, &&lbl_kFCmpLtJnz, &&lbl_kFCmpLeJz, &&lbl_kFCmpLeJnz,
-      &&lbl_kFCmpEqJz, &&lbl_kFCmpEqJnz, &&lbl_kFCmpNeJz, &&lbl_kFCmpNeJnz,
-      &&lbl_kFLoadConstCmpLtJz, &&lbl_kFLoadConstCmpLtJnz,
-      &&lbl_kFLoadConstCmpLeJz, &&lbl_kFLoadConstCmpLeJnz,
-      &&lbl_kFLoadConstCmpEqJz, &&lbl_kFLoadConstCmpEqJnz,
-      &&lbl_kFLoadConstCmpNeJz, &&lbl_kFLoadConstCmpNeJnz,
       &&lbl_kFRetChained,
-      // immediate-operand fused forms
       &&lbl_kFAddImm, &&lbl_kFSubImm, &&lbl_kFMulImm,
       &&lbl_kFLoadLoadAddImm, &&lbl_kFLoadLoadSubImm, &&lbl_kFLoadLoadMulImm,
-      &&lbl_kFCmpLtJzImm, &&lbl_kFCmpLtJnzImm, &&lbl_kFCmpLeJzImm, &&lbl_kFCmpLeJnzImm,
-      &&lbl_kFCmpEqJzImm, &&lbl_kFCmpEqJnzImm, &&lbl_kFCmpNeJzImm, &&lbl_kFCmpNeJnzImm,
-      &&lbl_kFLoadConstCmpLtJzImm, &&lbl_kFLoadConstCmpLtJnzImm,
-      &&lbl_kFLoadConstCmpLeJzImm, &&lbl_kFLoadConstCmpLeJnzImm,
-      &&lbl_kFLoadConstCmpEqJzImm, &&lbl_kFLoadConstCmpEqJnzImm,
-      &&lbl_kFLoadConstCmpNeJzImm, &&lbl_kFLoadConstCmpNeJnzImm,
+      &&lbl_kFCmpLtJzImm, &&lbl_kFCmpLeJzImm, &&lbl_kFCmpNeJzImm,
+      &&lbl_kFLoadConstCmpLtJzImm, &&lbl_kFLoadConstCmpLeJzImm, &&lbl_kFLoadConstCmpLeJnzImm,
+      &&lbl_kFLoadConstCmpEqJzImm, &&lbl_kFLoadConstCmpNeJzImm,
       &&lbl_kFIncLocal, &&lbl_kFDecLocal,
-      // statement forms (all immediate-only)
+      // statement forms
       &&lbl_kFLoadAddK, &&lbl_kFLoadSubK, &&lbl_kFLoadMulK, &&lbl_kFLoadDivK,
       &&lbl_kFLoadModK,
       &&lbl_kFLocAddK, &&lbl_kFLocSubK, &&lbl_kFLocMulK, &&lbl_kFLocDivK,
@@ -187,9 +161,7 @@ ExecStats FastInterpreter::run() {
       &&lbl_kFModStore,
       &&lbl_kFCopyLocal, &&lbl_kFConstStore, &&lbl_kFGLoadK,
       &&lbl_kFDivImm, &&lbl_kFModImm,
-      &&lbl_kFKCmpLtJz, &&lbl_kFKCmpLtJnz, &&lbl_kFKCmpLeJz, &&lbl_kFKCmpLeJnz,
-      &&lbl_kFKCmpEqJz, &&lbl_kFKCmpEqJnz, &&lbl_kFKCmpNeJz, &&lbl_kFKCmpNeJnz};
-#endif
+      &&lbl_kFKCmpEqJz};
 
   // Current-frame state, mirrored from frames_.back() into locals so the
   // dispatch loop touches no vector bookkeeping. Kept deliberately small —
@@ -201,17 +173,12 @@ ExecStats FastInterpreter::run() {
   std::int64_t* loc = nullptr;
   std::int64_t* stk = stack_.data();
   std::size_t sp = 0;
-  // The current body's operand side-pool base: immediate fused heads index
-  // it by their 16-bit handle, so their handlers read nothing but the head
+  // The current body's operand side-pool base: fused heads index it by
+  // their 16-bit handle, so their handlers read nothing but the head
   // entry and one pool record. Reloaded wherever ip changes bodies (call,
   // return, OSR) — same discipline as loc.
   const FusedWindow* pool = nullptr;
 
-#if ITH_COMPUTED_GOTO
-  const void* const* const labels = kLabels;
-#else
-  const void* const* const labels = nullptr;
-#endif
   osr_failed_from_ = nullptr;
   osr_failed_to_ = nullptr;
 
@@ -222,10 +189,10 @@ ExecStats FastInterpreter::run() {
   // probe as the reference engine's exact byte address. Must inline into
   // every handler tail: called once per dynamic instruction, and GCC's
   // many-call-sites heuristic otherwise outlines it into a real call.
-  // `account_at` is the raw (cost, line) form so immediate fused handlers
-  // can feed it from their side-pool record — same probe, same IEEE
-  // addition, same budget decrement as accounting the interior entry would
-  // have been, without the interior cache-line touch.
+  // `account_at` is the raw (cost, line) form so fused handlers can feed it
+  // from their side-pool record — same probe, same IEEE addition, same
+  // budget decrement as accounting the interior entry would have been,
+  // without the interior cache-line touch.
   auto account_at = [&](double cost, std::uint64_t line) ITH_ALWAYS_INLINE {
     if (ic != nullptr && line != current_line) {
       current_line = line;
@@ -246,15 +213,13 @@ ExecStats FastInterpreter::run() {
                      ITH_ALWAYS_INLINE { account_at(pi.base_cost, pi.line); };
 
   {
-    const EnterState st = call_into(prog_.entry(), 0, sp, stats, labels);
+    const EnterState st = call_into(prog_.entry(), 0, sp, stats, kLabels);
     ip = st.ip;
     loc = st.loc;
     stk = st.stk;
     sp = st.sp;
     pool = st.pool;
   }
-
-#if ITH_COMPUTED_GOTO
 
 #define ITH_CASE(op) lbl_##op:
 #define ITH_DISPATCH()                     \
@@ -270,35 +235,14 @@ ExecStats FastInterpreter::run() {
 
   ITH_DISPATCH();
 
-#else  // dense-switch fallback
-
-#define ITH_CASE(op) case XOp::op:
-#define ITH_DISPATCH() continue
-#define ITH_NEXT() \
-  {                \
-    ++ip;          \
-    continue;      \
-  }
-
-  for (;;) {
-    account(*ip);
-    switch (ip->xop) {
-
-#endif  // ITH_COMPUTED_GOTO
-
-// Taken-branch tail shared by the plain jump handlers and every fused
-// cmp+branch form. The branch component's pc is ip[OFF] (OFF > 0 when a
-// fused head carries a trailing branch component) and DELTA is its
-// pc-relative jump delta — read from the interior entry by the plain
-// forms, passed as a captured value (head `b` slot or side-pool `extra`)
-// by the immediate forms, which is why the delta is a macro parameter and
-// the target is computed by pointer arithmetic alone. A non-positive delta
-// is a back edge — profile tick plus OSR window — exactly as in the
-// reference engine.
-//
-// Plain block, NOT do{}while(0): in dense-switch mode ITH_DISPATCH() is a
-// `continue` that must reach the dispatch for-loop — a do-while wrapper
-// would swallow it and fall out of the macro into the next case label.
+// Taken-branch tail shared by the jump handlers and every fused cmp+branch
+// form. The branch component's pc is ip[OFF] (OFF > 0 when a fused head
+// carries a trailing branch component) and DELTA is its pc-relative jump
+// delta — read from the entry itself by the jump handlers, passed as a
+// captured value (head `b` slot or side-pool `extra`) by the fused forms,
+// which is why the delta is a macro parameter and the target is computed
+// by pointer arithmetic alone. A non-positive delta is a back edge —
+// profile tick plus OSR window — exactly as in the reference engine.
 #define ITH_TAKEN_BRANCH_D(OFF, DELTA)                                         \
   {                                                                            \
     const std::int32_t d = (DELTA);                                            \
@@ -308,7 +252,7 @@ ExecStats FastInterpreter::run() {
       const auto target =                                                      \
           static_cast<std::size_t>(((ip + (OFF)) - body.code.data()) + d);     \
       EnterState st;                                                           \
-      if (try_osr(target, sp, stats, labels, st)) {                            \
+      if (try_osr(target, sp, stats, kLabels, st)) {                           \
         ip = st.ip;                                                            \
         loc = st.loc;                                                          \
         stk = st.stk;                                                          \
@@ -418,7 +362,7 @@ ExecStats FastInterpreter::run() {
           source_.on_call_site(om, opc);
         }
         fr.resume = ip + 1;  // return address
-        const EnterState st = call_into(ip->a, ip->b, sp, stats, labels);
+        const EnterState st = call_into(ip->a, ip->b, sp, stats, kLabels);
         ip = st.ip;
         loc = st.loc;
         stk = st.stk;
@@ -491,110 +435,17 @@ ExecStats FastInterpreter::run() {
       //
       // Cost-conservation rule: the dispatch that reached a fused head has
       // already accounted the head; the handler accounts every remaining
-      // component with the SAME account() call, in original program order,
-      // before using its operands. Cycles therefore accumulate in the exact
-      // IEEE addition order of the unfused stream, icache lines are probed
-      // per component, and the budget countdown throws at the identical
-      // instruction — the fused win is eliminated dispatch and operand-stack
-      // traffic, never skipped accounting.
-
-// Like ITH_TAKEN_BRANCH these are plain blocks so dense-switch mode's
-// `continue` dispatch reaches the for-loop instead of a do-while wrapper.
-#define ITH_FUSED_CMP_BRANCH(CMP, TAKEN_ON)                               \
-  {                                                                       \
-    account(ip[1]);                                                       \
-    sp -= 2;                                                              \
-    if ((stk[sp] CMP stk[sp + 1]) == (TAKEN_ON)) ITH_TAKEN_BRANCH(1);     \
-    ip += 2;                                                              \
-    ITH_DISPATCH();                                                       \
-  }
-
-#define ITH_FUSED_GUARD(CMP, TAKEN_ON)                                    \
-  {                                                                       \
-    account(ip[1]);                                                       \
-    account(ip[2]);                                                       \
-    account(ip[3]);                                                       \
-    if ((loc[ip->a] CMP static_cast<std::int64_t>(ip[1].a)) == (TAKEN_ON)) \
-      ITH_TAKEN_BRANCH(3);                                                \
-    ip += 4;                                                              \
-    ITH_DISPATCH();                                                       \
-  }
-
-      ITH_CASE(kFConstAdd) {
-        account(ip[1]);
-        stk[sp - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(stk[sp - 1]) +
-                                                static_cast<std::uint64_t>(ip->a));
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFConstSub) {
-        account(ip[1]);
-        stk[sp - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(stk[sp - 1]) -
-                                                static_cast<std::uint64_t>(ip->a));
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFConstMul) {
-        account(ip[1]);
-        stk[sp - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(stk[sp - 1]) *
-                                                static_cast<std::uint64_t>(ip->a));
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadAdd) {
-        account(ip[1]);
-        account(ip[2]);
-        stk[sp++] = static_cast<std::int64_t>(static_cast<std::uint64_t>(loc[ip->a]) +
-                                              static_cast<std::uint64_t>(loc[ip[1].a]));
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadSub) {
-        account(ip[1]);
-        account(ip[2]);
-        stk[sp++] = static_cast<std::int64_t>(static_cast<std::uint64_t>(loc[ip->a]) -
-                                              static_cast<std::uint64_t>(loc[ip[1].a]));
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadMul) {
-        account(ip[1]);
-        account(ip[2]);
-        stk[sp++] = static_cast<std::int64_t>(static_cast<std::uint64_t>(loc[ip->a]) *
-                                              static_cast<std::uint64_t>(loc[ip[1].a]));
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      // A kJz takes when the comparison was false, a kJnz when it was true.
-      ITH_CASE(kFCmpLtJz) { ITH_FUSED_CMP_BRANCH(<, false); }
-      ITH_CASE(kFCmpLtJnz) { ITH_FUSED_CMP_BRANCH(<, true); }
-      ITH_CASE(kFCmpLeJz) { ITH_FUSED_CMP_BRANCH(<=, false); }
-      ITH_CASE(kFCmpLeJnz) { ITH_FUSED_CMP_BRANCH(<=, true); }
-      ITH_CASE(kFCmpEqJz) { ITH_FUSED_CMP_BRANCH(==, false); }
-      ITH_CASE(kFCmpEqJnz) { ITH_FUSED_CMP_BRANCH(==, true); }
-      ITH_CASE(kFCmpNeJz) { ITH_FUSED_CMP_BRANCH(!=, false); }
-      ITH_CASE(kFCmpNeJnz) { ITH_FUSED_CMP_BRANCH(!=, true); }
-      // The 4-long while-guard form never touches the operand stack: the
-      // comparison reads the local and the immediate directly, and the two
-      // transient pushes of the unfused form were dead on both paths.
-      ITH_CASE(kFLoadConstCmpLtJz) { ITH_FUSED_GUARD(<, false); }
-      ITH_CASE(kFLoadConstCmpLtJnz) { ITH_FUSED_GUARD(<, true); }
-      ITH_CASE(kFLoadConstCmpLeJz) { ITH_FUSED_GUARD(<=, false); }
-      ITH_CASE(kFLoadConstCmpLeJnz) { ITH_FUSED_GUARD(<=, true); }
-      ITH_CASE(kFLoadConstCmpEqJz) { ITH_FUSED_GUARD(==, false); }
-      ITH_CASE(kFLoadConstCmpEqJnz) { ITH_FUSED_GUARD(==, true); }
-      ITH_CASE(kFLoadConstCmpNeJz) { ITH_FUSED_GUARD(!=, false); }
-      ITH_CASE(kFLoadConstCmpNeJnz) { ITH_FUSED_GUARD(!=, true); }
-
-      // ---- immediate-operand fused forms ----
-      //
-      // Same cost-conservation rule as above, but the per-component
-      // accounting data comes from the window's side-pool record and the
-      // operands from the head's own slots: a fused dispatch touches the
-      // 40-byte head entry plus one pool record, never the interiors. The
-      // interiors still exist with their mirror xops for control transfers
-      // landing mid-window — they are retired from the hot path, not from
-      // the body.
+      // component, in original program order, before using its operands.
+      // The per-component accounting data comes from the window's side-pool
+      // record and the operands from the head's own slots: a fused dispatch
+      // touches the 40-byte head entry plus one pool record, never the
+      // interiors. Cycles therefore accumulate in the exact IEEE addition
+      // order of the unfused stream, icache lines are probed per component,
+      // and the budget countdown throws at the identical instruction — the
+      // fused win is eliminated dispatch and operand-stack traffic, never
+      // skipped accounting. The interiors still exist with their mirror xops
+      // for control transfers landing mid-window: they are retired from the
+      // hot path, not from the body.
 
 // Batched window accounting. Within a captured window every icache-probe
 // decision is static: after component k-1's account the running line IS
@@ -603,7 +454,7 @@ ExecStats FastInterpreter::run() {
 // also cannot trip inside the window (remaining > N), accounting reduces to
 // N bare cost additions — applied to `cycles` one at a time, in the same
 // IEEE order account_at would — plus ONE budget decrement. This batch is
-// where the immediate forms beat the serial probe/trap-checked chain. Any
+// where the fused forms beat the serial probe/trap-checked chain. Any
 // other case takes the exact per-component path, so probes, cycle streams,
 // and the budget trip point stay bit-identical to unfused execution.
 #define ITH_ACCOUNT_WINDOW_1(W)                                                \
@@ -654,7 +505,7 @@ ExecStats FastInterpreter::run() {
        : (L) / (R))
 #define ITH_TOTAL_MOD(L, R) (((R) == 0 || (R) == -1) ? 0 : (L) % (R))
 
-#define ITH_FUSED_CMP_BRANCH_IMM(CMP, TAKEN_ON)                             \
+#define ITH_FUSED_CMP_BRANCH(CMP, TAKEN_ON)                                 \
   {                                                                         \
     const FusedWindow& w = pool[ip->imm];                                   \
     ITH_ACCOUNT_WINDOW_1(w);                                                \
@@ -664,26 +515,13 @@ ExecStats FastInterpreter::run() {
     ITH_DISPATCH();                                                         \
   }
 
-#define ITH_FUSED_GUARD_IMM(CMP, TAKEN_ON)                                  \
+#define ITH_FUSED_GUARD(CMP, TAKEN_ON)                                      \
   {                                                                         \
     const FusedWindow& w = pool[ip->imm];                                   \
     ITH_ACCOUNT_WINDOW_3(w);                                                \
     if ((loc[ip->a] CMP static_cast<std::int64_t>(ip->b)) == (TAKEN_ON))    \
       ITH_TAKEN_BRANCH_D(3, w.extra);                                       \
     ip += 4;                                                                \
-    ITH_DISPATCH();                                                         \
-  }
-
-// `const k; cmp; branch` with the selector already on the stack: pop it,
-// compare against the head's own operand, branch by the captured delta.
-#define ITH_FUSED_K_CMP_BRANCH(CMP, TAKEN_ON)                               \
-  {                                                                         \
-    const FusedWindow& w = pool[ip->imm];                                   \
-    ITH_ACCOUNT_WINDOW_2(w);                                                \
-    --sp;                                                                   \
-    if ((stk[sp] CMP static_cast<std::int64_t>(ip->a)) == (TAKEN_ON))       \
-      ITH_TAKEN_BRANCH_D(2, ip->b);                                         \
-    ip += 3;                                                                \
     ITH_DISPATCH();                                                         \
   }
 
@@ -729,22 +567,18 @@ ExecStats FastInterpreter::run() {
         ip += 3;
         ITH_DISPATCH();
       }
-      ITH_CASE(kFCmpLtJzImm) { ITH_FUSED_CMP_BRANCH_IMM(<, false); }
-      ITH_CASE(kFCmpLtJnzImm) { ITH_FUSED_CMP_BRANCH_IMM(<, true); }
-      ITH_CASE(kFCmpLeJzImm) { ITH_FUSED_CMP_BRANCH_IMM(<=, false); }
-      ITH_CASE(kFCmpLeJnzImm) { ITH_FUSED_CMP_BRANCH_IMM(<=, true); }
-      ITH_CASE(kFCmpEqJzImm) { ITH_FUSED_CMP_BRANCH_IMM(==, false); }
-      ITH_CASE(kFCmpEqJnzImm) { ITH_FUSED_CMP_BRANCH_IMM(==, true); }
-      ITH_CASE(kFCmpNeJzImm) { ITH_FUSED_CMP_BRANCH_IMM(!=, false); }
-      ITH_CASE(kFCmpNeJnzImm) { ITH_FUSED_CMP_BRANCH_IMM(!=, true); }
-      ITH_CASE(kFLoadConstCmpLtJzImm) { ITH_FUSED_GUARD_IMM(<, false); }
-      ITH_CASE(kFLoadConstCmpLtJnzImm) { ITH_FUSED_GUARD_IMM(<, true); }
-      ITH_CASE(kFLoadConstCmpLeJzImm) { ITH_FUSED_GUARD_IMM(<=, false); }
-      ITH_CASE(kFLoadConstCmpLeJnzImm) { ITH_FUSED_GUARD_IMM(<=, true); }
-      ITH_CASE(kFLoadConstCmpEqJzImm) { ITH_FUSED_GUARD_IMM(==, false); }
-      ITH_CASE(kFLoadConstCmpEqJnzImm) { ITH_FUSED_GUARD_IMM(==, true); }
-      ITH_CASE(kFLoadConstCmpNeJzImm) { ITH_FUSED_GUARD_IMM(!=, false); }
-      ITH_CASE(kFLoadConstCmpNeJnzImm) { ITH_FUSED_GUARD_IMM(!=, true); }
+      // A kJz takes when the comparison was false, a kJnz when it was true.
+      ITH_CASE(kFCmpLtJzImm) { ITH_FUSED_CMP_BRANCH(<, false); }
+      ITH_CASE(kFCmpLeJzImm) { ITH_FUSED_CMP_BRANCH(<=, false); }
+      ITH_CASE(kFCmpNeJzImm) { ITH_FUSED_CMP_BRANCH(!=, false); }
+      // The 4-long while-guard form never touches the operand stack: the
+      // comparison reads the local and the captured bound directly, and the
+      // two transient pushes of the unfused form were dead on both paths.
+      ITH_CASE(kFLoadConstCmpLtJzImm) { ITH_FUSED_GUARD(<, false); }
+      ITH_CASE(kFLoadConstCmpLeJzImm) { ITH_FUSED_GUARD(<=, false); }
+      ITH_CASE(kFLoadConstCmpLeJnzImm) { ITH_FUSED_GUARD(<=, true); }
+      ITH_CASE(kFLoadConstCmpEqJzImm) { ITH_FUSED_GUARD(==, false); }
+      ITH_CASE(kFLoadConstCmpNeJzImm) { ITH_FUSED_GUARD(!=, false); }
       // The counted-loop increment/decrement: loc[a] op= b with zero
       // operand-stack traffic. Accounting order (load, const, arith) runs
       // before the store's account, and the local is only written after all
@@ -961,19 +795,16 @@ ExecStats FastInterpreter::run() {
         ip += 2;
         ITH_DISPATCH();
       }
-      ITH_CASE(kFKCmpLtJz) { ITH_FUSED_K_CMP_BRANCH(<, false); }
-      ITH_CASE(kFKCmpLtJnz) { ITH_FUSED_K_CMP_BRANCH(<, true); }
-      ITH_CASE(kFKCmpLeJz) { ITH_FUSED_K_CMP_BRANCH(<=, false); }
-      ITH_CASE(kFKCmpLeJnz) { ITH_FUSED_K_CMP_BRANCH(<=, true); }
-      ITH_CASE(kFKCmpEqJz) { ITH_FUSED_K_CMP_BRANCH(==, false); }
-      ITH_CASE(kFKCmpEqJnz) { ITH_FUSED_K_CMP_BRANCH(==, true); }
-      ITH_CASE(kFKCmpNeJz) { ITH_FUSED_K_CMP_BRANCH(!=, false); }
-      ITH_CASE(kFKCmpNeJnz) { ITH_FUSED_K_CMP_BRANCH(!=, true); }
-
-#if !ITH_COMPUTED_GOTO
-    }  // switch: every case dispatches or exits, control never falls out
-  }
-#endif
+      // `const k; cmpeq; jz` with the selector already on the stack: pop it,
+      // compare against the head's own operand, branch by the captured delta.
+      ITH_CASE(kFKCmpEqJz) {
+        const FusedWindow& w = pool[ip->imm];
+        ITH_ACCOUNT_WINDOW_2(w);
+        --sp;
+        if (stk[sp] != static_cast<std::int64_t>(ip->a)) ITH_TAKEN_BRANCH_D(2, ip->b);
+        ip += 3;
+        ITH_DISPATCH();
+      }
 
 done:
   stats.instructions = budget_steps - remaining;
@@ -988,9 +819,6 @@ done:
 #undef ITH_TAKEN_BRANCH_D
 #undef ITH_FUSED_CMP_BRANCH
 #undef ITH_FUSED_GUARD
-#undef ITH_FUSED_CMP_BRANCH_IMM
-#undef ITH_FUSED_GUARD_IMM
-#undef ITH_FUSED_K_CMP_BRANCH
 #undef ITH_ACCOUNT_WINDOW_1
 #undef ITH_ACCOUNT_WINDOW_2
 #undef ITH_ACCOUNT_WINDOW_3

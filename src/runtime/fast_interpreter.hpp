@@ -7,8 +7,8 @@
 //   * each CompiledMethod is predecoded once (predecode.hpp) into a dense
 //     stream of {dispatch target, pre-folded cycle cost, icache line/addr,
 //     operands} — the hot loop does no op_info() lookup and no divisions;
-//   * dispatch is direct-threaded via computed goto on GCC/Clang (dense
-//     switch fallback when ITH_COMPUTED_GOTO is 0);
+//   * dispatch is direct-threaded via computed goto (labels-as-values, a
+//     GCC/Clang extension), over one fused opcode per fusion rule;
 //   * the frame / locals / operand-stack arenas are members reused across
 //     run() calls, so repeated VirtualMachine::run iterations allocate
 //     nothing on the hot path.
@@ -60,15 +60,15 @@ class FastInterpreter final : public Engine {
     std::int64_t* loc;
     std::int64_t* stk;
     std::size_t sp;
-    /// The entered body's operand side-pool base (immediate fused forms
-    /// index it by the head's 16-bit handle). Mirrored into the dispatch
-    /// loop alongside ip/loc so imm handlers reach their window in one
-    /// indexed load instead of chasing frames_.back().pb.
+    /// The entered body's operand side-pool base (fused heads index it by
+    /// their 16-bit handle). Mirrored into the dispatch loop alongside
+    /// ip/loc so fused handlers reach their window in one indexed load
+    /// instead of chasing frames_.back().pb.
     const FusedWindow* pool;
   };
 
   /// body_for + lazy threading: fills dispatch targets from `labels`
-  /// (the run() loop's label table; null in dense-switch mode).
+  /// (the run() loop's label table).
   PredecodedBody& attach(const CompiledMethod& cm, const void* const* labels);
 
   /// Invokes `id`, pops `nargs` arguments into the callee's locals, pushes

@@ -109,7 +109,7 @@ struct InterpreterOptions {
   /// Superinstruction fusion policy for the fast engine (the reference
   /// engine never fuses — it is the unfused ground truth). Defaults to the
   /// ITH_FUSION environment variable so ITH_FUSION=0 is a no-rebuild escape
-  /// hatch mirroring ITH_COMPUTED_GOTO=0.
+  /// hatch.
   FusionPolicy fusion = default_fusion_policy();
 };
 

@@ -9,7 +9,7 @@
 namespace ith::rt {
 
 // The XOp mirror region must stay numerically identical to bc::Op: unfused
-// entries are threaded through labels[int(xop)] and dense-switched on xop.
+// entries are threaded through labels[int(xop)].
 static_assert(static_cast<int>(XOp::kConst) == static_cast<int>(bc::Op::kConst) &&
                   static_cast<int>(XOp::kJmp) == static_cast<int>(bc::Op::kJmp) &&
                   static_cast<int>(XOp::kRet) == static_cast<int>(bc::Op::kRet) &&
@@ -42,169 +42,112 @@ const std::vector<FusionRule>& fusion_rules() {
   // except as the designated final component), which is what makes the
   // head-executes-all rewrite safe.
   //
-  // Row shape: {name, len, rewrite_at, fused (pool-less fallback),
-  // fused_imm, capture_b, capture_extra, require_same_a, pattern}. The
-  // capture descriptors are what "operand capture as data" means: the scan
-  // copies component[capture_b].a into the head's b slot and
-  // component[capture_extra].a into the window's extra slot; -1 captures
-  // nothing. Branch deltas are already pc-relative to the branch's own pc,
-  // so a captured delta plus the head-relative component offset is enough
-  // for the handler to compute the taken target without any interior read.
+  // Row shape: {name, len, rewrite_at, fused, capture_b, capture_extra,
+  // require_same_a, pattern}. The capture descriptors are what "operand
+  // capture as data" means: the scan copies component[capture_b].a into the
+  // head's b slot and component[capture_extra].a into the window's extra
+  // slot; -1 captures nothing. Branch deltas are already pc-relative to the
+  // branch's own pc, so a captured delta plus the head-relative component
+  // offset is enough for the handler to compute the taken target without
+  // any interior read.
+  //
+  // Only patterns that some benchmarked body contains have a row (DESIGN.md
+  // §14 names the runs counted): a rule that never matches only costs scan
+  // time, an XOp and a handler.
   static const std::vector<FusionRule> kRules = {
-      {"load_const_cmplt_jz", 4, 0, XOp::kFLoadConstCmpLtJz, XOp::kFLoadConstCmpLtJzImm, 1, 3, -1,
+      {"load_const_cmplt_jz", 4, 0, XOp::kFLoadConstCmpLtJzImm, 1, 3, -1,
        {Op::kLoad, Op::kConst, Op::kCmpLt, Op::kJz}},
-      {"load_const_cmplt_jnz", 4, 0, XOp::kFLoadConstCmpLtJnz, XOp::kFLoadConstCmpLtJnzImm, 1, 3,
-       -1, {Op::kLoad, Op::kConst, Op::kCmpLt, Op::kJnz}},
-      {"load_const_cmple_jz", 4, 0, XOp::kFLoadConstCmpLeJz, XOp::kFLoadConstCmpLeJzImm, 1, 3, -1,
+      {"load_const_cmple_jz", 4, 0, XOp::kFLoadConstCmpLeJzImm, 1, 3, -1,
        {Op::kLoad, Op::kConst, Op::kCmpLe, Op::kJz}},
-      {"load_const_cmple_jnz", 4, 0, XOp::kFLoadConstCmpLeJnz, XOp::kFLoadConstCmpLeJnzImm, 1, 3,
-       -1, {Op::kLoad, Op::kConst, Op::kCmpLe, Op::kJnz}},
-      {"load_const_cmpeq_jz", 4, 0, XOp::kFLoadConstCmpEqJz, XOp::kFLoadConstCmpEqJzImm, 1, 3, -1,
+      {"load_const_cmple_jnz", 4, 0, XOp::kFLoadConstCmpLeJnzImm, 1, 3, -1,
+       {Op::kLoad, Op::kConst, Op::kCmpLe, Op::kJnz}},
+      {"load_const_cmpeq_jz", 4, 0, XOp::kFLoadConstCmpEqJzImm, 1, 3, -1,
        {Op::kLoad, Op::kConst, Op::kCmpEq, Op::kJz}},
-      {"load_const_cmpeq_jnz", 4, 0, XOp::kFLoadConstCmpEqJnz, XOp::kFLoadConstCmpEqJnzImm, 1, 3,
-       -1, {Op::kLoad, Op::kConst, Op::kCmpEq, Op::kJnz}},
-      {"load_const_cmpne_jz", 4, 0, XOp::kFLoadConstCmpNeJz, XOp::kFLoadConstCmpNeJzImm, 1, 3, -1,
+      {"load_const_cmpne_jz", 4, 0, XOp::kFLoadConstCmpNeJzImm, 1, 3, -1,
        {Op::kLoad, Op::kConst, Op::kCmpNe, Op::kJz}},
-      {"load_const_cmpne_jnz", 4, 0, XOp::kFLoadConstCmpNeJnz, XOp::kFLoadConstCmpNeJnzImm, 1, 3,
-       -1, {Op::kLoad, Op::kConst, Op::kCmpNe, Op::kJnz}},
       // The counted-loop increment idiom: load/store must hit the same
       // local (require_same_a = component 3), collapsing three dispatches
-      // and two stack round-trips into `loc[a] += b`. Imm-only — there is
-      // no plain fused form to fall back to, so a pool overflow leaves the
-      // window unfused and the scan picks up the embedded const_add.
-      {"inc_local", 4, 0, XOp::kNop, XOp::kFIncLocal, 1, -1, 3,
-       {Op::kLoad, Op::kConst, Op::kAdd, Op::kStore}},
-      {"dec_local", 4, 0, XOp::kNop, XOp::kFDecLocal, 1, -1, 3,
-       {Op::kLoad, Op::kConst, Op::kSub, Op::kStore}},
+      // and two stack round-trips into `loc[a] += b`. A same-slot miss falls
+      // through to the general assignment rules below.
+      {"inc_local", 4, 0, XOp::kFIncLocal, 1, -1, 3, {Op::kLoad, Op::kConst, Op::kAdd, Op::kStore}},
+      {"dec_local", 4, 0, XOp::kFDecLocal, 1, -1, 3, {Op::kLoad, Op::kConst, Op::kSub, Op::kStore}},
       // Whole assignment statements, `loc[extra] = loc[a] op k` and
       // `loc[extra] = loc[a] op loc[b]`. These are what the workload
       // generator emits for every scalar statement, so they carry most of
-      // the dynamic dispatch count in the serving/spec bodies. All imm-only:
-      // two head slots plus the window's extra cover the three operands.
-      {"loc_add_k", 4, 0, XOp::kNop, XOp::kFLocAddK, 1, 3, -1,
-       {Op::kLoad, Op::kConst, Op::kAdd, Op::kStore}},
-      {"loc_sub_k", 4, 0, XOp::kNop, XOp::kFLocSubK, 1, 3, -1,
-       {Op::kLoad, Op::kConst, Op::kSub, Op::kStore}},
-      {"loc_mul_k", 4, 0, XOp::kNop, XOp::kFLocMulK, 1, 3, -1,
-       {Op::kLoad, Op::kConst, Op::kMul, Op::kStore}},
-      {"loc_div_k", 4, 0, XOp::kNop, XOp::kFLocDivK, 1, 3, -1,
-       {Op::kLoad, Op::kConst, Op::kDiv, Op::kStore}},
-      {"loc_mod_k", 4, 0, XOp::kNop, XOp::kFLocModK, 1, 3, -1,
-       {Op::kLoad, Op::kConst, Op::kMod, Op::kStore}},
-      {"loc_add_loc", 4, 0, XOp::kNop, XOp::kFLocAddLoc, 1, 3, -1,
+      // the dynamic dispatch count in the serving/spec bodies: two head
+      // slots plus the window's extra cover the three operands.
+      {"loc_add_k", 4, 0, XOp::kFLocAddK, 1, 3, -1, {Op::kLoad, Op::kConst, Op::kAdd, Op::kStore}},
+      {"loc_sub_k", 4, 0, XOp::kFLocSubK, 1, 3, -1, {Op::kLoad, Op::kConst, Op::kSub, Op::kStore}},
+      {"loc_mul_k", 4, 0, XOp::kFLocMulK, 1, 3, -1, {Op::kLoad, Op::kConst, Op::kMul, Op::kStore}},
+      {"loc_div_k", 4, 0, XOp::kFLocDivK, 1, 3, -1, {Op::kLoad, Op::kConst, Op::kDiv, Op::kStore}},
+      {"loc_mod_k", 4, 0, XOp::kFLocModK, 1, 3, -1, {Op::kLoad, Op::kConst, Op::kMod, Op::kStore}},
+      {"loc_add_loc", 4, 0, XOp::kFLocAddLoc, 1, 3, -1,
        {Op::kLoad, Op::kLoad, Op::kAdd, Op::kStore}},
-      {"loc_sub_loc", 4, 0, XOp::kNop, XOp::kFLocSubLoc, 1, 3, -1,
+      {"loc_sub_loc", 4, 0, XOp::kFLocSubLoc, 1, 3, -1,
        {Op::kLoad, Op::kLoad, Op::kSub, Op::kStore}},
-      {"loc_mul_loc", 4, 0, XOp::kNop, XOp::kFLocMulLoc, 1, 3, -1,
+      {"loc_mul_loc", 4, 0, XOp::kFLocMulLoc, 1, 3, -1,
        {Op::kLoad, Op::kLoad, Op::kMul, Op::kStore}},
-      {"load_load_add", 3, 0, XOp::kFLoadLoadAdd, XOp::kFLoadLoadAddImm, 1, -1, -1,
+      {"load_load_add", 3, 0, XOp::kFLoadLoadAddImm, 1, -1, -1,
        {Op::kLoad, Op::kLoad, Op::kAdd, Op::kNop}},
-      {"load_load_sub", 3, 0, XOp::kFLoadLoadSub, XOp::kFLoadLoadSubImm, 1, -1, -1,
+      {"load_load_sub", 3, 0, XOp::kFLoadLoadSubImm, 1, -1, -1,
        {Op::kLoad, Op::kLoad, Op::kSub, Op::kNop}},
-      {"load_load_mul", 3, 0, XOp::kFLoadLoadMul, XOp::kFLoadLoadMulImm, 1, -1, -1,
+      {"load_load_mul", 3, 0, XOp::kFLoadLoadMulImm, 1, -1, -1,
        {Op::kLoad, Op::kLoad, Op::kMul, Op::kNop}},
       // Expression prefixes `push loc[a] op k` (the assignment forms above
       // win when a store follows; these catch the value-producing uses).
-      {"load_add_k", 3, 0, XOp::kNop, XOp::kFLoadAddK, 1, -1, -1,
-       {Op::kLoad, Op::kConst, Op::kAdd, Op::kNop}},
-      {"load_sub_k", 3, 0, XOp::kNop, XOp::kFLoadSubK, 1, -1, -1,
-       {Op::kLoad, Op::kConst, Op::kSub, Op::kNop}},
-      {"load_mul_k", 3, 0, XOp::kNop, XOp::kFLoadMulK, 1, -1, -1,
-       {Op::kLoad, Op::kConst, Op::kMul, Op::kNop}},
-      {"load_div_k", 3, 0, XOp::kNop, XOp::kFLoadDivK, 1, -1, -1,
-       {Op::kLoad, Op::kConst, Op::kDiv, Op::kNop}},
-      {"load_mod_k", 3, 0, XOp::kNop, XOp::kFLoadModK, 1, -1, -1,
-       {Op::kLoad, Op::kConst, Op::kMod, Op::kNop}},
-      // The dispatcher idiom `const k; cmp; branch`: compare an
+      {"load_add_k", 3, 0, XOp::kFLoadAddK, 1, -1, -1, {Op::kLoad, Op::kConst, Op::kAdd, Op::kNop}},
+      {"load_sub_k", 3, 0, XOp::kFLoadSubK, 1, -1, -1, {Op::kLoad, Op::kConst, Op::kSub, Op::kNop}},
+      {"load_mul_k", 3, 0, XOp::kFLoadMulK, 1, -1, -1, {Op::kLoad, Op::kConst, Op::kMul, Op::kNop}},
+      {"load_div_k", 3, 0, XOp::kFLoadDivK, 1, -1, -1, {Op::kLoad, Op::kConst, Op::kDiv, Op::kNop}},
+      {"load_mod_k", 3, 0, XOp::kFLoadModK, 1, -1, -1, {Op::kLoad, Op::kConst, Op::kMod, Op::kNop}},
+      // The dispatcher idiom `const k; cmpeq; jz`: compare an
       // already-pushed selector against an immediate and branch, one
       // dispatch, no stack traffic beyond the selector pop.
-      {"k_cmplt_jz", 3, 0, XOp::kNop, XOp::kFKCmpLtJz, 2, -1, -1,
-       {Op::kConst, Op::kCmpLt, Op::kJz, Op::kNop}},
-      {"k_cmplt_jnz", 3, 0, XOp::kNop, XOp::kFKCmpLtJnz, 2, -1, -1,
-       {Op::kConst, Op::kCmpLt, Op::kJnz, Op::kNop}},
-      {"k_cmple_jz", 3, 0, XOp::kNop, XOp::kFKCmpLeJz, 2, -1, -1,
-       {Op::kConst, Op::kCmpLe, Op::kJz, Op::kNop}},
-      {"k_cmple_jnz", 3, 0, XOp::kNop, XOp::kFKCmpLeJnz, 2, -1, -1,
-       {Op::kConst, Op::kCmpLe, Op::kJnz, Op::kNop}},
-      {"k_cmpeq_jz", 3, 0, XOp::kNop, XOp::kFKCmpEqJz, 2, -1, -1,
-       {Op::kConst, Op::kCmpEq, Op::kJz, Op::kNop}},
-      {"k_cmpeq_jnz", 3, 0, XOp::kNop, XOp::kFKCmpEqJnz, 2, -1, -1,
-       {Op::kConst, Op::kCmpEq, Op::kJnz, Op::kNop}},
-      {"k_cmpne_jz", 3, 0, XOp::kNop, XOp::kFKCmpNeJz, 2, -1, -1,
-       {Op::kConst, Op::kCmpNe, Op::kJz, Op::kNop}},
-      {"k_cmpne_jnz", 3, 0, XOp::kNop, XOp::kFKCmpNeJnz, 2, -1, -1,
-       {Op::kConst, Op::kCmpNe, Op::kJnz, Op::kNop}},
-      {"const_add", 2, 0, XOp::kFConstAdd, XOp::kFAddImm, -1, -1, -1,
-       {Op::kConst, Op::kAdd, Op::kNop, Op::kNop}},
-      {"const_sub", 2, 0, XOp::kFConstSub, XOp::kFSubImm, -1, -1, -1,
-       {Op::kConst, Op::kSub, Op::kNop, Op::kNop}},
-      {"const_mul", 2, 0, XOp::kFConstMul, XOp::kFMulImm, -1, -1, -1,
-       {Op::kConst, Op::kMul, Op::kNop, Op::kNop}},
+      {"k_cmpeq_jz", 3, 0, XOp::kFKCmpEqJz, 2, -1, -1, {Op::kConst, Op::kCmpEq, Op::kJz, Op::kNop}},
+      {"const_add", 2, 0, XOp::kFAddImm, -1, -1, -1, {Op::kConst, Op::kAdd, Op::kNop, Op::kNop}},
+      {"const_sub", 2, 0, XOp::kFSubImm, -1, -1, -1, {Op::kConst, Op::kSub, Op::kNop, Op::kNop}},
+      {"const_mul", 2, 0, XOp::kFMulImm, -1, -1, -1, {Op::kConst, Op::kMul, Op::kNop, Op::kNop}},
       // Total-arithmetic division never traps (rhs 0 and -1 have defined
       // results), so div/mod fuse exactly like add/sub/mul.
-      {"const_div", 2, 0, XOp::kNop, XOp::kFDivImm, -1, -1, -1,
-       {Op::kConst, Op::kDiv, Op::kNop, Op::kNop}},
-      {"const_mod", 2, 0, XOp::kNop, XOp::kFModImm, -1, -1, -1,
-       {Op::kConst, Op::kMod, Op::kNop, Op::kNop}},
+      {"const_div", 2, 0, XOp::kFDivImm, -1, -1, -1, {Op::kConst, Op::kDiv, Op::kNop, Op::kNop}},
+      {"const_mod", 2, 0, XOp::kFModImm, -1, -1, -1, {Op::kConst, Op::kMod, Op::kNop, Op::kNop}},
       // Expression tails `loc[b] = pop op pop`, plus local-to-local copies,
       // constant stores, and the `const k; gload` global-read idiom.
-      {"add_store", 2, 0, XOp::kNop, XOp::kFAddStore, 1, -1, -1,
-       {Op::kAdd, Op::kStore, Op::kNop, Op::kNop}},
-      {"sub_store", 2, 0, XOp::kNop, XOp::kFSubStore, 1, -1, -1,
-       {Op::kSub, Op::kStore, Op::kNop, Op::kNop}},
-      {"mul_store", 2, 0, XOp::kNop, XOp::kFMulStore, 1, -1, -1,
-       {Op::kMul, Op::kStore, Op::kNop, Op::kNop}},
-      {"div_store", 2, 0, XOp::kNop, XOp::kFDivStore, 1, -1, -1,
-       {Op::kDiv, Op::kStore, Op::kNop, Op::kNop}},
-      {"mod_store", 2, 0, XOp::kNop, XOp::kFModStore, 1, -1, -1,
-       {Op::kMod, Op::kStore, Op::kNop, Op::kNop}},
-      {"copy_local", 2, 0, XOp::kNop, XOp::kFCopyLocal, 1, -1, -1,
+      {"add_store", 2, 0, XOp::kFAddStore, 1, -1, -1, {Op::kAdd, Op::kStore, Op::kNop, Op::kNop}},
+      {"sub_store", 2, 0, XOp::kFSubStore, 1, -1, -1, {Op::kSub, Op::kStore, Op::kNop, Op::kNop}},
+      {"mul_store", 2, 0, XOp::kFMulStore, 1, -1, -1, {Op::kMul, Op::kStore, Op::kNop, Op::kNop}},
+      {"div_store", 2, 0, XOp::kFDivStore, 1, -1, -1, {Op::kDiv, Op::kStore, Op::kNop, Op::kNop}},
+      {"mod_store", 2, 0, XOp::kFModStore, 1, -1, -1, {Op::kMod, Op::kStore, Op::kNop, Op::kNop}},
+      {"copy_local", 2, 0, XOp::kFCopyLocal, 1, -1, -1,
        {Op::kLoad, Op::kStore, Op::kNop, Op::kNop}},
-      {"const_store", 2, 0, XOp::kNop, XOp::kFConstStore, 1, -1, -1,
+      {"const_store", 2, 0, XOp::kFConstStore, 1, -1, -1,
        {Op::kConst, Op::kStore, Op::kNop, Op::kNop}},
-      {"gload_k", 2, 0, XOp::kNop, XOp::kFGLoadK, -1, -1, -1,
-       {Op::kConst, Op::kGLoad, Op::kNop, Op::kNop}},
-      {"cmplt_jz", 2, 0, XOp::kFCmpLtJz, XOp::kFCmpLtJzImm, 1, -1, -1,
-       {Op::kCmpLt, Op::kJz, Op::kNop, Op::kNop}},
-      {"cmplt_jnz", 2, 0, XOp::kFCmpLtJnz, XOp::kFCmpLtJnzImm, 1, -1, -1,
-       {Op::kCmpLt, Op::kJnz, Op::kNop, Op::kNop}},
-      {"cmple_jz", 2, 0, XOp::kFCmpLeJz, XOp::kFCmpLeJzImm, 1, -1, -1,
-       {Op::kCmpLe, Op::kJz, Op::kNop, Op::kNop}},
-      {"cmple_jnz", 2, 0, XOp::kFCmpLeJnz, XOp::kFCmpLeJnzImm, 1, -1, -1,
-       {Op::kCmpLe, Op::kJnz, Op::kNop, Op::kNop}},
-      {"cmpeq_jz", 2, 0, XOp::kFCmpEqJz, XOp::kFCmpEqJzImm, 1, -1, -1,
-       {Op::kCmpEq, Op::kJz, Op::kNop, Op::kNop}},
-      {"cmpeq_jnz", 2, 0, XOp::kFCmpEqJnz, XOp::kFCmpEqJnzImm, 1, -1, -1,
-       {Op::kCmpEq, Op::kJnz, Op::kNop, Op::kNop}},
-      {"cmpne_jz", 2, 0, XOp::kFCmpNeJz, XOp::kFCmpNeJzImm, 1, -1, -1,
-       {Op::kCmpNe, Op::kJz, Op::kNop, Op::kNop}},
-      {"cmpne_jnz", 2, 0, XOp::kFCmpNeJnz, XOp::kFCmpNeJnzImm, 1, -1, -1,
-       {Op::kCmpNe, Op::kJnz, Op::kNop, Op::kNop}},
+      {"gload_k", 2, 0, XOp::kFGLoadK, -1, -1, -1, {Op::kConst, Op::kGLoad, Op::kNop, Op::kNop}},
+      {"cmplt_jz", 2, 0, XOp::kFCmpLtJzImm, 1, -1, -1, {Op::kCmpLt, Op::kJz, Op::kNop, Op::kNop}},
+      {"cmple_jz", 2, 0, XOp::kFCmpLeJzImm, 1, -1, -1, {Op::kCmpLe, Op::kJz, Op::kNop, Op::kNop}},
+      {"cmpne_jz", 2, 0, XOp::kFCmpNeJzImm, 1, -1, -1, {Op::kCmpNe, Op::kJz, Op::kNop, Op::kNop}},
       // The return of a caller-side call+return pair is rewritten (not the
       // call): the callee's kRet reloads the caller's resume ip, sees the
       // kFRetChained mark, and chains into the next return without an
       // indirect dispatch. Correct for any callee — "leaf" is simply the
-      // depth-1 case where exactly one chain step fires. No immediate form:
-      // the chain never reads interior entries to begin with.
-      {"call_ret", 2, 1, XOp::kFRetChained, XOp::kFRetChained, -1, -1, -1,
-       {Op::kCall, Op::kRet, Op::kNop, Op::kNop}},
+      // depth-1 case where exactly one chain step fires. No side-pool
+      // record: the chain never reads interior entries to begin with.
+      {"call_ret", 2, 1, XOp::kFRetChained, -1, -1, -1, {Op::kCall, Op::kRet, Op::kNop, Op::kNop}},
   };
   return kRules;
 }
 
-FusionStats::FusionStats()
-    : rule_hits(fusion_rules().size(), 0), rule_hits_imm(fusion_rules().size(), 0) {}
+FusionStats::FusionStats() : rule_hits(fusion_rules().size(), 0) {}
 
 namespace {
 
-/// The table-driven fusion scan. Rewrites only the xop/fuse_len of the
-/// designated entry per match — operands, costs, lines, and jump deltas in
-/// the INTERIOR entries are untouched, and interiors keep their mirror xop
-/// so any control transfer landing mid-window executes the components
-/// unfused. When a rule has an immediate form, the head additionally
-/// captures the component operands (per the rule's capture descriptors)
-/// and a side-pool record carrying the interiors' accounting data, so the
-/// fused dispatch never touches the interior entries at all.
+/// The table-driven fusion scan. Rewrites only the xop/fuse_len (and, for a
+/// head, the captured operand slots) of the designated entry per match —
+/// operands, costs, lines, and jump deltas in the INTERIOR entries are
+/// untouched, and interiors keep their mirror xop so any control transfer
+/// landing mid-window executes the components unfused. A rewritten head
+/// also gets a side-pool record carrying the interiors' accounting data, so
+/// the fused dispatch never touches the interior entries at all.
 void apply_fusion(PredecodedBody& pb, FusionStats* stats) {
   const std::vector<FusionRule>& rules = fusion_rules();
   std::vector<PredecodedInsn>& code = pb.code;
@@ -228,41 +171,32 @@ void apply_fusion(PredecodedBody& pb, FusionStats* stats) {
         continue;  // constraint miss: not a match, the next rule may still fire
       }
       PredecodedInsn& head = code[pc + rule.rewrite_at];
-      if (rule.fused_imm != rule.fused) {
-        if (pb.pool.size() < kMaxFusedWindowsPerBody) {
-          FusedWindow w;
-          for (int k = 1; k < rule.len; ++k) {
-            w.cost[static_cast<std::size_t>(k) - 1] = code[pc + static_cast<std::size_t>(k)].base_cost;
-            w.line[static_cast<std::size_t>(k) - 1] = code[pc + static_cast<std::size_t>(k)].line;
-            // The probe decision for component k depends only on whether it
-            // crossed a line relative to component k-1 — static per window.
-            if (code[pc + static_cast<std::size_t>(k)].line !=
-                code[pc + static_cast<std::size_t>(k) - 1].line) {
-              w.probe_mask |= static_cast<std::uint8_t>(1u << (k - 1));
-            }
-          }
-          if (rule.capture_b >= 0) head.b = code[pc + static_cast<std::size_t>(rule.capture_b)].a;
-          if (rule.capture_extra >= 0) {
-            w.extra = code[pc + static_cast<std::size_t>(rule.capture_extra)].a;
-          }
-          head.imm = static_cast<std::uint16_t>(pb.pool.size());
-          pb.pool.push_back(w);
-          head.xop = rule.fused_imm;
-          if (stats != nullptr) {
-            ++stats->windows_imm;
-            ++stats->rule_hits_imm[r];
-          }
-        } else {
+      if (rule.rewrite_at == 0) {
+        if (pb.pool.size() == kMaxFusedWindowsPerBody) {
+          // Handle space exhausted: leave the window unfused.
           if (stats != nullptr) ++stats->pool_overflows;
-          // Imm-only rule (no pool-less form): leave the window unfused and
-          // let a later rule (e.g. the embedded const+arith pair) pick up
-          // what it can.
-          if (rule.fused == XOp::kNop) continue;
-          head.xop = rule.fused;
+          continue;
         }
-      } else {
-        head.xop = rule.fused;
+        FusedWindow w;
+        for (int k = 1; k < rule.len; ++k) {
+          w.cost[static_cast<std::size_t>(k) - 1] = code[pc + static_cast<std::size_t>(k)].base_cost;
+          w.line[static_cast<std::size_t>(k) - 1] = code[pc + static_cast<std::size_t>(k)].line;
+          // The probe decision for component k depends only on whether it
+          // crossed a line relative to component k-1 — static per window.
+          if (code[pc + static_cast<std::size_t>(k)].line !=
+              code[pc + static_cast<std::size_t>(k) - 1].line) {
+            w.probe_mask |= static_cast<std::uint8_t>(1u << (k - 1));
+          }
+        }
+        if (rule.capture_b >= 0) head.b = code[pc + static_cast<std::size_t>(rule.capture_b)].a;
+        if (rule.capture_extra >= 0) {
+          w.extra = code[pc + static_cast<std::size_t>(rule.capture_extra)].a;
+        }
+        head.imm = static_cast<std::uint16_t>(pb.pool.size());
+        pb.pool.push_back(w);
+        if (stats != nullptr) ++stats->windows_imm;
       }
+      head.xop = rule.fused;
       // Entries this fused dispatch retires. kFRetChained rewrites a single
       // kRet (the eliminated dispatch is the chain into it), so it stays 1.
       head.fuse_len = rule.rewrite_at == 0 ? rule.len : 1;

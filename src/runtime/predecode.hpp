@@ -15,14 +15,15 @@
 //
 // On top of the 1:1 translation sits the superinstruction fusion pass
 // (DESIGN.md §14): a table-driven scan that rewrites the HEAD of an adjacent
-// bytecode pattern (push-const+arith, load+load+op, cmp+branch, the 4-long
-// loop-guard form, call+return chains) to a fused extended opcode. Interior
-// entries of a fused window keep their original opcode, so a jump, OSR
-// entry, or back edge landing mid-window simply executes the components
-// unfused — fusion never moves, deletes, or re-costs an entry, which is how
-// the sim-cycle model and ExecStats stay bit-identical to the reference
-// engine (the fused handlers account each component separately, in original
-// order; see the cost-conservation rule in DESIGN.md).
+// bytecode pattern (const+arith, load+load+op, whole assignment statements,
+// cmp+branch, the 4-long loop-guard form, call+return chains) to the rule's
+// one fused extended opcode, whose operands ride in the head and a side-pool
+// record. Interior entries of a fused window keep their original opcode, so
+// a jump, OSR entry, or back edge landing mid-window simply executes the
+// components unfused — fusion never moves, deletes, or re-costs an entry,
+// which is how the sim-cycle model and ExecStats stay bit-identical to the
+// reference engine (the fused handlers account each component separately,
+// in original order; see the cost-conservation rule in DESIGN.md).
 #pragma once
 
 #include <array>
@@ -37,10 +38,18 @@ namespace ith::rt {
 
 /// Extended opcode space the fast engine dispatches over: the first
 /// bc::kNumOps values mirror bc::Op one-to-one (same numeric values —
-/// predecode static_asserts this), followed by the fused superinstructions.
-/// Fused values only ever appear on the head entry of a pattern window
-/// (kFRetChained excepted: it marks the kRet of a caller-side call+return
-/// pair, and its handler IS the kRet handler).
+/// predecode static_asserts this), followed by one fused superinstruction
+/// per fusion rule. Fused values only ever appear on the head entry of a
+/// pattern window (kFRetChained excepted: it marks the kRet of a caller-side
+/// call+return pair, and its handler IS the kRet handler).
+///
+/// Every fused form but kFRetChained is operand-captured (DESIGN.md §14):
+/// the component operands AND the per-component accounting data
+/// (pre-folded cost, icache line) are copied into the head's free slots and
+/// the body's operand side-pool at predecode time, so a fused dispatch never
+/// touches the interior PredecodedInsn entries. The interiors keep their
+/// mirror xops, so a control transfer landing mid-window executes the
+/// components unfused.
 enum class XOp : std::uint8_t {
   // --- bc::Op mirrors (dispatch identity for unfused entries) ---
   kConst,
@@ -67,39 +76,9 @@ enum class XOp : std::uint8_t {
   kNop,
   kHalt,
   // --- fused superinstructions ---
-  kFConstAdd,      ///< kConst kAdd   : top = top + imm
-  kFConstSub,      ///< kConst kSub   : top = top - imm
-  kFConstMul,      ///< kConst kMul   : top = top * imm
-  kFLoadLoadAdd,   ///< kLoad kLoad kAdd : push(loc[a] + loc[a'])
-  kFLoadLoadSub,   ///< kLoad kLoad kSub
-  kFLoadLoadMul,   ///< kLoad kLoad kMul
-  kFCmpLtJz,       ///< kCmpLt kJz  : pop 2, branch if !(lhs < rhs)
-  kFCmpLtJnz,      ///< kCmpLt kJnz : pop 2, branch if  (lhs < rhs)
-  kFCmpLeJz,
-  kFCmpLeJnz,
-  kFCmpEqJz,
-  kFCmpEqJnz,
-  kFCmpNeJz,
-  kFCmpNeJnz,
-  kFLoadConstCmpLtJz,   ///< kLoad kConst kCmpLt kJz — the while-loop guard
-  kFLoadConstCmpLtJnz,  ///< shape; zero operand-stack traffic when fused
-  kFLoadConstCmpLeJz,
-  kFLoadConstCmpLeJnz,
-  kFLoadConstCmpEqJz,
-  kFLoadConstCmpEqJnz,
-  kFLoadConstCmpNeJz,
-  kFLoadConstCmpNeJnz,
   kFRetChained,  ///< the kRet of a caller-side {kCall, kRet} pair: the
                  ///< callee's return chains straight into this return
                  ///< without an indirect dispatch in between
-  // --- immediate-operand fused forms (DESIGN.md §14, "Immediate-operand
-  // forms"): the component operands AND the per-component accounting data
-  // (pre-folded cost, icache line) are captured into the head's free slots
-  // and the body's operand side-pool at predecode time, so a fused dispatch
-  // never touches the interior PredecodedInsn entries. The interiors still
-  // keep their mirror xops — control transfers landing mid-window execute
-  // unfused exactly as for the plain fused forms above, which stay as the
-  // pool-less fallback when a body exhausts the 16-bit handle space. ---
   kFAddImm,             ///< kConst kAdd : top += imm (imm in head `a`)
   kFSubImm,             ///< kConst kSub : top -= imm
   kFMulImm,             ///< kConst kMul : top *= imm
@@ -107,21 +86,13 @@ enum class XOp : std::uint8_t {
   kFLoadLoadSubImm,
   kFLoadLoadMulImm,
   kFCmpLtJzImm,         ///< pop 2, compare, branch by the delta in head `b`
-  kFCmpLtJnzImm,
-  kFCmpLeJzImm,
-  kFCmpLeJnzImm,
-  kFCmpEqJzImm,
-  kFCmpEqJnzImm,
+  kFCmpLeJzImm,         ///< (a kJz takes when the comparison is false)
   kFCmpNeJzImm,
-  kFCmpNeJnzImm,
   kFLoadConstCmpLtJzImm,   ///< loop guard: slot in `a`, bound in `b`, the
-  kFLoadConstCmpLtJnzImm,  ///< branch delta in the side-pool record
-  kFLoadConstCmpLeJzImm,
-  kFLoadConstCmpLeJnzImm,
+  kFLoadConstCmpLeJzImm,   ///< branch delta in the side-pool record; zero
+  kFLoadConstCmpLeJnzImm,  ///< operand-stack traffic
   kFLoadConstCmpEqJzImm,
-  kFLoadConstCmpEqJnzImm,
   kFLoadConstCmpNeJzImm,
-  kFLoadConstCmpNeJnzImm,
   kFIncLocal,  ///< kLoad kConst kAdd kStore on ONE local: loc[a] += b, zero
                ///< stack traffic — the counted-loop increment idiom
   kFDecLocal,  ///< kLoad kConst kSub kStore on one local: loc[a] -= b
@@ -154,24 +125,17 @@ enum class XOp : std::uint8_t {
   kFGLoadK,     ///< kConst kGLoad : push(globals[a mod |globals|])
   kFDivImm,     ///< kConst kDiv : top = top / a, total division
   kFModImm,     ///< kConst kMod : top = top % a, total remainder
-  kFKCmpLtJz,   ///< kConst kCmpLt kJz : pop, compare against a, branch by b
-  kFKCmpLtJnz,  ///< (the dispatcher idiom `... const k; cmpeq; jz`)
-  kFKCmpLeJz,
-  kFKCmpLeJnz,
-  kFKCmpEqJz,
-  kFKCmpEqJnz,
-  kFKCmpNeJz,
-  kFKCmpNeJnz,
+  kFKCmpEqJz,   ///< kConst kCmpEq kJz : pop, compare against a, branch by b
+                ///< (the dispatcher idiom `... const k; cmpeq; jz`)
 };
 
 /// Number of extended opcodes (label-table size for the fast engine).
-inline constexpr int kNumXOps = static_cast<int>(XOp::kFKCmpNeJnz) + 1;
-static_assert(kNumXOps == bc::kNumOps + 78, "fused opcode count drifted");
+inline constexpr int kNumXOps = static_cast<int>(XOp::kFKCmpEqJz) + 1;
+static_assert(kNumXOps == bc::kNumOps + 41, "fused opcode count drifted");
 
 /// When the predecoder may fuse. The default comes from the ITH_FUSION
-/// environment variable (see default_fusion_policy) so the escape hatch
-/// mirrors ITH_COMPUTED_GOTO=0: setting ITH_FUSION=0 runs every body
-/// unfused without a rebuild.
+/// environment variable (see default_fusion_policy): setting ITH_FUSION=0
+/// runs every body unfused without a rebuild.
 enum class FusionPolicy : std::uint8_t {
   kOff,           ///< never fuse (escape hatch; also the reference behavior)
   kPromotedOnly,  ///< fuse bodies above baseline tier — dispatch speed is
@@ -190,27 +154,21 @@ FusionPolicy default_fusion_policy();
 const char* fusion_policy_name(FusionPolicy policy);
 
 /// One fusion rule: an adjacent bc::Op pattern, the fused opcode that
-/// replaces the dispatch of the entry at `rewrite_at`, and the
-/// operand-capture descriptor for the rule's immediate form. Rules are DATA
-/// — the scan in predecode() interprets this table; adding a pattern means
-/// adding a row here plus its handler in fast_interpreter.cpp, nothing
-/// else.
+/// replaces the dispatch of the entry at `rewrite_at`, and the rule's
+/// operand-capture descriptor. Rules are DATA — the scan in predecode()
+/// interprets this table; adding a pattern means adding a row here plus its
+/// XOp and handler in fast_interpreter.cpp, nothing else.
 struct FusionRule {
   const char* name;                  ///< stable id for stats/obs counters
   std::uint8_t len;                  ///< pattern length (2..kMaxFusionPatternLen)
-  std::uint8_t rewrite_at;           ///< which component gets the fused xop
-  /// Pool-less fallback opcode: used when the immediate form cannot be
-  /// emitted (side-pool handle space exhausted). XOp::kNop marks an
-  /// imm-only rule (kFIncLocal/kFDecLocal) with no fallback — on overflow
-  /// the window is simply left unfused and the scan tries the next rule.
-  XOp fused;
-  /// Immediate-operand form (head/side-pool captured operands). Equal to
-  /// `fused` for rules without one (kFRetChained).
-  XOp fused_imm;
+  /// Which component gets the fused xop. 0 (the head, which then takes a
+  /// side-pool record) for every rule except call_ret, which marks its kRet.
+  std::uint8_t rewrite_at;
+  XOp fused;                         ///< the rule's one fused opcode
   /// Operand capture, as data: the component index whose `a` operand is
   /// folded into the head's `b` slot / the side-pool record's `extra` slot
-  /// when the immediate form is emitted (-1 = nothing to capture there).
-  /// The head's own `a` operand always stays in place.
+  /// (-1 = nothing to capture there). The head's own `a` operand always
+  /// stays in place.
   std::int8_t capture_b;
   std::int8_t capture_extra;
   /// Operand-equality constraint: component whose `a` must equal component
@@ -223,16 +181,16 @@ struct FusionRule {
 inline constexpr int kMaxFusionPatternLen = 4;
 
 /// Side-pool records one body can address: the handle riding in
-/// PredecodedInsn's padding is 16 bits wide, so windows past this many fall
-/// back to the pool-less fused form (counted as FusionStats::pool_overflows).
+/// PredecodedInsn's padding is 16 bits wide, so windows past this many stay
+/// unfused (counted as FusionStats::pool_overflows).
 inline constexpr std::size_t kMaxFusedWindowsPerBody = std::size_t{1} << 16;
 
-/// Side-pool record for one immediate-operand fused window: everything a
-/// fused handler needs about its non-head components, so dispatch retires
-/// the interior PredecodedInsn entries from the hot path entirely. `cost`
-/// and `line` are verbatim copies of components [1, len)'s pre-folded
-/// accounting fields, in original program order — the handler feeds them to
-/// the same per-component account() call the plain forms use, which is what
+/// Side-pool record for one fused window: everything a fused handler needs
+/// about its non-head components, so dispatch retires the interior
+/// PredecodedInsn entries from the hot path entirely. `cost` and `line` are
+/// verbatim copies of components [1, len)'s pre-folded accounting fields, in
+/// original program order — the handler feeds them to the same per-component
+/// accounting an unfused dispatch of each component does, which is what
 /// keeps cycles (IEEE addition order), icache probes, and the budget trip
 /// point bit-identical to unfused execution. `extra` holds the one operand
 /// that fits in neither head slot: the branch component's pc-relative delta
@@ -266,10 +224,9 @@ struct FusionStats {
   std::uint64_t bodies_fused = 0;       ///< bodies where >= 1 rule fired
   std::uint64_t rules_fired = 0;        ///< total pattern matches rewritten
   std::uint64_t insns_fused = 0;        ///< dispatches eliminated: sum(len-1)
-  std::uint64_t windows_imm = 0;        ///< windows rewritten to immediate forms
-  std::uint64_t pool_overflows = 0;     ///< imm-eligible windows past the handle space
-  std::vector<std::uint64_t> rule_hits;      ///< indexed like fusion_rules()
-  std::vector<std::uint64_t> rule_hits_imm;  ///< immediate-form subset, same index
+  std::uint64_t windows_imm = 0;        ///< windows that took a side-pool record
+  std::uint64_t pool_overflows = 0;     ///< matches left unfused: handle space full
+  std::vector<std::uint64_t> rule_hits;  ///< indexed like fusion_rules()
 };
 
 /// One predecoded instruction, 40 bytes: the dispatch-critical fields
@@ -278,11 +235,9 @@ struct FusionStats {
 /// stored — any address inside the line identifies the same line to the
 /// I-cache, so the engine probes with `line * icache_line_bytes`.
 /// Fusion lives entirely in the former tail padding (xop + fuse_len + imm):
-/// a PLAIN fused head reads its components' operands from the still-present
-/// interior entries; an IMMEDIATE fused head reads nothing but itself and
-/// its FusedWindow side-pool record — captured operands ride in `b` (the
-/// slot only kCall used, and no rule's head is a kCall) and the 16-bit pool
-/// handle in `imm`.
+/// a fused head reads nothing but itself and its FusedWindow side-pool
+/// record — captured operands ride in `b` (the slot only kCall used, and no
+/// rule's head is a kCall) and the 16-bit pool handle in `imm`.
 struct PredecodedInsn {
   const void* target = nullptr;  ///< computed-goto label (engine fills lazily)
   double base_cost = 0.0;        ///< machine_words * cpi[tier], pre-folded
@@ -292,11 +247,11 @@ struct PredecodedInsn {
                                  ///< the dispatch loop never needs the code base
                                  ///< (back edge iff delta <= 0)
   std::int32_t b = 0;            ///< kCall argument count; captured component
-                                 ///< operand on an immediate fused head
+                                 ///< operand on a fused head
   bc::Op op = bc::Op::kNop;      ///< original opcode (pre-fusion identity)
   XOp xop = XOp::kNop;           ///< dispatch key: mirrors `op` unless fused
   std::uint8_t fuse_len = 1;     ///< entries this dispatch retires (1 unfused)
-  std::uint16_t imm = 0;         ///< side-pool handle (immediate heads only)
+  std::uint16_t imm = 0;         ///< side-pool handle (fused heads only)
 };
 
 // The doc comment above promises 40 bytes and a stable dispatch-critical
@@ -327,11 +282,11 @@ struct PredecodedBody {
   bool threaded = false;
   /// At least one fusion rule fired on this body.
   bool fused = false;
-  /// Operand side-pool for immediate-operand fused heads: one FusedWindow
-  /// per captured window, indexed by the head's 16-bit `imm` handle. Holds
-  /// verbatim copies of the interior components' (base_cost, line) pairs —
-  /// so immediate handlers account per component without touching interior
-  /// entries — plus the captured branch delta for guard windows.
+  /// Operand side-pool for fused heads: one FusedWindow per fused window,
+  /// indexed by the head's 16-bit `imm` handle. Holds verbatim copies of the
+  /// interior components' (base_cost, line) pairs — so fused handlers
+  /// account per component without touching interior entries — plus the
+  /// captured branch delta for guard windows.
   std::vector<FusedWindow> pool;
 };
 

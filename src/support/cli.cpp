@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -72,6 +73,20 @@ std::int64_t CliParser::get_int_or(const std::string& name, std::int64_t fallbac
   char* end = nullptr;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
   ITH_CHECK(end && *end == '\0', "flag --" + name + " is not an integer: " + *v);
+  return parsed;
+}
+
+std::int64_t CliParser::get_int_in(const std::string& name, std::int64_t fallback,
+                                   std::int64_t lo, std::int64_t hi) const {
+  const auto v = get(name);
+  if (!v) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v->c_str(), &end, 10);
+  if (v->empty() || *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
+    throw UsageError("flag --" + name + "=" + *v + " is not an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
   return parsed;
 }
 

@@ -11,7 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "support/error.hpp"
+
 namespace ith {
+
+/// A flag value a tool cannot accept: an integer outside its declared range
+/// or not an integer at all. Tools print their usage for it and exit 2.
+class UsageError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// One flag a tool accepts: its name without dashes, an argument
 /// placeholder (empty for a boolean flag) and its description, whose
@@ -36,6 +45,12 @@ class CliParser {
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int_or(const std::string& name, std::int64_t fallback) const;
+  /// The integer flag `name` when given, else `fallback` (returned as is).
+  /// A given value that is not a base-10 integer within [lo, hi] throws
+  /// UsageError, so a value the caller's field cannot hold never narrows or
+  /// wraps on the way in.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) const;
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;
 

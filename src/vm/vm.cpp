@@ -139,8 +139,6 @@ void VirtualMachine::publish_fusion_counters() {
   for (std::size_t r = 0; r < rules.size(); ++r) {
     bump("rt.fused_rule." + std::string(rules[r].name), fs->rule_hits[r],
          fusion_reported_.rule_hits[r]);
-    bump("rt.fused_imm_rule." + std::string(rules[r].name), fs->rule_hits_imm[r],
-         fusion_reported_.rule_hits_imm[r]);
   }
 }
 

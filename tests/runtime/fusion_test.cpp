@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,24 +52,23 @@ TEST(Fusion, PredecodedInsnLayoutBudget) {
 TEST(Fusion, PatternTableIsWellFormed) {
   const auto& rules = rt::fusion_rules();
   ASSERT_FALSE(rules.empty());
+  // One fused opcode per rule, and no opcode without a rule.
+  EXPECT_EQ(rt::kNumXOps, bc::kNumOps + static_cast<int>(rules.size()));
+  std::set<rt::XOp> fused_ops;
   for (std::size_t r = 0; r < rules.size(); ++r) {
     const rt::FusionRule& rule = rules[r];
     EXPECT_NE(rule.name, nullptr);
     EXPECT_GE(rule.len, 2) << rule.name;
     EXPECT_LE(rule.len, rt::kMaxFusionPatternLen) << rule.name;
     EXPECT_LT(rule.rewrite_at, rule.len) << rule.name;
-    // The pool-less fallback must be a real fused xop — except for imm-only
-    // rules, where kNop means "leave unfused on pool overflow" and a
-    // distinct immediate form must exist.
-    if (rule.fused == rt::XOp::kNop) {
-      EXPECT_NE(rule.fused_imm, rule.fused) << rule.name << " has no form at all";
+    EXPECT_GE(static_cast<int>(rule.fused), bc::kNumOps) << rule.name << " maps to a mirror xop";
+    EXPECT_TRUE(fused_ops.insert(rule.fused).second) << rule.name << " shares its fused xop";
+    // Operand capture assumes the head leads; only call_ret marks a later
+    // component (its kRet).
+    if (std::string(rule.name) == "call_ret") {
+      EXPECT_EQ(rule.rewrite_at, 1);
     } else {
-      EXPECT_GE(static_cast<int>(rule.fused), bc::kNumOps) << rule.name << " maps to a mirror xop";
-    }
-    if (rule.fused_imm != rule.fused) {
-      EXPECT_GE(static_cast<int>(rule.fused_imm), bc::kNumOps)
-          << rule.name << " imm form maps to a mirror xop";
-      EXPECT_EQ(rule.rewrite_at, 0) << rule.name << ": imm capture assumes the head leads";
+      EXPECT_EQ(rule.rewrite_at, 0) << rule.name;
     }
     // Capture descriptors must address components inside the window.
     EXPECT_LT(rule.capture_b, static_cast<std::int8_t>(rule.len)) << rule.name;
@@ -121,7 +121,6 @@ TEST(Fusion, LoopGuardUsesLongestPattern) {
   const rt::PredecodedBody pb = predecode_method(prog, "main", rt::FusionPolicy::kAll, &stats);
   bool saw_guard = false;
   for (const rt::PredecodedInsn& pi : pb.code) {
-    EXPECT_NE(pi.xop, rt::XOp::kFCmpLtJz) << "pair rule fired inside the guard window";
     EXPECT_NE(pi.xop, rt::XOp::kFCmpLtJzImm) << "pair rule fired inside the guard window";
     if (pi.xop == rt::XOp::kFLoadConstCmpLtJzImm) {
       saw_guard = true;
@@ -137,18 +136,16 @@ TEST(Fusion, LoopGuardUsesLongestPattern) {
   EXPECT_TRUE(saw_guard);
   const auto& rules = rt::fusion_rules();
   std::uint64_t hits = 0;
-  std::uint64_t imm_hits = 0;
-  ASSERT_EQ(stats.rule_hits_imm.size(), rules.size());
+  ASSERT_EQ(stats.rule_hits.size(), rules.size());
   for (std::size_t r = 0; r < rules.size(); ++r) {
     hits += stats.rule_hits[r];
-    imm_hits += stats.rule_hits_imm[r];
-    EXPECT_LE(stats.rule_hits_imm[r], stats.rule_hits[r]) << rules[r].name;
     if (std::string(rules[r].name) == "load_const_cmplt_jz") {
       EXPECT_GE(stats.rule_hits[r], 1u);
     }
   }
   EXPECT_EQ(hits, stats.rules_fired) << "per-rule hits must sum to rules_fired";
-  EXPECT_EQ(imm_hits, stats.windows_imm) << "per-rule imm hits must sum to windows_imm";
+  // No call+return pair in main: every fired rule took a side-pool record.
+  EXPECT_EQ(stats.windows_imm, stats.rules_fired);
 }
 
 TEST(Fusion, CallRetMarksCallerReturn) {
@@ -253,8 +250,8 @@ void expect_three_way_identical(const bc::Program& prog, const std::string& labe
   }
 }
 
-// --- immediate-operand forms: capture layout, the same-slot constraint,
-// --- and the pool-overflow fallback.
+// --- operand capture: layout, the same-slot constraint, and what happens
+// --- when a body runs out of side-pool handles.
 
 TEST(Fusion, IncLocalCapturesTheCountedLoopIncrement) {
   // The canonical counted-loop increment: load i; const 1; add; store i.
@@ -307,18 +304,20 @@ TEST(Fusion, IncLocalRequiresTheSameSlot) {
   EXPECT_EQ(test::run_exit_value(prog), 7);
 }
 
-TEST(Fusion, PoolOverflowFallsBackToPlainForms) {
-  // Exhaust the 16-bit handle space, then demand one more window of each
-  // kind: a rule with a plain form degrades to it, an imm-only rule leaves
-  // the window unfused (and its embedded pair gets picked up instead).
+TEST(Fusion, PoolOverflowLeavesWindowsUnfused) {
+  // Exhaust the 16-bit handle space, then demand more windows: every entry
+  // past the pool keeps its mirror xop (the embedded const+add pair cannot
+  // take a record either), while a call+return pair, which needs no record,
+  // still fuses.
   bc::ProgramBuilder pbuild("overflow", 0);
+  pbuild.method("id", 1, 1).load(0).ret();
   auto& m = pbuild.method("main", 0, 1);
   m.const_(0);
   for (std::size_t i = 0; i < rt::kMaxFusedWindowsPerBody; ++i) m.const_(1).add();
   m.store(0);
   m.load(0).const_(1).add().store(0);  // inc_local window past the pool
-  m.load(0).const_(1).add();           // const+add window past the pool
-  m.halt();
+  m.load(0).const_(1).add();           // load_add_k window past the pool
+  m.call("id", 1).ret();               // call_ret pair past the pool
   pbuild.entry("main");
   const bc::Program prog = pbuild.build();
   rt::FusionStats stats;
@@ -326,11 +325,14 @@ TEST(Fusion, PoolOverflowFallsBackToPlainForms) {
   EXPECT_EQ(pb.pool.size(), rt::kMaxFusedWindowsPerBody);
   EXPECT_EQ(stats.windows_imm, rt::kMaxFusedWindowsPerBody);
   EXPECT_GE(stats.pool_overflows, 2u);
-  const std::size_t inc_head = 1 + 2 * rt::kMaxFusedWindowsPerBody + 1;
-  EXPECT_EQ(pb.code[inc_head].xop, rt::XOp::kLoad) << "imm-only rule must stay unfused";
-  EXPECT_EQ(pb.code[inc_head + 1].xop, rt::XOp::kFConstAdd) << "pool-less fallback missing";
-  EXPECT_EQ(pb.code[inc_head + 4].xop, rt::XOp::kLoad);
-  EXPECT_EQ(pb.code[inc_head + 5].xop, rt::XOp::kFConstAdd);
+  const std::size_t past_pool = 1 + 2 * rt::kMaxFusedWindowsPerBody + 1;
+  ASSERT_EQ(pb.code.size(), past_pool + 9);
+  for (std::size_t pc = past_pool; pc < past_pool + 8; ++pc) {
+    EXPECT_EQ(static_cast<int>(pb.code[pc].xop), static_cast<int>(pb.code[pc].op))
+        << "window at pc " << pc << " fused past the pool";
+    EXPECT_EQ(pb.code[pc].fuse_len, 1) << pc;
+  }
+  EXPECT_EQ(pb.code[past_pool + 8].xop, rt::XOp::kFRetChained);
   // Bit-identity holds even straddling the overflow boundary.
   expect_three_way_identical(prog, "pool_overflow");
 }
@@ -345,7 +347,9 @@ bc::Program make_backedge_into_window_program() {
   m.label("guard");
   m.load(0).const_(1);
   m.label("mid");  // lands on the kCmpLt: interior entry of the fused guard
-  m.cmplt().jnz("done");
+  m.cmplt().jz("body");
+  m.jmp("done");
+  m.label("body");
   m.load(0).const_(1).sub().store(0);  // i--
   m.load(0).load(0).load(0);           // (i, i, i): two survive the branch pop
   m.jnz("mid");                        // i != 0: back edge into the window

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -159,6 +161,41 @@ TEST(Cli, MalformedIntThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   CliParser cli(2, argv);
   EXPECT_THROW(cli.get_int_or("n", 0), Error);
+}
+
+// The resource-shaped flags of serve_tune and fleet_tune, whose misparse
+// would start threads, VMs or daemon clients, are covered here instead of
+// by running the tools with them.
+TEST(Cli, IntInRejectsValuesOutsideTheRange) {
+  const char* argv[] = {"prog",
+                        "--threads=-1",
+                        "--instances=4294967297",
+                        "--clients=0",
+                        "--requests=-1",
+                        "--huge=99999999999999999999",
+                        "--empty=",
+                        "--junk=12x"};
+  CliParser cli(8, argv);
+  EXPECT_THROW(cli.get_int_in("threads", 0, 0, 256), UsageError);
+  EXPECT_THROW(cli.get_int_in("instances", 4, 1, 256), UsageError);
+  EXPECT_THROW(cli.get_int_in("clients", 3, 1, 64), UsageError);
+  EXPECT_THROW(cli.get_int_in("requests", 1024, 1, std::numeric_limits<int>::max()), UsageError);
+  // strtoll saturates on overflow; the getter must not take the clamp.
+  EXPECT_THROW(cli.get_int_in("huge", 0, 0, std::numeric_limits<std::int64_t>::max()),
+               UsageError);
+  EXPECT_THROW(cli.get_int_in("empty", 0, 0, 10), UsageError);
+  EXPECT_THROW(cli.get_int_in("junk", 0, 0, 100), UsageError);
+}
+
+TEST(Cli, IntInAcceptsTheRangeAndFallsBackWhenAbsent) {
+  const char* argv[] = {"prog", "--threads=256", "--clients=1", "--seed=-5"};
+  CliParser cli(4, argv);
+  EXPECT_EQ(cli.get_int_in("threads", 0, 0, 256), 256);
+  EXPECT_EQ(cli.get_int_in("clients", 3, 1, 64), 1);
+  EXPECT_EQ(cli.get_int_in("seed", 7, -5, 5), -5);
+  // The fallback is the tool's own value and is not range-checked.
+  EXPECT_EQ(cli.get_int_in("kill-at", -1, 0, 10), -1);
+  EXPECT_EQ(cli.get_int_in("instances", 4, 1, 256), 4);
 }
 
 TEST(Cli, DoubleAndDefaults) {

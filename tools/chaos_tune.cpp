@@ -11,11 +11,13 @@
 // (killed run + resumed run) must print the same BEST line as a single
 // straight-through run — the property the CI chaos job asserts.
 //
-// The flags are declared once, in kFlags below; --help or any undeclared
-// flag prints the usage generated from them and exits 2.
+// The flags are declared once, in kFlags below; --help, any undeclared
+// flag, or an integer flag outside its range prints the usage generated
+// from them and exits 2.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -109,19 +111,34 @@ int main(int argc, char** argv) {
     ITH_CHECK(scenario == "adapt" || scenario == "opt", "--scenario must be adapt or opt");
     ITH_CHECK(arch == "x86" || arch == "ppc", "--arch must be x86 or ppc");
 
+    // Every integer flag is read here, before anything is opened or
+    // written, each within the range its field holds.
+    constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+    constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+    const auto iterations = static_cast<int>(cli.get_int_in("iterations", 2, 1, kInt));
+    const auto retries = static_cast<int>(cli.get_int_in("retries", 2, 0, 100));
+    const auto population = static_cast<int>(cli.get_int_in("pop", 8, 2, kInt));
+    const auto generations = static_cast<int>(cli.get_int_in("generations", 6, 1, kInt));
+    const auto seed = static_cast<std::uint64_t>(cli.get_int_in("seed", 7, 0, kI64));
+    const auto checkpoint_every =
+        static_cast<int>(cli.get_int_in("checkpoint-every", 1, 1, kInt));
+    const auto kill_at = static_cast<int>(cli.get_int_in("kill-at", -1, 0, kInt));
+
     resilience::FaultPlan plan;
     plan.rate = cli.get_double_or("fault-rate", 0.0);
     ITH_CHECK(plan.rate >= 0.0 && plan.rate <= 1.0, "--fault-rate out of [0,1]");
-    plan.seed = static_cast<std::uint64_t>(cli.get_int_or("fault-seed", 1));
+    plan.seed = static_cast<std::uint64_t>(cli.get_int_in("fault-seed", 1, 0, kI64));
     plan.sites = resilience::FaultPlan::parse_sites(cli.get_or("fault-sites", "all"));
     plan.compile_inflation = cli.get_double_or("compile-inflation", plan.compile_inflation);
 
     resilience::RunBudget budget;
-    budget.max_sim_cycles = static_cast<std::uint64_t>(cli.get_int_or("budget-cycles", 0));
-    budget.max_compile_cycles = static_cast<std::uint64_t>(cli.get_int_or("budget-compile", 0));
-    budget.max_instructions = static_cast<std::uint64_t>(cli.get_int_or("budget-instructions", 0));
-    budget.max_frame_depth = static_cast<std::size_t>(cli.get_int_or("budget-frames", 0));
-    budget.max_wall_ms = static_cast<std::uint64_t>(cli.get_int_or("budget-wall-ms", 0));
+    budget.max_sim_cycles = static_cast<std::uint64_t>(cli.get_int_in("budget-cycles", 0, 0, kI64));
+    budget.max_compile_cycles =
+        static_cast<std::uint64_t>(cli.get_int_in("budget-compile", 0, 0, kI64));
+    budget.max_instructions =
+        static_cast<std::uint64_t>(cli.get_int_in("budget-instructions", 0, 0, kI64));
+    budget.max_frame_depth = static_cast<std::size_t>(cli.get_int_in("budget-frames", 0, 0, kI64));
+    budget.max_wall_ms = static_cast<std::uint64_t>(cli.get_int_in("budget-wall-ms", 0, 0, kI64));
 
     const std::string trace_path = cli.get_or("trace", "");
     std::ofstream trace_out;
@@ -136,8 +153,8 @@ int main(int argc, char** argv) {
     tuner::EvalConfig ec;
     ec.machine = arch == "ppc" ? rt::ppc_g4_model() : rt::pentium4_model();
     ec.scenario = scenario == "adapt" ? vm::Scenario::kAdapt : vm::Scenario::kOpt;
-    ec.iterations = static_cast<int>(cli.get_int_or("iterations", 2));
-    ec.max_retries = static_cast<int>(cli.get_int_or("retries", 2));
+    ec.iterations = iterations;
+    ec.max_retries = retries;
     ec.obs = &ctx;
 
     std::vector<wl::Workload> suite = parse_workloads(cli.get_or("workloads", "compress,db"));
@@ -181,9 +198,9 @@ int main(int argc, char** argv) {
     }
 
     ga::GaConfig ga_cfg;
-    ga_cfg.population = static_cast<int>(cli.get_int_or("pop", 8));
-    ga_cfg.generations = static_cast<int>(cli.get_int_or("generations", 6));
-    ga_cfg.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
+    ga_cfg.population = population;
+    ga_cfg.generations = generations;
+    ga_cfg.seed = seed;
     ga_cfg.threads = 1;
     ga_cfg.memoize = true;
     ga_cfg.obs = &ctx;
@@ -194,11 +211,10 @@ int main(int argc, char** argv) {
     tuner::TuneCheckpointOptions checkpoint;
     checkpoint.path = cli.get_or("checkpoint", "");
     checkpoint.resume = cli.has("resume");
-    checkpoint.every = static_cast<int>(cli.get_int_or("checkpoint-every", 1));
+    checkpoint.every = checkpoint_every;
     ITH_CHECK(!checkpoint.resume || !checkpoint.path.empty(), "--resume needs --checkpoint=PATH");
 
     const bool kill_armed = cli.has("kill-at");
-    const int kill_at = static_cast<int>(cli.get_int_or("kill-at", -1));
     ITH_CHECK(!kill_armed || !checkpoint.path.empty(), "--kill-at needs --checkpoint=PATH");
     checkpoint.on_generation = [&](const ga::GenerationStats& stats) {
       std::cout << "gen " << stats.generation << " best=" << stats.best
@@ -258,6 +274,9 @@ int main(int argc, char** argv) {
       std::cout << "survival: " << ok << "/" << (ok + failed) << " benchmark runs ok\n";
     }
     return 0;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage_text("chaos_tune", kFlags);
+    return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -13,12 +13,14 @@
 //
 // Runs until SIGINT/SIGTERM (graceful: final snapshot) or --run-seconds.
 //
-// The flags are declared once, in kFlags below; --help or any undeclared
-// flag prints the usage generated from them and exits 2.
+// The flags are declared once, in kFlags below; --help, any undeclared
+// flag, or an integer flag outside its range prints the usage generated
+// from them and exits 2.
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -113,6 +115,19 @@ int main(int argc, char** argv) {
     ITH_CHECK(scenario == "adapt" || scenario == "opt", "--scenario must be adapt or opt");
     ITH_CHECK(arch == "x86" || arch == "ppc", "--arch must be x86 or ppc");
 
+    // Every integer flag is read here, before anything is opened, bound or
+    // written, each within the range its field holds.
+    constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+    constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+    const auto iterations = static_cast<int>(cli.get_int_in("iterations", 2, 1, kInt));
+    const auto retries = static_cast<int>(cli.get_int_in("retries", 2, 0, 100));
+    const auto eval_fault_seed =
+        static_cast<std::uint64_t>(cli.get_int_in("eval-fault-seed", 1, 0, kI64));
+    const auto snapshot_every =
+        static_cast<std::uint64_t>(cli.get_int_in("snapshot-every", 8, 0, kI64));
+    const auto fault_seed = static_cast<std::uint64_t>(cli.get_int_in("fault-seed", 1, 0, kI64));
+    const auto run_seconds = static_cast<int>(cli.get_int_in("run-seconds", 0, 0, kInt));
+
     const std::string trace_path = cli.get_or("trace", "");
     std::ofstream trace_out;
     std::unique_ptr<obs::TraceSink> sink;
@@ -129,14 +144,14 @@ int main(int argc, char** argv) {
     // the fingerprint; the *service* fault plan below is not).
     resilience::FaultPlan eval_plan;
     eval_plan.rate = cli.get_double_or("eval-fault-rate", 0.0);
-    eval_plan.seed = static_cast<std::uint64_t>(cli.get_int_or("eval-fault-seed", 1));
+    eval_plan.seed = eval_fault_seed;
     eval_plan.sites = resilience::FaultPlan::parse_sites(cli.get_or("eval-fault-sites", ""));
 
     tuner::EvalConfig ec;
     ec.machine = arch == "ppc" ? rt::ppc_g4_model() : rt::pentium4_model();
     ec.scenario = scenario == "adapt" ? vm::Scenario::kAdapt : vm::Scenario::kOpt;
-    ec.iterations = static_cast<int>(cli.get_int_or("iterations", 2));
-    ec.max_retries = static_cast<int>(cli.get_int_or("retries", 2));
+    ec.iterations = iterations;
+    ec.max_retries = retries;
     if (eval_plan.armed()) ec.vm_config.faults = &eval_plan;
     const std::uint64_t fingerprint =
         tuner::SuiteEvaluator(parse_workloads(cli.get_or("workloads", "compress,db")), ec)
@@ -146,10 +161,10 @@ int main(int argc, char** argv) {
     dc.socket_path = socket_path;
     dc.fingerprint = fingerprint;
     dc.snapshot_path = cli.get_or("snapshot", "");
-    dc.snapshot_every = static_cast<std::uint64_t>(cli.get_int_or("snapshot-every", 8));
+    dc.snapshot_every = snapshot_every;
     dc.faults.rate = cli.get_double_or("fault-rate", 0.0);
     ITH_CHECK(dc.faults.rate >= 0.0 && dc.faults.rate <= 1.0, "--fault-rate out of [0,1]");
-    dc.faults.seed = static_cast<std::uint64_t>(cli.get_int_or("fault-seed", 1));
+    dc.faults.seed = fault_seed;
     dc.faults.sites = resilience::FaultPlan::parse_sites(cli.get_or("fault-sites", "svc"));
     dc.obs = &ctx;
 
@@ -168,7 +183,6 @@ int main(int argc, char** argv) {
 
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-    const int run_seconds = static_cast<int>(cli.get_int_or("run-seconds", 0));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(run_seconds);
     while (g_stop == 0) {
@@ -189,6 +203,9 @@ int main(int argc, char** argv) {
               << " faults_injected=" << s.faults_injected << "\n";
     ctx.flush();
     return s.leases_balanced() ? 0 : 1;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage_text("eval_serve", kFlags);
+    return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -21,10 +21,11 @@
 //     even under injected faults and a mid-flight daemon kill.
 //
 // The flags (chaos_tune-style defaults) are declared once, in kFlags
-// below; --help or any undeclared flag prints the usage generated from them
-// and exits 2.
+// below; --help, any undeclared flag, or an integer flag outside its range
+// prints the usage generated from them and exits 2.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -127,6 +128,11 @@ int main(int argc, char** argv) {
     const std::string arch = cli.get_or("arch", "x86");
     ITH_CHECK(scenario == "adapt" || scenario == "opt", "--scenario must be adapt or opt");
     ITH_CHECK(arch == "x86" || arch == "ppc", "--arch must be x86 or ppc");
+    // Integer flags are range-checked as they are read; nothing below
+    // writes before svc::run_fleet. Clients are capped: each is a thread
+    // with its own daemon connection.
+    constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+    constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
 
     // One --fault-* flag set, split across the two independent planes: eval
     // sites change what suite runs *measure* (and are fingerprinted), so
@@ -134,7 +140,7 @@ int main(int argc, char** argv) {
     // infrastructure chaos, so they arm only the daemon.
     const double fault_rate = cli.get_double_or("fault-rate", 0.0);
     ITH_CHECK(fault_rate >= 0.0 && fault_rate <= 1.0, "--fault-rate out of [0,1]");
-    const std::uint64_t fault_seed = static_cast<std::uint64_t>(cli.get_int_or("fault-seed", 1));
+    const auto fault_seed = static_cast<std::uint64_t>(cli.get_int_in("fault-seed", 1, 0, kI64));
     const std::uint32_t sites =
         resilience::FaultPlan::parse_sites(cli.get_or("fault-sites", "svc"));
 
@@ -151,24 +157,24 @@ int main(int argc, char** argv) {
     fc.suite = parse_workloads(cli.get_or("workloads", "compress,db"));
     fc.eval.machine = arch == "ppc" ? rt::ppc_g4_model() : rt::pentium4_model();
     fc.eval.scenario = scenario == "adapt" ? vm::Scenario::kAdapt : vm::Scenario::kOpt;
-    fc.eval.iterations = static_cast<int>(cli.get_int_or("iterations", 2));
-    fc.eval.max_retries = static_cast<int>(cli.get_int_or("retries", 2));
+    fc.eval.iterations = static_cast<int>(cli.get_int_in("iterations", 2, 1, kInt));
+    fc.eval.max_retries = static_cast<int>(cli.get_int_in("retries", 2, 0, 100));
     if (eval_plan.armed()) fc.eval.vm_config.faults = &eval_plan;
 
-    fc.clients = static_cast<int>(cli.get_int_or("clients", 3));
-    fc.generations = static_cast<int>(cli.get_int_or("generations", 4));
-    fc.population = static_cast<int>(cli.get_int_or("pop", 6));
+    fc.clients = static_cast<int>(cli.get_int_in("clients", 3, 1, 64));
+    fc.generations = static_cast<int>(cli.get_int_in("generations", 4, 1, kInt));
+    fc.population = static_cast<int>(cli.get_int_in("pop", 6, 2, kInt));
     fc.goal = parse_goal(cli.get_or("goal", "total"));
-    fc.base_seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
-    fc.seed_stride = static_cast<std::uint64_t>(cli.get_int_or("seed-stride", 0));
+    fc.base_seed = static_cast<std::uint64_t>(cli.get_int_in("seed", 7, 0, kI64));
+    fc.seed_stride = static_cast<std::uint64_t>(cli.get_int_in("seed-stride", 0, 0, kI64));
     fc.socket_path = cli.get_or("socket", "fleet_tune.sock");
     fc.snapshot_path = cli.get_or("snapshot", "");
-    fc.snapshot_every = static_cast<std::uint64_t>(cli.get_int_or("snapshot-every", 4));
+    fc.snapshot_every = static_cast<std::uint64_t>(cli.get_int_in("snapshot-every", 4, 0, kI64));
     fc.import_paths = split_csv(cli.get_or("import", ""));
-    fc.kill_daemon_at = static_cast<int>(cli.get_int_or("kill-daemon-at", -1));
+    fc.kill_daemon_at = static_cast<int>(cli.get_int_in("kill-daemon-at", -1, 0, kInt));
     fc.restart_daemon = !cli.has("no-restart");
     fc.verify_solo = cli.has("verify-solo");
-    fc.request_timeout_ms = static_cast<int>(cli.get_int_or("timeout-ms", 30'000));
+    fc.request_timeout_ms = static_cast<int>(cli.get_int_in("timeout-ms", 30'000, 0, kInt));
     ITH_CHECK(fc.kill_daemon_at < 0 || !fc.snapshot_path.empty() || !fc.restart_daemon,
               "--kill-daemon-at with restart needs --snapshot=PATH (the restarted daemon "
               "reloads its last periodic snapshot)");
@@ -233,6 +239,9 @@ int main(int argc, char** argv) {
     }
     if (!report.leases_balanced) std::cout << "FAIL: lease accounting does not balance\n";
     return ok ? 0 : 1;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage_text("fleet_tune", kFlags);
+    return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

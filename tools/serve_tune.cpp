@@ -10,10 +10,12 @@
 // files — across thread counts and across both interpreter engines. That
 // property is what the CI serving job diffs.
 //
-// The flags are declared once, in kFlags below; --help or any undeclared
-// flag prints the usage generated from them and exits 2.
+// The flags are declared once, in kFlags below; --help, any undeclared
+// flag, or an integer flag outside its range prints the usage generated
+// from them and exits 2.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +108,21 @@ int main(int argc, char** argv) {
     ITH_CHECK(engine == "fast" || engine == "reference", "--engine must be fast or reference");
     ITH_CHECK(rollout == "rolling" || rollout == "all", "--rollout must be rolling or all");
 
+    // Every integer flag is read here, before anything is opened or
+    // written, each within the range its field holds. Instances (one VM
+    // each) and worker threads are capped.
+    constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+    constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+    serving::ServingConfig config;
+    config.seed = static_cast<std::uint64_t>(cli.get_int_in("seed", 1, 0, kI64));
+    config.instances = static_cast<int>(cli.get_int_in("instances", 4, 1, 256));
+    config.requests = static_cast<std::size_t>(cli.get_int_in("requests", 1024, 1, kInt));
+    config.threads = static_cast<std::size_t>(cli.get_int_in("threads", 0, 0, 256));
+    config.ga_generations = static_cast<int>(cli.get_int_in("generations", 6, 1, kInt));
+    config.ga_population = static_cast<int>(cli.get_int_in("pop", 12, 2, kInt));
+    config.ga_seed = static_cast<std::uint64_t>(cli.get_int_in("ga-seed", 7, 0, kI64));
+    const auto fault_seed = static_cast<std::uint64_t>(cli.get_int_in("fault-seed", 1, 0, kI64));
+
     const std::string trace_path = cli.get_or("trace", "");
     std::ofstream trace_out;
     std::unique_ptr<obs::TraceSink> sink;
@@ -119,23 +136,15 @@ int main(int argc, char** argv) {
     resilience::FaultPlan plan;
     plan.rate = cli.get_double_or("fault-rate", 0.0);
     ITH_CHECK(plan.rate >= 0.0 && plan.rate <= 1.0, "--fault-rate out of [0,1]");
-    plan.seed = static_cast<std::uint64_t>(cli.get_int_or("fault-seed", 1));
+    plan.seed = fault_seed;
     plan.sites = resilience::FaultPlan::parse_sites(cli.get_or("fault-sites", "all"));
     plan.compile_inflation = cli.get_double_or("compile-inflation", plan.compile_inflation);
 
-    serving::ServingConfig config;
-    config.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 1));
-    config.instances = static_cast<int>(cli.get_int_or("instances", 4));
-    config.requests = static_cast<std::size_t>(cli.get_int_or("requests", 1024));
     config.load = cli.get_double_or("load", 0.7);
     config.scenario = scenario == "adapt" ? vm::Scenario::kAdapt : vm::Scenario::kOpt;
     config.machine = arch == "ppc" ? rt::ppc_g4_model() : rt::pentium4_model();
     config.engine = engine == "fast" ? rt::EngineKind::kFast : rt::EngineKind::kReference;
-    config.threads = static_cast<std::size_t>(cli.get_int_or("threads", 0));
     config.online_tune = cli.get_bool_or("online", false);
-    config.ga_generations = static_cast<int>(cli.get_int_or("generations", 6));
-    config.ga_population = static_cast<int>(cli.get_int_or("pop", 12));
-    config.ga_seed = static_cast<std::uint64_t>(cli.get_int_or("ga-seed", 7));
     config.goal = parse_goal(cli.get_or("goal", "balance"));
     config.slo_multiplier = cli.get_double_or("slo-mult", 32.0);
     config.rollout = rollout == "all" ? serving::Rollout::kAll : serving::Rollout::kRolling;
@@ -192,6 +201,9 @@ int main(int argc, char** argv) {
 
     ctx.flush();
     return 0;
+  } catch (const UsageError& e) {
+    std::cerr << "serve_tune: " << e.what() << "\n" << usage_text("serve_tune", kFlags);
+    return 2;
   } catch (const Error& e) {
     std::cerr << "serve_tune: " << e.what() << "\n";
     return 1;

@@ -419,35 +419,18 @@ int main(int argc, char** argv) {
       };
       std::cout << "\nFusion (superinstruction predecode):\n";
       Table t({"fusion counter", "value"});
+      std::map<std::string, std::int64_t> rule_hits;
       for (const auto& [name, v] : fusion) {
-        if (name.rfind("rt.fused_rule.", 0) != 0 && name.rfind("rt.fused_imm_rule.", 0) != 0) {
+        if (name.rfind("rt.fused_rule.", 0) == 0) {
+          rule_hits[name.substr(std::string("rt.fused_rule.").size())] = v;
+        } else {
           t.add_row({name, std::to_string(v)});
         }
       }
       t.render(std::cout);
-      // Per-rule table: total sites rewritten alongside the immediate-form
-      // subset, so a trace answers "which windows got their operands
-      // captured" next to "which patterns fire at all".
-      std::map<std::string, std::int64_t> rule_hits, rule_hits_imm;
-      for (const auto& [name, v] : fusion) {
-        if (name.rfind("rt.fused_imm_rule.", 0) == 0) {
-          rule_hits_imm[name.substr(std::string("rt.fused_imm_rule.").size())] = v;
-        } else if (name.rfind("rt.fused_rule.", 0) == 0) {
-          rule_hits[name.substr(std::string("rt.fused_rule.").size())] = v;
-        }
-      }
-      if (!rule_hits.empty() || !rule_hits_imm.empty()) {
-        Table rt_table({"fusion rule", "sites rewritten", "immediate form"});
-        for (const auto& [name, v] : rule_hits) {
-          const auto imm = rule_hits_imm.find(name);
-          rt_table.add_row({name, std::to_string(v),
-                            std::to_string(imm == rule_hits_imm.end() ? 0 : imm->second)});
-        }
-        // Imm-only rules (no pool-less fallback) may publish only the imm
-        // counter; surface them too instead of silently dropping the row.
-        for (const auto& [name, v] : rule_hits_imm) {
-          if (rule_hits.count(name) == 0) rt_table.add_row({name, "0", std::to_string(v)});
-        }
+      if (!rule_hits.empty()) {
+        Table rt_table({"fusion rule", "sites rewritten"});
+        for (const auto& [name, v] : rule_hits) rt_table.add_row({name, std::to_string(v)});
         rt_table.render(std::cout);
       }
       const std::int64_t fired = fval("rt.fused_rules_fired");

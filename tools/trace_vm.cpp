@@ -53,20 +53,17 @@ const std::vector<FlagSpec> kFlags = {
 int main(int argc, char** argv) {
   try {
     const CliParser cli(argc, argv);
-    const auto usage = [] {
+    if (!cli.only_declared(kFlags)) {
       std::cerr << usage_text("trace_vm", kFlags);
       return 2;
-    };
-    if (!cli.only_declared(kFlags)) return usage();
-    const std::int64_t iterations = cli.get_int_or("iterations", 2);
-    const std::int64_t partial =
-        cli.get_int_or("partial", heur::default_params().partial_max_head_size);
+    }
+    const std::int64_t iterations =
+        cli.get_int_in("iterations", 2, 1, std::numeric_limits<int>::max());
     // PARTIAL_MAX_HEAD_SIZE is the last gene.
     const heur::ParamRange& partial_range = heur::param_ranges().back();
-    if (iterations < 1 || iterations > std::numeric_limits<int>::max() ||
-        partial < partial_range.lo || partial > partial_range.hi) {
-      return usage();
-    }
+    const std::int64_t partial =
+        cli.get_int_in("partial", heur::default_params().partial_max_head_size, partial_range.lo,
+                       partial_range.hi);
     const std::string workload = cli.get_or("workload", "compress");
     const std::string scenario = cli.get_or("scenario", "adapt");
     const std::string arch = cli.get_or("arch", "x86");
@@ -128,6 +125,9 @@ int main(int argc, char** argv) {
                 << opt::format_inline_report(w.program, report);
     }
     return 0;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage_text("trace_vm", kFlags);
+    return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
