@@ -14,7 +14,8 @@
 
 using namespace ith;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_convergence",
                       "methodology: pop 20 x 500 generations (section 3.1) vs observed convergence");
 

@@ -40,7 +40,8 @@ std::uint64_t total_at_depth(const ModelVariant& v, const wl::Workload& w, int d
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_costmodel",
                       "design-choice ablation: which cost terms create Figure 2's shape");
 

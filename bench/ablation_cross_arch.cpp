@@ -30,7 +30,8 @@ double fitness_on(const rt::MachineModel& machine, vm::Scenario scenario,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_cross_arch",
                       "motivation: one heuristic per architecture is suboptimal (section 1)");
 

@@ -19,7 +19,8 @@
 
 using namespace ith;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_osr",
                       "future-work variant: on-stack replacement for the Adapt scenario");
 

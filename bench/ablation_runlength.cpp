@@ -39,7 +39,8 @@ double suite_total(double scale, heur::InlineHeuristic& h) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_runlength",
                       "section 3.3's run-length argument for multiple optimization goals");
 

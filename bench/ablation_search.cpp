@@ -21,7 +21,8 @@
 
 using namespace ith;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("ablation_search",
                       "design-choice ablation: GA vs random vs hill climbing; memoization");
 

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <filesystem>
 #include <iostream>
 
 #include "support/env.hpp"
@@ -90,6 +91,13 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::cout << title << "\n";
   std::cout << "reproduces: " << paper_ref << "\n";
   std::cout << "==============================================================\n\n";
+}
+
+bool takes_no_arguments(int argc, const char* const* argv) {
+  if (argc <= 1) return true;
+  std::cerr << "usage: " << std::filesystem::path(argv[0]).filename().string()
+            << "\n  (takes no arguments)\n";
+  return false;
 }
 
 }  // namespace ith::bench

@@ -57,4 +57,9 @@ const std::vector<std::pair<std::string, heur::InlineParams>>& recorded_fig10_pa
 /// Banner helper.
 void print_header(const std::string& title, const std::string& paper_ref);
 
+/// For a bench main that takes no arguments: true when none were given;
+/// otherwise prints a usage line for argv[0] to stderr and returns false,
+/// and the main exits 2.
+bool takes_no_arguments(int argc, const char* const* argv);
+
 }  // namespace ith::bench

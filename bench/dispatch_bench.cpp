@@ -177,6 +177,7 @@ std::vector<DispatchMeasurement> run_dispatch_bench(const DispatchBenchConfig& c
       m.best_seconds = v.t->best_seconds;
       m.insns_per_sec = static_cast<double>(v.t->cold.instructions) / v.t->best_seconds;
       m.ns_per_insn = v.t->best_seconds * 1e9 / static_cast<double>(v.t->cold.instructions);
+      if (const rt::FusionStats* fs = v.t->interp->fusion_stats()) m.rules_fired = fs->rules_fired;
       out.push_back(std::move(m));
     }
   }

@@ -27,6 +27,9 @@ struct DispatchMeasurement {
   double best_seconds = 0.0;       ///< fastest repeat
   double insns_per_sec = 0.0;
   double ns_per_insn = 0.0;
+  /// Fusion rules this engine's predecodes rewrote (0 for the unfused
+  /// variants).
+  std::uint64_t rules_fired = 0;
 };
 
 struct DispatchBenchConfig {

@@ -17,7 +17,8 @@
 
 using namespace ith;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::takes_no_arguments(argc, argv)) return 2;
   bench::print_header("sweep_heatmap",
                       "landscape structure: total-time fitness over CALLEE x DEPTH");
 

@@ -1,6 +1,7 @@
 #include "runtime/predecode.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <string>
 
@@ -141,6 +142,61 @@ FusionStats::FusionStats() : rule_hits(fusion_rules().size(), 0) {}
 
 namespace {
 
+/// fusion_rules() as a trie keyed by successive opcodes. Walking it along
+/// code[pc], code[pc+1], ... as far as the ops allow ends at a node whose
+/// `matches` lists every rule whose whole pattern matches at pc, lowest
+/// index first: the rules ending at that node and at each node above it.
+class FusionTrie {
+ public:
+  FusionTrie() : nodes_(1) {
+    const std::vector<FusionRule>& rules = fusion_rules();
+    ITH_CHECK(rules.size() <= 0xff, "fusion rule indices must fit a byte");
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      std::size_t at = 0;
+      for (std::size_t k = 0; k < rules[r].len; ++k) {
+        const auto op = static_cast<std::size_t>(rules[r].pattern[k]);
+        if (nodes_[at].child[op] == 0) {
+          ITH_CHECK(nodes_.size() <= 0xff, "fusion trie node ids must fit a byte");
+          nodes_[at].child[op] = static_cast<std::uint8_t>(nodes_.size());
+          nodes_.push_back(Node{{}, nodes_[at].matches});
+        }
+        at = nodes_[at].child[op];
+      }
+      add_match(at, static_cast<std::uint8_t>(r));
+    }
+  }
+
+  /// The rules matching at code[pc], lowest index first.
+  const std::vector<std::uint8_t>& matches_at(const std::vector<PredecodedInsn>& code,
+                                              std::size_t pc) const {
+    std::size_t at = 0;
+    const std::size_t end = std::min(code.size(), pc + kMaxFusionPatternLen);
+    for (std::size_t i = pc; i < end; ++i) {
+      const std::uint8_t next = nodes_[at].child[static_cast<std::size_t>(code[i].op)];
+      if (next == 0) break;
+      at = next;
+    }
+    return nodes_[at].matches;
+  }
+
+ private:
+  struct Node {
+    std::array<std::uint8_t, bc::kNumOps> child{};  ///< 0 = none (the root is no child)
+    std::vector<std::uint8_t> matches;
+  };
+
+  /// Adds rule `r` to node `at` and to every node below it. Rules arrive in
+  /// index order, so every `matches` list stays sorted.
+  void add_match(std::size_t at, std::uint8_t r) {
+    nodes_[at].matches.push_back(r);
+    for (const std::uint8_t c : nodes_[at].child) {
+      if (c != 0) add_match(c, r);
+    }
+  }
+
+  std::vector<Node> nodes_;
+};
+
 /// The table-driven fusion scan. Rewrites only the xop/fuse_len (and, for a
 /// head, the captured operand slots) of the designated entry per match —
 /// operands, costs, lines, and jump deltas in the INTERIOR entries are
@@ -149,23 +205,17 @@ namespace {
 /// also gets a side-pool record carrying the interiors' accounting data, so
 /// the fused dispatch never touches the interior entries at all.
 void apply_fusion(PredecodedBody& pb, FusionStats* stats) {
+  static const FusionTrie trie;
   const std::vector<FusionRule>& rules = fusion_rules();
   std::vector<PredecodedInsn>& code = pb.code;
   bool any = false;
   std::size_t pc = 0;
   while (pc < code.size()) {
     std::size_t advance = 1;
-    for (std::size_t r = 0; r < rules.size(); ++r) {
+    // The first rule, by index, whose pattern matches and whose constraint
+    // and pool space allow it fires.
+    for (const std::uint8_t r : trie.matches_at(code, pc)) {
       const FusionRule& rule = rules[r];
-      if (pc + rule.len > code.size()) continue;
-      bool match = true;
-      for (int k = 0; k < rule.len; ++k) {
-        if (code[pc + static_cast<std::size_t>(k)].op != rule.pattern[static_cast<std::size_t>(k)]) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
       if (rule.require_same_a >= 0 &&
           code[pc + static_cast<std::size_t>(rule.require_same_a)].a != code[pc].a) {
         continue;  // constraint miss: not a match, the next rule may still fire

@@ -1,6 +1,10 @@
 #include "serving/driver.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "ga/ga.hpp"
@@ -40,50 +44,58 @@ struct RequestStream {
   }
 };
 
-struct Fleet {
-  std::vector<std::unique_ptr<ServerInstance>> instances;
-  /// Parameters the fleet should converge to; rolling installs lag behind.
-  heur::InlineParams target;
-
-  /// Brings at most `limit` stale instances in line with `target`.
-  /// Returns the number of installs performed.
-  std::size_t roll(std::size_t limit) {
-    std::size_t done = 0;
-    for (auto& inst : instances) {
-      if (done >= limit) break;
-      if (!(inst->params() == target)) {
-        inst->install(target);
-        ++done;
-      }
-    }
-    return done;
-  }
+/// What every instance does at one epoch boundary: the instances marked in
+/// `install` install `params`, then each serves its own ids in [lo, hi).
+struct EpochPlan {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  heur::InlineParams params;
+  std::vector<bool> install;  ///< by instance index
 };
 
-/// Serves records[lo, hi) on the fleet: round-robin dispatch by id, strictly
-/// FIFO per instance, instances in parallel. `requests` and `records` are
-/// indexed by request id.
-void serve_epoch(Fleet& fleet, ThreadPool& pool, const std::vector<Request>& requests,
-                 std::vector<RequestRecord>& records, std::size_t lo, std::size_t hi,
-                 std::uint64_t penalty_cycles) {
-  const std::size_t n = fleet.instances.size();
-  pool.parallel_for(n, [&](std::size_t i) {
-    ServerInstance& inst = *fleet.instances[i];
-    for (std::size_t id = lo + (n + i - lo % n) % n; id < hi; id += n) {
-      const Request& req = requests[id];
-      const std::uint64_t start = std::max(req.arrival, inst.clock);
-      const ServeResult res = inst.serve(req);
-      RequestRecord& rec = records[id];
-      rec.arrival = req.arrival;
-      rec.start = start;
-      rec.service = res.ok ? res.service_cycles : penalty_cycles;
-      rec.latency = (start - req.arrival) + rec.service;
-      rec.instance = static_cast<int>(i);
-      rec.ok = res.ok;
-      inst.clock = start + rec.service;
+/// The plans the shadow tuner publishes, in epoch order. Each instance
+/// waits only for the next plan it needs, never for another instance.
+class Schedule {
+ public:
+  void publish(EpochPlan plan) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      plans_.push_back(std::move(plan));
     }
-  });
-}
+    cv_.notify_all();
+  }
+
+  /// No more plans: instances return once they served the published ones.
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Blocks until plan `epoch` is published; nullopt once the schedule is
+  /// closed without it.
+  std::optional<EpochPlan> wait(std::size_t epoch) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return closed_ || epoch < plans_.size(); });
+    if (epoch < plans_.size()) return plans_[epoch];
+    return std::nullopt;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<EpochPlan> plans_;
+  bool closed_ = false;
+};
+
+/// What one instance measured, folded on its own worker.
+struct InstanceTally {
+  LatencyDigest digest;  ///< sorted before the instance's task returns
+  std::size_t slo_violations = 0;
+  std::size_t faulted = 0;
+};
 
 /// Mean service cycles under `params`, measured on a scratch fault-free
 /// instance over the calibration request stream.
@@ -153,8 +165,7 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
     }
   }
 
-  Fleet fleet;
-  fleet.target = config.initial;
+  std::vector<std::unique_ptr<ServerInstance>> instances;
   for (int i = 0; i < config.instances; ++i) {
     InstanceOptions opts;
     opts.scenario = config.scenario;
@@ -165,31 +176,97 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
                                           resilience::mix_keys(codec::fnv1a(name),
                                                                static_cast<std::uint64_t>(i)));
     opts.obs = obs;
-    fleet.instances.push_back(std::make_unique<ServerInstance>(serve_wl.program, config.machine,
-                                                               config.initial, opts));
+    instances.push_back(std::make_unique<ServerInstance>(serve_wl.program, config.machine,
+                                                         config.initial, opts));
   }
+  const std::size_t n = instances.size();
 
-  ThreadPool pool(config.threads);
+  // One task per instance, started before the shadow GA: it applies its own
+  // installs and serves its own ids (round-robin by id, strictly FIFO) from
+  // each plan as soon as that plan is published, so instances never wait
+  // for each other and the GA runs while they serve.
+  const std::uint64_t slo_cycles = report.slo_cycles;
   std::vector<RequestRecord> records(config.requests);
+  std::vector<InstanceTally> tallies(n);
+  Schedule schedule;
+  const auto serve_instance = [&](std::size_t i) {
+    ServerInstance& inst = *instances[i];
+    InstanceTally& tally = tallies[i];
+    for (std::size_t epoch = 0;; ++epoch) {
+      const std::optional<EpochPlan> plan = schedule.wait(epoch);
+      if (!plan) break;
+      if (plan->install[i]) inst.install(plan->params);
+      obs::ScopedSpan es(obs, obs::Category::kServe, "serve.epoch",
+                        {{"workload", name},
+                         {"epoch", static_cast<std::int64_t>(epoch)},
+                         {"instance", static_cast<std::int64_t>(i)}});
+      std::size_t count = 0;
+      for (std::size_t id = plan->lo + (n + i - plan->lo % n) % n; id < plan->hi; id += n) {
+        const Request& req = requests[id];
+        const std::uint64_t start = std::max(req.arrival, inst.clock);
+        const ServeResult res = inst.serve(req);
+        RequestRecord& rec = records[id];
+        rec.arrival = req.arrival;
+        rec.start = start;
+        rec.service = res.ok ? res.service_cycles : penalty_cycles;
+        rec.latency = (start - req.arrival) + rec.service;
+        rec.instance = static_cast<int>(i);
+        rec.ok = res.ok;
+        inst.clock = start + rec.service;
+        tally.digest.add(rec.latency);
+        if (!rec.ok) ++tally.faulted;
+        if (slo_cycles != 0 && rec.latency > slo_cycles) ++tally.slo_violations;
+        ++count;
+      }
+      es.arg("requests", count);
+    }
+    tally.digest.sorted_samples();
+  };
+  ThreadPool pool(config.threads);
+  std::vector<std::future<void>> served;
+  // On any exit, close the schedule and wait for every instance task, so no
+  // task outlives the locals it serves from.
+  struct JoinInstances {
+    Schedule& schedule;
+    std::vector<std::future<void>>& served;
+    ~JoinInstances() {
+      schedule.close();
+      for (std::future<void>& f : served) {
+        if (f.valid()) f.wait();
+      }
+    }
+  } join{schedule, served};
+  for (std::size_t i = 0; i < n; ++i) served.push_back(pool.submit([&, i] { serve_instance(i); }));
 
-  // Epoch plan: one epoch per GA generation plus a closing epoch; a single
-  // epoch when online tuning is off.
+  // The epoch boundaries: one per GA generation plus a closing epoch; a
+  // single epoch when online tuning is off. Rollouts are decided here on a
+  // model of each instance's parameters; the instances install them.
   const std::size_t epochs =
       config.online_tune ? static_cast<std::size_t>(config.ga_generations) + 1 : 1;
   const std::size_t epoch_len = std::max<std::size_t>(config.requests / epochs, 1);
   std::size_t next_lo = 0;
-  int epoch = 0;
-  const std::size_t roll_limit = config.rollout == Rollout::kAll
-                                     ? fleet.instances.size()
-                                     : std::max<std::size_t>(fleet.instances.size() / 2, 1);
-  const auto serve_next_epoch = [&](bool last) {
-    if (next_lo >= config.requests) return;
-    const std::size_t hi = last ? config.requests : std::min(next_lo + epoch_len, config.requests);
-    obs::ScopedSpan es(obs, obs::Category::kServe, "serve.epoch",
-                      {{"workload", name}, {"epoch", epoch}, {"requests", hi - next_lo}});
-    serve_epoch(fleet, pool, requests, records, next_lo, hi, penalty_cycles);
-    next_lo = hi;
-    ++epoch;
+  std::vector<heur::InlineParams> fleet(n, config.initial);
+  heur::InlineParams target = config.initial;
+  const std::size_t roll_limit =
+      config.rollout == Rollout::kAll ? n : std::max<std::size_t>(n / 2, 1);
+  // Publishes the next boundary: at most `limit` stale instances install
+  // `target`, then the next slice of ids (the rest of them when `last`).
+  const auto publish_epoch = [&](std::size_t limit, bool last) {
+    EpochPlan plan;
+    plan.params = target;
+    plan.install.assign(n, false);
+    std::size_t done = 0;
+    for (std::size_t i = 0; i < n && done < limit; ++i) {
+      if (!(fleet[i] == target)) {
+        fleet[i] = target;
+        plan.install[i] = true;
+        ++done;
+      }
+    }
+    plan.lo = next_lo;
+    plan.hi = last ? config.requests : std::min(next_lo + epoch_len, config.requests);
+    next_lo = plan.hi;
+    schedule.publish(std::move(plan));
   };
 
   if (config.online_tune) {
@@ -231,9 +308,8 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
                       {"fitness", d.fitness},
                       {"signature", static_cast<std::int64_t>(d.signature)}});
       }
-      if (d.action == RetuneAction::kInstalled) fleet.target = controller.installed();
-      fleet.roll(roll_limit);
-      serve_next_epoch(/*last=*/false);
+      if (d.action == RetuneAction::kInstalled) target = controller.installed();
+      publish_epoch(roll_limit, /*last=*/false);
     };
 
     const tuner::TuneResult tuned = tuner::tune(shadow, config.goal, ga_cfg, hooks);
@@ -241,17 +317,15 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
     // this either signature-skips (already installed) or installs it —
     // unless the SLO/fault gates veto it, which the report makes visible.
     const RetuneDecision final_d = controller.consider(heur::clamp_to_ranges(tuned.best));
-    if (final_d.action == RetuneAction::kInstalled) fleet.target = controller.installed();
-    while (fleet.roll(roll_limit) > 0) {
-    }
-    serve_next_epoch(/*last=*/true);
+    if (final_d.action == RetuneAction::kInstalled) target = controller.installed();
+    publish_epoch(n, /*last=*/true);
 
     report.final_params = controller.installed();
     report.final_signature = controller.installed_signature();
     report.final_fitness = controller.installed_fitness();
     report.retune = controller.stats();
   } else {
-    serve_next_epoch(/*last=*/true);
+    publish_epoch(0, /*last=*/true);
     report.final_params = config.initial;
     tuner::EvalConfig eval_cfg;
     eval_cfg.machine = config.machine;
@@ -261,12 +335,17 @@ WorkloadServeReport serve_workload(const std::string& name, const ServingConfig&
     report.final_signature = shadow.signature_of(config.initial);
   }
 
-  for (const RequestRecord& rec : records) {
-    report.digest.add(rec.latency);
-    if (!rec.ok) ++report.faulted_requests;
-    if (report.slo_cycles != 0 && rec.latency > report.slo_cycles) ++report.slo_violations;
+  schedule.close();
+  for (std::future<void>& f : served) f.get();
+
+  // Each tally is sorted, so merging keeps the digest sorted in linear time.
+  for (std::size_t i = 0; i < n; ++i) {
+    report.digest.merge(tallies[i].digest);
+    tallies[i].digest = LatencyDigest{};
+    report.slo_violations += tallies[i].slo_violations;
+    report.faulted_requests += tallies[i].faulted;
+    report.installs += instances[i]->installs();
   }
-  for (const auto& inst : fleet.instances) report.installs += inst->installs();
   report.records = std::move(records);
 
   if (obs != nullptr) {

@@ -16,8 +16,14 @@ void LatencyDigest::add(std::uint64_t cycles) {
 
 void LatencyDigest::merge(const LatencyDigest& other) {
   if (other.samples_.empty()) return;
+  const std::size_t mid = samples_.size();
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sorted_ = false;
+  // Two sorted digests merge in linear time and stay sorted.
+  sorted_ = sorted_ && other.sorted_;
+  if (sorted_) {
+    std::inplace_merge(samples_.begin(), samples_.begin() + static_cast<std::ptrdiff_t>(mid),
+                       samples_.end());
+  }
   ITH_CHECK(total_ + other.total_ >= total_, "latency digest total overflow");
   total_ += other.total_;
 }

@@ -4,7 +4,8 @@
 // integers, a few thousand to a few million per request — so there is no
 // reason to pay an approximation (t-digest, HDR buckets) anywhere: the
 // digest simply keeps every sample and sorts lazily. Quantiles are exact
-// nearest-rank, merge is concatenation, and both are associative and
+// nearest-rank, merge is concatenation (a linear merge of two sorted
+// digests), and both are associative and
 // order-independent, which is what lets per-instance shards be merged into
 // one suite-wide digest regardless of how the thread pool interleaved the
 // instances (tested by tests/serving/latency_digest_test.cpp).
@@ -22,7 +23,9 @@ class LatencyDigest {
 
   /// Absorbs every sample of `other`. Associative and commutative up to
   /// sample multiset equality: quantiles of (a+b)+c equal a+(b+c) for any
-  /// grouping, so worker shards can merge in any order.
+  /// grouping, so worker shards can merge in any order. When both digests
+  /// are sorted (see sorted_samples()), the merge is linear and the result
+  /// stays sorted.
   void merge(const LatencyDigest& other);
 
   /// Exact nearest-rank quantile: the ceil(q*n)-th smallest sample (q in

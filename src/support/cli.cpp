@@ -76,18 +76,27 @@ std::int64_t CliParser::get_int_or(const std::string& name, std::int64_t fallbac
   return parsed;
 }
 
+std::optional<std::int64_t> parse_int_in(const std::string& text, std::int64_t lo,
+                                         std::int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 std::int64_t CliParser::get_int_in(const std::string& name, std::int64_t fallback,
                                    std::int64_t lo, std::int64_t hi) const {
   const auto v = get(name);
   if (!v) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (v->empty() || *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
+  const std::optional<std::int64_t> parsed = parse_int_in(*v, lo, hi);
+  if (!parsed) {
     throw UsageError("flag --" + name + "=" + *v + " is not an integer in [" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return parsed;
+  return *parsed;
 }
 
 double CliParser::get_double_or(const std::string& name, double fallback) const {

@@ -31,6 +31,11 @@ struct FlagSpec {
   std::string help;
 };
 
+/// `text` as a base-10 integer within [lo, hi]; nullopt when it is not one
+/// (strtoll overflow included).
+std::optional<std::int64_t> parse_int_in(const std::string& text, std::int64_t lo,
+                                         std::int64_t hi);
+
 /// "usage: <tool> [flags]", then one aligned line per declared flag.
 std::string usage_text(const std::string& tool, const std::vector<FlagSpec>& flags);
 
