@@ -10,10 +10,11 @@
 //   genomes. A row digests each method's body, provenance, OptStats and
 //   format_inline_report text, in method order.
 //
-//   ExecStats section — every workload run by a VM (no body memo, x86 model,
-//   two iterations) under Adapt and Opt with the same six genomes. A row
-//   digests every iteration's ExecStats and compile counts plus the run
-//   totals and the summed OptStats.
+//   ExecStats section — every workload run by a VM (no body memo, two
+//   iterations) under Adapt and Opt with the same six genomes, once on the
+//   x86 model and once on the PowerPC model, whose small 8-way I-cache
+//   misses most. A row digests every iteration's ExecStats and compile
+//   counts plus the run totals and the summed OptStats.
 //
 // Each row also carries two headline numbers, so a failure says roughly
 // what moved. A row that no longer matches prints its new value as a line
@@ -403,6 +404,177 @@ constexpr Row kExecGolden[] = {
     {"pseudojbb", "opt", 4, 0x5f3b69954f78455ULL, 11910655, 840705},
     {"pseudojbb", "opt", 5, 0x5c85c78e08065c70ULL, 12380476, 649197},
 };
+
+constexpr Row kExecGoldenPpc[] = {
+    {"compress", "adapt", 0, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 1, 0xf515d303ee23972cULL, 2700434, 2119958},
+    {"compress", "adapt", 2, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 3, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 4, 0xf515d303ee23972cULL, 2700434, 2119958},
+    {"compress", "adapt", 5, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "opt", 0, 0x39805cbdf3bc9e4cULL, 2608301, 2114327},
+    {"compress", "opt", 1, 0x9a6ae59ea97bb060ULL, 3833943, 3347624},
+    {"compress", "opt", 2, 0x39805cbdf3bc9e4cULL, 2608301, 2114327},
+    {"compress", "opt", 3, 0x645e93c05c7cc04cULL, 2755750, 2274779},
+    {"compress", "opt", 4, 0x9a6ae59ea97bb060ULL, 3833943, 3347624},
+    {"compress", "opt", 5, 0x39805cbdf3bc9e4cULL, 2608301, 2114327},
+    {"jess", "adapt", 0, 0x90cecb4a2fd15505ULL, 2240491, 762579},
+    {"jess", "adapt", 1, 0x766be93b4657e61cULL, 2187172, 784795},
+    {"jess", "adapt", 2, 0x90cecb4a2fd15505ULL, 2240491, 762579},
+    {"jess", "adapt", 3, 0xb1b1de38665b2e4bULL, 2087197, 853515},
+    {"jess", "adapt", 4, 0x766be93b4657e61cULL, 2187172, 784795},
+    {"jess", "adapt", 5, 0x1b483e96d5a115a2ULL, 2213720, 773655},
+    {"jess", "opt", 0, 0xe4e65bc1708a4b96ULL, 8994057, 714793},
+    {"jess", "opt", 1, 0x52907ff4369eb97bULL, 7594009, 987005},
+    {"jess", "opt", 2, 0x1341303dff2991c4ULL, 8523453, 712604},
+    {"jess", "opt", 3, 0x6d8cf4570864a59bULL, 7439068, 846663},
+    {"jess", "opt", 4, 0x52907ff4369eb97bULL, 7594009, 987005},
+    {"jess", "opt", 5, 0x888eff664b254ab0ULL, 7499623, 714073},
+    {"db", "adapt", 0, 0x4144b2507341024cULL, 2353245, 957342},
+    {"db", "adapt", 1, 0x7d8e72e3e0db997fULL, 2235491, 1012892},
+    {"db", "adapt", 2, 0xfcb9e43e248fd816ULL, 2342520, 957342},
+    {"db", "adapt", 3, 0x5a27ff6885eb129ULL, 2355463, 957342},
+    {"db", "adapt", 4, 0x7d8e72e3e0db997fULL, 2235491, 1012892},
+    {"db", "adapt", 5, 0x7749cfdf3b5c321ULL, 2287165, 1014213},
+    {"db", "opt", 0, 0x1c1079aa1e334e17ULL, 5004753, 1113347},
+    {"db", "opt", 1, 0x8457725921011141ULL, 4599989, 1463912},
+    {"db", "opt", 2, 0x1a2484de99e9f695ULL, 4645185, 1008654},
+    {"db", "opt", 3, 0x76d78a20e74ac682ULL, 4233638, 1067812},
+    {"db", "opt", 4, 0x8457725921011141ULL, 4599989, 1463912},
+    {"db", "opt", 5, 0xe9e9a997740f0b3fULL, 4174213, 1007787},
+    {"javac", "adapt", 0, 0xb3b15d9b98ae8663ULL, 1803576, 650374},
+    {"javac", "adapt", 1, 0xf2cb928ea7aaec5fULL, 1666715, 650349},
+    {"javac", "adapt", 2, 0xb3b15d9b98ae8663ULL, 1803576, 650374},
+    {"javac", "adapt", 3, 0xf2cb928ea7aaec5fULL, 1666715, 650349},
+    {"javac", "adapt", 4, 0xf2cb928ea7aaec5fULL, 1666715, 650349},
+    {"javac", "adapt", 5, 0x2e43d48f4d6df071ULL, 1772457, 650349},
+    {"javac", "opt", 0, 0xfa9ff8e1d3b7ae6eULL, 6346439, 641493},
+    {"javac", "opt", 1, 0x435f80646d3a056dULL, 5498267, 940387},
+    {"javac", "opt", 2, 0xd559eeb66c351d14ULL, 6065656, 642767},
+    {"javac", "opt", 3, 0x5b59eb71d700347eULL, 5254609, 703762},
+    {"javac", "opt", 4, 0x435f80646d3a056dULL, 5498267, 940387},
+    {"javac", "opt", 5, 0x30f8e95bbaf143baULL, 5394938, 643410},
+    {"mpegaudio", "adapt", 0, 0x4fd54d18540bc8d6ULL, 6256979, 5527411},
+    {"mpegaudio", "adapt", 1, 0x618f0d85a8154a27ULL, 5637234, 4821386},
+    {"mpegaudio", "adapt", 2, 0x4fd54d18540bc8d6ULL, 6256979, 5527411},
+    {"mpegaudio", "adapt", 3, 0x4fd54d18540bc8d6ULL, 6256979, 5527411},
+    {"mpegaudio", "adapt", 4, 0x618f0d85a8154a27ULL, 5637234, 4821386},
+    {"mpegaudio", "adapt", 5, 0x4fd54d18540bc8d6ULL, 6256979, 5527411},
+    {"mpegaudio", "opt", 0, 0xf26923ce6f6a9468ULL, 9568246, 5838978},
+    {"mpegaudio", "opt", 1, 0x6f0d8533a8d4cd82ULL, 8960238, 5887393},
+    {"mpegaudio", "opt", 2, 0x175e1ed9bba87ac4ULL, 8335938, 4783244},
+    {"mpegaudio", "opt", 3, 0xab789e074a81d065ULL, 8643205, 5574918},
+    {"mpegaudio", "opt", 4, 0x6f0d8533a8d4cd82ULL, 8960238, 5887393},
+    {"mpegaudio", "opt", 5, 0x9e95cc35d7e409c8ULL, 7862176, 4782818},
+    {"raytrace", "adapt", 0, 0xfa61ebf5d53bf186ULL, 3068868, 1828915},
+    {"raytrace", "adapt", 1, 0x3aeef800f3e639dfULL, 2870857, 1878940},
+    {"raytrace", "adapt", 2, 0xfa61ebf5d53bf186ULL, 3068868, 1828915},
+    {"raytrace", "adapt", 3, 0xfa61ebf5d53bf186ULL, 3068868, 1828915},
+    {"raytrace", "adapt", 4, 0x3aeef800f3e639dfULL, 2870857, 1878940},
+    {"raytrace", "adapt", 5, 0xfa61ebf5d53bf186ULL, 3068868, 1828915},
+    {"raytrace", "opt", 0, 0x31d5d00a3e2040a5ULL, 5009378, 2095473},
+    {"raytrace", "opt", 1, 0x68c22f5af1afb899ULL, 4802641, 2485240},
+    {"raytrace", "opt", 2, 0x3e2beaeb5abc6584ULL, 4746538, 1825941},
+    {"raytrace", "opt", 3, 0x5d9e9e2581969ee9ULL, 4262908, 1930090},
+    {"raytrace", "opt", 4, 0x68c22f5af1afb899ULL, 4802641, 2485240},
+    {"raytrace", "opt", 5, 0xd008caa70e7ce6bULL, 4266476, 1825227},
+    {"jack", "adapt", 0, 0xf337527e84979deULL, 3254789, 1068053},
+    {"jack", "adapt", 1, 0x7ceda2016a5d2237ULL, 2607929, 1217857},
+    {"jack", "adapt", 2, 0xd12bc1db46e6f9faULL, 3235907, 1088370},
+    {"jack", "adapt", 3, 0xda2eef69745e4f36ULL, 2934199, 1088370},
+    {"jack", "adapt", 4, 0x7ceda2016a5d2237ULL, 2607929, 1217857},
+    {"jack", "adapt", 5, 0x732211c206e952a4ULL, 3067696, 1088370},
+    {"jack", "opt", 0, 0x23d219a4fd5dc114ULL, 5490333, 1193110},
+    {"jack", "opt", 1, 0x9fc823662e2d651fULL, 5096048, 1654107},
+    {"jack", "opt", 2, 0x6cedde1d2932f043ULL, 5232879, 1193828},
+    {"jack", "opt", 3, 0xc199e020fea0cfe4ULL, 4688390, 1257121},
+    {"jack", "opt", 4, 0x9fc823662e2d651fULL, 5096048, 1654107},
+    {"jack", "opt", 5, 0xb1ee3b9cc8e3e8deULL, 4728069, 1192700},
+    {"antlr", "adapt", 0, 0x148c7d23fa6bd77ULL, 2399093, 625893},
+    {"antlr", "adapt", 1, 0x664bff6bae2c48a6ULL, 1948747, 689192},
+    {"antlr", "adapt", 2, 0xb8e0345b62fa6d6bULL, 2262895, 835571},
+    {"antlr", "adapt", 3, 0xe6561cdfd6e4ccc6ULL, 2121016, 832397},
+    {"antlr", "adapt", 4, 0x664bff6bae2c48a6ULL, 1948747, 689192},
+    {"antlr", "adapt", 5, 0x955f292c236fdedfULL, 2212343, 837344},
+    {"antlr", "opt", 0, 0xd422e5ab51cf1c93ULL, 16335320, 463870},
+    {"antlr", "opt", 1, 0x169885a6da300cd0ULL, 12920744, 939548},
+    {"antlr", "opt", 2, 0x984ca202d12f13eaULL, 13554237, 482470},
+    {"antlr", "opt", 3, 0xe981887198df9a74ULL, 12704943, 682114},
+    {"antlr", "opt", 4, 0xd44dd9926c4bc6c9ULL, 12727215, 800594},
+    {"antlr", "opt", 5, 0x752bc7c95aea0e7cULL, 12870514, 613163},
+    {"fop", "adapt", 0, 0x20d7de48ad47f2bbULL, 1589453, 362251},
+    {"fop", "adapt", 1, 0xc3b69112ed3f045bULL, 1349801, 422826},
+    {"fop", "adapt", 2, 0x11a371be180780cbULL, 1565772, 423238},
+    {"fop", "adapt", 3, 0xe4f1fc6706a8b2e6ULL, 1467533, 423238},
+    {"fop", "adapt", 4, 0xc3b69112ed3f045bULL, 1349801, 422826},
+    {"fop", "adapt", 5, 0xaf7912fb38a46534ULL, 1518626, 423238},
+    {"fop", "opt", 0, 0x4e4283109b5ac1bcULL, 11404510, 248683},
+    {"fop", "opt", 1, 0x9968bbef28aa88f3ULL, 9098153, 487112},
+    {"fop", "opt", 2, 0x6f52ceeef697dec5ULL, 9711857, 263893},
+    {"fop", "opt", 3, 0x846a2c54bd2dfc8dULL, 8930663, 331070},
+    {"fop", "opt", 4, 0xcefe010a7d793abdULL, 8981711, 428356},
+    {"fop", "opt", 5, 0x3be7f9876cda99c1ULL, 9040118, 270585},
+    {"jython", "adapt", 0, 0x6c8a98dad6032ecaULL, 3535287, 1344288},
+    {"jython", "adapt", 1, 0x443d7df7a871507aULL, 2778417, 1504519},
+    {"jython", "adapt", 2, 0x9fcaf0d7887abb1ULL, 3275063, 1662489},
+    {"jython", "adapt", 3, 0x6f8cbf848a43bfdeULL, 3087799, 1659535},
+    {"jython", "adapt", 4, 0x443d7df7a871507aULL, 2778417, 1504519},
+    {"jython", "adapt", 5, 0xe339db4410f4b815ULL, 3199540, 1651506},
+    {"jython", "opt", 0, 0xdc8cbe6b675f12d5ULL, 10568293, 1134116},
+    {"jython", "opt", 1, 0x6609aca707f4b85cULL, 8805953, 1632459},
+    {"jython", "opt", 2, 0xb57326db7b803a03ULL, 9783528, 1165879},
+    {"jython", "opt", 3, 0xa485587c801321b8ULL, 8670573, 1369485},
+    {"jython", "opt", 4, 0xfba9a11d3338999bULL, 8592943, 1518280},
+    {"jython", "opt", 5, 0xc70cdfea892fb081ULL, 8990953, 1205107},
+    {"pmd", "adapt", 0, 0xc034dedf64683b0aULL, 1331862, 505793},
+    {"pmd", "adapt", 1, 0x2c63cee556eb94f0ULL, 1331862, 482603},
+    {"pmd", "adapt", 2, 0xd65e61af66aeb136ULL, 1331862, 433483},
+    {"pmd", "adapt", 3, 0xff57e45902a27c06ULL, 1331862, 522709},
+    {"pmd", "adapt", 4, 0x2c63cee556eb94f0ULL, 1331862, 482603},
+    {"pmd", "adapt", 5, 0xf009a70e4c4163abULL, 1331862, 506466},
+    {"pmd", "opt", 0, 0x290b51778d05f472ULL, 12607368, 309557},
+    {"pmd", "opt", 1, 0x98960d5e310edc4ULL, 10336365, 577684},
+    {"pmd", "opt", 2, 0x16f8c7c910877af7ULL, 10864985, 311825},
+    {"pmd", "opt", 3, 0x4575dcfd03a40d98ULL, 10112078, 315691},
+    {"pmd", "opt", 4, 0x47b57c9c24f883fbULL, 10170709, 481364},
+    {"pmd", "opt", 5, 0x1e09c9f09bb8b45dULL, 10266439, 345361},
+    {"ps", "adapt", 0, 0x81f8931389cf9ee6ULL, 408426, 238946},
+    {"ps", "adapt", 1, 0x6e7a96e8cf41efd3ULL, 408426, 238946},
+    {"ps", "adapt", 2, 0xb64385b415dcb778ULL, 408426, 239096},
+    {"ps", "adapt", 3, 0xd09d4e12510de92cULL, 408426, 239121},
+    {"ps", "adapt", 4, 0x6e7a96e8cf41efd3ULL, 408426, 238946},
+    {"ps", "adapt", 5, 0x900074967cd2418dULL, 408426, 238971},
+    {"ps", "opt", 0, 0xf7de2575a564cc50ULL, 7121730, 159069},
+    {"ps", "opt", 1, 0x64a8bd5b84b74d1bULL, 7070702, 162671},
+    {"ps", "opt", 2, 0xeeff88a7bd6ccb45ULL, 9013036, 149031},
+    {"ps", "opt", 3, 0x3cd58a0b7a6da404ULL, 7548051, 148086},
+    {"ps", "opt", 4, 0x64a8bd5b84b74d1bULL, 7070702, 162671},
+    {"ps", "opt", 5, 0xf3d9caadcad997ebULL, 7956900, 147197},
+    {"ipsixql", "adapt", 0, 0x75a95764a3f2f35aULL, 2191447, 651681},
+    {"ipsixql", "adapt", 1, 0xc48a16a48283fa87ULL, 1779153, 664967},
+    {"ipsixql", "adapt", 2, 0xb5f4dc03c4aa695ULL, 2125729, 803865},
+    {"ipsixql", "adapt", 3, 0xaa2846fbfc8377fcULL, 1966420, 802087},
+    {"ipsixql", "adapt", 4, 0xc48a16a48283fa87ULL, 1779153, 664967},
+    {"ipsixql", "adapt", 5, 0xc40bb8b0ecdaebc2ULL, 2060751, 803743},
+    {"ipsixql", "opt", 0, 0xfe71a8e872d26644ULL, 12358955, 523165},
+    {"ipsixql", "opt", 1, 0xee9b128e121c83bULL, 9685834, 806582},
+    {"ipsixql", "opt", 2, 0xf8a7271b677adf46ULL, 10407975, 524584},
+    {"ipsixql", "opt", 3, 0x8ce6d07582ffbd42ULL, 9596824, 665007},
+    {"ipsixql", "opt", 4, 0xa54154134fd7ec96ULL, 9562719, 740890},
+    {"ipsixql", "opt", 5, 0xd496135440787bf8ULL, 9793520, 573560},
+    {"pseudojbb", "adapt", 0, 0x8f746714ec4e83ebULL, 4482853, 2054254},
+    {"pseudojbb", "adapt", 1, 0x6b9981e932194981ULL, 3789022, 2111821},
+    {"pseudojbb", "adapt", 2, 0x9cbb671e44900e4bULL, 4418818, 2280610},
+    {"pseudojbb", "adapt", 3, 0x718e5c4868d5bcddULL, 4209832, 2272644},
+    {"pseudojbb", "adapt", 4, 0x6b9981e932194981ULL, 3789022, 2111821},
+    {"pseudojbb", "adapt", 5, 0xc8ba53b3736cf1aeULL, 4329509, 2281089},
+    {"pseudojbb", "opt", 0, 0x62d5f1ecdbc955bcULL, 17734473, 1750505},
+    {"pseudojbb", "opt", 1, 0x4f23851933614089ULL, 14753613, 2338367},
+    {"pseudojbb", "opt", 2, 0x56e75a2d056ae72ULL, 15422833, 1795970},
+    {"pseudojbb", "opt", 3, 0x94394a4f71674aa4ULL, 14601066, 2107524},
+    {"pseudojbb", "opt", 4, 0x2c4c28ff6d2677f3ULL, 14481890, 2182345},
+    {"pseudojbb", "opt", 5, 0x23c3e554c6c98f4bULL, 14928687, 1894031},
+};
 // clang-format on
 
 std::uint64_t mix(std::uint64_t h, std::int64_t v) {
@@ -467,12 +639,12 @@ Row optimizer_row(const wl::Workload& w, bool hot, int genome, const heur::Inlin
   return row;
 }
 
-Row exec_row(const wl::Workload& w, vm::Scenario scenario, int genome,
-             const heur::InlineParams& params) {
+Row exec_row(const wl::Workload& w, const rt::MachineModel& model, vm::Scenario scenario,
+             int genome, const heur::InlineParams& params) {
   heur::JikesHeuristic heuristic(params);
   vm::VmConfig config;
   config.scenario = scenario;
-  vm::VirtualMachine machine(w.program, rt::pentium4_model(), heuristic, config);
+  vm::VirtualMachine machine(w.program, model, heuristic, config);
   const vm::RunResult r = machine.run(2);
   Row row{w.name.c_str(), scenario == vm::Scenario::kAdapt ? "adapt" : "opt", genome,
           codec::kFnv1aBasis, r.total_cycles, r.running_cycles};
@@ -541,24 +713,32 @@ void check_optimizer(const std::string& suite) {
   expect_rows(kOptimizerGolden, rows);
 }
 
-void check_exec(const std::string& suite) {
+template <std::size_t N>
+void check_exec(const std::string& suite, const rt::MachineModel& model,
+                const Row (&table)[N]) {
   const std::vector<heur::InlineParams> params = genomes();
   const std::vector<wl::Workload> workloads = wl::make_suite(suite);
   std::vector<Row> rows;
   for (const wl::Workload& w : workloads) {
     for (const vm::Scenario s : {vm::Scenario::kAdapt, vm::Scenario::kOpt}) {
       for (std::size_t g = 0; g < params.size(); ++g) {
-        rows.push_back(exec_row(w, s, static_cast<int>(g), params[g]));
+        rows.push_back(exec_row(w, model, s, static_cast<int>(g), params[g]));
       }
     }
   }
-  expect_rows(kExecGolden, rows);
+  expect_rows(table, rows);
 }
 
 TEST(OptimizerGolden, Specjvm98) { check_optimizer("specjvm98"); }
 TEST(OptimizerGolden, DacapoJbb) { check_optimizer("dacapo+jbb"); }
-TEST(ExecStatsGolden, Specjvm98) { check_exec("specjvm98"); }
-TEST(ExecStatsGolden, DacapoJbb) { check_exec("dacapo+jbb"); }
+TEST(ExecStatsGolden, Specjvm98) { check_exec("specjvm98", rt::pentium4_model(), kExecGolden); }
+TEST(ExecStatsGolden, DacapoJbb) { check_exec("dacapo+jbb", rt::pentium4_model(), kExecGolden); }
+TEST(ExecStatsGolden, Specjvm98Ppc) {
+  check_exec("specjvm98", rt::ppc_g4_model(), kExecGoldenPpc);
+}
+TEST(ExecStatsGolden, DacapoJbbPpc) {
+  check_exec("dacapo+jbb", rt::ppc_g4_model(), kExecGoldenPpc);
+}
 
 }  // namespace
 }  // namespace ith
