@@ -6,22 +6,22 @@
 // which the final value was first reached.
 
 #include <iostream>
+#include <optional>
 
 #include "common.hpp"
-#include "support/env.hpp"
 #include "support/table.hpp"
 #include "tuner/parameter_space.hpp"
 
 using namespace ith;
 
 int main(int argc, char** argv) {
-  if (!bench::takes_no_arguments(argc, argv)) return 2;
+  const std::optional<ga::GaConfig> env_cfg = bench::ga_config_from_env(argc, argv);
+  if (!env_cfg) return 2;
   bench::print_header("ablation_convergence",
                       "methodology: pop 20 x 500 generations (section 3.1) vs observed convergence");
 
-  ga::GaConfig cfg = bench::ga_config_from_env();
+  ga::GaConfig cfg = *env_cfg;
   cfg.patience = 0;  // run the full budget so the curve's tail is visible
-  cfg.generations = static_cast<int>(env_int_or("ITH_GA_GENERATIONS", 40));
 
   for (std::size_t s = 0; s < bench::table4_scenarios().size(); ++s) {
     const bench::ScenarioSpec& spec = bench::table4_scenarios()[s];

@@ -12,17 +12,18 @@
 // than weakens its automation thesis.
 
 #include <iostream>
+#include <optional>
 
 #include "common.hpp"
 #include "ga/baselines.hpp"
-#include "support/env.hpp"
 #include "support/table.hpp"
 #include "tuner/parameter_space.hpp"
 
 using namespace ith;
 
 int main(int argc, char** argv) {
-  if (!bench::takes_no_arguments(argc, argv)) return 2;
+  const std::optional<ga::GaConfig> env_cfg = bench::ga_config_from_env(argc, argv, 20);
+  if (!env_cfg) return 2;
   bench::print_header("ablation_search",
                       "design-choice ablation: GA vs random vs hill climbing; memoization");
 
@@ -31,8 +32,7 @@ int main(int argc, char** argv) {
   const ga::FitnessFn fitness = tuner::make_fitness(eval, spec.goal);
   const ga::GenomeSpace space = tuner::inline_param_space(true);
 
-  ga::GaConfig ga_cfg = bench::ga_config_from_env();
-  ga_cfg.generations = static_cast<int>(env_int_or("ITH_GA_GENERATIONS", 20));
+  ga::GaConfig ga_cfg = *env_cfg;
   ga_cfg.patience = 0;  // fixed budget for a fair comparison
 
   // --- GA ---------------------------------------------------------------

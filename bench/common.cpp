@@ -1,12 +1,42 @@
 #include "common.hpp"
 
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "support/env.hpp"
 #include "tuner/parameter_space.hpp"
 
 namespace ith::bench {
+
+namespace {
+
+void print_no_argument_usage(const char* argv0) {
+  std::cerr << "usage: " << std::filesystem::path(argv0).filename().string()
+            << "\n  (takes no arguments)\n";
+}
+
+/// The integer flag `flag` of `cli` when given, else the environment
+/// variable `env` when set, else `fallback`. A given value that is not an
+/// integer in [lo, hi], from either source, throws UsageError.
+std::int64_t ga_int(const CliParser& cli, const std::string& flag, const std::string& env,
+                    std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
+  const std::string raw = env_or(env, "");
+  if (!raw.empty()) {
+    const std::optional<std::int64_t> v = parse_int_in(raw, lo, hi);
+    if (!v) {
+      throw UsageError(env + "=" + raw + " is not an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]");
+    }
+    fallback = *v;
+  }
+  return cli.get_int_in(flag, fallback, lo, hi);
+}
+
+}  // namespace
 
 const std::vector<ScenarioSpec>& table4_scenarios() {
   static const std::vector<ScenarioSpec> kScenarios = {
@@ -28,12 +58,26 @@ tuner::EvalConfig eval_config_for(const ScenarioSpec& spec) {
   return cfg;
 }
 
-ga::GaConfig ga_config_from_env() {
+ga::GaConfig ga_config(const CliParser& cli, int generations) {
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
   ga::GaConfig cfg = tuner::default_ga_config(
-      static_cast<int>(env_int_or("ITH_GA_GENERATIONS", 40)),
-      static_cast<std::uint64_t>(env_int_or("ITH_GA_SEED", 42)));
-  cfg.population = static_cast<int>(env_int_or("ITH_GA_POP", 20));
+      static_cast<int>(ga_int(cli, "generations", "ITH_GA_GENERATIONS", generations, 1, kInt)),
+      static_cast<std::uint64_t>(ga_int(cli, "seed", "ITH_GA_SEED", 42, 0, kI64)));
+  cfg.population = static_cast<int>(ga_int(cli, "pop", "ITH_GA_POP", 20, 2, kInt));
   return cfg;
+}
+
+std::optional<ga::GaConfig> ga_config_from_env(int argc, const char* const* argv,
+                                               int generations) {
+  if (!takes_no_arguments(argc, argv)) return std::nullopt;
+  try {
+    return ga_config(CliParser(argc, argv), generations);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    print_no_argument_usage(argv[0]);
+    return std::nullopt;
+  }
 }
 
 namespace {
@@ -95,8 +139,7 @@ void print_header(const std::string& title, const std::string& paper_ref) {
 
 bool takes_no_arguments(int argc, const char* const* argv) {
   if (argc <= 1) return true;
-  std::cerr << "usage: " << std::filesystem::path(argv[0]).filename().string()
-            << "\n  (takes no arguments)\n";
+  print_no_argument_usage(argv[0]);
   return false;
 }
 

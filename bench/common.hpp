@@ -15,10 +15,12 @@
 // inside the compiler.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ga/ga.hpp"
+#include "support/cli.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/fitness.hpp"
 #include "tuner/report.hpp"
@@ -43,8 +45,18 @@ rt::MachineModel machine_for(bool ppc);
 /// Evaluator over a suite for a scenario spec.
 tuner::EvalConfig eval_config_for(const ScenarioSpec& spec);
 
-/// GA budget from the environment (see header comment).
-ga::GaConfig ga_config_from_env();
+/// The GA budget (see header comment): --generations, --pop and --seed when
+/// `cli` has them, else the ITH_GA_* variables, else `generations`, 20 and
+/// 42. Generations must fit [1, INT_MAX], the population [2, INT_MAX] and
+/// the seed [0, INT64_MAX]; anything else throws UsageError.
+ga::GaConfig ga_config(const CliParser& cli, int generations = 40);
+
+/// For a bench main that takes no arguments and runs a GA: its budget from
+/// the environment, with `generations` as the ITH_GA_GENERATIONS default.
+/// nullopt, after a usage line on stderr, when arguments were given or an
+/// ITH_GA_* value is out of range; the main then exits 2.
+std::optional<ga::GaConfig> ga_config_from_env(int argc, const char* const* argv,
+                                               int generations = 40);
 
 /// Tuned parameter values recorded from a default-budget table4 run
 /// (ITH_GA_GENERATIONS=60, seed 42). Index parallel to table4_scenarios().

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <iostream>
-#include <limits>
-#include <optional>
 
 #include "support/env.hpp"
 #include "support/error.hpp"
@@ -11,27 +9,6 @@
 #include "tuner/parameter_space.hpp"
 
 namespace ith::bench {
-
-namespace {
-
-/// The integer flag `flag` when given, else the environment variable `env`
-/// when set, else `fallback`. A given value that is not an integer in
-/// [lo, hi], from either source, throws UsageError.
-std::int64_t ga_int(const CliParser& cli, const std::string& flag, const std::string& env,
-                    std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
-  const std::string raw = env_or(env, "");
-  if (!raw.empty()) {
-    const std::optional<std::int64_t> v = parse_int_in(raw, lo, hi);
-    if (!v) {
-      throw UsageError(env + "=" + raw + " is not an integer in [" + std::to_string(lo) + ", " +
-                       std::to_string(hi) + "]");
-    }
-    fallback = *v;
-  }
-  return cli.get_int_in(flag, fallback, lo, hi);
-}
-
-}  // namespace
 
 const std::vector<FlagSpec>& BenchContext::flags() {
   static const std::vector<FlagSpec> kFlags = {
@@ -51,12 +28,10 @@ const std::vector<FlagSpec>& BenchContext::flags() {
 BenchContext::BenchContext(int argc, const char* const* argv, const std::string& title,
                            const std::string& paper_ref)
     : cli_(argc, argv) {
-  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
-  constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
-  opts_.generations =
-      static_cast<int>(ga_int(cli_, "generations", "ITH_GA_GENERATIONS", 40, 1, kInt));
-  opts_.population = static_cast<int>(ga_int(cli_, "pop", "ITH_GA_POP", 20, 2, kInt));
-  opts_.seed = static_cast<std::uint64_t>(ga_int(cli_, "seed", "ITH_GA_SEED", 42, 0, kI64));
+  const ga::GaConfig budget = bench::ga_config(cli_);
+  opts_.generations = budget.generations;
+  opts_.population = budget.population;
+  opts_.seed = budget.seed;
   opts_.retune = cli_.get_bool_or("retune", env_int_or("ITH_RETUNE", 0) != 0);
   opts_.eval_cache = cli_.get_or("eval-cache", env_or("ITH_EVAL_CACHE", ""));
   opts_.csv_dir = cli_.get_or("csv-dir", env_or("ITH_CSV_DIR", ""));

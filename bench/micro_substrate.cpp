@@ -87,6 +87,30 @@ void BM_ICacheProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_ICacheProbe);
 
+// The stream an interpreter actually makes: loops of 2-12 consecutive lines,
+// each run 4-16 times, placed anywhere in a 256-line code region. Most
+// probes hit the line their set touched last; BM_ICacheProbe's uniform
+// addresses over 1 MiB almost all miss.
+void BM_ICacheProbeLoop(benchmark::State& state) {
+  rt::ICache cache(8192, 64, 4);
+  Pcg32 rng(1);
+  std::vector<std::uint64_t> addrs;
+  while (addrs.size() < 4096) {
+    const std::int64_t start = rng.range(0, 256 - 12);
+    const std::int64_t len = rng.range(2, 12);
+    for (std::int64_t rep = rng.range(4, 16); rep > 0; --rep) {
+      for (std::int64_t l = start; l < start + len; ++l) {
+        addrs.push_back(static_cast<std::uint64_t>(l) * 64);
+      }
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.probe(addrs[i++ & 4095]));
+  }
+}
+BENCHMARK(BM_ICacheProbeLoop);
+
 // The inline pass's work per method: the decision walk, then its splice.
 void BM_InlinerOnWorkload(benchmark::State& state) {
   const wl::Workload w = wl::make_workload("jess");

@@ -7,7 +7,10 @@
 //   tune_scenario [--scenario=adapt|opt] [--goal=running|total|balance]
 //                 [--arch=x86|ppc] [--generations=40] [--pop=20] [--seed=42]
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "tuner/parameter_space.hpp"
@@ -16,8 +19,38 @@
 
 using namespace ith;
 
+namespace {
+
+const std::vector<FlagSpec> kFlags = {
+    {"scenario", "S", "adapt (default) or opt"},
+    {"goal", "G", "running, total or balance (default)"},
+    {"arch", "A", "x86 (default) or ppc"},
+    {"generations", "N", "GA generations (default 40)"},
+    {"pop", "N", "GA population (default 20)"},
+    {"seed", "N", "GA seed (default 42)"},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
+  if (!cli.only_declared(kFlags)) {
+    std::cerr << usage_text("tune_scenario", kFlags);
+    return 2;
+  }
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+  ga::GaConfig ga_cfg;
+  try {
+    ga_cfg = tuner::default_ga_config(
+        static_cast<int>(cli.get_int_in("generations", 40, 1, kInt)),
+        static_cast<std::uint64_t>(cli.get_int_in("seed", 42, 0, kI64)));
+    ga_cfg.population = static_cast<int>(cli.get_int_in("pop", 20, 2, kInt));
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage_text("tune_scenario", kFlags);
+    return 2;
+  }
+
   tuner::EvalConfig eval_cfg;
   eval_cfg.machine = cli.get_or("arch", "x86") == "ppc" ? rt::ppc_g4_model()
                                                         : rt::pentium4_model();
@@ -33,10 +66,6 @@ int main(int argc, char** argv) {
 
   // --- Off-line tuning on the training suite -------------------------------
   tuner::SuiteEvaluator train(wl::make_suite("specjvm98"), eval_cfg);
-  ga::GaConfig ga_cfg = tuner::default_ga_config(
-      static_cast<int>(cli.get_int_or("generations", 40)),
-      static_cast<std::uint64_t>(cli.get_int_or("seed", 42)));
-  ga_cfg.population = static_cast<int>(cli.get_int_or("pop", 20));
 
   tuner::TuneResult tuned = tuner::tune(train, goal, ga_cfg);
 

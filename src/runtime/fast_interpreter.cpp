@@ -184,9 +184,8 @@ ExecStats FastInterpreter::run() {
 
   // Per-instruction accounting, identical (in both arithmetic and order of
   // double additions) to the reference engine's touch + cost + budget. The
-  // probe address is reconstructed as line * line_bytes: the cache only
-  // looks at addr / line_bytes, so any address inside the line is the same
-  // probe as the reference engine's exact byte address. Must inline into
+  // cache is probed by the predecoded line index: the reference engine's
+  // probe(addr) looks up addr / line_bytes, the same line. Must inline into
   // every handler tail: called once per dynamic instruction, and GCC's
   // many-call-sites heuristic otherwise outlines it into a real call.
   // `account_at` is the raw (cost, line) form so fused handlers can feed it
@@ -197,7 +196,7 @@ ExecStats FastInterpreter::run() {
     if (ic != nullptr && line != current_line) {
       current_line = line;
       ++stats.icache_probes;
-      if (!ic->probe(line * machine_.icache_line_bytes)) {
+      if (!ic->probe_line(line)) {
         ++stats.icache_misses;
         cycles += static_cast<double>(machine_.icache_miss_cycles);
       }

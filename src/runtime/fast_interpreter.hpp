@@ -5,7 +5,7 @@
 // oracle's engine-differential tier); only the mechanics differ:
 //
 //   * each CompiledMethod is predecoded once (predecode.hpp) into a dense
-//     stream of {dispatch target, pre-folded cycle cost, icache line/addr,
+//     stream of {dispatch target, pre-folded cycle cost, icache line,
 //     operands} — the hot loop does no op_info() lookup and no divisions;
 //   * dispatch is direct-threaded via computed goto (labels-as-values, a
 //     GCC/Clang extension), over one fused opcode per fusion rule;

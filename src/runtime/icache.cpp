@@ -7,52 +7,28 @@
 namespace ith::rt {
 
 ICache::ICache(std::size_t total_bytes, std::size_t line_bytes, std::size_t assoc)
-    : line_bytes_(line_bytes), assoc_(assoc) {
+    : assoc_(assoc) {
   ITH_CHECK(line_bytes > 0 && std::has_single_bit(line_bytes), "line size must be a power of two");
   ITH_CHECK(assoc > 0, "associativity must be positive");
   ITH_CHECK(total_bytes >= line_bytes * assoc, "cache smaller than one set");
   ITH_CHECK(total_bytes % (line_bytes * assoc) == 0, "cache size not divisible into sets");
-  sets_ = total_bytes / (line_bytes * assoc);
-  ITH_CHECK(std::has_single_bit(sets_), "set count must be a power of two");
+  const std::size_t sets = total_bytes / (line_bytes * assoc);
+  ITH_CHECK(std::has_single_bit(sets), "set count must be a power of two");
+  set_mask_ = sets - 1;
   line_shift_ = static_cast<std::uint64_t>(std::countr_zero(line_bytes));
-  tags_.assign(sets_ * assoc_, kInvalid);
-  lru_.assign(sets_ * assoc_, 0);
+  lines_.assign(sets * assoc_, kInvalid);
 }
 
-bool ICache::probe(std::uint64_t address) {
-  const std::uint64_t line = address >> line_shift_;
-  const std::size_t set = static_cast<std::size_t>(line) & (sets_ - 1);
-  const std::uint64_t tag = line / sets_;
-  const std::size_t base = set * assoc_;
-  ++stamp_;
-
-  std::size_t victim = 0;
-  std::uint64_t oldest = ~0ULL;
-  for (std::size_t way = 0; way < assoc_; ++way) {
-    if (tags_[base + way] == tag) {
-      lru_[base + way] = stamp_;
-      ++hits_;
-      return true;
-    }
-    if (lru_[base + way] < oldest) {
-      oldest = lru_[base + way];
-      victim = way;
-    }
-  }
-  tags_[base + victim] = tag;
-  lru_[base + victim] = stamp_;
-  ++misses_;
-  return false;
+bool ICache::probe_older(std::uint64_t* ways, std::uint64_t line) {
+  std::size_t way = 1;
+  while (way < assoc_ && ways[way] != line) ++way;
+  const bool hit = way < assoc_;
+  if (!hit) way = assoc_ - 1;  // evict the LRU line (or an empty tail way)
+  for (; way > 0; --way) ways[way] = ways[way - 1];
+  ways[0] = line;
+  return hit;
 }
 
-void ICache::flush() {
-  tags_.assign(tags_.size(), kInvalid);
-  lru_.assign(lru_.size(), 0);
-}
-
-void ICache::reset_counters() {
-  hits_ = 0;
-  misses_ = 0;
-}
+void ICache::flush() { lines_.assign(lines_.size(), kInvalid); }
 
 }  // namespace ith::rt

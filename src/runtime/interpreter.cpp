@@ -25,6 +25,8 @@ const char* engine_name(EngineKind kind) {
 Engine::Engine(const bc::Program& prog, const MachineModel& machine, CodeSource& source,
                ICache* icache, InterpreterOptions options)
     : prog_(prog), machine_(machine), source_(source), icache_(icache), options_(options) {
+  ITH_CHECK(icache == nullptr || icache->line_bytes() == machine.icache_line_bytes,
+            "I-cache line size differs from the machine model's");
   globals_.assign(prog.globals_size(), 0);
 }
 

@@ -233,7 +233,7 @@ struct FusionStats {
 /// (target, base_cost, line) lead so a straight-line run touches a compact
 /// prefix of each entry. The simulated byte address is deliberately NOT
 /// stored — any address inside the line identifies the same line to the
-/// I-cache, so the engine probes with `line * icache_line_bytes`.
+/// I-cache, so the engine probes with `ICache::probe_line(line)`.
 /// Fusion lives entirely in the former tail padding (xop + fuse_len + imm):
 /// a fused head reads nothing but itself and its FusedWindow side-pool
 /// record — captured operands ride in `b` (the slot only kCall used, and no

@@ -148,6 +148,20 @@ TEST(Interpreter, ICacheMissesAddCycles) {
   EXPECT_EQ(with.cycles, without.cycles + with.icache_misses * machine.icache_miss_cycles);
 }
 
+TEST(Interpreter, ICacheLineSizeMustMatchTheMachine) {
+  // The fast engine probes by the machine's line index, the reference engine
+  // by byte address; they agree only when the cache uses the same lines.
+  const bc::Program p = ith::test::make_loop_program(10);
+  const MachineModel machine = pentium4_model();
+  ICache icache(machine.icache_bytes, machine.icache_line_bytes / 2, machine.icache_assoc);
+  ith::test::IdentitySource s(p);
+  for (const EngineKind engine : {EngineKind::kFast, EngineKind::kReference}) {
+    InterpreterOptions opts;
+    opts.engine = engine;
+    EXPECT_THROW(Interpreter(p, machine, s, &icache, opts), Error);
+  }
+}
+
 TEST(Interpreter, MaxFrameDepthTracksRecursion) {
   const bc::Program p = ith::test::make_fib_program(6);
   const MachineModel machine = pentium4_model();

@@ -9,8 +9,9 @@
 #         "-DACCEPTS=--known=1|--flag" -P usage_test.cmake
 #
 # CASES and ACCEPTS separate invocations with '|'; each invocation is a
-# space-separated argument list.
-if(NOT TOOL OR NOT WORK_DIR OR NOT CASES)
+# space-separated argument list. An empty CASES ("-DCASES=") is the one
+# invocation with no arguments, for a tool that rejects its environment.
+if(NOT TOOL OR NOT WORK_DIR OR NOT DEFINED CASES)
   message(FATAL_ERROR "set TOOL, WORK_DIR and CASES")
 endif()
 get_filename_component(tool_name "${TOOL}" NAME_WE)
@@ -18,8 +19,7 @@ get_filename_component(tool_name "${TOOL}" NAME_WE)
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-string(REPLACE "|" ";" cases "${CASES}")
-foreach(case IN LISTS cases)
+function(expect_usage case)
   separate_arguments(args UNIX_COMMAND "${case}")
   execute_process(COMMAND "${TOOL}" ${args}
     WORKING_DIRECTORY "${WORK_DIR}"
@@ -37,7 +37,16 @@ foreach(case IN LISTS cases)
   if(written)
     message(FATAL_ERROR "${tool_name} ${case}: wrote ${written}")
   endif()
-endforeach()
+endfunction()
+
+if(CASES STREQUAL "")
+  expect_usage("")
+else()
+  string(REPLACE "|" ";" cases "${CASES}")
+  foreach(case IN LISTS cases)
+    expect_usage("${case}")
+  endforeach()
+endif()
 
 string(REPLACE "|" ";" accepts "${ACCEPTS}")
 foreach(case IN LISTS accepts)
