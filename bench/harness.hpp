@@ -88,7 +88,7 @@ class BenchContext {
   ga::GaConfig ga_config();
 
   /// Evaluator config for a Table-4 scenario, with the trace context wired
-  /// through (EvalConfig::obs -> VmConfig::obs -> OptimizerOptions::obs).
+  /// through (EvalConfig::obs -> VmConfig::obs -> the VM's PassManager).
   tuner::EvalConfig eval_config_for(const ScenarioSpec& spec);
 
   /// Tuned parameters for scenario index `i`: the recorded Table-4 values,

@@ -4,12 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <iostream>
+
 #include "bytecode/size_estimator.hpp"
 #include "bytecode/verifier.hpp"
 #include "ga/ga.hpp"
 #include "heuristics/heuristic.hpp"
 #include "opt/decision_probe.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/interpreter.hpp"
 #include "support/rng.hpp"
@@ -134,10 +136,10 @@ BENCHMARK(BM_InlinerOnWorkload);
 void BM_OptimizerPipeline(benchmark::State& state) {
   const wl::Workload w = wl::make_workload("jess");
   heur::JikesHeuristic h;
-  const opt::Optimizer optimizer(w.program, h);
+  opt::PassManager pm(w.program, h);
   for (auto _ : state) {
     for (std::size_t m = 0; m < w.program.num_methods(); ++m) {
-      benchmark::DoNotOptimize(optimizer.optimize(static_cast<bc::MethodId>(m)).body.method.size());
+      benchmark::DoNotOptimize(pm.run(static_cast<bc::MethodId>(m)).body.method.size());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -203,4 +205,14 @@ BENCHMARK(BM_Verifier)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  // Anything Initialize did not consume is not a --benchmark_* flag.
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    std::cerr << "usage: micro_substrate [--benchmark_* flags]\n";
+    return 2;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

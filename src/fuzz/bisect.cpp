@@ -4,23 +4,9 @@
 
 namespace ith::fuzz {
 
-const std::vector<PassToggle>& pass_toggles() {
-  static const std::vector<PassToggle> kToggles = {
-      {"inlining", &opt::OptimizerOptions::enable_inlining},
-      {"folding", &opt::OptimizerOptions::enable_folding},
-      {"copyprop", &opt::OptimizerOptions::enable_copyprop},
-      {"dce", &opt::OptimizerOptions::enable_dce},
-      {"branch_simplify", &opt::OptimizerOptions::enable_branch_simplify},
-      {"algebraic", &opt::OptimizerOptions::enable_algebraic},
-      {"compare_fusion", &opt::OptimizerOptions::enable_compare_fusion},
-      {"tail_recursion", &opt::OptimizerOptions::enable_tail_recursion},
-  };
-  return kToggles;
-}
-
 std::string BisectResult::to_string() const {
   if (!reproduced) return "not reproduced";
-  if (unresolved) return "unresolved (no single pass flag explains the divergence)";
+  if (unresolved) return "unresolved (no single pass explains the divergence)";
   std::ostringstream os;
   os << "guilty:";
   for (const std::string& g : guilty) os << " " << g;
@@ -29,18 +15,17 @@ std::string BisectResult::to_string() const {
 
 BisectResult bisect_passes(const bc::Program& prog, const DifferentialOracle& oracle) {
   BisectResult result;
-  const opt::OptimizerOptions base = oracle.options();
+  const opt::PipelineDesc& base = oracle.pipeline();
 
-  const OracleVerdict full = oracle.check_with_options(prog, base);
+  const OracleVerdict full = oracle.check_with_pipeline(prog, base);
   if (full.reference_failed || !full.diverged) return result;
   result.reproduced = true;
 
-  for (const PassToggle& toggle : pass_toggles()) {
-    if (!(base.*(toggle.field))) continue;  // already off: cannot be guilty
-    opt::OptimizerOptions opts = base;
-    opts.*(toggle.field) = false;
-    const OracleVerdict v = oracle.check_with_options(prog, opts);
-    if (!v.reference_failed && !v.diverged) result.guilty.emplace_back(toggle.name);
+  std::vector<std::string> names = base.setup;
+  names.insert(names.end(), base.fixpoint.begin(), base.fixpoint.end());
+  for (const std::string& name : names) {
+    const OracleVerdict v = oracle.check_with_pipeline(prog, base.without(name));
+    if (!v.reference_failed && !v.diverged) result.guilty.push_back(name);
   }
   result.unresolved = result.guilty.empty();
   return result;

@@ -1,10 +1,10 @@
 // Pass bisection: name the guilty pass for a divergence.
 //
 // Given a program the oracle reports divergent, re-runs the differential
-// check with each enabled OptimizerOptions flag toggled off individually.
-// A flag whose removal makes the divergence disappear is recorded as
-// guilty; several flags can be guilty at once when passes interact (one
-// pass creating the shape another miscompiles).
+// check with each pass of the oracle's pipeline dropped individually. A
+// pass whose removal makes the divergence disappear is recorded as guilty;
+// several passes can be guilty at once when passes interact (one pass
+// creating the shape another miscompiles).
 #pragma once
 
 #include <string>
@@ -12,26 +12,17 @@
 
 #include "bytecode/program.hpp"
 #include "fuzz/oracle.hpp"
-#include "opt/optimizer.hpp"
 
 namespace ith::fuzz {
 
-/// One toggleable optimizer pass flag.
-struct PassToggle {
-  const char* name;
-  bool opt::OptimizerOptions::* field;
-};
-
-/// All bisectable flags, in OptimizerOptions declaration order.
-const std::vector<PassToggle>& pass_toggles();
-
 struct BisectResult {
-  /// Divergence confirmed under the oracle's full options before toggling.
+  /// Divergence confirmed under the oracle's full pipeline before dropping.
   bool reproduced = false;
-  /// Flags whose individual removal eliminates the divergence.
+  /// Pass names (PipelineDesc entries) whose individual removal eliminates
+  /// the divergence, in pipeline order.
   std::vector<std::string> guilty;
-  /// Set when every single-flag toggle still diverges (bug outside the
-  /// scalar passes, or only reproducible with a pass *combination*).
+  /// Set when every single-pass removal still diverges (bug outside the
+  /// passes, or only reproducible with a pass *combination*).
   bool unresolved = false;
 
   std::string to_string() const;

@@ -26,7 +26,6 @@ const char* tier_name(TierKind t) {
     case TierKind::kEngineDiff: return "engine-diff";
     case TierKind::kBudgetDiff: return "budget-diff";
     case TierKind::kSigEquiv: return "sig-equiv";
-    case TierKind::kPipelineDiff: return "pipeline-diff";
   }
   return "?";
 }
@@ -41,8 +40,8 @@ std::string OracleVerdict::summary() const {
 }
 
 std::size_t apply_planted_bug(bc::Method& body, PlantedBug bug,
-                              const opt::OptimizerOptions& options) {
-  if (bug != PlantedBug::kFoldOverflow || !options.enable_folding) return 0;
+                              const opt::PipelineDesc& pipeline) {
+  if (bug != PlantedBug::kFoldOverflow || !pipeline.has_pass("fold")) return 0;
   constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
   constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
 
@@ -211,73 +210,6 @@ std::string diff_globals(const std::vector<std::int64_t>& ref,
   return os.str();
 }
 
-/// Bit-identity comparison of two optimization results for one method:
-/// body, per-instruction provenance, and the complete OptStats. Empty
-/// string when identical.
-std::string diff_optimized(const std::string& method, const opt::OptimizeResult& want,
-                           const opt::OptimizeResult& got) {
-  const bc::Method& wm = want.body.method;
-  const bc::Method& gm = got.body.method;
-  std::ostringstream os;
-  os << method << ":";
-  if (wm.size() != gm.size()) {
-    os << " body length " << gm.size() << " (want " << wm.size() << ")";
-    return os.str();
-  }
-  if (wm.num_locals() != gm.num_locals()) {
-    os << " num_locals " << gm.num_locals() << " (want " << wm.num_locals() << ")";
-    return os.str();
-  }
-  for (std::size_t pc = 0; pc < wm.size(); ++pc) {
-    const bc::Instruction& a = wm.code()[pc];
-    const bc::Instruction& b = gm.code()[pc];
-    if (a.op != b.op || a.a != b.a || a.b != b.b) {
-      os << " instruction at pc " << pc << " differs";
-      return os.str();
-    }
-    const opt::InstrMeta& ma = want.body.meta[pc];
-    const opt::InstrMeta& mb = got.body.meta[pc];
-    if (ma.depth != mb.depth || ma.origin_method != mb.origin_method ||
-        ma.origin_pc != mb.origin_pc) {
-      os << " provenance at pc " << pc << " differs";
-      return os.str();
-    }
-  }
-  bool any = false;
-  const auto field = [&](const char* name, auto w, auto g) {
-    if (w != g) {
-      os << " " << name << " " << g << " (want " << w << ")";
-      any = true;
-    }
-  };
-  const opt::InlineStats& wi = want.stats.inline_stats;
-  const opt::InlineStats& gi = got.stats.inline_stats;
-  field("sites_considered", wi.sites_considered, gi.sites_considered);
-  field("sites_inlined", wi.sites_inlined, gi.sites_inlined);
-  field("sites_partially_inlined", wi.sites_partially_inlined, gi.sites_partially_inlined);
-  field("sites_refused_by_heuristic", wi.sites_refused_by_heuristic,
-        gi.sites_refused_by_heuristic);
-  field("sites_refused_structural", wi.sites_refused_structural, gi.sites_refused_structural);
-  field("max_depth_reached", wi.max_depth_reached, gi.max_depth_reached);
-  field("size_before_words", wi.size_before_words, gi.size_before_words);
-  field("size_after_words", wi.size_after_words, gi.size_after_words);
-  field("folds", want.stats.folds, got.stats.folds);
-  field("copyprops", want.stats.copyprops, got.stats.copyprops);
-  field("dead_stores", want.stats.dead_stores, got.stats.dead_stores);
-  field("branch_simplifications", want.stats.branch_simplifications,
-        got.stats.branch_simplifications);
-  field("algebraic_simplifications", want.stats.algebraic_simplifications,
-        got.stats.algebraic_simplifications);
-  field("compare_fusions", want.stats.compare_fusions, got.stats.compare_fusions);
-  field("tail_calls_eliminated", want.stats.tail_calls_eliminated,
-        got.stats.tail_calls_eliminated);
-  field("unreachable_removed", want.stats.unreachable_removed, got.stats.unreachable_removed);
-  field("instructions_compacted", want.stats.instructions_compacted,
-        got.stats.instructions_compacted);
-  field("iterations", want.stats.iterations, got.stats.iterations);
-  return any ? os.str() : std::string();
-}
-
 }  // namespace
 
 DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
@@ -289,15 +221,17 @@ DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
   }
   params_ = heur::InlineParams::from_array(arr);
 
-  options_ = opt::OptimizerOptions{};
-  options_.enable_inlining = rng.chance(0.85);
-  options_.enable_folding = rng.chance(0.85);
-  options_.enable_copyprop = rng.chance(0.85);
-  options_.enable_dce = rng.chance(0.85);
-  options_.enable_branch_simplify = rng.chance(0.85);
-  options_.enable_algebraic = rng.chance(0.85);
-  options_.enable_compare_fusion = rng.chance(0.85);
-  options_.enable_tail_recursion = rng.chance(0.85);
+  // Each pass group stays in the standard pipeline with probability 0.85,
+  // drawn in this order so every campaign seed keeps its configuration; one
+  // draw covers both halves of dead-code removal.
+  static const std::vector<std::vector<std::string>> kDrawn = {
+      {"inline"},          {"fold"},      {"copyprop"},       {"dce", "unreachable"},
+      {"branch_simplify"}, {"algebraic"}, {"compare_fusion"}, {"tail_recursion"}};
+  pipeline_ = opt::PipelineDesc::standard();
+  for (const std::vector<std::string>& group : kDrawn) {
+    if (rng.chance(0.85)) continue;
+    for (const std::string& name : group) pipeline_ = pipeline_.without(name);
+  }
 
   hot_method_threshold_ = static_cast<std::uint64_t>(rng.range(20, 800));
   hot_site_threshold_ = static_cast<std::uint64_t>(rng.range(10, 600));
@@ -308,17 +242,17 @@ DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
   // under the fast engine, half under the reference engine.
   engine_ = rng.chance(0.5) ? rt::EngineKind::kFast : rt::EngineKind::kReference;
 
-  if (config_.forced_options) options_ = *config_.forced_options;
+  if (config_.forced_pipeline) pipeline_ = *config_.forced_pipeline;
   if (config_.forced_params) params_ = *config_.forced_params;
   if (config_.forced_engine) engine_ = *config_.forced_engine;
 }
 
 OracleVerdict DifferentialOracle::check(const bc::Program& prog) const {
-  return check_with_options(prog, options_);
+  return check_with_pipeline(prog, pipeline_);
 }
 
-OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
-                                                     const opt::OptimizerOptions& options) const {
+OracleVerdict DifferentialOracle::check_with_pipeline(const bc::Program& prog,
+                                                      const opt::PipelineDesc& pipeline) const {
   OracleVerdict verdict;
 
   const TierOutcome ref = run_plain(prog, config_.reference_budget, rt::EngineKind::kReference);
@@ -402,15 +336,18 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
                                  .max_body_words = 20000};
 
   // Statically-optimized tiers: O1 under the (randomized) Jikes heuristic,
-  // O2 under maximal inlining. Each transformed program must re-verify.
+  // O2 under maximal inlining. Every cached analysis a pass reads is checked
+  // against a fresh computation, and each transformed program must
+  // re-verify.
   auto static_tier = [&](TierKind tier, const heur::InlineHeuristic& h) {
     bc::Program optimized = prog;
     try {
-      const opt::Optimizer optimizer(prog, h, opt::cold_site, options, limits);
+      opt::PassManager pm(prog, h, opt::cold_site, pipeline, limits);
+      pm.analyses().set_verify(true);
       for (std::size_t i = 0; i < prog.num_methods(); ++i) {
         const auto id = static_cast<bc::MethodId>(i);
-        bc::Method body = optimizer.optimize(id).body.method;
-        apply_planted_bug(body, config_.planted_bug, options);
+        bc::Method body = pm.run(id).body.method;
+        apply_planted_bug(body, config_.planted_bug, pipeline);
         optimized.mutable_method(id) = std::move(body);
       }
     } catch (const Error& e) {
@@ -433,29 +370,6 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
     static_tier(TierKind::kO2, o2);
   }
 
-  // Pipeline-differential tier: the PassManager behind the Optimizer facade
-  // must be bit-identical — bodies, provenance, and statistics — to the
-  // frozen legacy orchestration for every method under these options.
-  {
-    heur::JikesHeuristic h(params_);
-    try {
-      const opt::Optimizer optimizer(prog, h, opt::cold_site, options, limits);
-      for (std::size_t i = 0; i < prog.num_methods(); ++i) {
-        const auto id = static_cast<bc::MethodId>(i);
-        const opt::OptimizeResult got = optimizer.optimize(id);
-        const opt::OptimizeResult want =
-            opt::reference_optimize(prog, id, h, opt::cold_site, options, limits);
-        const std::string d = diff_optimized(prog.method(id).name(), want, got);
-        if (!d.empty()) {
-          record(TierKind::kPipelineDiff, d);
-          break;  // one witness per seed keeps reports readable
-        }
-      }
-    } catch (const Error& e) {
-      record(TierKind::kPipelineDiff, std::string("trap: ") + e.what());
-    }
-  }
-
   // One full adaptive-VM run (baseline -> O1 -> O2 ladder, profiling,
   // optional OSR) under explicit InlineParams; shared by the adaptive tier
   // and the signature-equivalence tier.
@@ -473,7 +387,7 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
       cfg.hot_method_threshold = hot_method_threshold_;
       cfg.hot_site_threshold = hot_site_threshold_;
       cfg.rehot_multiplier = rehot_multiplier_;
-      cfg.opt_options = options;
+      cfg.pipeline = pipeline;
       cfg.inline_limits = limits;
       cfg.interp_options.max_instructions = tier_budget;
       cfg.interp_options.engine = engine_;
@@ -515,7 +429,7 @@ OracleVerdict DifferentialOracle::check_with_options(const bc::Program& prog,
   // every iteration, same compile counts and cycles, same globals. Only
   // meaningful when the inliner runs (with inlining off the heuristic is
   // never consulted).
-  if (options.enable_inlining) {
+  if (pipeline.has_pass("inline")) {
     Pcg32 srng(config_.seed, /*seq=*/0x736967ULL);  // "sig" stream
     const auto& ranges = heur::param_ranges();
     opt::SignatureOptions sopts;

@@ -1,7 +1,7 @@
 // obs::Context: the handle every instrumented layer holds.
 //
 // Ownership rule (uniform across VmConfig, EvalConfig, GaConfig and
-// OptimizerOptions — all of which carry an `obs::Context* obs` field): the
+// PassManager — all of which take an `obs::Context* obs`): the
 // pointer is NON-OWNING and may be null. Null (the default) means
 // observability is off, and every emit site reduces to a single predictable
 // null-pointer branch — the zero-cost path the fast interpreter's dispatch

@@ -1,66 +1,18 @@
-// Optimizer: thin compatibility facade over the PassManager (pipeline.hpp).
-//
-// Historically this class *was* the middle end: eight enable_* booleans and
-// a hand-written fixpoint loop. The loop now lives in PassManager as a
-// declarative pipeline; OptimizerOptions survives as the deprecated-but-
-// tested boolean surface, mapped onto a pipeline description through
-// pipeline_from_options(). Output is bit-identical to the historical
-// orchestration (kept frozen as reference_optimize for differential
-// testing).
-//
-// New code should construct a PassManager directly — it persists across
-// compilations and shares cached analyses; this facade rebuilds nothing per
-// call but owns a manager per Optimizer instance.
+// Pipeline text (opt::PipelineDesc, pipeline.hpp) is the optimizer's only
+// configuration. What is left here is read only by perfbench/layers.cpp,
+// the frozen benchmark: it goes together with that file's next change.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
-#include "bytecode/program.hpp"
-#include "heuristics/heuristic.hpp"
-#include "obs/context.hpp"
-#include "opt/inliner.hpp"
 #include "opt/pipeline.hpp"
 
 namespace ith::opt {
 
-struct OptimizerOptions {
-  bool enable_inlining = true;
-  bool enable_folding = true;
-  bool enable_copyprop = true;
-  bool enable_dce = true;
-  bool enable_branch_simplify = true;
-  bool enable_algebraic = true;
-  bool enable_compare_fusion = true;
-  bool enable_tail_recursion = true;
-  int max_iterations = 6;  ///< fixpoint iteration cap for the scalar passes
-  /// Observability context. Non-owning, may be null (= no tracing, zero
-  /// cost); must outlive every Optimizer configured with it. Categories:
-  /// kOpt (per-pass host-clock spans and the per-method summary span),
-  /// kInline (per-call-site decision events, forwarded to the Inliner).
-  obs::Context* obs = nullptr;
-};
+/// Empty; read only by perfbench (as the type of VmConfig::opt_options).
+struct OptimizerOptions {};
 
-class Optimizer {
- public:
-  Optimizer(const bc::Program& prog, const heur::InlineHeuristic& heuristic,
-            SiteOracle oracle = cold_site, OptimizerOptions options = {},
-            InlineLimits limits = {});
-
-  /// Compiles method `id`: inline, then optimize to fixpoint. `report`,
-  /// when non-null, receives the structured inline report.
-  OptimizeResult optimize(bc::MethodId id, InlineReport* report = nullptr) const;
-
-  const OptimizerOptions& options() const { return options_; }
-
-  /// The pipeline the boolean options mapped to, and the manager running it
-  /// (exposed for analysis-cache inspection in tests).
-  const PassManager& pass_manager() const { return *pm_; }
-  PassManager& pass_manager() { return *pm_; }
-
- private:
-  OptimizerOptions options_;
-  std::unique_ptr<PassManager> pm_;
-};
+/// PipelineDesc::standard(); read only by perfbench.
+inline PipelineDesc pipeline_from_options(const OptimizerOptions&) {
+  return PipelineDesc::standard();
+}
 
 }  // namespace ith::opt

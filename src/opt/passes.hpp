@@ -6,7 +6,7 @@
 //
 // Every pass preserves verifiability: it rewrites instructions in place
 // (using kNop/kPop placeholders so branch targets stay valid) and reports
-// how many rewrites it made; compact_nops() then removes the placholders
+// how many rewrites it made; compact_nops() then removes the placeholders
 // and rebases branch targets. Pass correctness is defined by the verifier
 // accepting the output and the interpreter computing identical results.
 #pragma once
@@ -35,9 +35,10 @@ std::vector<std::size_t> compute_load_counts(const bc::Method& m);
 std::vector<bool> compute_reachable(const bc::Method& m);
 
 // --- Passes ------------------------------------------------------------
-// Each pass has two forms: the legacy self-contained one (computes what it
-// needs from scratch) and an analysis-fed overload taking the precomputed
-// inputs from an AnalysisManager. Both perform identical rewrites.
+// Each pass has two forms: a self-contained one that computes what it needs
+// from scratch (the unit tests' entry point) and an analysis-fed overload
+// taking the precomputed inputs from an AnalysisManager (the PassManager's).
+// Both perform identical rewrites.
 
 /// Folds constant arithmetic/comparisons, constant-condition branches,
 /// constant negation, and value-discarding pairs (const/load ; pop).

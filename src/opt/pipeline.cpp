@@ -1,11 +1,13 @@
 #include "opt/pipeline.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 
-#include "bytecode/size_estimator.hpp"
-#include "opt/optimizer.hpp"
 #include "opt/passes.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 
 namespace ith::opt {
@@ -257,12 +259,12 @@ PipelineDesc PipelineDesc::parse(const std::string& text) {
   check_known(p.setup);
   check_known(p.fixpoint);
   const std::string iters = text.substr(close + 2);
-  try {
-    p.max_iterations = std::stoi(iters);
-  } catch (const std::exception&) {
-    throw Error("bad max_iterations '" + iters + "' in pipeline description");
+  const std::optional<std::int64_t> n = parse_int_in(iters, 1, INT_MAX);
+  if (!n) {
+    throw Error("bad max_iterations '" + iters +
+                "' in pipeline description (want an integer >= 1 ending the text)");
   }
-  ITH_CHECK(p.max_iterations >= 1, "pipeline needs at least one fixpoint iteration");
+  p.max_iterations = static_cast<int>(*n);
   return p;
 }
 
@@ -271,21 +273,10 @@ bool PipelineDesc::has_pass(const std::string& name) const {
          std::find(fixpoint.begin(), fixpoint.end(), name) != fixpoint.end();
 }
 
-PipelineDesc pipeline_from_options(const OptimizerOptions& options) {
-  PipelineDesc p;
-  if (options.enable_inlining) p.setup.push_back("inline");
-  if (options.enable_tail_recursion) p.setup.push_back("tail_recursion");
-  if (options.enable_folding) p.fixpoint.push_back("fold");
-  if (options.enable_algebraic) p.fixpoint.push_back("algebraic");
-  if (options.enable_compare_fusion) p.fixpoint.push_back("compare_fusion");
-  if (options.enable_branch_simplify) p.fixpoint.push_back("branch_simplify");
-  if (options.enable_copyprop) p.fixpoint.push_back("copyprop");
-  if (options.enable_dce) {
-    // One legacy boolean covered both halves of dead-code removal.
-    p.fixpoint.push_back("dce");
-    p.fixpoint.push_back("unreachable");
-  }
-  p.max_iterations = options.max_iterations;
+PipelineDesc PipelineDesc::without(const std::string& name) const {
+  PipelineDesc p = *this;
+  std::erase(p.setup, name);
+  std::erase(p.fixpoint, name);
   return p;
 }
 
@@ -372,8 +363,7 @@ OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report, const Ver
   for (int iter = 0; iter < pipeline_.max_iterations; ++iter) {
     std::size_t changes = 0;
     for (Registered& reg : fixpoint_) changes += run_one(reg, result.body, ctx, result, trace);
-    // Placeholder removal stays unconditional and outside the change count,
-    // exactly as in the legacy orchestration.
+    // Placeholder removal is unconditional and outside the change count.
     const std::size_t removed = compact_nops(result.body);
     result.stats.instructions_compacted += removed;
     if (removed > 0) analyses_.invalidate(PreservedAnalyses::none());
@@ -390,70 +380,6 @@ OptimizeResult PassManager::run(bc::MethodId id, InlineReport* report, const Ver
     span.arg("refused_structural", result.stats.inline_stats.sites_refused_structural);
     span.arg("size_before_words", result.stats.inline_stats.size_before_words);
     span.arg("size_after_words", result.stats.inline_stats.size_after_words);
-  }
-  return result;
-}
-
-// --- Frozen reference orchestration -------------------------------------
-
-OptimizeResult reference_optimize(const bc::Program& prog, bc::MethodId id,
-                                  const heur::InlineHeuristic& heuristic, const SiteOracle& oracle,
-                                  const OptimizerOptions& options, const InlineLimits& limits) {
-  ITH_CHECK(options.max_iterations >= 1, "optimizer needs at least one iteration");
-  OptimizeResult result;
-
-  if (options.enable_inlining) {
-    const ProbeFacts facts(prog);
-    VerdictTrace walk;
-    DecisionProbe(facts, heuristic, oracle, limits).probe_method(id, walk);
-    result.body = Inliner(prog).run(id, walk, &result.stats.inline_stats);
-  } else {
-    result.body = AnnotatedMethod::from_method(prog.method(id), id);
-  }
-
-  if (options.enable_tail_recursion) {
-    result.stats.tail_calls_eliminated =
-        eliminate_tail_recursion(result.body, id, prog.method(id).num_args());
-  }
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    std::size_t changes = 0;
-    if (options.enable_folding) {
-      const std::size_t n = constant_fold(result.body);
-      result.stats.folds += n;
-      changes += n;
-    }
-    if (options.enable_algebraic) {
-      const std::size_t n = simplify_algebraic(result.body);
-      result.stats.algebraic_simplifications += n;
-      changes += n;
-    }
-    if (options.enable_compare_fusion) {
-      const std::size_t n = fuse_compare_branch(result.body);
-      result.stats.compare_fusions += n;
-      changes += n;
-    }
-    if (options.enable_branch_simplify) {
-      const std::size_t n = simplify_branches(result.body);
-      result.stats.branch_simplifications += n;
-      changes += n;
-    }
-    if (options.enable_copyprop) {
-      const std::size_t n = copy_propagate(result.body);
-      result.stats.copyprops += n;
-      changes += n;
-    }
-    if (options.enable_dce) {
-      std::size_t n = eliminate_dead_stores(result.body);
-      result.stats.dead_stores += n;
-      changes += n;
-      n = eliminate_unreachable(result.body);
-      result.stats.unreachable_removed += n;
-      changes += n;
-    }
-    result.stats.instructions_compacted += compact_nops(result.body);
-    result.stats.iterations = iter + 1;
-    if (changes == 0) break;
   }
   return result;
 }

@@ -1,20 +1,20 @@
-// PassManager: the declarative replacement for Optimizer's eight enable_*
-// booleans. A compilation is a pipeline description — a list of setup
-// passes (inline, tail_recursion) followed by a fixpoint group of scalar
-// passes — executed over one shared AnalysisManager. Passes report what
-// they preserved (PreservedAnalyses) so cached analyses survive exactly as
-// long as they remain true, and each pass leaves a PassStat row
+// PassManager: the optimizing compiler's one orchestrator. A compilation
+// is a pipeline description — a list of setup passes (inline,
+// tail_recursion) followed by a fixpoint group of scalar passes — executed
+// over one shared AnalysisManager. Pipeline text (PipelineDesc) is the only
+// way to choose passes. Passes report what they preserved
+// (PreservedAnalyses) so cached analyses survive exactly as long as they
+// remain true, and each pass leaves a PassStat row
 // ("[pass inline] inst 42→40, time 3us") plus opt.pass.* obs counters.
 //
 // The inline pass splices DecisionProbe's walk of the method (the one
 // decision procedure, decision_probe.hpp): the walk the caller passes, or
 // one the manager takes under its own heuristic, oracle and limits.
 //
-// The legacy Optimizer facade (optimizer.hpp) maps its boolean options onto
-// a pipeline via pipeline_from_options(); for every five-parameter genome
-// the PassManager's output is bit-identical to the frozen reference_optimize
-// orchestration — enforced by tests/opt/pass_manager_test.cpp and the fuzz
-// pipeline-diff tier.
+// Soundness of the PreservedAnalyses claims is checked by
+// AnalysisManager::set_verify(true), which recomputes every cached read:
+// tests/opt/pass_manager_test.cpp sweeps workloads and the fuzz corpus with
+// it on, and the fuzz oracle's O1/O2 tiers compile under it.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +30,6 @@
 #include "opt/inliner.hpp"
 
 namespace ith::opt {
-
-struct OptimizerOptions;  // optimizer.hpp — the legacy boolean surface
 
 /// Aggregate rewrite counts for one method compilation.
 struct OptStats {
@@ -80,27 +78,26 @@ struct PipelineDesc {
 
   friend bool operator==(const PipelineDesc&, const PipelineDesc&) = default;
 
-  /// The full default pipeline (every pass enabled, legacy order).
+  /// The full default pipeline, every registered pass; what a VM runs
+  /// when VmConfig::pipeline is unset.
   static PipelineDesc standard();
 
   /// "inline,tail_recursion,fixpoint(fold,...,unreachable):6". Stable
   /// textual identity: the evaluator hashes this into cache fingerprints.
   std::string to_string() const;
 
-  /// Inverse of to_string(). Throws ith::Error on unknown pass names or a
-  /// malformed shape.
+  /// Inverse of to_string(). Throws ith::Error on unknown pass names, a
+  /// malformed shape, or anything but a positive integer after the ':'.
   static PipelineDesc parse(const std::string& text);
 
   bool has_pass(const std::string& name) const;
+
+  /// This pipeline with every occurrence of pass `name` removed.
+  PipelineDesc without(const std::string& name) const;
 };
 
 /// All registerable pass names.
 const std::vector<std::string>& known_pass_names();
-
-/// Deprecated-but-supported bridge from the legacy boolean options to a
-/// pipeline description (tested: every boolean combination maps to the
-/// pipeline whose output is bit-identical to the legacy orchestration).
-PipelineDesc pipeline_from_options(const OptimizerOptions& options);
 
 class PassManager;
 
@@ -125,7 +122,7 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
-  virtual const char* span_name() const = 0;  ///< legacy trace name ("pass.fold")
+  virtual const char* span_name() const = 0;  ///< trace span name ("pass.fold")
   virtual std::size_t run(AnnotatedMethod& am, AnalysisManager& analyses, PassContext& ctx,
                           PreservedAnalyses& preserved) = 0;
 };
@@ -187,12 +184,5 @@ class PassManager {
   std::vector<Registered> fixpoint_;
   std::size_t num_stats_ = 0;
 };
-
-/// The frozen legacy orchestration, kept verbatim (modulo tracing) for
-/// differential testing: the equivalence suite and the fuzz pipeline-diff
-/// tier compare PassManager output against this, method by method.
-OptimizeResult reference_optimize(const bc::Program& prog, bc::MethodId id,
-                                  const heur::InlineHeuristic& heuristic, const SiteOracle& oracle,
-                                  const OptimizerOptions& options, const InlineLimits& limits);
 
 }  // namespace ith::opt

@@ -80,23 +80,19 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   config_.vm_config.obs = config_.obs;
   std::vector<const bc::Program*> programs;
   for (const wl::Workload& w : suite_) programs.push_back(&w.program);
-  memo_ = std::make_unique<opt::BodyMemo>(std::move(programs), pipeline(),
+  const opt::PipelineDesc pipeline = config_.vm_config.effective_pipeline();
+  memo_ = std::make_unique<opt::BodyMemo>(std::move(programs), pipeline,
                                           config_.vm_config.inline_limits, config_.obs,
                                           memo_budget_bytes);
   // The condition under which VirtualMachine gives each compile a probe
   // walk, and so records its compile trace.
-  traced_ = opt::BodyMemo::supports(pipeline()) && pipeline().has_pass("inline");
+  traced_ = opt::BodyMemo::supports(pipeline) && pipeline.has_pass("inline");
   for (std::size_t i = 0; i < suite_.size(); ++i) {
     tries_.push_back(std::make_unique<DecisionTrie>());
   }
 }
 
 SuiteEvaluator::~SuiteEvaluator() = default;
-
-opt::PipelineDesc SuiteEvaluator::pipeline() const {
-  const vm::VmConfig& v = config_.vm_config;
-  return v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
-}
 
 bool SuiteEvaluator::replay_enabled() const {
   const resilience::FaultPlan* const plan = config_.vm_config.faults;
@@ -303,7 +299,7 @@ SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
   bool exact = true;
   std::uint64_t consultations = 0;
   std::uint64_t forks = 0;
-  if (pipeline().has_pass("inline")) {
+  if (config_.vm_config.effective_pipeline().has_pass("inline")) {
     opt::SignatureOptions opts;
     opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
     // One walk per workload, each a pure function of its program and writing
@@ -636,13 +632,10 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   fp = mix_u64(fp, v.interp_options.max_arena_words);
   fp = mix_u64(fp, static_cast<std::uint64_t>(v.interp_options.engine));
 
-  // The effective pipeline (explicit override or the boolean mapping) is
-  // what determines which passes run; its canonical string covers the pass
-  // list *and* the fixpoint iteration cap, so any change to either refuses
-  // stale caches.
-  const opt::PipelineDesc pipeline =
-      v.pipeline ? *v.pipeline : opt::pipeline_from_options(v.opt_options);
-  fp = mix_u64(fp, codec::fnv1a(pipeline.to_string()));
+  // The effective pipeline's canonical string covers the pass list *and*
+  // the fixpoint iteration cap, so any change to either refuses stale
+  // caches.
+  fp = mix_u64(fp, codec::fnv1a(v.effective_pipeline().to_string()));
 
   const resilience::RunBudget& b = v.budget;
   fp = mix_u64(fp, b.max_sim_cycles);
@@ -692,7 +685,8 @@ EvalCacheSnapshot SuiteEvaluator::snapshot() const {
 void SuiteEvaluator::restore(const EvalCacheSnapshot& snap) {
   ITH_CHECK(snap.fingerprint == cache_fingerprint(),
             "evaluation cache fingerprint mismatch (different evaluator configuration)");
-  const std::size_t want_keys = pipeline().has_pass("inline") ? suite_.size() : 0;
+  const std::size_t want_keys =
+      config_.vm_config.effective_pipeline().has_pass("inline") ? suite_.size() : 0;
   for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
     ITH_CHECK(row.keys.size() == want_keys,
               "evaluation cache params table has " + std::to_string(row.keys.size()) +

@@ -305,10 +305,6 @@ class SuiteEvaluator {
   using ParamKey = heur::InlineParams::Array;
   static_assert(std::tuple_size_v<ParamKey> == heur::InlineParams::kNumParams);
 
-  /// The effective pipeline: vm_config.pipeline, else the one opt_options
-  /// maps to.
-  opt::PipelineDesc pipeline() const;
-
   /// A level-1 entry: the suite signature and the keys it mixes.
   struct Probed {
     Signature sig = 0;

@@ -38,9 +38,6 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
       opt_compile_count_(prog.num_methods(), 0),
       profile_(prog.num_methods()),
       obs_(config.obs) {
-  // One context serves the whole compilation stack: the optimizer (and its
-  // inliner) trace through the same sink the VM does.
-  config_.opt_options.obs = config_.obs;
   // Whole-program heuristics (the knapsack oracle) see the program once per
   // VM session, before any compilation.
   heuristic_.prepare(prog_);
@@ -63,8 +60,7 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
       return sp;
     };
   }
-  opt::PipelineDesc pipeline =
-      config_.pipeline ? *config_.pipeline : opt::pipeline_from_options(config_.opt_options);
+  opt::PipelineDesc pipeline = config_.effective_pipeline();
   if (config_.body_memo != nullptr && opt::BodyMemo::supports(pipeline)) {
     ITH_CHECK(config_.body_memo->serves(pipeline, config_.inline_limits),
               "VmConfig::body_memo was built for another pipeline or other inline limits");

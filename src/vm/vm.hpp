@@ -59,10 +59,10 @@ struct VmConfig {
   /// hot score reaches hot_method_threshold * rehot_multiplier the method
   /// is recompiled at full O2. 0 collapses the ladder (straight to O2).
   std::uint64_t rehot_multiplier = 12;
+  /// Empty; read only by perfbench. Choose passes through `pipeline`.
   opt::OptimizerOptions opt_options{};
-  /// Explicit optimization pipeline. When set it overrides the pipeline
-  /// derived from opt_options' booleans (which remain the deprecated
-  /// compatibility surface); parse with opt::PipelineDesc::parse or build
+  /// The optimization pipeline; unset runs opt::PipelineDesc::standard()
+  /// (effective_pipeline()). Parse with opt::PipelineDesc::parse or build
   /// programmatically. The VM runs one persistent PassManager for the whole
   /// session, so program-scope analyses (call graph, method sizes, partial
   /// shapes) are computed once and shared across every compilation.
@@ -81,7 +81,7 @@ struct VmConfig {
   /// Observability context. Non-owning, may be null (= tracing off; every
   /// emit site is one predictable branch, so the interpreter's dispatch
   /// throughput is untouched); must outlive the VM. The VM forwards it to
-  /// its Optimizer (opt_options.obs is overwritten with this value).
+  /// its PassManager.
   /// Categories: kCompile (per-compilation spans in *simulated cycles* —
   /// their durations sum exactly to RunResult::compile_cycles_all), kVm
   /// (promotions, hot-site trips, OSR, code installs, iteration spans).
@@ -120,6 +120,11 @@ struct VmConfig {
   /// ABI slots. Null (the default) keeps the batch-benchmark behaviour:
   /// every iteration starts from zeroed globals.
   std::function<void(int iteration, std::vector<std::int64_t>& globals)> iteration_input;
+
+  /// `pipeline`, or the standard pipeline when it is unset.
+  opt::PipelineDesc effective_pipeline() const {
+    return pipeline ? *pipeline : opt::PipelineDesc::standard();
+  }
 };
 
 struct IterationStats {

@@ -24,7 +24,7 @@ namespace {
 using opt::BodyMemo;
 
 const vm::VmConfig kVm{};
-const opt::PipelineDesc kPipeline = opt::pipeline_from_options(kVm.opt_options);
+const opt::PipelineDesc kPipeline = kVm.effective_pipeline();
 
 heur::InlineParams wide_params() {
   heur::InlineParams p = heur::default_params();

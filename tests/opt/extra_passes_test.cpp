@@ -6,8 +6,8 @@
 #include "bytecode/builder.hpp"
 #include "bytecode/verifier.hpp"
 #include "heuristics/heuristic.hpp"
-#include "opt/optimizer.hpp"
 #include "opt/passes.hpp"
+#include "opt/pipeline.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
 
@@ -301,8 +301,8 @@ TEST(TailRecursion, MultiArgumentOrderPreserved) {
 TEST(TailRecursion, ViaOptimizerPipeline) {
   const bc::Program p = tail_count_program(50);
   heur::NeverInlineHeuristic h;
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.find_method("count"));
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.find_method("count"));
   EXPECT_EQ(r.stats.tail_calls_eliminated, 1u);
   bc::Program q = p;
   q.mutable_method(q.find_method("count")) = r.body.method;
@@ -313,10 +313,8 @@ TEST(TailRecursion, ViaOptimizerPipeline) {
 TEST(TailRecursion, DisabledByOption) {
   const bc::Program p = tail_count_program(50);
   heur::NeverInlineHeuristic h;
-  OptimizerOptions opts;
-  opts.enable_tail_recursion = false;
-  const Optimizer optimizer(p, h, cold_site, opts);
-  EXPECT_EQ(optimizer.optimize(p.find_method("count")).stats.tail_calls_eliminated, 0u);
+  PassManager pm(p, h, cold_site, PipelineDesc::standard().without("tail_recursion"));
+  EXPECT_EQ(pm.run(p.find_method("count")).stats.tail_calls_eliminated, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Optimizer (pass manager) tests plus the central soundness property:
+// Optimizer (PassManager) tests plus the central soundness property:
 // for arbitrary generated programs and arbitrary heuristic settings, the
 // optimized program verifies and computes the same exit value.
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,13 +18,12 @@ namespace ith::opt {
 namespace {
 
 /// Optimizes every method of `prog` under `h` and returns the runnable result.
-bc::Program optimize_whole_program(const bc::Program& prog, const heur::InlineHeuristic& h,
-                                   OptimizerOptions options = {}) {
-  const Optimizer optimizer(prog, h, cold_site, options);
+bc::Program optimize_whole_program(const bc::Program& prog, const heur::InlineHeuristic& h) {
+  PassManager pm(prog, h);
   bc::Program out = prog;
   for (std::size_t i = 0; i < prog.num_methods(); ++i) {
     out.mutable_method(static_cast<bc::MethodId>(i)) =
-        optimizer.optimize(static_cast<bc::MethodId>(i)).body.method;
+        pm.run(static_cast<bc::MethodId>(i)).body.method;
   }
   return out;
 }
@@ -34,8 +33,8 @@ TEST(Optimizer, FoldsThroughInlinedArguments) {
   // thing should reduce to pushing the constant 5.
   const bc::Program p = ith::test::make_add_program();
   heur::AlwaysInlineHeuristic h;
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.entry());
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.entry());
   bc::Program q = p;
   q.mutable_method(q.entry()) = r.body.method;
   bc::verify_program(q);
@@ -57,14 +56,9 @@ TEST(Optimizer, ReducesDynamicWorkOnLoops) {
 TEST(Optimizer, DisabledPassesDoNothing) {
   const bc::Program p = ith::test::make_add_program();
   heur::AlwaysInlineHeuristic h;
-  OptimizerOptions off;
-  off.enable_inlining = false;
-  off.enable_folding = false;
-  off.enable_copyprop = false;
-  off.enable_dce = false;
-  off.enable_branch_simplify = false;
-  const Optimizer optimizer(p, h, cold_site, off);
-  const OptimizeResult r = optimizer.optimize(p.entry());
+  PassManager pm(p, h, cold_site,
+                 PipelineDesc::parse("tail_recursion,fixpoint(algebraic,compare_fusion):6"));
+  const OptimizeResult r = pm.run(p.entry());
   EXPECT_EQ(r.body.method, p.method(p.entry()));
   EXPECT_EQ(r.stats.folds, 0u);
 }
@@ -72,8 +66,8 @@ TEST(Optimizer, DisabledPassesDoNothing) {
 TEST(Optimizer, StatsAccumulate) {
   const bc::Program p = ith::test::make_add_program();
   heur::AlwaysInlineHeuristic h;
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.entry());
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.entry());
   EXPECT_EQ(r.stats.inline_stats.sites_inlined, 1u);
   EXPECT_GT(r.stats.copyprops + r.stats.folds, 0u);
   EXPECT_GT(r.stats.instructions_compacted, 0u);
@@ -83,9 +77,9 @@ TEST(Optimizer, StatsAccumulate) {
 TEST(Optimizer, RejectsZeroIterations) {
   const bc::Program p = ith::test::make_add_program();
   heur::NeverInlineHeuristic h;
-  OptimizerOptions bad;
+  PipelineDesc bad = PipelineDesc::standard();
   bad.max_iterations = 0;
-  EXPECT_THROW(Optimizer(p, h, cold_site, bad), ith::Error);
+  EXPECT_THROW(PassManager(p, h, cold_site, bad), ith::Error);
 }
 
 TEST(Optimizer, NeverHeuristicStillCleansUp) {
@@ -95,8 +89,8 @@ TEST(Optimizer, NeverHeuristicStillCleansUp) {
   pb.entry("main");
   const bc::Program p = pb.build();
   heur::NeverInlineHeuristic h;
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.entry());
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.entry());
   EXPECT_LE(r.body.method.size(), 2u);
   bc::Program q = p;
   q.mutable_method(q.entry()) = r.body.method;

@@ -12,7 +12,7 @@
 #include "bytecode/size_estimator.hpp"
 #include "bytecode/verifier.hpp"
 #include "opt/analysis.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "testing.hpp"
 
 namespace ith::opt {
@@ -78,11 +78,11 @@ TEST(PartialInline, SpliceIsBehaviourallyEquivalentOnBothPaths) {
   const std::int64_t expected = ith::test::run_exit_value(p);
 
   const heur::JikesHeuristic h(partial_params());
-  const Optimizer optimizer(p, h);
+  PassManager pm(p, h);
   bc::Program q = p;
   std::size_t partials = 0;
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(p.num_methods()); ++id) {
-    const OptimizeResult r = optimizer.optimize(id);
+    const OptimizeResult r = pm.run(id);
     ASSERT_TRUE(r.body.consistent());
     partials += r.stats.inline_stats.sites_partially_inlined;
     q.mutable_method(id) = r.body.method;
@@ -96,8 +96,8 @@ TEST(PartialInline, StubKeepsTheResidualCallAndIsNotReExpanded) {
   const bc::Program p = make_guard_program();
   const bc::MethodId guard = p.find_method("guard");
   const heur::JikesHeuristic h(partial_params());
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.find_method("main"));
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.find_method("main"));
 
   std::size_t residual_calls = 0;
   for (const bc::Instruction& insn : r.body.method.code()) {
@@ -113,9 +113,9 @@ TEST(PartialInline, StubKeepsTheResidualCallAndIsNotReExpanded) {
 TEST(PartialInline, ReportRecordsPartialOutcomes) {
   const bc::Program p = make_guard_program();
   const heur::JikesHeuristic h(partial_params());
-  const Optimizer optimizer(p, h);
+  PassManager pm(p, h);
   InlineReport report;
-  optimizer.optimize(p.find_method("main"), &report);
+  pm.run(p.find_method("main"), &report);
 
   std::size_t partial_rows = 0;
   for (const ProbeDecision& e : report) {
@@ -135,8 +135,8 @@ TEST(PartialInline, ZeroHeadBudgetDisablesTheSixthDimension) {
   heur::InlineParams off = partial_params();
   off.partial_max_head_size = 0;
   const heur::JikesHeuristic h(off);
-  const Optimizer optimizer(p, h);
-  const OptimizeResult r = optimizer.optimize(p.find_method("main"));
+  PassManager pm(p, h);
+  const OptimizeResult r = pm.run(p.find_method("main"));
   EXPECT_EQ(r.stats.inline_stats.sites_partially_inlined, 0u);
   // With partial off the too-big callee is refused outright, exactly the
   // five-parameter behaviour.

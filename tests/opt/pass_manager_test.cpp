@@ -1,9 +1,9 @@
-// PassManager redesign coverage: pipeline description round trips, the
-// deprecated boolean-options bridge, bit-identity of the new pipeline
-// against the frozen legacy orchestration (reference_optimize) for
-// five-parameter genomes, analysis-cache reuse across compilations, the
-// opt.analysis_* obs counters, and the stale-analysis detector that the
-// PreservedAnalyses soundness property tests drive.
+// PassManager coverage: pipeline description round trips and strict
+// parsing, cached analyses checked against fresh ones (set_verify) over
+// workloads and the fuzz corpus for several pipelines, analysis-cache reuse
+// across compilations, the opt.analysis_* obs counters, and the
+// stale-analysis detector that the PreservedAnalyses soundness property
+// tests drive.
 #include "opt/pipeline.hpp"
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "fuzz/campaign.hpp"
 #include "obs/context.hpp"
 #include "obs/sink.hpp"
-#include "opt/optimizer.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
 #include "workloads/suite.hpp"
@@ -55,28 +54,15 @@ TEST(PipelineDesc, ParseRejectsMalformedDescriptions) {
   EXPECT_THROW(PipelineDesc::parse("fixpoint(fold):x"), Error);       // bad number
   EXPECT_THROW(PipelineDesc::parse("bogus,fixpoint(fold):1"), Error); // unknown setup pass
   EXPECT_THROW(PipelineDesc::parse("fixpoint(bogus):1"), Error);      // unknown fixpoint pass
+  // Text after the iteration count is an error, not silently dropped.
+  EXPECT_THROW(PipelineDesc::parse("inline,fixpoint(fold):6,tail_recursion"), Error);
+  EXPECT_THROW(PipelineDesc::parse("fixpoint(fold):6x"), Error);
 }
 
-TEST(PipelineDesc, OptionsBridgeMapsEveryBoolean) {
-  EXPECT_EQ(pipeline_from_options(OptimizerOptions{}), PipelineDesc::standard());
-
-  OptimizerOptions o;
-  o.enable_inlining = false;
-  o.enable_folding = false;
-  o.enable_tail_recursion = false;
-  o.max_iterations = 3;
-  const PipelineDesc p = pipeline_from_options(o);
-  EXPECT_FALSE(p.has_pass("inline"));
-  EXPECT_FALSE(p.has_pass("fold"));
-  EXPECT_FALSE(p.has_pass("tail_recursion"));
-  EXPECT_TRUE(p.has_pass("copyprop"));
-  EXPECT_EQ(p.max_iterations, 3);
-
-  // The textual identity is what the evaluator fingerprints, so distinct
-  // boolean configurations must never collapse onto one string.
-  OptimizerOptions o2 = o;
-  o2.enable_dce = false;
-  EXPECT_NE(pipeline_from_options(o).to_string(), pipeline_from_options(o2).to_string());
+TEST(PipelineDesc, WithoutDropsEveryOccurrence) {
+  const PipelineDesc p = PipelineDesc::parse("inline,fold,fixpoint(fold,dce):3");
+  EXPECT_EQ(p.without("fold").to_string(), "inline,fixpoint(dce):3");
+  EXPECT_EQ(p.without("unreachable"), p);
 }
 
 TEST(PipelineDesc, MakePassKnowsEveryRegisteredName) {
@@ -88,41 +74,23 @@ TEST(PipelineDesc, MakePassKnowsEveryRegisteredName) {
   EXPECT_THROW(make_pass("bogus"), Error);
 }
 
-// --- Bit-identity vs the frozen legacy orchestration ----------------------
+// --- Cached analyses equal fresh ones ------------------------------------
 
-void expect_identical(const bc::Program& prog, const heur::InlineParams& params,
-                      const SiteOracle& oracle, const OptimizerOptions& options,
-                      const std::string& label) {
+// Compiles every method of `prog` through one PassManager whose analysis
+// cache is verified: every cached read is recomputed and compared, so a
+// pass that claims to preserve an analysis it changed throws. The manager
+// persists across methods, as the VM's does.
+void expect_cache_sound(const bc::Program& prog, const heur::InlineParams& params,
+                        const SiteOracle& oracle, const PipelineDesc& pipeline,
+                        const std::string& label) {
   const heur::JikesHeuristic h(params);
-  const InlineLimits limits{};
-  const Optimizer optimizer(prog, h, oracle, options, limits);
+  PassManager pm(prog, h, oracle, pipeline);
+  pm.analyses().set_verify(true);
   for (bc::MethodId id = 0; id < static_cast<bc::MethodId>(prog.num_methods()); ++id) {
-    SCOPED_TRACE(label + ": method " + prog.method(id).name());
-    const OptimizeResult got = optimizer.optimize(id);
-    const OptimizeResult want = reference_optimize(prog, id, h, oracle, options, limits);
-    ASSERT_EQ(got.body.method, want.body.method);
-    ASSERT_EQ(got.body.meta.size(), want.body.meta.size());
-    for (std::size_t pc = 0; pc < got.body.meta.size(); ++pc) {
-      EXPECT_EQ(got.body.meta[pc].depth, want.body.meta[pc].depth) << "pc " << pc;
-      EXPECT_EQ(got.body.meta[pc].origin_method, want.body.meta[pc].origin_method) << "pc " << pc;
-      EXPECT_EQ(got.body.meta[pc].origin_pc, want.body.meta[pc].origin_pc) << "pc " << pc;
-    }
-    EXPECT_EQ(got.stats.inline_stats.sites_considered, want.stats.inline_stats.sites_considered);
-    EXPECT_EQ(got.stats.inline_stats.sites_inlined, want.stats.inline_stats.sites_inlined);
-    EXPECT_EQ(got.stats.inline_stats.sites_partially_inlined,
-              want.stats.inline_stats.sites_partially_inlined);
-    EXPECT_EQ(got.stats.inline_stats.size_after_words, want.stats.inline_stats.size_after_words);
-    EXPECT_EQ(got.stats.folds, want.stats.folds);
-    EXPECT_EQ(got.stats.copyprops, want.stats.copyprops);
-    EXPECT_EQ(got.stats.dead_stores, want.stats.dead_stores);
-    EXPECT_EQ(got.stats.branch_simplifications, want.stats.branch_simplifications);
-    EXPECT_EQ(got.stats.algebraic_simplifications, want.stats.algebraic_simplifications);
-    EXPECT_EQ(got.stats.compare_fusions, want.stats.compare_fusions);
-    EXPECT_EQ(got.stats.tail_calls_eliminated, want.stats.tail_calls_eliminated);
-    EXPECT_EQ(got.stats.unreachable_removed, want.stats.unreachable_removed);
-    EXPECT_EQ(got.stats.instructions_compacted, want.stats.instructions_compacted);
-    EXPECT_EQ(got.stats.iterations, want.stats.iterations);
+    SCOPED_TRACE(label + " [" + pipeline.to_string() + "]: method " + prog.method(id).name());
+    ASSERT_NO_THROW(pm.run(id));
   }
+  EXPECT_GT(pm.analyses().stats().hits, 0u) << label << ": nothing was read from the cache";
 }
 
 std::vector<heur::InlineParams> five_param_variants() {
@@ -147,19 +115,14 @@ std::vector<heur::InlineParams> five_param_variants() {
   return out;
 }
 
-std::vector<OptimizerOptions> option_variants() {
-  OptimizerOptions all;  // every pass on, legacy defaults
-  OptimizerOptions no_inline;
-  no_inline.enable_inlining = false;
-  OptimizerOptions scalar_mix;
-  scalar_mix.enable_folding = false;
-  scalar_mix.enable_algebraic = false;
-  scalar_mix.enable_tail_recursion = false;
-  OptimizerOptions one_iter;
+/// The standard pipeline and three subsets: no inlining, a scalar mix, and
+/// a single fixpoint iteration.
+std::vector<PipelineDesc> pipeline_variants() {
+  const PipelineDesc all = PipelineDesc::standard();
+  PipelineDesc one_iter = all.without("copyprop").without("dce").without("unreachable");
   one_iter.max_iterations = 1;
-  one_iter.enable_copyprop = false;
-  one_iter.enable_dce = false;
-  return {all, no_inline, scalar_mix, one_iter};
+  return {all, all.without("inline"),
+          all.without("fold").without("algebraic").without("tail_recursion"), one_iter};
 }
 
 std::vector<std::pair<std::string, SiteOracle>> oracle_variants() {
@@ -172,30 +135,30 @@ std::vector<std::pair<std::string, SiteOracle>> oracle_variants() {
   return {{"cold", cold_site}, {"mixed", mixed}};
 }
 
-TEST(PassManagerEquivalence, BitIdenticalToLegacyOverWorkloads) {
+TEST(PassManagerEquivalence, CachedAnalysesMatchFreshOverWorkloads) {
   const std::vector<heur::InlineParams> params = five_param_variants();
-  const std::vector<OptimizerOptions> options = option_variants();
+  const std::vector<PipelineDesc> pipelines = pipeline_variants();
   const auto oracles = oracle_variants();
   std::size_t i = 0;
   for (const wl::Workload& w : wl::make_suite("all")) {
     for (std::size_t pi = 0; pi < params.size(); ++pi, ++i) {
       const auto& [oracle_name, oracle] = oracles[i % oracles.size()];
-      expect_identical(w.program, params[pi], oracle, options[i % options.size()],
-                       w.name + "/params" + std::to_string(pi) + "/" + oracle_name);
+      expect_cache_sound(w.program, params[pi], oracle, pipelines[i % pipelines.size()],
+                         w.name + "/params" + std::to_string(pi) + "/" + oracle_name);
     }
   }
 }
 
 #ifdef ITH_FUZZ_CORPUS_DIR
-// Fuzz-corpus acceptance bar for the redesign: every checked-in repro —
-// programs shrunk specifically to stress the optimizer — compiles
-// bit-identically through the new pipeline for randomized five-parameter
-// genomes. (The live fuzz campaign re-proves this continuously through the
-// pipeline-diff tier; this pins the corpus in the unit suite.)
-TEST(PassManagerEquivalence, BitIdenticalToLegacyOverFuzzCorpus) {
+// Every checked-in fuzz repro — programs shrunk specifically to stress the
+// optimizer — compiles with every cached analysis equal to a fresh one, for
+// randomized five-parameter genomes. (The live fuzz campaign re-checks this
+// continuously: its O1/O2 tiers compile in verify mode; this pins the
+// corpus in the unit suite.)
+TEST(PassManagerEquivalence, CachedAnalysesMatchFreshOverFuzzCorpus) {
   const auto entries = fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(entries.empty()) << "corpus directory missing or empty";
-  const std::vector<OptimizerOptions> options = option_variants();
+  const std::vector<PipelineDesc> pipelines = pipeline_variants();
   const auto oracles = oracle_variants();
   std::mt19937_64 rng(20260807);
   const auto& ranges = heur::param_ranges();
@@ -208,8 +171,8 @@ TEST(PassManagerEquivalence, BitIdenticalToLegacyOverFuzzCorpus) {
     }
     a[5] = 0;  // five-param genome: partial inlining off
     const auto& [oracle_name, oracle] = oracles[i % oracles.size()];
-    expect_identical(prog, heur::InlineParams::from_array(a), oracle, options[i % options.size()],
-                     name + "/" + oracle_name);
+    expect_cache_sound(prog, heur::InlineParams::from_array(a), oracle,
+                       pipelines[i % pipelines.size()], name + "/" + oracle_name);
     ++i;
   }
 }

@@ -69,7 +69,7 @@ TEST(VerdictReplay, FlippedVerdictThrows) {
     for (const wl::Workload& w : wl::make_suite("specjvm98")) {
       tried += expect_corruptions_throw(w.program, params, [&](VerdictTrace& t, std::size_t k) {
         Outcome& o = t.decisions[k].outcome;
-        structural += o == Outcome::kRefusedStructural ? 1 : 0;
+        if (o == Outcome::kRefusedStructural) ++structural;
         // A partial splice turns into a full one, a full one into a refusal,
         // and either refusal (a structural one too) into a full splice.
         o = o == Outcome::kInlined ? Outcome::kRefusedHeuristic : Outcome::kInlined;
@@ -86,7 +86,7 @@ TEST(VerdictReplay, DroppedEntryThrows) {
   for (const heur::InlineParams& params : param_variants()) {
     for (const wl::Workload& w : wl::make_suite("specjvm98")) {
       tried += expect_corruptions_throw(w.program, params, [&](VerdictTrace& t, std::size_t k) {
-        structural += t.decisions[k].outcome == Outcome::kRefusedStructural ? 1 : 0;
+        if (t.decisions[k].outcome == Outcome::kRefusedStructural) ++structural;
         t.decisions.erase(t.decisions.begin() + static_cast<std::ptrdiff_t>(k));
       });
     }

@@ -13,7 +13,7 @@
 #include "fuzz/campaign.hpp"
 #include "fuzz/generator.hpp"
 #include "heuristics/heuristic.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "testing.hpp"
 
 namespace ith::rt {
@@ -94,9 +94,9 @@ TEST_P(OpcodeMatrix, InterpreterFolderAndModelAgree) {
       // Constant-folded: the optimizer must not change the value (the
       // folded result may exceed the 32-bit immediate field, in which case
       // folding is skipped — still the same value at runtime).
-      const opt::Optimizer optimizer(constant, h);
+      opt::PassManager pm(constant, h);
       bc::Program folded = constant;
-      folded.mutable_method(folded.entry()) = optimizer.optimize(folded.entry()).body.method;
+      folded.mutable_method(folded.entry()) = pm.run(folded.entry()).body.method;
       EXPECT_EQ(ith::test::run_exit_value(folded), want)
           << bc::op_info(op).name << "(" << a << ", " << b << ") folded";
     }

@@ -4,7 +4,7 @@
 
 #include "bytecode/builder.hpp"
 #include "heuristics/heuristic.hpp"
-#include "opt/optimizer.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/machine.hpp"
 #include "support/error.hpp"
@@ -37,9 +37,9 @@ class FlippingSource final : public CodeSource {
     }
     // Fully optimized versions (always-inline) with provenance.
     heur::AlwaysInlineHeuristic h;
-    const opt::Optimizer optimizer(prog, h);
+    opt::PassManager pm(prog, h);
     for (std::size_t i = 0; i < prog.num_methods(); ++i) {
-      opt::OptimizeResult r = optimizer.optimize(static_cast<bc::MethodId>(i));
+      opt::OptimizeResult r = pm.run(static_cast<bc::MethodId>(i));
       auto cm = std::make_unique<CompiledMethod>();
       cm->body = std::move(r.body.method);
       cm->tier = Tier::kOpt;

@@ -103,25 +103,29 @@ TEST(Vm, RecompilationLadderReusesCachedAnalyses) {
   EXPECT_GT(counter_hits, 0) << "opt.analysis_hits counter missing from the trace";
 }
 
-TEST(Vm, ExplicitPipelineOverridesTheBooleanOptions) {
-  // VmConfig::pipeline is the new-style configuration surface: a pipeline
-  // with inlining stripped must behave like the legacy enable_inlining=false.
+TEST(Vm, ConfiguredPipelineReachesTheVm) {
+  // VmConfig::pipeline is the VM's only optimizer configuration; unset, the
+  // VM compiles with the standard pipeline.
   const bc::Program p = ith::test::make_loop_program(100);
-  heur::JikesHeuristic h1, h2;
-  VmConfig with_pipeline;
-  with_pipeline.pipeline = opt::PipelineDesc::parse("fixpoint(fold,branch_simplify):6");
-  const RunResult a = run_vm(p, Scenario::kOpt, h1, 2, with_pipeline);
+  const rt::MachineModel machine = rt::pentium4_model();
+  heur::JikesHeuristic h;
+  EXPECT_EQ(VirtualMachine(p, machine, h, VmConfig{}).pass_manager().pipeline(),
+            opt::PipelineDesc::standard());
 
-  VmConfig legacy;
-  legacy.opt_options.enable_inlining = false;
-  legacy.opt_options.enable_tail_recursion = false;
-  legacy.opt_options.enable_copyprop = false;
-  legacy.opt_options.enable_dce = false;
-  legacy.opt_options.enable_algebraic = false;
-  legacy.opt_options.enable_compare_fusion = false;
-  const RunResult b = run_vm(p, Scenario::kOpt, h2, 2, legacy);
+  VmConfig no_inline;
+  no_inline.pipeline = opt::PipelineDesc::parse("fixpoint(fold,branch_simplify):6");
+  EXPECT_EQ(VirtualMachine(p, machine, h, no_inline).pass_manager().pipeline(),
+            *no_inline.pipeline);
+  const RunResult a = run_vm(p, Scenario::kOpt, h, 2, no_inline);
+
+  // The pipeline is what compiles: dropping the inline pass runs exactly
+  // like an inline pass that refuses every site, and slower than inlining.
+  VmConfig refusing;
+  refusing.pipeline = opt::PipelineDesc::parse("inline,fixpoint(fold,branch_simplify):6");
+  heur::NeverInlineHeuristic never;
+  const RunResult b = run_vm(p, Scenario::kOpt, never, 2, refusing);
   EXPECT_EQ(a.running_cycles, b.running_cycles);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_GT(a.running_cycles, run_vm(p, Scenario::kOpt, h).running_cycles);
 }
 
 TEST(Vm, LazyCompilationSkipsUninvokedMethods) {
