@@ -21,15 +21,12 @@ namespace ith::bench {
 
 struct DispatchMeasurement {
   std::string workload;
-  std::string engine;              ///< "fast", "fast-nofuse" or "reference"
+  std::string engine;              ///< "fast" or "reference"
   std::uint64_t instructions = 0;  ///< per run (engine-invariant)
   std::uint64_t sim_cycles = 0;    ///< simulated cycles, cold icache run
   double best_seconds = 0.0;       ///< fastest repeat
   double insns_per_sec = 0.0;
   double ns_per_insn = 0.0;
-  /// Fusion rules this engine's predecodes rewrote (0 for the unfused
-  /// variants).
-  std::uint64_t rules_fired = 0;
 };
 
 struct DispatchBenchConfig {
@@ -44,22 +41,14 @@ struct DispatchBenchConfig {
 /// JSON is comparable commit-over-commit.
 std::vector<std::string> dispatch_workload_names(const DispatchBenchConfig& config);
 
-/// Runs every workload under three engine variants: "fast" (the predecoded
-/// engine at the ambient fusion policy, i.e. ITH_FUSION), "fast-nofuse"
-/// (fusion forced off — isolates the superinstruction win from the
-/// predecode/threading win), and "reference". Verifies on the way that all
-/// three produced identical ExecStats for the cold run (throws ith::Error
-/// otherwise — a benchmark that measures different computations is
-/// meaningless). Timing rounds are interleaved across the variants so a
-/// mid-benchmark change in effective host speed (CPU steal, frequency
-/// drift) cancels out of the reported ratios. Results are ordered
-/// workload-major: fast, fast-nofuse, reference.
+/// Runs every workload under both engines, "fast" (the predecoded engine)
+/// and "reference". Verifies on the way that both produced identical
+/// ExecStats for the cold run (throws ith::Error otherwise — a benchmark
+/// that measures different computations is meaningless). Timing rounds are
+/// interleaved across the engines so a mid-benchmark change in effective
+/// host speed (CPU steal, frequency drift) cancels out of the reported
+/// ratios. Results are ordered workload-major: fast, reference.
 std::vector<DispatchMeasurement> run_dispatch_bench(const DispatchBenchConfig& config);
-
-/// Geometric-mean instructions/sec ratio of engine `num` over engine `den`
-/// across workloads (both must be present for every workload).
-double geomean_ratio(const std::vector<DispatchMeasurement>& ms, const std::string& num,
-                     const std::string& den);
 
 /// Geometric-mean speedup of fast over reference (instructions/sec ratio).
 double geomean_speedup(const std::vector<DispatchMeasurement>& ms);

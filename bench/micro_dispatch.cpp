@@ -11,17 +11,9 @@
 // than --tolerance (relative). The ratio is host-machine independent, so
 // the same guard value works on a laptop and in CI; it is the overhead
 // budget for the observability layer — with a null obs context the fast
-// engine must keep its full speedup over the reference engine.
-//
-// The guard is fusion-policy aware: under ITH_FUSION=0 the "fast" engine
-// runs unfused, so the guard compares against the baseline's recorded
-// *unfused* geomean (geomean_speedup_unfused_over_reference) instead of
-// the headline fused number — the same recorded document guards both CI
-// legs. On failure it prints a per-workload current-vs-recorded breakdown
-// so the offending workload is identifiable without rerunning locally.
-// Under a fusing policy it also fails when the fast engine fired no fusion
-// rule on some workload: a silently disabled fusion pass leaves the
-// geomean near the unfused figure, which the floor alone does not catch.
+// engine must keep its full speedup over the reference engine. On failure
+// it prints a per-workload current-vs-recorded breakdown so the offending
+// workload is identifiable without rerunning locally.
 //
 // The simulated ExecStats are checked for cross-engine equality before any
 // timing is reported, so a regression in the equivalence guarantee fails
@@ -37,7 +29,6 @@
 #include <vector>
 
 #include "dispatch_bench.hpp"
-#include "runtime/predecode.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -52,28 +43,17 @@ ith::JsonValue load_baseline(const std::string& path) {
   return ith::parse_json(buf.str());
 }
 
-/// The recorded geomean the current run must hold. Selected by the active
-/// fusion policy; documents recorded before fusion existed only carry the
-/// fast/reference field, which is the correct unfused baseline for them.
-double baseline_geomean_speedup(const ith::JsonValue& doc, const std::string& path,
-                                bool fusion_off) {
-  if (fusion_off) {
-    if (const ith::JsonValue* v = doc.find("geomean_speedup_unfused_over_reference");
-        v != nullptr && v->kind == ith::JsonValue::Kind::kNumber) {
-      return v->number;
-    }
-  }
+/// The recorded geomean the current run must hold.
+double baseline_geomean_speedup(const ith::JsonValue& doc, const std::string& path) {
   const ith::JsonValue* v = doc.find("geomean_speedup_fast_over_reference");
   ITH_CHECK(v != nullptr && v->kind == ith::JsonValue::Kind::kNumber,
             path + ": geomean_speedup_fast_over_reference missing");
   return v->number;
 }
 
-/// Per-workload fast-engine/reference speedups from a baseline document's
-/// results array. `fast_engine` is "fast" or "fast-nofuse"; falls back to
-/// "fast" rows when the document predates the three-variant format.
-std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& doc,
-                                                         const std::string& fast_engine) {
+/// Per-workload fast/reference speedups from a baseline document's results
+/// array.
+std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& doc) {
   std::map<std::string, double> fast_ips, ref_ips;
   const ith::JsonValue* results = doc.find("results");
   if (results == nullptr || results->kind != ith::JsonValue::Kind::kArray) return {};
@@ -82,7 +62,7 @@ std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& d
     const ith::JsonValue* engine = row.find("engine");
     const ith::JsonValue* ips = row.find("insns_per_sec");
     if (wl == nullptr || engine == nullptr || ips == nullptr) continue;
-    if (engine->str == fast_engine || (fast_ips.count(wl->str) == 0 && engine->str == "fast")) {
+    if (engine->str == "fast") {
       fast_ips[wl->str] = ips->number;
     } else if (engine->str == "reference") {
       ref_ips[wl->str] = ips->number;
@@ -96,9 +76,8 @@ std::map<std::string, double> baseline_workload_speedups(const ith::JsonValue& d
 }
 
 void print_guard_breakdown(const std::vector<ith::bench::DispatchMeasurement>& results,
-                           const std::map<std::string, double>& recorded,
-                           const std::string& variant) {
-  std::cerr << "per-workload speedup (" << variant << " / reference), current vs recorded:\n";
+                           const std::map<std::string, double>& recorded) {
+  std::cerr << "per-workload speedup (fast / reference), current vs recorded:\n";
   std::map<std::string, double> fast_ips, ref_ips;
   for (const auto& m : results) {
     if (m.engine == "fast") fast_ips[m.workload] = m.insns_per_sec;
@@ -157,40 +136,20 @@ int main(int argc, char** argv) {
     }
     if (!guard_path.empty()) {
       const double tolerance = cli.get_double_or("tolerance", 0.01);
-      const bool fusion_off = ith::rt::default_fusion_policy() == ith::rt::FusionPolicy::kOff;
       const ith::JsonValue doc = load_baseline(guard_path);
-      const double baseline = baseline_geomean_speedup(doc, guard_path, fusion_off);
+      const double baseline = baseline_geomean_speedup(doc, guard_path);
       const double current = ith::bench::geomean_speedup(results);
       const double floor = baseline * (1.0 - tolerance);
       std::cout << "guard: geomean speedup " << current << " vs recorded " << baseline
-                << " (fusion " << ith::rt::fusion_policy_name(ith::rt::default_fusion_policy())
-                << ", floor " << floor << ", tolerance " << tolerance * 100 << "%)\n";
+                << " (floor " << floor << ", tolerance " << tolerance * 100 << "%)\n";
       if (current < floor) {
-        // Name the variant that regressed and the exact recorded-vs-measured
-        // pair: a CI log must identify the failing engine leg without
-        // rerunning locally.
-        const std::string variant = fusion_off ? "fast-nofuse" : "fast";
-        std::cerr << "micro_dispatch: engine variant '" << variant
-                  << "' regressed below the guard floor: recorded geomean " << baseline
-                  << "x, measured " << current << "x (floor " << floor << ", ITH_FUSION="
-                  << ith::rt::fusion_policy_name(ith::rt::default_fusion_policy()) << ")\n";
-        print_guard_breakdown(results, baseline_workload_speedups(doc, variant), variant);
+        // The exact recorded-vs-measured pair: a CI log must identify the
+        // regression without rerunning locally.
+        std::cerr << "micro_dispatch: the fast engine regressed below the guard floor: recorded "
+                  << "geomean " << baseline << "x, measured " << current << "x (floor " << floor
+                  << ")\n";
+        print_guard_breakdown(results, baseline_workload_speedups(doc));
         return 1;
-      }
-      // With fusion silently disabled the fast engine runs unfused, and the
-      // unfused geomean can still clear the fused floor; so under a fusing
-      // policy every workload must also have fired at least one rule.
-      if (!fusion_off) {
-        bool fired_everywhere = true;
-        for (const ith::bench::DispatchMeasurement& m : results) {
-          if (m.engine == "fast" && m.rules_fired == 0) {
-            std::cerr << "micro_dispatch: no fusion rule fired on '" << m.workload
-                      << "' under ITH_FUSION="
-                      << ith::rt::fusion_policy_name(ith::rt::default_fusion_policy()) << "\n";
-            fired_everywhere = false;
-          }
-        }
-        if (!fired_everywhere) return 1;
       }
       std::cout << "guard: OK\n";
     }

@@ -18,8 +18,8 @@ bool known_category(const std::string& cat) {
 // arg keys are held to a registry of known families; span/instant args stay
 // free-form (they are human-read annotations).
 bool known_counter_family(const std::string& key) {
-  for (const char* prefix : {"vm.", "ga.", "sig.", "serve.", "resil.", "eval.", "rt.fused",
-                             "opt.pass.", "opt.analysis_", "opt.memo_", "svc."}) {
+  for (const char* prefix : {"vm.", "ga.", "sig.", "serve.", "resil.", "eval.", "opt.pass.",
+                             "opt.analysis_", "opt.memo_", "svc."}) {
     if (key.rfind(prefix, 0) == 0) return true;
   }
   return false;

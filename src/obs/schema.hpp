@@ -12,7 +12,7 @@
 //
 // Counter events ("C") additionally require every arg key to belong to a
 // registered counter family (vm. | ga. | sig. | serve. | resil. | eval. |
-// rt.fused* | opt.pass. | opt.analysis_ | opt.memo_ | svc.) so dashboards
+// opt.pass. | opt.analysis_ | opt.memo_ | svc.) so dashboards
 // never silently chart a typo'd counter name. opt.memo_hits / _misses /
 // _evictions are the evaluator's body memo (opt/body_memo.hpp);
 // eval.bench_runs / eval.bench_reused / eval.bench_replayed count the

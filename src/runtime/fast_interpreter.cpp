@@ -14,7 +14,6 @@
 #pragma GCC diagnostic ignored "-Wpedantic"
 
 #define ITH_ALWAYS_INLINE __attribute__((always_inline))
-#define ITH_LIKELY(x) __builtin_expect(!!(x), 1)
 
 namespace ith::rt {
 
@@ -37,14 +36,14 @@ PredecodedBody& FastInterpreter::body_for(const CompiledMethod& cm) {
     retired_.push_back(std::move(slot.pb));
   }
   slot.cm = &cm;
-  slot.pb = std::make_unique<PredecodedBody>(predecode(cm, machine_, options_.fusion, &fusion_stats_));
+  slot.pb = std::make_unique<PredecodedBody>(predecode(cm, machine_));
   return *slot.pb;
 }
 
 PredecodedBody& FastInterpreter::attach(const CompiledMethod& cm, const void* const* labels) {
   PredecodedBody& body = body_for(cm);
   if (!body.threaded) {
-    for (PredecodedInsn& pi : body.code) pi.target = labels[static_cast<int>(pi.xop)];
+    for (PredecodedInsn& pi : body.code) pi.target = labels[static_cast<int>(pi.op)];
     body.threaded = true;
   }
   return body;
@@ -81,7 +80,7 @@ FastInterpreter::EnterState FastInterpreter::call_into(bc::MethodId id, std::int
         resilience::BudgetKind::kArena,
         "interpreter: arena budget exceeded (locals + operand stack)");
   }
-  return {body.code.data(), locals_.data() + locals_base, stack_.data(), sp, body.pool.data()};
+  return {body.code.data(), locals_.data() + locals_base, stack_.data(), sp};
 }
 
 bool FastInterpreter::try_osr(std::size_t target, std::size_t sp, ExecStats& stats,
@@ -112,8 +111,7 @@ bool FastInterpreter::try_osr(std::size_t target, std::size_t sp, ExecStats& sta
   ensure_stack(fr.stack_floor + static_cast<std::size_t>(body.max_operand_depth) + 1);
   fr.pb = &body;
   ++stats.osr_transitions;
-  out = {body.code.data() + j, locals_.data() + fr.locals_base, stack_.data(), sp,
-         body.pool.data()};
+  out = {body.code.data() + j, locals_.data() + fr.locals_base, stack_.data(), sp};
   return true;
 }
 
@@ -136,32 +134,12 @@ ExecStats FastInterpreter::run() {
       options_.max_instructions == ~0ULL ? ~0ULL : options_.max_instructions + 1;
   std::uint64_t remaining = budget_steps;
 
-  static_assert(kNumXOps == 64, "update kLabels when the extended instruction set changes");
-  static const void* const kLabels[kNumXOps] = {
-      // bc::Op mirror region (unfused dispatch)
+  static_assert(bc::kNumOps == 23, "update kLabels when the instruction set changes");
+  static const void* const kLabels[bc::kNumOps] = {
       &&lbl_kConst, &&lbl_kLoad,  &&lbl_kStore, &&lbl_kAdd,    &&lbl_kSub,  &&lbl_kMul,
       &&lbl_kDiv,   &&lbl_kMod,   &&lbl_kNeg,   &&lbl_kCmpLt,  &&lbl_kCmpLe, &&lbl_kCmpEq,
       &&lbl_kCmpNe, &&lbl_kJmp,   &&lbl_kJz,    &&lbl_kJnz,    &&lbl_kCall, &&lbl_kRet,
-      &&lbl_kGLoad, &&lbl_kGStore, &&lbl_kPop,  &&lbl_kNop,    &&lbl_kHalt,
-      // fused superinstructions
-      &&lbl_kFRetChained,
-      &&lbl_kFAddImm, &&lbl_kFSubImm, &&lbl_kFMulImm,
-      &&lbl_kFLoadLoadAddImm, &&lbl_kFLoadLoadSubImm, &&lbl_kFLoadLoadMulImm,
-      &&lbl_kFCmpLtJzImm, &&lbl_kFCmpLeJzImm, &&lbl_kFCmpNeJzImm,
-      &&lbl_kFLoadConstCmpLtJzImm, &&lbl_kFLoadConstCmpLeJzImm, &&lbl_kFLoadConstCmpLeJnzImm,
-      &&lbl_kFLoadConstCmpEqJzImm, &&lbl_kFLoadConstCmpNeJzImm,
-      &&lbl_kFIncLocal, &&lbl_kFDecLocal,
-      // statement forms
-      &&lbl_kFLoadAddK, &&lbl_kFLoadSubK, &&lbl_kFLoadMulK, &&lbl_kFLoadDivK,
-      &&lbl_kFLoadModK,
-      &&lbl_kFLocAddK, &&lbl_kFLocSubK, &&lbl_kFLocMulK, &&lbl_kFLocDivK,
-      &&lbl_kFLocModK,
-      &&lbl_kFLocAddLoc, &&lbl_kFLocSubLoc, &&lbl_kFLocMulLoc,
-      &&lbl_kFAddStore, &&lbl_kFSubStore, &&lbl_kFMulStore, &&lbl_kFDivStore,
-      &&lbl_kFModStore,
-      &&lbl_kFCopyLocal, &&lbl_kFConstStore, &&lbl_kFGLoadK,
-      &&lbl_kFDivImm, &&lbl_kFModImm,
-      &&lbl_kFKCmpEqJz};
+      &&lbl_kGLoad, &&lbl_kGStore, &&lbl_kPop,  &&lbl_kNop,    &&lbl_kHalt};
 
   // Current-frame state, mirrored from frames_.back() into locals so the
   // dispatch loop touches no vector bookkeeping. Kept deliberately small —
@@ -173,11 +151,6 @@ ExecStats FastInterpreter::run() {
   std::int64_t* loc = nullptr;
   std::int64_t* stk = stack_.data();
   std::size_t sp = 0;
-  // The current body's operand side-pool base: fused heads index it by
-  // their 16-bit handle, so their handlers read nothing but the head
-  // entry and one pool record. Reloaded wherever ip changes bodies (call,
-  // return, OSR) — same discipline as loc.
-  const FusedWindow* pool = nullptr;
 
   osr_failed_from_ = nullptr;
   osr_failed_to_ = nullptr;
@@ -188,28 +161,22 @@ ExecStats FastInterpreter::run() {
   // probe(addr) looks up addr / line_bytes, the same line. Must inline into
   // every handler tail: called once per dynamic instruction, and GCC's
   // many-call-sites heuristic otherwise outlines it into a real call.
-  // `account_at` is the raw (cost, line) form so fused handlers can feed it
-  // from their side-pool record — same probe, same IEEE addition, same
-  // budget decrement as accounting the interior entry would have been,
-  // without the interior cache-line touch.
-  auto account_at = [&](double cost, std::uint64_t line) ITH_ALWAYS_INLINE {
-    if (ic != nullptr && line != current_line) {
-      current_line = line;
+  auto account = [&](const PredecodedInsn& pi) ITH_ALWAYS_INLINE {
+    if (ic != nullptr && pi.line != current_line) {
+      current_line = pi.line;
       ++stats.icache_probes;
-      if (!ic->probe_line(line)) {
+      if (!ic->probe_line(pi.line)) {
         ++stats.icache_misses;
         cycles += static_cast<double>(machine_.icache_miss_cycles);
       }
     }
-    cycles += cost;
+    cycles += pi.base_cost;
     if (--remaining == 0) {
       throw resilience::BudgetExceededError(
           resilience::BudgetKind::kInstructions,
           "interpreter: instruction budget exceeded (runaway program?)");
     }
   };
-  auto account = [&](const PredecodedInsn& pi)
-                     ITH_ALWAYS_INLINE { account_at(pi.base_cost, pi.line); };
 
   {
     const EnterState st = call_into(prog_.entry(), 0, sp, stats, kLabels);
@@ -217,7 +184,6 @@ ExecStats FastInterpreter::run() {
     loc = st.loc;
     stk = st.stk;
     sp = st.sp;
-    pool = st.pool;
   }
 
 #define ITH_CASE(op) lbl_##op:
@@ -234,37 +200,31 @@ ExecStats FastInterpreter::run() {
 
   ITH_DISPATCH();
 
-// Taken-branch tail shared by the jump handlers and every fused cmp+branch
-// form. The branch component's pc is ip[OFF] (OFF > 0 when a fused head
-// carries a trailing branch component) and DELTA is its pc-relative jump
-// delta — read from the entry itself by the jump handlers, passed as a
-// captured value (head `b` slot or side-pool `extra`) by the fused forms,
-// which is why the delta is a macro parameter and the target is computed
-// by pointer arithmetic alone. A non-positive delta is a back edge —
-// profile tick plus OSR window — exactly as in the reference engine.
-#define ITH_TAKEN_BRANCH_D(OFF, DELTA)                                         \
+// Taken-branch tail shared by the jump handlers: ip->a is the pc-relative
+// jump delta, so the target is computed by pointer arithmetic alone. A
+// non-positive delta is a back edge — profile tick plus OSR window —
+// exactly as in the reference engine.
+#define ITH_TAKEN_BRANCH()                                                     \
   {                                                                            \
-    const std::int32_t d = (DELTA);                                            \
+    const std::int32_t d = ip->a;                                              \
     if (d <= 0) {                                                              \
       const PredecodedBody& body = *frames_.back().pb;                         \
       source_.on_back_edge(body.cm->method_id);                                \
       const auto target =                                                      \
-          static_cast<std::size_t>(((ip + (OFF)) - body.code.data()) + d);     \
+          static_cast<std::size_t>((ip - body.code.data()) + d);               \
       EnterState st;                                                           \
       if (try_osr(target, sp, stats, kLabels, st)) {                           \
         ip = st.ip;                                                            \
         loc = st.loc;                                                          \
         stk = st.stk;                                                          \
         sp = st.sp;                                                            \
-        pool = st.pool;                                                        \
         current_line = ~0ULL;                                                  \
         ITH_DISPATCH();                                                        \
       }                                                                        \
     }                                                                          \
-    ip += (OFF) + d;                                                           \
+    ip += d;                                                                   \
     ITH_DISPATCH();                                                            \
   }
-#define ITH_TAKEN_BRANCH(OFF) ITH_TAKEN_BRANCH_D(OFF, (ip + (OFF))->a)
 
       ITH_CASE(kConst) {
         stk[sp++] = ip->a;
@@ -342,13 +302,13 @@ ExecStats FastInterpreter::run() {
       // Jumps advance ip by the predecoded pc-relative delta; a non-positive
       // delta is a back edge (profile tick + OSR window), handled off the
       // straight-line path with the frame's code base reloaded on demand.
-      ITH_CASE(kJmp) { ITH_TAKEN_BRANCH(0); }
+      ITH_CASE(kJmp) { ITH_TAKEN_BRANCH(); }
       ITH_CASE(kJz) {
-        if (stk[--sp] == 0) ITH_TAKEN_BRANCH(0);
+        if (stk[--sp] == 0) ITH_TAKEN_BRANCH();
         ITH_NEXT();
       }
       ITH_CASE(kJnz) {
-        if (stk[--sp] != 0) ITH_TAKEN_BRANCH(0);
+        if (stk[--sp] != 0) ITH_TAKEN_BRANCH();
         ITH_NEXT();
       }
       ITH_CASE(kCall) {
@@ -366,16 +326,10 @@ ExecStats FastInterpreter::run() {
         loc = st.loc;
         stk = st.stk;
         sp = st.sp;
-        pool = st.pool;
         current_line = ~0ULL;  // control transferred: next account probes callee
         ITH_DISPATCH();
       }
-      // kFRetChained is the fused {kCall, kRet} mark on a caller's return:
-      // same handler, entered either by normal dispatch (a jump can land on
-      // the kRet directly) or by the chain loop below.
-      ITH_CASE(kFRetChained)
       ITH_CASE(kRet) {
-      ret_chain:
         const std::int64_t value = stk[--sp];
         const FastFrame& leaving = frames_.back();
         ITH_ASSERT(sp == leaving.stack_floor, "operand stack unbalanced at return");
@@ -390,15 +344,6 @@ ExecStats FastInterpreter::run() {
         const FastFrame& fr = frames_.back();
         ip = fr.resume;
         loc = locals_.data() + fr.locals_base;  // shrink never reallocates
-        pool = fr.pb->pool.data();
-        if (ip->xop == XOp::kFRetChained) {
-          // The caller immediately returns our value: account the chained
-          // kRet exactly as a dispatch would (probe + cost + budget), then
-          // pop the next frame with a direct branch instead of an indirect
-          // dispatch.
-          account(*ip);
-          goto ret_chain;
-        }
         ITH_DISPATCH();
       }
       ITH_CASE(kGLoad) {
@@ -430,381 +375,6 @@ ExecStats FastInterpreter::run() {
         goto done;
       }
 
-      // ---- fused superinstructions (predecode.cpp's pattern table) ----
-      //
-      // Cost-conservation rule: the dispatch that reached a fused head has
-      // already accounted the head; the handler accounts every remaining
-      // component, in original program order, before using its operands.
-      // The per-component accounting data comes from the window's side-pool
-      // record and the operands from the head's own slots: a fused dispatch
-      // touches the 40-byte head entry plus one pool record, never the
-      // interiors. Cycles therefore accumulate in the exact IEEE addition
-      // order of the unfused stream, icache lines are probed per component,
-      // and the budget countdown throws at the identical instruction — the
-      // fused win is eliminated dispatch and operand-stack traffic, never
-      // skipped accounting. The interiors still exist with their mirror xops
-      // for control transfers landing mid-window: they are retired from the
-      // hot path, not from the body.
-
-// Batched window accounting. Within a captured window every icache-probe
-// decision is static: after component k-1's account the running line IS
-// component k-1's line, so probe_mask == 0 proves no interior component can
-// probe (and with no ICache attached nothing probes at all). When the budget
-// also cannot trip inside the window (remaining > N), accounting reduces to
-// N bare cost additions — applied to `cycles` one at a time, in the same
-// IEEE order account_at would — plus ONE budget decrement. This batch is
-// where the fused forms beat the serial probe/trap-checked chain. Any
-// other case takes the exact per-component path, so probes, cycle streams,
-// and the budget trip point stay bit-identical to unfused execution.
-#define ITH_ACCOUNT_WINDOW_1(W)                                                \
-  if (ITH_LIKELY((ic == nullptr || (W).probe_mask == 0) && remaining > 1)) {   \
-    cycles += (W).cost[0];                                                     \
-    remaining -= 1;                                                            \
-  } else {                                                                     \
-    account_at((W).cost[0], (W).line[0]);                                      \
-  }
-#define ITH_ACCOUNT_WINDOW_2(W)                                                \
-  if (ITH_LIKELY((ic == nullptr || (W).probe_mask == 0) && remaining > 2)) {   \
-    cycles += (W).cost[0];                                                     \
-    cycles += (W).cost[1];                                                     \
-    remaining -= 2;                                                            \
-  } else {                                                                     \
-    account_at((W).cost[0], (W).line[0]);                                      \
-    account_at((W).cost[1], (W).line[1]);                                      \
-  }
-#define ITH_ACCOUNT_WINDOW_3(W)                                                \
-  if (ITH_LIKELY((ic == nullptr || (W).probe_mask == 0) && remaining > 3)) {   \
-    cycles += (W).cost[0];                                                     \
-    cycles += (W).cost[1];                                                     \
-    cycles += (W).cost[2];                                                     \
-    remaining -= 3;                                                            \
-  } else {                                                                     \
-    account_at((W).cost[0], (W).line[0]);                                      \
-    account_at((W).cost[1], (W).line[1]);                                      \
-    account_at((W).cost[2], (W).line[2]);                                      \
-  }
-
-// The mirror handlers' arithmetic, as expression macros so the statement
-// forms below can't drift from them. Wrapping math runs in unsigned space
-// (signed overflow would be UB); division is total. Operands must be
-// side-effect-free lvalues — several expand more than once.
-#define ITH_WRAP_ADD(L, R)                                                   \
-  static_cast<std::int64_t>(static_cast<std::uint64_t>(L) +                  \
-                            static_cast<std::uint64_t>(R))
-#define ITH_WRAP_SUB(L, R)                                                   \
-  static_cast<std::int64_t>(static_cast<std::uint64_t>(L) -                  \
-                            static_cast<std::uint64_t>(R))
-#define ITH_WRAP_MUL(L, R)                                                   \
-  static_cast<std::int64_t>(static_cast<std::uint64_t>(L) *                  \
-                            static_cast<std::uint64_t>(R))
-#define ITH_TOTAL_DIV(L, R)                                                  \
-  ((R) == 0 ? 0                                                              \
-   : (R) == -1                                                               \
-       ? static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(L))        \
-       : (L) / (R))
-#define ITH_TOTAL_MOD(L, R) (((R) == 0 || (R) == -1) ? 0 : (L) % (R))
-
-#define ITH_FUSED_CMP_BRANCH(CMP, TAKEN_ON)                                 \
-  {                                                                         \
-    const FusedWindow& w = pool[ip->imm];                                   \
-    ITH_ACCOUNT_WINDOW_1(w);                                                \
-    sp -= 2;                                                                \
-    if ((stk[sp] CMP stk[sp + 1]) == (TAKEN_ON)) ITH_TAKEN_BRANCH_D(1, ip->b); \
-    ip += 2;                                                                \
-    ITH_DISPATCH();                                                         \
-  }
-
-#define ITH_FUSED_GUARD(CMP, TAKEN_ON)                                      \
-  {                                                                         \
-    const FusedWindow& w = pool[ip->imm];                                   \
-    ITH_ACCOUNT_WINDOW_3(w);                                                \
-    if ((loc[ip->a] CMP static_cast<std::int64_t>(ip->b)) == (TAKEN_ON))    \
-      ITH_TAKEN_BRANCH_D(3, w.extra);                                       \
-    ip += 4;                                                                \
-    ITH_DISPATCH();                                                         \
-  }
-
-      ITH_CASE(kFAddImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        stk[sp - 1] = ITH_WRAP_ADD(stk[sp - 1], ip->a);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFSubImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        stk[sp - 1] = ITH_WRAP_SUB(stk[sp - 1], ip->a);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFMulImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        stk[sp - 1] = ITH_WRAP_MUL(stk[sp - 1], ip->a);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadAddImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_ADD(loc[ip->a], loc[ip->b]);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadSubImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_SUB(loc[ip->a], loc[ip->b]);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadLoadMulImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_MUL(loc[ip->a], loc[ip->b]);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      // A kJz takes when the comparison was false, a kJnz when it was true.
-      ITH_CASE(kFCmpLtJzImm) { ITH_FUSED_CMP_BRANCH(<, false); }
-      ITH_CASE(kFCmpLeJzImm) { ITH_FUSED_CMP_BRANCH(<=, false); }
-      ITH_CASE(kFCmpNeJzImm) { ITH_FUSED_CMP_BRANCH(!=, false); }
-      // The 4-long while-guard form never touches the operand stack: the
-      // comparison reads the local and the captured bound directly, and the
-      // two transient pushes of the unfused form were dead on both paths.
-      ITH_CASE(kFLoadConstCmpLtJzImm) { ITH_FUSED_GUARD(<, false); }
-      ITH_CASE(kFLoadConstCmpLeJzImm) { ITH_FUSED_GUARD(<=, false); }
-      ITH_CASE(kFLoadConstCmpLeJnzImm) { ITH_FUSED_GUARD(<=, true); }
-      ITH_CASE(kFLoadConstCmpEqJzImm) { ITH_FUSED_GUARD(==, false); }
-      ITH_CASE(kFLoadConstCmpNeJzImm) { ITH_FUSED_GUARD(!=, false); }
-      // The counted-loop increment/decrement: loc[a] op= b with zero
-      // operand-stack traffic. Accounting order (load, const, arith) runs
-      // before the store's account, and the local is only written after all
-      // four components are accounted — so a budget trap mid-window leaves
-      // loc untouched, exactly like the unfused stream whose kStore is the
-      // last component.
-      ITH_CASE(kFIncLocal) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[ip->a] = ITH_WRAP_ADD(loc[ip->a], ip->b);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFDecLocal) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[ip->a] = ITH_WRAP_SUB(loc[ip->a], ip->b);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      // ---- statement forms ----
-      //
-      // Same discipline throughout: account the whole window first (batched
-      // when legal, exact otherwise), then compute with the mirror handlers'
-      // expressions, then write. Locals and globals are only mutated after
-      // every component is accounted, so a budget trap mid-window observes
-      // the same heap/locals state as the unfused stream whose writing
-      // component is last.
-      ITH_CASE(kFLoadAddK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_ADD(loc[ip->a], ip->b);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadSubK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_SUB(loc[ip->a], ip->b);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadMulK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        stk[sp++] = ITH_WRAP_MUL(loc[ip->a], ip->b);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadDivK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        const std::int64_t lhs = loc[ip->a];
-        const std::int64_t rhs = ip->b;
-        stk[sp++] = ITH_TOTAL_DIV(lhs, rhs);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLoadModK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        const std::int64_t lhs = loc[ip->a];
-        const std::int64_t rhs = ip->b;
-        stk[sp++] = ITH_TOTAL_MOD(lhs, rhs);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocAddK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_ADD(loc[ip->a], ip->b);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocSubK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_SUB(loc[ip->a], ip->b);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocMulK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_MUL(loc[ip->a], ip->b);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocDivK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        const std::int64_t lhs = loc[ip->a];
-        const std::int64_t rhs = ip->b;
-        loc[w.extra] = ITH_TOTAL_DIV(lhs, rhs);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocModK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        const std::int64_t lhs = loc[ip->a];
-        const std::int64_t rhs = ip->b;
-        loc[w.extra] = ITH_TOTAL_MOD(lhs, rhs);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocAddLoc) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_ADD(loc[ip->a], loc[ip->b]);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocSubLoc) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_SUB(loc[ip->a], loc[ip->b]);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFLocMulLoc) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_3(w);
-        loc[w.extra] = ITH_WRAP_MUL(loc[ip->a], loc[ip->b]);
-        ip += 4;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFAddStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        sp -= 2;
-        loc[ip->b] = ITH_WRAP_ADD(stk[sp], stk[sp + 1]);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFSubStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        sp -= 2;
-        loc[ip->b] = ITH_WRAP_SUB(stk[sp], stk[sp + 1]);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFMulStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        sp -= 2;
-        loc[ip->b] = ITH_WRAP_MUL(stk[sp], stk[sp + 1]);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFDivStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        sp -= 2;
-        const std::int64_t lhs = stk[sp];
-        const std::int64_t rhs = stk[sp + 1];
-        loc[ip->b] = ITH_TOTAL_DIV(lhs, rhs);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFModStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        sp -= 2;
-        const std::int64_t lhs = stk[sp];
-        const std::int64_t rhs = stk[sp + 1];
-        loc[ip->b] = ITH_TOTAL_MOD(lhs, rhs);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFCopyLocal) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        loc[ip->b] = loc[ip->a];
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFConstStore) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        loc[ip->b] = ip->a;
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFGLoadK) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        if (gsize == 0) {
-          stk[sp++] = 0;
-        } else {
-          const auto g = static_cast<std::int64_t>(gsize);
-          const std::int64_t idx = ip->a;
-          stk[sp++] = gbl[static_cast<std::size_t>(((idx % g) + g) % g)];
-        }
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFDivImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        const std::int64_t lhs = stk[sp - 1];
-        const std::int64_t rhs = ip->a;
-        stk[sp - 1] = ITH_TOTAL_DIV(lhs, rhs);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      ITH_CASE(kFModImm) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_1(w);
-        const std::int64_t lhs = stk[sp - 1];
-        const std::int64_t rhs = ip->a;
-        stk[sp - 1] = ITH_TOTAL_MOD(lhs, rhs);
-        ip += 2;
-        ITH_DISPATCH();
-      }
-      // `const k; cmpeq; jz` with the selector already on the stack: pop it,
-      // compare against the head's own operand, branch by the captured delta.
-      ITH_CASE(kFKCmpEqJz) {
-        const FusedWindow& w = pool[ip->imm];
-        ITH_ACCOUNT_WINDOW_2(w);
-        --sp;
-        if (stk[sp] != static_cast<std::int64_t>(ip->a)) ITH_TAKEN_BRANCH_D(2, ip->b);
-        ip += 3;
-        ITH_DISPATCH();
-      }
-
 done:
   stats.instructions = budget_steps - remaining;
   stats.cycles = static_cast<std::uint64_t>(cycles);
@@ -815,16 +385,5 @@ done:
 #undef ITH_DISPATCH
 #undef ITH_NEXT
 #undef ITH_TAKEN_BRANCH
-#undef ITH_TAKEN_BRANCH_D
-#undef ITH_FUSED_CMP_BRANCH
-#undef ITH_FUSED_GUARD
-#undef ITH_ACCOUNT_WINDOW_1
-#undef ITH_ACCOUNT_WINDOW_2
-#undef ITH_ACCOUNT_WINDOW_3
-#undef ITH_WRAP_ADD
-#undef ITH_WRAP_SUB
-#undef ITH_WRAP_MUL
-#undef ITH_TOTAL_DIV
-#undef ITH_TOTAL_MOD
 
 }  // namespace ith::rt

@@ -8,7 +8,8 @@
 //     stream of {dispatch target, pre-folded cycle cost, icache line,
 //     operands} — the hot loop does no op_info() lookup and no divisions;
 //   * dispatch is direct-threaded via computed goto (labels-as-values, a
-//     GCC/Clang extension), over one fused opcode per fusion rule;
+//     GCC/Clang extension): one predecoded entry per bytecode instruction,
+//     its handler selected by the instruction's bc::Op;
 //   * the frame / locals / operand-stack arenas are members reused across
 //     run() calls, so repeated VirtualMachine::run iterations allocate
 //     nothing on the hot path.
@@ -34,8 +35,6 @@ class FastInterpreter final : public Engine {
 
   ExecStats run() override;
 
-  const FusionStats* fusion_stats() const override { return &fusion_stats_; }
-
  private:
   /// An active frame. `resume` is only meaningful for suspended frames
   /// (callers): the instruction after their kCall.
@@ -60,11 +59,6 @@ class FastInterpreter final : public Engine {
     std::int64_t* loc;
     std::int64_t* stk;
     std::size_t sp;
-    /// The entered body's operand side-pool base (fused heads index it by
-    /// their 16-bit handle). Mirrored into the dispatch loop alongside
-    /// ip/loc so fused handlers reach their window in one indexed load
-    /// instead of chasing frames_.back().pb.
-    const FusedWindow* pool;
   };
 
   /// body_for + lazy threading: fills dispatch targets from `labels`
@@ -92,7 +86,6 @@ class FastInterpreter final : public Engine {
   };
   std::vector<Slot> predecoded_;  // indexed by method id
   std::vector<std::unique_ptr<PredecodedBody>> retired_;
-  FusionStats fusion_stats_;  // accumulated across predecodes
 
   // Execution arenas, reused across run() calls.
   std::vector<FastFrame> frames_;

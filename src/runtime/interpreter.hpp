@@ -38,7 +38,6 @@
 #include "runtime/compiled.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/machine.hpp"
-#include "runtime/predecode.hpp"
 
 namespace ith::rt {
 
@@ -106,11 +105,6 @@ struct InterpreterOptions {
   /// high-water mark.
   std::size_t max_arena_words = std::numeric_limits<std::size_t>::max();
   EngineKind engine = EngineKind::kFast;
-  /// Superinstruction fusion policy for the fast engine (the reference
-  /// engine never fuses — it is the unfused ground truth). Defaults to the
-  /// ITH_FUSION environment variable so ITH_FUSION=0 is a no-rebuild escape
-  /// hatch.
-  FusionPolicy fusion = default_fusion_policy();
 };
 
 /// Abstract execution engine. Owns the global data segment (which persists
@@ -128,11 +122,6 @@ class Engine {
 
   /// Runs the program's entry method to completion (kHalt or entry return).
   virtual ExecStats run() = 0;
-
-  /// Cumulative superinstruction-fusion activity, or null for engines that
-  /// never fuse (the reference engine). Counts accumulate across run()
-  /// calls; consumers publishing counters should diff against a snapshot.
-  virtual const FusionStats* fusion_stats() const { return nullptr; }
 
   /// Global data segment; persists across run() calls on the same instance.
   std::vector<std::int64_t>& globals() { return globals_; }
@@ -178,7 +167,6 @@ class Interpreter {
   std::vector<std::int64_t>& globals() { return engine_->globals(); }
   void reset_globals() { engine_->reset_globals(); }
   void set_instruction_limit(std::uint64_t n) { engine_->set_instruction_limit(n); }
-  const FusionStats* fusion_stats() const { return engine_->fusion_stats(); }
 
   EngineKind engine_kind() const { return kind_; }
 

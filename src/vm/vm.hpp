@@ -215,10 +215,6 @@ class VirtualMachine final : private rt::CodeSource {
   std::uint64_t charge_compile(bc::MethodId id, std::uint64_t cycles);
   /// Throws kWallClock once the host deadline set by run() has passed.
   void check_wall() const;
-  /// Publishes the fast engine's superinstruction-fusion activity as
-  /// rt.fused_* counter deltas (counters are add-only; the engine's stats
-  /// are cumulative, so the VM diffs against the last published snapshot).
-  void publish_fusion_counters();
 
   const bc::Program& prog_;
   const rt::MachineModel machine_;  // by value: callers may pass temporaries
@@ -254,7 +250,6 @@ class VirtualMachine final : private rt::CodeSource {
   std::chrono::steady_clock::time_point wall_deadline_{};
 
   obs::Context* obs_ = nullptr;  // == config_.obs (null: tracing off)
-  rt::FusionStats fusion_reported_;  // last rt.fused_* values published to obs_
   /// Simulated-cycle cursor for trace timestamps: advanced by every compile
   /// span as it is emitted and by each iteration's execution cycles, so
   /// compile spans nest inside their iteration span on the trace timeline.

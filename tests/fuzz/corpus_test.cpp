@@ -29,19 +29,17 @@ TEST(Corpus, ContainsTheSeededEdgeCases) {
   EXPECT_TRUE(has("edge_empty_body_leaf"));
   EXPECT_TRUE(has("edge_max_stack_boundary"));
   EXPECT_TRUE(has("edge_self_recursive"));
-  // Fusion-adversarial repros: fusible pairs split across jump targets,
-  // back edges and OSR entries landing inside fused windows, and deep
-  // call+return chains (see tests/runtime/fusion_test.cpp for the shapes).
-  EXPECT_TRUE(has("fusion_split_jump"));
-  EXPECT_TRUE(has("fusion_backedge_interior"));
-  EXPECT_TRUE(has("fusion_osr_midpattern"));
-  EXPECT_TRUE(has("fusion_ret_chain"));
-  // Immediate-operand forms (PR 10): OSR landing mid-window of an imm
-  // guard, a back edge into the interior of an operand-captured window, and
-  // a loop whose branch delta/accounting data live in the side-pool.
-  EXPECT_TRUE(has("fusion_osr_imm_window"));
-  EXPECT_TRUE(has("fusion_backedge_imm_interior"));
-  EXPECT_TRUE(has("fusion_sidepool_operand"));
+  // Control-flow repros: jumps that split straight-line runs, back edges
+  // into the middle of a loop guard or a local update, OSR entries at a
+  // loop guard, deep call+return chains, and a branch whose delta and
+  // operands come from a long guard run.
+  EXPECT_TRUE(has("cf_split_jump"));
+  EXPECT_TRUE(has("cf_backedge_interior"));
+  EXPECT_TRUE(has("cf_osr_midpattern"));
+  EXPECT_TRUE(has("cf_ret_chain"));
+  EXPECT_TRUE(has("cf_osr_imm_window"));
+  EXPECT_TRUE(has("cf_backedge_imm_interior"));
+  EXPECT_TRUE(has("cf_sidepool_operand"));
 }
 
 TEST(Corpus, EveryEntryVerifiesAndPassesTheOracle) {

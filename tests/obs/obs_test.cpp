@@ -278,8 +278,7 @@ TEST(ObsSchema, RejectsMalformedRecords) {
 TEST(ObsSchema, CounterEventsRequireRegisteredFamilies) {
   // Every registered counter family passes...
   for (const char* key : {"vm.installs", "ga.evaluations_saved", "sig.hits", "serve.requests",
-                          "resil.outcome.ok", "eval.cache_hits", "rt.fused_bodies",
-                          "rt.fused_rule.load_const_cmplt_jz", "opt.pass.fold.runs",
+                          "resil.outcome.ok", "eval.cache_hits", "opt.pass.fold.runs",
                           "opt.analysis_hits", "opt.memo_hits", "opt.memo_evictions",
                           "eval.bench_runs", "eval.bench_reused", "eval.bench_replayed",
                           "eval.replay_us", "eval.replay_trie_bytes", "sig.restored",

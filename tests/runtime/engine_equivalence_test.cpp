@@ -89,22 +89,6 @@ TEST(EngineEquivalence, WholeSuiteOptScenario) {
   }
 }
 
-// The suite runs above use the ambient ITH_FUSION policy; this pins both
-// extremes explicitly so the equivalence guarantee is policy-independent
-// regardless of how CI sets the environment.
-TEST(EngineEquivalence, SuiteIdenticalUnderEveryFusionPolicy) {
-  for (const rt::FusionPolicy policy : {rt::FusionPolicy::kOff, rt::FusionPolicy::kAll}) {
-    for (const wl::Workload& w : wl::make_suite("specjvm98")) {
-      vm::VmConfig cfg;
-      cfg.scenario = vm::Scenario::kAdapt;
-      cfg.interp_options.fusion = policy;
-      expect_identical(observe_vm(w.program, cfg, rt::EngineKind::kFast),
-                       observe_vm(w.program, cfg, rt::EngineKind::kReference),
-                       std::string("fusion=") + rt::fusion_policy_name(policy) + "/" + w.name);
-    }
-  }
-}
-
 // Aggressive thresholds + OSR so baseline frames are replaced mid-loop; the
 // suite-wide transition count must be nonzero (the config exercises the
 // transfer path, not just the guards) and identical between engines.

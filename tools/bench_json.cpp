@@ -1,10 +1,10 @@
 // Writes perf-trajectory data points. Two modes:
 //
 //   bench_json [OUTPUT_PATH]
-//     Runs the dispatch micro-benchmark over the three engine variants
-//     (fast, fast with fusion off, reference) and emits
-//     BENCH_interpreter.json (instructions/sec and ns/instruction per
-//     variant, fixed workloads, pinned seed, fused + unfused geomeans).
+//     Runs the dispatch micro-benchmark over both engines (fast and
+//     reference) and emits BENCH_interpreter.json (instructions/sec and
+//     ns/instruction per engine, fixed workloads, pinned seed, and the
+//     fast/reference geomean speedup).
 //
 //   bench_json --tuning [OUTPUT_PATH]
 //     Times one cold and one warm tuning run (default GA config, fixed

@@ -405,47 +405,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Fusion: the fast engine's superinstruction-fusion counters (bodies
-    // rewritten, rules fired, dynamic-stream instructions eliminated) with
-    // per-rule hit counts, so a trace answers "which patterns actually fire
-    // on this workload" without rerunning the benchmark.
-    std::map<std::string, std::int64_t> fusion;
-    for (const auto& [name, v] : counters) {
-      if (name.rfind("rt.fused", 0) == 0) fusion[name] = v;
-    }
-    if (!fusion.empty()) {
-      auto fval = [&](const char* k) {
-        return fusion.count(k) ? fusion[k] : std::int64_t{0};
-      };
-      std::cout << "\nFusion (superinstruction predecode):\n";
-      Table t({"fusion counter", "value"});
-      std::map<std::string, std::int64_t> rule_hits;
-      for (const auto& [name, v] : fusion) {
-        if (name.rfind("rt.fused_rule.", 0) == 0) {
-          rule_hits[name.substr(std::string("rt.fused_rule.").size())] = v;
-        } else {
-          t.add_row({name, std::to_string(v)});
-        }
-      }
-      t.render(std::cout);
-      if (!rule_hits.empty()) {
-        Table rt_table({"fusion rule", "sites rewritten"});
-        for (const auto& [name, v] : rule_hits) rt_table.add_row({name, std::to_string(v)});
-        rt_table.render(std::cout);
-      }
-      const std::int64_t fired = fval("rt.fused_rules_fired");
-      const std::int64_t eliminated = fval("rt.fused_insns_eliminated");
-      if (fired > 0) {
-        std::cout << "fusion: " << fired << " sites rewritten across "
-                  << fval("rt.fused_bodies") << " bodies, " << eliminated
-                  << " static dispatches eliminated ("
-                  << cell(static_cast<double>(eliminated) / static_cast<double>(fired), 2)
-                  << " insns folded per site); " << fval("rt.fused_imm_windows")
-                  << " windows operand-captured, " << fval("rt.fused_imm_pool_overflows")
-                  << " side-pool overflows\n";
-      }
-    }
-
     // Failures: the resilience layer's counters (guarded-run outcomes by
     // kind, retries, quarantine activity), pulled out of the counter table
     // into their own section so a chaos campaign's survival story is
