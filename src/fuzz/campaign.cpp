@@ -46,8 +46,8 @@ std::vector<std::pair<std::string, bc::Program>> builtin_edge_cases() {
 
   {
     // Self-recursive inline candidate: sum(n) = n<=0 ? 0 : n + sum(n-1).
-    // The inliner may splice one self-occurrence and the tail-recursion
-    // pass may rewrite the rest; semantics must hold either way.
+    // The inliner may splice one self-occurrence; semantics must hold
+    // either way.
     bc::ProgramBuilder pb("edge_self_recursive", 8);
     auto& f = pb.method("sum", 1, 1);
     f.load(0).const_(0).cmple().jz("rec");

@@ -225,13 +225,16 @@ DifferentialOracle::DifferentialOracle(OracleConfig config) : config_(config) {
   // drawn in this order so every campaign seed keeps its configuration; one
   // draw covers both halves of dead-code removal.
   static const std::vector<std::vector<std::string>> kDrawn = {
-      {"inline"},          {"fold"},      {"copyprop"},       {"dce", "unreachable"},
-      {"branch_simplify"}, {"algebraic"}, {"compare_fusion"}, {"tail_recursion"}};
+      {"inline"},          {"fold"},      {"copyprop"},      {"dce", "unreachable"},
+      {"branch_simplify"}, {"algebraic"}, {"compare_fusion"}};
   pipeline_ = opt::PipelineDesc::standard();
   for (const std::vector<std::string>& group : kDrawn) {
     if (rng.chance(0.85)) continue;
     for (const std::string& name : group) pipeline_ = pipeline_.without(name);
   }
+  // The draw of the deleted tail_recursion pass, discarded so that the
+  // thresholds, OSR switch and engine below keep their per-seed values.
+  (void)rng.chance(0.85);
 
   hot_method_threshold_ = static_cast<std::uint64_t>(rng.range(20, 800));
   hot_site_threshold_ = static_cast<std::uint64_t>(rng.range(10, 600));

@@ -373,48 +373,6 @@ std::size_t fuse_compare_branch(AnnotatedMethod& am, const std::vector<bool>& ta
   return rewrites;
 }
 
-namespace {
-
-/// Abstract stack depth per pc (kUnvisitedDepth where unreachable). The
-/// method is assumed verified, so joins are consistent.
-constexpr int kUnvisitedDepth = -1;
-std::vector<int> stack_depths(const bc::Method& m) {
-  std::vector<int> depth(m.size(), kUnvisitedDepth);
-  std::deque<std::size_t> worklist{0};
-  depth[0] = 0;
-  while (!worklist.empty()) {
-    const std::size_t pc = worklist.front();
-    worklist.pop_front();
-    const Instruction& insn = m.code()[pc];
-    const int out = depth[pc] + bc::stack_effect(insn);
-    auto visit = [&](std::size_t to) {
-      if (to < m.size() && depth[to] == kUnvisitedDepth) {
-        depth[to] = out;
-        worklist.push_back(to);
-      }
-    };
-    switch (insn.op) {
-      case Op::kJmp:
-        visit(static_cast<std::size_t>(insn.a));
-        break;
-      case Op::kJz:
-      case Op::kJnz:
-        visit(static_cast<std::size_t>(insn.a));
-        visit(pc + 1);
-        break;
-      case Op::kRet:
-      case Op::kHalt:
-        break;
-      default:
-        visit(pc + 1);
-        break;
-    }
-  }
-  return depth;
-}
-
-}  // namespace
-
 bool non_arg_locals_definitely_assigned(const bc::Method& m) {
   const std::size_t n = m.size();
   const auto num_locals = static_cast<std::size_t>(m.num_locals());
@@ -479,62 +437,6 @@ bool non_arg_locals_definitely_assigned(const bc::Method& m) {
     }
   }
   return ok;
-}
-
-std::size_t eliminate_tail_recursion(AnnotatedMethod& am, bc::MethodId self, int num_args) {
-  auto& code = am.method.mutable_code();
-
-  // Find candidates first (transforming invalidates analyses).
-  std::vector<std::size_t> candidates;
-  {
-    const std::vector<bool> targeted = compute_branch_targets(am.method);
-    const std::vector<int> depth = stack_depths(am.method);
-    for (std::size_t pc = 0; pc + 1 < code.size(); ++pc) {
-      const Instruction& call = code[pc];
-      if (call.op != Op::kCall || call.a != self) continue;
-      if (code[pc + 1].op != Op::kRet) continue;
-      if (targeted[pc + 1]) continue;  // other paths still need that ret
-      // The reused frame must be clean: only the arguments may be live-in.
-      if (!non_arg_locals_definitely_assigned(am.method)) break;
-      // The operand stack must hold exactly the arguments at the call, so
-      // the jump arrives at entry with the verifier-expected empty stack.
-      if (depth[pc] != num_args) continue;
-      candidates.push_back(pc);
-    }
-  }
-
-  std::size_t rewrites = 0;
-  // Rewrite back-to-front so earlier pcs stay valid.
-  for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-    const std::size_t pc = *it;
-    std::vector<Instruction> repl;
-    std::vector<InstrMeta> repl_meta;
-    // Top of stack is the last argument: store high slots first.
-    for (int i = num_args - 1; i >= 0; --i) {
-      repl.push_back(Instruction{Op::kStore, i, 0});
-    }
-    repl.push_back(Instruction{Op::kJmp, 0, 0});
-    InstrMeta meta = am.meta[pc];
-    meta.origin_pc = -1;  // synthetic loop-back instructions
-    repl_meta.assign(repl.size(), meta);
-
-    const auto delta = static_cast<std::int32_t>(repl.size()) - 2;  // replaces call+ret
-    for (Instruction& insn : code) {
-      if (bc::op_info(insn.op).is_branch && insn.a > static_cast<std::int32_t>(pc + 1)) {
-        insn.a += delta;
-      }
-    }
-    code.erase(code.begin() + static_cast<std::ptrdiff_t>(pc),
-               code.begin() + static_cast<std::ptrdiff_t>(pc) + 2);
-    code.insert(code.begin() + static_cast<std::ptrdiff_t>(pc), repl.begin(), repl.end());
-    am.meta.erase(am.meta.begin() + static_cast<std::ptrdiff_t>(pc),
-                  am.meta.begin() + static_cast<std::ptrdiff_t>(pc) + 2);
-    am.meta.insert(am.meta.begin() + static_cast<std::ptrdiff_t>(pc), repl_meta.begin(),
-                   repl_meta.end());
-    ++rewrites;
-  }
-  ITH_ASSERT(am.consistent(), "annotation length diverged in tail-recursion elimination");
-  return rewrites;
 }
 
 std::size_t eliminate_unreachable(AnnotatedMethod& am) {

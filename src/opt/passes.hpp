@@ -77,16 +77,8 @@ std::size_t simplify_algebraic(AnnotatedMethod& am, const std::vector<bool>& tar
 std::size_t fuse_compare_branch(AnnotatedMethod& am);
 std::size_t fuse_compare_branch(AnnotatedMethod& am, const std::vector<bool>& targeted);
 
-/// Self-tail-call elimination: a `call self ; ret` pair becomes argument
-/// re-stores plus a jump to the method entry — recursion turned into a
-/// loop, removing call overhead and a frame per level. Only applied when
-/// a definite-assignment analysis proves every non-argument local is
-/// written before read (the reused frame must not leak values between
-/// logical activations).
-std::size_t eliminate_tail_recursion(AnnotatedMethod& am, bc::MethodId self, int num_args);
-
 /// True if every non-argument local of the method is definitely written
-/// before any read on every path from entry. Exposed for tests.
+/// before any read on every path from entry.
 bool non_arg_locals_definitely_assigned(const bc::Method& m);
 
 /// Replaces unreachable instructions with kNop.

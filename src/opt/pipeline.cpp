@@ -50,20 +50,6 @@ class InlinePass final : public Pass {
   }
 };
 
-class TailRecursionPass final : public Pass {
- public:
-  const char* name() const override { return "tail_recursion"; }
-  const char* span_name() const override { return "pass.tail_recursion"; }
-  std::size_t run(AnnotatedMethod& am, AnalysisManager&, PassContext& ctx,
-                  PreservedAnalyses& preserved) override {
-    const std::size_t n =
-        eliminate_tail_recursion(am, ctx.root, ctx.prog.method(ctx.root).num_args());
-    ctx.stats.tail_calls_eliminated = n;
-    if (n > 0) preserved = PreservedAnalyses::none();
-    return n;
-  }
-};
-
 class FoldPass final : public Pass {
  public:
   const char* name() const override { return "fold"; }
@@ -179,14 +165,13 @@ class UnreachablePass final : public Pass {
 
 const std::vector<std::string>& known_pass_names() {
   static const std::vector<std::string> kNames = {
-      "inline",          "tail_recursion", "fold",     "algebraic", "compare_fusion",
-      "branch_simplify", "copyprop",       "dce",      "unreachable"};
+      "inline",   "fold", "algebraic",  "compare_fusion", "branch_simplify",
+      "copyprop", "dce",  "unreachable"};
   return kNames;
 }
 
 std::unique_ptr<Pass> make_pass(const std::string& name) {
   if (name == "inline") return std::make_unique<InlinePass>();
-  if (name == "tail_recursion") return std::make_unique<TailRecursionPass>();
   if (name == "fold") return std::make_unique<FoldPass>();
   if (name == "algebraic") return std::make_unique<AlgebraicPass>();
   if (name == "compare_fusion") return std::make_unique<CompareFusionPass>();
@@ -201,7 +186,7 @@ std::unique_ptr<Pass> make_pass(const std::string& name) {
 
 PipelineDesc PipelineDesc::standard() {
   PipelineDesc p;
-  p.setup = {"inline", "tail_recursion"};
+  p.setup = {"inline"};
   p.fixpoint = {"fold",     "algebraic", "compare_fusion", "branch_simplify",
                 "copyprop", "dce",       "unreachable"};
   p.max_iterations = 6;

@@ -1,6 +1,6 @@
 // PassManager: the optimizing compiler's one orchestrator. A compilation
-// is a pipeline description — a list of setup passes (inline,
-// tail_recursion) followed by a fixpoint group of scalar passes — executed
+// is a pipeline description — a list of setup passes (inline) followed by
+// a fixpoint group of scalar passes — executed
 // over one shared AnalysisManager. Pipeline text (PipelineDesc) is the only
 // way to choose passes. Passes report what they preserved
 // (PreservedAnalyses) so cached analyses survive exactly as long as they
@@ -40,6 +40,8 @@ struct OptStats {
   std::size_t branch_simplifications = 0;
   std::size_t algebraic_simplifications = 0;
   std::size_t compare_fusions = 0;
+  /// Always 0: no pass eliminates tail calls any more. Kept because the
+  /// optimizer golden digests every OptStats field.
   std::size_t tail_calls_eliminated = 0;
   std::size_t unreachable_removed = 0;
   std::size_t instructions_compacted = 0;
@@ -82,7 +84,7 @@ struct PipelineDesc {
   /// when VmConfig::pipeline is unset.
   static PipelineDesc standard();
 
-  /// "inline,tail_recursion,fixpoint(fold,...,unreachable):6". Stable
+  /// "inline,fixpoint(fold,...,unreachable):6". Stable
   /// textual identity: the evaluator hashes this into cache fingerprints.
   std::string to_string() const;
 

@@ -99,67 +99,67 @@ std::string pipeline_text(const DifferentialOracle& oracle) {
 TEST(Oracle, SeedDrawsArePinned) {
   static const SeedDraw kDraws[] = {
       {{41, 6, 3, 1127, 111, 39},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
        167, 97, 0, true, rt::EngineKind::kReference},
       {{16, 6, 3, 1980, 172, 2},
-       "tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+       "fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
        761, 193, 0, false, rt::EngineKind::kFast},
       {{7, 28, 15, 2110, 22, 38},
-       "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        485, 146, 2, false, rt::EngineKind::kReference},
       {{12, 12, 7, 2518, 316, 21},
        "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
        309, 308, 12, true, rt::EngineKind::kFast},
       {{22, 14, 2, 215, 239, 34},
-       "tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+       "fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
        171, 189, 0, false, rt::EngineKind::kFast},
       {{1, 21, 3, 74, 317, 30},
-       "inline,tail_recursion,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
        504, 101, 0, true, rt::EngineKind::kFast},
       {{3, 10, 14, 681, 333, 31},
-       "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,dce,unreachable):6",
+       "inline,fixpoint(fold,compare_fusion,branch_simplify,dce,unreachable):6",
        500, 362, 1, true, rt::EngineKind::kFast},
       {{14, 16, 8, 1432, 360, 27},
        "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
        83, 546, 12, true, rt::EngineKind::kFast},
       {{13, 4, 5, 1280, 349, 11},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
        248, 493, 12, false, rt::EngineKind::kReference},
       {{37, 5, 6, 2187, 354, 31},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        169, 123, 2, false, rt::EngineKind::kReference},
       {{11, 28, 9, 1478, 350, 22},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop):6",
        62, 410, 2, false, rt::EngineKind::kReference},
       {{33, 24, 8, 1069, 89, 11},
-       "inline,tail_recursion,fixpoint(algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        363, 40, 2, false, rt::EngineKind::kReference},
       {{31, 23, 5, 3642, 266, 9},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        685, 286, 0, false, rt::EngineKind::kFast},
       {{46, 14, 9, 912, 390, 11},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        698, 50, 1, false, rt::EngineKind::kReference},
       {{12, 28, 3, 2669, 272, 19},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        479, 67, 2, true, rt::EngineKind::kReference},
       {{21, 15, 9, 665, 116, 0},
-       "inline,tail_recursion,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,branch_simplify,copyprop,dce,unreachable):6",
        692, 395, 1, false, rt::EngineKind::kFast},
       {{20, 27, 3, 2892, 380, 13},
-       "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        222, 68, 1, false, rt::EngineKind::kReference},
       {{35, 20, 5, 1053, 191, 40},
-       "inline,tail_recursion,fixpoint(compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        436, 222, 12, true, rt::EngineKind::kReference},
       {{39, 1, 15, 170, 101, 29},
-       "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        346, 120, 2, false, rt::EngineKind::kReference},
       {{42, 20, 10, 1075, 143, 3},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        458, 531, 2, true, rt::EngineKind::kReference},
       {{5, 28, 7, 279, 229, 9},
-       "inline,tail_recursion,fixpoint(compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        762, 70, 1, true, rt::EngineKind::kReference},
       {{19, 10, 11, 3853, 300, 5},
        "inline,fixpoint(fold,compare_fusion,branch_simplify,dce,unreachable):6",
@@ -168,31 +168,31 @@ TEST(Oracle, SeedDrawsArePinned) {
        "inline,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        189, 282, 2, false, rt::EngineKind::kReference},
       {{15, 3, 12, 619, 205, 26},
-       "inline,tail_recursion,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        208, 197, 12, true, rt::EngineKind::kReference},
       {{30, 1, 9, 823, 101, 17},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        396, 502, 2, false, rt::EngineKind::kFast},
       {{30, 16, 3, 3545, 87, 15},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        677, 315, 0, true, rt::EngineKind::kFast},
       {{31, 6, 3, 1909, 321, 7},
-       "inline,tail_recursion,fixpoint(algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        341, 265, 1, true, rt::EngineKind::kFast},
       {{42, 12, 8, 688, 66, 36},
        "fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        401, 509, 1, false, rt::EngineKind::kFast},
       {{4, 9, 11, 1734, 321, 27},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        752, 347, 2, false, rt::EngineKind::kFast},
       {{18, 28, 10, 249, 281, 5},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,copyprop,dce,unreachable):6",
        149, 92, 0, true, rt::EngineKind::kReference},
       {{18, 30, 1, 3238, 332, 1},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,dce,unreachable):6",
        792, 40, 0, true, rt::EngineKind::kFast},
       {{8, 19, 13, 1574, 76, 30},
-       "inline,tail_recursion,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
+       "inline,fixpoint(fold,algebraic,compare_fusion,branch_simplify,copyprop,dce,unreachable):6",
        125, 97, 1, true, rt::EngineKind::kReference},
   };
   for (std::uint64_t seed = 1; seed <= std::size(kDraws); ++seed) {

@@ -57,7 +57,7 @@ TEST(Optimizer, DisabledPassesDoNothing) {
   const bc::Program p = ith::test::make_add_program();
   heur::AlwaysInlineHeuristic h;
   PassManager pm(p, h, cold_site,
-                 PipelineDesc::parse("tail_recursion,fixpoint(algebraic,compare_fusion):6"));
+                 PipelineDesc::parse("fixpoint(algebraic,compare_fusion):6"));
   const OptimizeResult r = pm.run(p.entry());
   EXPECT_EQ(r.body.method, p.method(p.entry()));
   EXPECT_EQ(r.stats.folds, 0u);
