@@ -1,6 +1,7 @@
 #include "bytecode/serializer.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -68,17 +69,28 @@ std::string expect_kv(const std::string& token, const std::string& key, int line
   return token.substr(prefix.size());
 }
 
-long long to_int(const std::string& s, int line) {
+/// Parses a base-10 integer in [lo, hi]; a value outside it is an error, so
+/// nothing narrows or wraps on its way into the program.
+long long to_int(const std::string& s, long long lo, long long hi, int line) {
+  long long v = 0;
+  std::size_t pos = 0;
   try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) parse_fail(line, "trailing characters in integer '" + s + "'");
-    return v;
-  } catch (const Error&) {
-    throw;
+    v = std::stoll(s, &pos);
   } catch (const std::exception&) {
     parse_fail(line, "not an integer: '" + s + "'");
   }
+  if (pos != s.size()) parse_fail(line, "trailing characters in integer '" + s + "'");
+  if (v < lo || v > hi) {
+    parse_fail(line, "'" + s + "' is outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                         "]");
+  }
+  return v;
+}
+
+/// An instruction operand: any int32.
+std::int32_t to_operand(const std::string& s, int line) {
+  return static_cast<std::int32_t>(to_int(s, std::numeric_limits<std::int32_t>::min(),
+                                          std::numeric_limits<std::int32_t>::max(), line));
 }
 
 }  // namespace
@@ -106,8 +118,9 @@ Program parse_program(std::istream& is) {
       saw_header = true;
       std::string name_kv, globals_kv, entry_kv;
       if (!(ls >> name_kv >> globals_kv >> entry_kv)) parse_fail(lineno, "malformed program header");
-      prog = Program(expect_kv(name_kv, "name", lineno),
-                     static_cast<std::size_t>(to_int(expect_kv(globals_kv, "globals", lineno), lineno)));
+      const long long globals =
+          to_int(expect_kv(globals_kv, "globals", lineno), 0, kMaxGlobals, lineno);
+      prog = Program(expect_kv(name_kv, "name", lineno), static_cast<std::size_t>(globals));
       entry_name = expect_kv(entry_kv, "entry", lineno);
       continue;
     }
@@ -119,8 +132,11 @@ Program parse_program(std::istream& is) {
       if (!(ls >> name >> args_kv >> locals_kv >> brace) || brace != "{") {
         parse_fail(lineno, "malformed method header");
       }
-      const int args = static_cast<int>(to_int(expect_kv(args_kv, "args", lineno), lineno));
-      const int locals = static_cast<int>(to_int(expect_kv(locals_kv, "locals", lineno), lineno));
+      const auto args =
+          static_cast<int>(to_int(expect_kv(args_kv, "args", lineno), 0, kMaxLocals, lineno));
+      // Arguments occupy the first locals.
+      const auto locals = static_cast<int>(
+          to_int(expect_kv(locals_kv, "locals", lineno), args, kMaxLocals, lineno));
       current_id = prog.add_method(Method(name, args, locals));
       current = &prog.mutable_method(current_id);
       continue;
@@ -146,14 +162,14 @@ Program parse_program(std::istream& is) {
       case Op::kJnz: {
         std::string a;
         if (!(ls >> a)) parse_fail(lineno, "missing operand");
-        insn.a = static_cast<std::int32_t>(to_int(a, lineno));
+        insn.a = to_operand(a, lineno);
         break;
       }
       case Op::kCall: {
         std::string callee, nargs;
         if (!(ls >> callee >> nargs)) parse_fail(lineno, "call needs 'callee nargs'");
         insn.a = -1;  // patched after all methods are known
-        insn.b = static_cast<std::int32_t>(to_int(nargs, lineno));
+        insn.b = to_operand(nargs, lineno);
         pending_calls.push_back({current_id, current->size(), callee, lineno});
         break;
       }

@@ -7,8 +7,7 @@
 #include <limits>
 #include <ostream>
 
-#include "bytecode/binary.hpp"
-#include "bytecode/builder.hpp"
+#include "bytecode/serializer.hpp"
 #include "fuzz/bisect.hpp"
 #include "fuzz/shrink.hpp"
 #include "support/error.hpp"
@@ -17,50 +16,9 @@ namespace ith::fuzz {
 
 namespace fs = std::filesystem;
 
-std::vector<std::pair<std::string, bc::Program>> builtin_edge_cases() {
-  std::vector<std::pair<std::string, bc::Program>> cases;
-
-  {
-    // Minimal leaf: the smallest legal body (const; ret). Exercises the
-    // always-inline path and zero-work splices.
-    bc::ProgramBuilder pb("edge_empty_body_leaf", 8);
-    pb.method("leaf", 0, 0).ret_const(7);
-    pb.method("main", 0, 0).call("leaf", 0).call("leaf", 0).add().halt();
-    pb.entry("main");
-    cases.emplace_back("edge_empty_body_leaf", pb.build());
-  }
-
-  {
-    // Max-stack boundary: a 64-deep operand tower summed pairwise, probing
-    // the verifier's max_stack accounting and the interpreter's operand
-    // stack through every tier.
-    bc::ProgramBuilder pb("edge_max_stack_boundary", 8);
-    auto& m = pb.method("main", 0, 0);
-    constexpr int kDepth = 64;
-    for (int i = 0; i < kDepth; ++i) m.const_(i + 1);
-    for (int i = 0; i < kDepth - 1; ++i) m.add();
-    m.halt();  // 64*65/2 = 2080
-    pb.entry("main");
-    cases.emplace_back("edge_max_stack_boundary", pb.build());
-  }
-
-  {
-    // Self-recursive inline candidate: sum(n) = n<=0 ? 0 : n + sum(n-1).
-    // The inliner may splice one self-occurrence; semantics must hold
-    // either way.
-    bc::ProgramBuilder pb("edge_self_recursive", 8);
-    auto& f = pb.method("sum", 1, 1);
-    f.load(0).const_(0).cmple().jz("rec");
-    f.ret_const(0);
-    f.label("rec");
-    f.load(0).load(0).const_(1).sub().call("sum", 1).add().ret();
-    pb.method("main", 0, 0).const_(9).call("sum", 1).halt();  // 45
-    pb.entry("main");
-    cases.emplace_back("edge_self_recursive", pb.build());
-  }
-
-  return cases;
-}
+namespace {
+constexpr const char* kCorpusExtension = ".ithasm";
+}  // namespace
 
 std::vector<std::pair<std::string, bc::Program>> load_corpus(const std::string& dir) {
   std::vector<std::pair<std::string, bc::Program>> corpus;
@@ -68,16 +26,20 @@ std::vector<std::pair<std::string, bc::Program>> load_corpus(const std::string& 
 
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".mbc") {
+    if (entry.is_regular_file() && entry.path().extension() == kCorpusExtension) {
       files.push_back(entry.path());
     }
   }
   std::sort(files.begin(), files.end());
   for (const fs::path& p : files) {
-    std::ifstream is(p, std::ios::binary);
+    std::ifstream is(p);
     ITH_CHECK(is.good(), "corpus: cannot open " + p.string());
-    // Stem only, symmetric with write_corpus_entry's `stem` parameter.
-    corpus.emplace_back(p.stem().string(), bc::read_binary(is));
+    try {
+      // Stem only, symmetric with write_corpus_entry's `stem` parameter.
+      corpus.emplace_back(p.stem().string(), bc::parse_program(is));
+    } catch (const Error& e) {
+      throw Error("corpus: " + p.string() + ": " + e.what());
+    }
   }
   return corpus;
 }
@@ -85,10 +47,10 @@ std::vector<std::pair<std::string, bc::Program>> load_corpus(const std::string& 
 std::string write_corpus_entry(const std::string& dir, const std::string& stem,
                                const bc::Program& prog) {
   fs::create_directories(dir);
-  const fs::path path = fs::path(dir) / (stem + ".mbc");
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  const fs::path path = fs::path(dir) / (stem + kCorpusExtension);
+  std::ofstream os(path, std::ios::trunc);
   ITH_CHECK(os.good(), "corpus: cannot write " + path.string());
-  bc::write_binary(prog, os);
+  bc::dump_program(prog, os);
   return path.string();
 }
 
@@ -130,12 +92,9 @@ CampaignReport run_campaign(const CampaignConfig& config) {
     return elapsed.count() >= config.time_budget_seconds;
   };
 
-  // Phase 1: regression replay — built-in edge cases plus the checked-in
-  // corpus. These must never diverge; a corpus regression is a finding
-  // with the pseudo-seed 0.
-  std::vector<std::pair<std::string, bc::Program>> replay = builtin_edge_cases();
-  for (auto& entry : load_corpus(config.corpus_dir)) replay.push_back(std::move(entry));
-  for (const auto& [name, prog] : replay) {
+  // Phase 1: regression replay of the checked-in corpus. These must never
+  // diverge; a corpus regression is a finding with the pseudo-seed 0.
+  for (const auto& [name, prog] : load_corpus(config.corpus_dir)) {
     OracleConfig ocfg = config.oracle;
     ocfg.seed = config.seed_begin;
     const DifferentialOracle oracle(ocfg);

@@ -1,11 +1,12 @@
 // Fuzzing campaign driver: the orchestration layer behind the fuzz_vm CLI
 // and the smoke-fuzz ctest target.
 //
-// A campaign replays the regression corpus (checked-in minimal .mbc repros
-// plus the built-in hand-written edge cases), then walks a seed range:
-// generate an adversarial program, run the four-tier differential oracle,
-// and on divergence bisect the guilty pass, shrink a minimal repro, and
-// (optionally) write it to the corpus directory as a .mbc file.
+// A campaign replays the regression corpus (checked-in `.ithasm` programs:
+// three hand-written edge cases and minimal repros of fixed bugs), then
+// walks a seed range: generate an adversarial program, run the four-tier
+// differential oracle, and on divergence bisect the guilty pass, shrink a
+// minimal repro, and (optionally) write it to the corpus directory as an
+// `.ithasm` file in the assembly format of bytecode/serializer.hpp.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@ struct CampaignConfig {
   std::uint64_t seed_begin = 1;
   std::uint64_t seed_end = 100;          ///< inclusive
   double time_budget_seconds = 0;        ///< 0 = unbounded
-  std::string corpus_dir;                ///< replay *.mbc from here; write repros here
+  std::string corpus_dir;                ///< replay *.ithasm from here; write repros here
   GeneratorSpec gen;                     ///< seed field overridden per iteration
   OracleConfig oracle;                   ///< seed field overridden per iteration
   bool bisect = true;
@@ -40,7 +41,7 @@ struct FuzzFinding {
   std::vector<std::string> guilty;       ///< bisected pass names (may be empty)
   bc::Program shrunk;                    ///< minimal repro (original if !shrink)
   std::size_t shrunk_instructions = 0;
-  std::string repro_path;                ///< written .mbc, if any
+  std::string repro_path;                ///< written .ithasm, if any
 };
 
 struct CampaignReport {
@@ -56,17 +57,13 @@ struct CampaignReport {
 
 CampaignReport run_campaign(const CampaignConfig& config);
 
-/// Hand-written regression edge cases every campaign replays: an
-/// empty-body-equivalent leaf (two-instruction constant return), a
-/// max-stack boundary tower, and a self-recursive inline candidate.
-std::vector<std::pair<std::string, bc::Program>> builtin_edge_cases();
-
-/// Loads every *.mbc program in `dir` (sorted by filename). Missing or
-/// empty directories load zero entries; a malformed file throws.
+/// Loads every *.ithasm program in `dir` (sorted by filename), keyed by
+/// file stem. Missing or empty directories load zero entries; a malformed
+/// file throws an ith::Error naming the file and line.
 std::vector<std::pair<std::string, bc::Program>> load_corpus(const std::string& dir);
 
-/// Serializes `prog` to `<dir>/<stem>.mbc`, creating `dir` if needed.
-/// Returns the written path.
+/// Writes `prog` as assembly text to `<dir>/<stem>.ithasm`, creating `dir`
+/// if needed. Returns the written path.
 std::string write_corpus_entry(const std::string& dir, const std::string& stem,
                                const bc::Program& prog);
 

@@ -120,23 +120,6 @@ TEST(DecisionProbe, MatchesInlinerOverWorkloads) {
   }
 }
 
-TEST(DecisionProbe, MatchesInlinerOverEdgeCasesAndLimits) {
-  const std::vector<opt::InlineLimits> limit_variants = {
-      opt::InlineLimits{},
-      opt::InlineLimits{.hard_depth_cap = 2, .max_recursive_occurrences = 1, .max_body_words = 300},
-      opt::InlineLimits{.hard_depth_cap = 20, .max_recursive_occurrences = 3,
-                        .max_body_words = 20000},
-  };
-  const auto oracles = oracle_variants();
-  for (const auto& [name, prog] : fuzz::builtin_edge_cases()) {
-    for (std::size_t li = 0; li < limit_variants.size(); ++li) {
-      const auto& [oracle_name, oracle] = oracles[li % oracles.size()];
-      expect_walks_splice(prog, heur::default_params(), oracle, limit_variants[li],
-                                   name + "/limits" + std::to_string(li) + "/" + oracle_name);
-    }
-  }
-}
-
 TEST(DecisionProbe, MatchesInlinerOverGeneratedPrograms) {
   const std::vector<heur::InlineParams> params = param_variants();
   const auto oracles = oracle_variants();
@@ -152,6 +135,24 @@ TEST(DecisionProbe, MatchesInlinerOverGeneratedPrograms) {
 }
 
 #ifdef ITH_FUZZ_CORPUS_DIR
+TEST(DecisionProbe, MatchesInlinerOverEdgeCasesAndLimits) {
+  const std::vector<opt::InlineLimits> limit_variants = {
+      opt::InlineLimits{},
+      opt::InlineLimits{.hard_depth_cap = 2, .max_recursive_occurrences = 1, .max_body_words = 300},
+      opt::InlineLimits{.hard_depth_cap = 20, .max_recursive_occurrences = 3,
+                        .max_body_words = 20000},
+  };
+  const auto oracles = oracle_variants();
+  // Every corpus entry, the three hand-written edge cases among them.
+  for (const auto& [name, prog] : fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR)) {
+    for (std::size_t li = 0; li < limit_variants.size(); ++li) {
+      const auto& [oracle_name, oracle] = oracles[li % oracles.size()];
+      expect_walks_splice(prog, heur::default_params(), oracle, limit_variants[li],
+                                   name + "/limits" + std::to_string(li) + "/" + oracle_name);
+    }
+  }
+}
+
 // The acceptance bar for the probe: every checked-in fuzz-corpus repro —
 // programs specifically shrunk to stress the optimizer — splices exactly as
 // walked. A corpus entry the walk mispredicts would poison the signature

@@ -113,8 +113,8 @@ INSTANTIATE_TEST_SUITE_P(AllBinaryOps, OpcodeMatrix,
 
 TEST(OpcodeMatrix, EveryOpcodeAppearsInTheDifferentialFuzzCorpus) {
   // The differential oracle is only as strong as the programs it sees:
-  // every opcode must occur in at least one corpus entry of the standard
-  // smoke-fuzz seed block (generated seeds plus the built-in edge cases),
+  // every opcode must occur in at least one program of the standard
+  // smoke-fuzz run (the checked-in corpus plus the generated seed block),
   // or a miscompile of that opcode could never be caught.
   std::array<bool, static_cast<std::size_t>(bc::kNumOps)> seen{};
   const auto scan = [&seen](const bc::Program& prog) {
@@ -124,7 +124,7 @@ TEST(OpcodeMatrix, EveryOpcodeAppearsInTheDifferentialFuzzCorpus) {
       }
     }
   };
-  for (const auto& [name, prog] : fuzz::builtin_edge_cases()) scan(prog);
+  for (const auto& [name, prog] : fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR)) scan(prog);
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     fuzz::GeneratorSpec spec;
     spec.seed = seed;

@@ -3,8 +3,10 @@
 //   fuzz_vm --seeds=1..500                 # walk a seed range
 //   fuzz_vm --seeds=1..0 --budget=30       # time-budgeted (seconds) walk
 //   fuzz_vm --corpus=tests/fuzz/corpus     # replay + write shrunk repros
-//   fuzz_vm --emit-edge-corpus=DIR         # (re)write the built-in edge cases
-//   fuzz_vm --replay=FILE.mbc [--oracle-seed=N] [--dump]   # triage a repro
+//   fuzz_vm --replay=FILE.ithasm [--oracle-seed=N]   # triage a repro
+//
+// Corpus entries and repros are `.ithasm` assembly text (the format of
+// bytecode/serializer.hpp): read the file itself to see the program.
 //
 // Exit status: 0 when every seed and corpus entry agrees across all tiers,
 // 1 when any divergence was found, 2 on usage errors. The flags are declared
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "bytecode/binary.hpp"
 #include "bytecode/serializer.hpp"
 #include "fuzz/bisect.hpp"
 #include "fuzz/campaign.hpp"
@@ -30,15 +31,13 @@ namespace {
 const std::vector<ith::FlagSpec> kFlags = {
     {"seeds", "A..B", "seed range to walk (default 1..100; A..0 with --budget is open-ended)"},
     {"budget", "SECONDS", "stop the walk after this much wall time (default 0 = none)"},
-    {"corpus", "DIR", "replay DIR's .mbc entries first and write shrunk repros there"},
+    {"corpus", "DIR", "replay DIR's .ithasm entries first and write shrunk repros there"},
     {"no-shrink", "", "report divergences without shrinking them"},
     {"no-bisect", "", "skip the guilty-pass bisection"},
     {"no-write", "", "write no repro files"},
     {"quiet", "", "no per-seed log"},
-    {"emit-edge-corpus", "DIR", "(re)write the built-in edge cases into DIR and exit"},
-    {"replay", "FILE", "triage one .mbc repro and exit"},
+    {"replay", "FILE", "triage one .ithasm repro and exit"},
     {"oracle-seed", "N", "oracle seed for --replay (default 1)"},
-    {"dump", "", "print the disassembly of the --replay program"},
 };
 
 /// "A..B" or "A", each a base-10 integer in [0, INT64_MAX].
@@ -73,13 +72,12 @@ int main(int argc, char** argv) {
 
   if (cli.has("replay")) {
     try {
-      std::ifstream is(*cli.get("replay"), std::ios::binary);
+      std::ifstream is(*cli.get("replay"));
       if (!is.good()) {
         std::cerr << "fuzz_vm: cannot open " << *cli.get("replay") << "\n";
         return 2;
       }
-      const ith::bc::Program prog = ith::bc::read_binary(is);
-      if (cli.has("dump")) std::cout << ith::bc::dump_program(prog);
+      const ith::bc::Program prog = ith::bc::parse_program(is);
       ith::fuzz::OracleConfig ocfg;
       ocfg.seed = oracle_seed;
       const ith::fuzz::DifferentialOracle oracle(ocfg);
@@ -94,14 +92,6 @@ int main(int argc, char** argv) {
       std::cerr << "fuzz_vm: replay failed: " << e.what() << "\n";
       return 2;
     }
-  }
-
-  if (cli.has("emit-edge-corpus")) {
-    const std::string dir = *cli.get("emit-edge-corpus");
-    for (const auto& [name, prog] : ith::fuzz::builtin_edge_cases()) {
-      std::cout << "wrote " << ith::fuzz::write_corpus_entry(dir, name, prog) << "\n";
-    }
-    return 0;
   }
 
   ith::fuzz::CampaignConfig config;

@@ -4,8 +4,8 @@ from a fresh run of bench/table4_tuned_params (see EXPERIMENTS.md)."""
 import re, subprocess, sys, os
 
 # Paths this script must never count as its own output when reporting what
-# changed. The fuzz corpus holds binary .mbc repros regenerated only by
-# `fuzz_vm --emit-edge-corpus` / shrunk findings, never by this script.
+# changed. The fuzz corpus holds .ithasm programs: hand-written edge cases
+# and repros that fuzz_vm shrinks out of findings, never this script's.
 IGNORED_DIRS = ("tests/fuzz/corpus",)
 # Runtime litter from a local evaluation daemon / fleet run (sockets,
 # ITHEVC1 snapshots with their tmp+rename staging files, corrupt
