@@ -137,6 +137,7 @@ Program parse_program(std::istream& is) {
       // Arguments occupy the first locals.
       const auto locals = static_cast<int>(
           to_int(expect_kv(locals_kv, "locals", lineno), args, kMaxLocals, lineno));
+      if (prog.has_method(name)) parse_fail(lineno, "duplicate method name '" + name + "'");
       current_id = prog.add_method(Method(name, args, locals));
       current = &prog.mutable_method(current_id);
       continue;

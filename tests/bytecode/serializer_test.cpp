@@ -182,6 +182,21 @@ TEST(Serializer, RejectsGlobalsOutOfRange) {
             static_cast<std::size_t>(kMaxGlobals));
 }
 
+TEST(Serializer, RejectsDuplicateMethodName) {
+  // A second `main` is an input error: it must name the line of the
+  // repeated header, not the library's own source location.
+  const std::string text =
+      "program name=x globals=0 entry=main\nmethod main args=0 locals=0 {\n  halt\n}\n"
+      "method main args=0 locals=0 {\n  halt\n}\n";
+  try {
+    parse_program(text);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("parse: line 5: duplicate method name 'main'", 0), 0u) << what;
+  }
+}
+
 TEST(Serializer, ErrorsCarryLineNumbers) {
   const std::string text =
       "program name=x globals=0 entry=main\nmethod main args=0 locals=0 {\n  zap\n}\n";
