@@ -1,8 +1,29 @@
 #include "runtime/machine.hpp"
 
 #include <cmath>
+#include <sstream>
+
+#include "support/error.hpp"
 
 namespace ith::rt {
+
+std::array<std::uint32_t, 3> MachineModel::cpi_units() const {
+  const double cpi[3] = {baseline_cpi, mid_cpi, opt_cpi};
+  const char* const tier[3] = {"baseline", "mid", "opt"};
+  std::array<std::uint32_t, 3> units{};
+  for (std::size_t t = 0; t < 3; ++t) {
+    const double scaled = cpi[t] * static_cast<double>(kCostUnitsPerCycle);
+    const double whole = std::round(scaled);
+    if (!(whole >= 0.0 && whole <= 65535.0 && std::fabs(scaled - whole) <= 1e-9)) {
+      std::ostringstream os;
+      os << "machine model '" << name << "': " << tier[t] << " CPI " << cpi[t]
+         << " is not a whole number of 1/" << kCostUnitsPerCycle << " cycles";
+      throw Error(os.str());
+    }
+    units[t] = static_cast<std::uint32_t>(whole);
+  }
+  return units;
+}
 
 std::uint64_t MachineModel::opt_compile_cycles(std::size_t words) const {
   const double w = static_cast<double>(words);

@@ -5,13 +5,23 @@
 // making every term of the time model an architecture parameter: code
 // quality per tier, call linkage cost, I-cache geometry and miss penalty,
 // and compile throughput. Times are deterministic simulated cycles.
+//
+// Execution time is counted in exact integers: every CPI is a whole number
+// of twentieths of a cycle (2.2 = 44/20, 1.45 = 29/20), so the engines add
+// integer twentieths and divide by 20 once at the end of a run. No
+// summation order can round, which is what lets the fast engine charge a
+// whole straight-line run at once.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace ith::rt {
+
+/// Execution cost units per simulated cycle (see the header comment).
+inline constexpr std::uint64_t kCostUnitsPerCycle = 20;
 
 struct MachineModel {
   std::string name;
@@ -52,6 +62,11 @@ struct MachineModel {
 
   /// Fraction of the full-opt compile rate the O1 level costs.
   double mid_compile_fraction = 0.33;
+
+  /// {baseline, mid, opt} CPI in cost units (twentieths of a cycle),
+  /// indexed by Tier. Throws ith::Error when a CPI times kCostUnitsPerCycle
+  /// is not a whole number in [0, 65535]: such a model would round.
+  std::array<std::uint32_t, 3> cpi_units() const;
 
   /// Full optimizing-tier (O2) compile cycles for a body of `words` words.
   std::uint64_t opt_compile_cycles(std::size_t words) const;

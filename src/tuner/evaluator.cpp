@@ -593,7 +593,7 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (fingerprint_.has_value()) return *fingerprint_;
 
-  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v2");
+  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v3");
   // The params -> keys table is only as good as the probe that filled it.
   fp = mix_u64(fp, opt::kSignatureVersion);
   fp = mix_u64(fp, opt::SignatureOptions{}.max_events);

@@ -3,17 +3,21 @@
 // workload suite, under every scenario that exercises the cost model —
 // icache simulation, adaptive recompilation, and OSR frame transfer.
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bytecode/builder.hpp"
+#include "fuzz/campaign.hpp"
 #include "fuzz/generator.hpp"
 #include "heuristics/heuristic.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/machine.hpp"
+#include "runtime/predecode.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
 #include "vm/vm.hpp"
@@ -168,6 +172,203 @@ TEST(EngineEquivalence, BudgetTrapMessageIdentical) {
   }
   EXPECT_EQ(messages[0], messages[1]);
   EXPECT_NE(messages[0].find("instruction budget exceeded"), std::string::npos);
+}
+
+/// Runs `prog` under an instruction budget and describes the outcome: the
+/// trap message, or every ExecStats field. `interp`'s globals are reset
+/// and its I-cache flushed first, so each budget starts from scratch.
+std::string budgeted_outcome(rt::Interpreter& interp, rt::ICache* icache, std::uint64_t budget) {
+  interp.reset_globals();
+  if (icache != nullptr) icache->flush();
+  interp.set_instruction_limit(budget);
+  try {
+    const rt::ExecStats s = interp.run();
+    return "ok cycles=" + std::to_string(s.cycles) + " insns=" + std::to_string(s.instructions) +
+           " calls=" + std::to_string(s.calls) + " osr=" + std::to_string(s.osr_transitions) +
+           " probes=" + std::to_string(s.icache_probes) +
+           " misses=" + std::to_string(s.icache_misses) +
+           " depth=" + std::to_string(s.max_frame_depth) + " exit=" + std::to_string(s.exit_value);
+  } catch (const Error& e) {
+    return std::string("trap: ") + e.what();
+  }
+}
+
+/// Sweeps every budget in [1, max_budget] over `prog` on both engines, with
+/// and without the I-cache, from sources `make_source` builds, and expects
+/// the same outcome and the same globals. A budget that ends inside a
+/// straight-line run still executes the instructions before the trap, and
+/// those may store globals. Reports the first mismatch per configuration.
+/// Returns how many budgets trapped.
+template <typename MakeSource>
+std::uint64_t expect_budget_sweep_identical(const bc::Program& prog, const std::string& label,
+                                            std::uint64_t max_budget, MakeSource make_source) {
+  static const rt::MachineModel machine = rt::pentium4_model();
+  std::uint64_t traps = 0;
+  for (const bool with_icache : {false, true}) {
+    struct Side {
+      std::unique_ptr<rt::CodeSource> source;
+      std::optional<rt::ICache> icache;
+      std::unique_ptr<rt::Interpreter> interp;
+    } sides[2];
+    const rt::EngineKind engines[2] = {rt::EngineKind::kFast, rt::EngineKind::kReference};
+    for (int e = 0; e < 2; ++e) {
+      sides[e].source = make_source();
+      if (with_icache) {
+        sides[e].icache.emplace(machine.icache_bytes, machine.icache_line_bytes,
+                                machine.icache_assoc);
+      }
+      rt::InterpreterOptions opts;
+      opts.engine = engines[e];
+      sides[e].interp = std::make_unique<rt::Interpreter>(
+          prog, machine, *sides[e].source, sides[e].icache ? &*sides[e].icache : nullptr, opts);
+    }
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t budget = 1; budget <= max_budget; ++budget) {
+      std::string outcome[2];
+      for (int e = 0; e < 2; ++e) {
+        outcome[e] = budgeted_outcome(*sides[e].interp,
+                                      sides[e].icache ? &*sides[e].icache : nullptr, budget);
+      }
+      if (outcome[1].rfind("trap", 0) == 0) ++traps;
+      if (outcome[0] != outcome[1] || sides[0].interp->globals() != sides[1].interp->globals()) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << label << " icache " << with_icache << " budget " << budget
+                        << ":\n  fast:      " << outcome[0] << "\n  reference: " << outcome[1]
+                        << "\n  globals equal: "
+                        << (sides[0].interp->globals() == sides[1].interp->globals());
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << label << " icache " << with_icache;
+  }
+  return traps;
+}
+
+TEST(EngineEquivalence, BudgetTrapLeavesIdenticalGlobals) {
+  std::vector<std::pair<std::string, bc::Program>> programs =
+      fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
+  ASSERT_FALSE(programs.empty());
+  programs.emplace_back("globals", test::make_globals_program());
+  programs.emplace_back("loop50", test::make_loop_program(50));
+  std::uint64_t traps = 0;
+  for (const auto& [name, prog] : programs) {
+    traps += expect_budget_sweep_identical(prog, name, 3000, [&prog = prog] {
+      return std::make_unique<test::IdentitySource>(prog);
+    });
+  }
+  EXPECT_GT(traps, 0u) << "no budget trapped; the sweep lost its point";
+}
+
+/// Serves `baseline` on every invocation and offers `replacement` for OSR
+/// from the `after`-th taken back edge on.
+class MidRunOsrSource final : public rt::CodeSource {
+ public:
+  MidRunOsrSource(const rt::CompiledMethod& baseline, const rt::CompiledMethod& replacement,
+                  std::uint64_t after)
+      : baseline_(baseline), replacement_(replacement), after_(after) {}
+
+  const rt::CompiledMethod& invoke(bc::MethodId) override { return baseline_; }
+  void on_back_edge(bc::MethodId) override { ++back_edges_; }
+  const rt::CompiledMethod* osr_replacement(const rt::CompiledMethod&, std::size_t) override {
+    return back_edges_ >= after_ ? &replacement_ : nullptr;
+  }
+
+ private:
+  const rt::CompiledMethod& baseline_;
+  const rt::CompiledMethod& replacement_;
+  std::uint64_t after_;
+  std::uint64_t back_edges_ = 0;
+};
+
+/// s = sum of i for i in [0, 40); globals[0] = s; exit s. With
+/// `nop_at_head`, a kNop sits in front of the loop header and the back
+/// edge jumps to it, so the header itself is neither a jump target nor
+/// after a control instruction (and a nop adds no machine words, so it
+/// shares the header's I-cache line).
+bc::Program make_sum_loop(bool nop_at_head) {
+  bc::ProgramBuilder pb("sum_loop", 1);
+  auto& m = pb.method("main", 0, 2);
+  m.const_(0).store(0).const_(0).store(1);
+  m.label("head");
+  if (nop_at_head) m.nop();
+  m.load(0).const_(40).cmplt().jz("done");
+  m.load(1).load(0).add().store(1);
+  m.load(0).const_(1).add().store(0);
+  m.jmp("head");
+  m.label("done");
+  m.const_(0).load(1).gstore();
+  m.load(1).halt();
+  pb.entry("main");
+  return pb.build();
+}
+
+TEST(EngineEquivalence, OsrEntryInsideARunChargesTheRestOfTheRun) {
+  const bc::Program prog = make_sum_loop(false);
+  const bc::Program with_nop = make_sum_loop(true);
+  const bc::MethodId main_id = prog.find_method("main");
+  constexpr std::int32_t kHeaderPc = 4;  // the baseline's loop header
+  constexpr std::size_t kNopPc = 4;      // the replacement's kNop
+
+  rt::CompiledMethod baseline;
+  baseline.body = prog.method(main_id);
+  baseline.tier = rt::Tier::kBaseline;
+  baseline.method_id = main_id;
+  baseline.code_base = 0x1000;
+  for (std::size_t pc = 0; pc < baseline.body.size(); ++pc) {
+    baseline.origin.emplace_back(main_id, static_cast<std::int32_t>(pc));
+  }
+  baseline.finalize();
+
+  // The replacement: the same loop at O2 with the kNop in front of the
+  // header; every other instruction keeps its baseline origin.
+  rt::CompiledMethod replacement;
+  replacement.body = with_nop.method(with_nop.find_method("main"));
+  replacement.tier = rt::Tier::kOpt;
+  replacement.method_id = main_id;
+  replacement.code_base = 0x90000;
+  for (std::size_t pc = 0; pc < replacement.body.size(); ++pc) {
+    if (pc == kNopPc) {
+      replacement.origin.emplace_back(-1, -1);
+    } else {
+      const std::size_t from = pc < kNopPc ? pc : pc - 1;
+      replacement.origin.emplace_back(main_id, static_cast<std::int32_t>(from));
+    }
+  }
+  replacement.finalize();
+  ASSERT_EQ(replacement.body.code()[kNopPc].op, bc::Op::kNop);
+
+  const std::int64_t entry = replacement.find_origin(main_id, kHeaderPc);
+  ASSERT_EQ(entry, static_cast<std::int64_t>(kNopPc + 1));
+  const rt::PredecodedBody pb = rt::predecode(replacement, rt::pentium4_model());
+  EXPECT_FALSE(pb.code[static_cast<std::size_t>(entry)].head)
+      << "the OSR entry must land inside a run for this test to mean anything";
+
+  auto make_source = [&] { return std::make_unique<MidRunOsrSource>(baseline, replacement, 3); };
+  for (const bool with_icache : {false, true}) {
+    std::vector<std::int64_t> globals[2];
+    rt::ExecStats stats[2];
+    int e = 0;
+    for (const rt::EngineKind engine : {rt::EngineKind::kFast, rt::EngineKind::kReference}) {
+      static const rt::MachineModel machine = rt::pentium4_model();
+      const auto source = make_source();
+      std::optional<rt::ICache> icache;
+      if (with_icache) {
+        icache.emplace(machine.icache_bytes, machine.icache_line_bytes, machine.icache_assoc);
+      }
+      rt::InterpreterOptions opts;
+      opts.engine = engine;
+      rt::Interpreter interp(prog, machine, *source, icache ? &*icache : nullptr, opts);
+      stats[e] = interp.run();
+      globals[e++] = interp.globals();
+    }
+    EXPECT_EQ(stats[0].osr_transitions, 1u) << "icache " << with_icache;
+    EXPECT_EQ(stats[0].exit_value, 780) << "sum of 0..39";
+    EXPECT_EQ(stats[0].cycles, stats[1].cycles) << "icache " << with_icache;
+    EXPECT_TRUE(stats[0] == stats[1]) << "icache " << with_icache;
+    EXPECT_EQ(globals[0], globals[1]);
+  }
+  // Every budget, so one trap lands inside the run the OSR entry charges.
+  EXPECT_GT(expect_budget_sweep_identical(prog, "mid_run_osr", 600, make_source), 0u);
 }
 
 TEST(EngineEquivalence, StackOverflowTrapMessageIdentical) {

@@ -1,11 +1,15 @@
 // The contracts superinstruction fusion was held to, kept after fusion was
 // deleted (DESIGN.md §7 gives the measured reason there is none): predecode
 // emits one entry per bytecode instruction, with its op and operands, at
-// every tier; and the fast engine stays bit-identical (ExecStats and
+// every tier, each carrying the cost and length of the rest of its
+// straight-line run; and the fast engine stays bit-identical (ExecStats and
 // globals) to the reference engine on programs that land control transfers
 // in the middle of straight-line sequences, at every instruction budget,
 // and across OSR entry. The suite keeps its name so each test can be traced
-// back to the fused behaviour it used to pin.
+// back to the fused behaviour it used to pin; Predecode.* pins where runs
+// start.
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -65,32 +69,40 @@ void expect_one_entry_per_op(const rt::PredecodedBody& pb, const std::string& la
 TEST(Fusion, PredecodedInsnLayoutBudget) {
   EXPECT_EQ(sizeof(rt::PredecodedInsn), 40u);
   EXPECT_EQ(offsetof(rt::PredecodedInsn, target), 0u);
-  EXPECT_EQ(offsetof(rt::PredecodedInsn, base_cost), 8u);
+  EXPECT_EQ(offsetof(rt::PredecodedInsn, run_cost), 8u);
+  EXPECT_EQ(offsetof(rt::PredecodedInsn, run_len), 12u);
   EXPECT_EQ(offsetof(rt::PredecodedInsn, line), 16u);
   EXPECT_EQ(offsetof(rt::PredecodedInsn, a), 24u);
   EXPECT_EQ(offsetof(rt::PredecodedInsn, b), 28u);
   EXPECT_EQ(offsetof(rt::PredecodedInsn, op), 32u);
+  EXPECT_EQ(offsetof(rt::PredecodedInsn, head), 33u);
 }
 
 TEST(Fusion, RewritesHeadKeepsInterior) {
   // square(x) = x * x is the load+load+mul sequence fusion used to rewrite
-  // at its head. Now the head keeps its own op and operand, and each
-  // interior entry keeps its own accounting data.
+  // at its head. Now the head keeps its own op and operand, and the whole
+  // body (load load mul ret, one I-cache line) is one run: only pc 0 is a
+  // head, and each entry carries the cost and length from itself to the
+  // run's end.
   const bc::Program prog = test::make_loop_program(10);
   const rt::PredecodedBody pb = predecode_method(prog, "square");
   expect_one_entry_per_op(pb, "square");
-  ASSERT_GE(pb.code.size(), 3u);
+  ASSERT_EQ(pb.code.size(), 4u);
   EXPECT_EQ(pb.code[0].op, bc::Op::kLoad);
   EXPECT_EQ(pb.code[1].op, bc::Op::kLoad);
   EXPECT_EQ(pb.code[2].op, bc::Op::kMul);
-  const rt::MachineModel machine = rt::pentium4_model();
-  for (std::size_t pc = 0; pc < 3; ++pc) {
-    EXPECT_EQ(pb.code[pc].base_cost,
-              static_cast<double>(bc::op_info(pb.code[pc].op).machine_words) * machine.opt_cpi)
-        << pc;
+  EXPECT_EQ(pb.code[3].op, bc::Op::kRet);
+  const std::uint32_t unit = rt::pentium4_model().cpi_units()[2];
+  EXPECT_EQ(unit, 20u) << "O2 CPI 1.0";
+  std::uint32_t suffix = 0;
+  for (std::size_t pc = pb.code.size(); pc-- > 0;) {
+    suffix += static_cast<std::uint32_t>(bc::op_info(pb.code[pc].op).machine_words) * unit;
+    EXPECT_EQ(pb.code[pc].head, pc == 0) << pc;
+    EXPECT_EQ(pb.code[pc].run_cost, suffix) << pc;
+    EXPECT_EQ(pb.code[pc].run_len, pb.code.size() - pc) << pc;
+    EXPECT_EQ(pb.code[pc].line, pb.code[0].line) << pc;
   }
-  EXPECT_LE(pb.code[0].line, pb.code[1].line);
-  EXPECT_LE(pb.code[1].line, pb.code[2].line);
+  EXPECT_EQ(pb.code[0].run_cost, 5u * unit) << "1 + 1 + 1 + 2 machine words";
 }
 
 TEST(Fusion, LoopGuardUsesLongestPattern) {
@@ -130,28 +142,27 @@ TEST(Fusion, CallRetMarksCallerReturn) {
 }
 
 TEST(Fusion, PolicyGatesByTier) {
-  // Tier changes only the pre-folded cost: the same method predecodes to the
-  // same ops, operands and lines at every tier, each entry costing
-  // machine_words * cpi[tier].
+  // Tier changes only the run costs: the same method predecodes to the same
+  // ops, operands, lines, heads and run lengths at every tier, each run
+  // costing the sum of machine_words * cpi_units[tier] over its rest.
   const bc::Program prog = test::make_loop_program(10);
-  const rt::MachineModel machine = rt::pentium4_model();
-  const rt::PredecodedBody opt = predecode_method(prog, "square", rt::Tier::kOpt);
-  const struct {
-    rt::Tier tier;
-    double cpi;
-  } tiers[] = {{rt::Tier::kBaseline, machine.baseline_cpi},
-               {rt::Tier::kMidOpt, machine.mid_cpi},
-               {rt::Tier::kOpt, machine.opt_cpi}};
-  for (const auto& t : tiers) {
-    const rt::PredecodedBody pb = predecode_method(prog, "square", t.tier);
-    expect_one_entry_per_op(pb, "square");
+  const std::array<std::uint32_t, 3> units = rt::pentium4_model().cpi_units();
+  EXPECT_EQ(units, (std::array<std::uint32_t, 3>{44, 29, 20})) << "CPI 2.2, 1.45, 1.0";
+  const rt::PredecodedBody opt = predecode_method(prog, "main", rt::Tier::kOpt);
+  for (const rt::Tier tier : {rt::Tier::kBaseline, rt::Tier::kMidOpt, rt::Tier::kOpt}) {
+    const rt::PredecodedBody pb = predecode_method(prog, "main", tier);
+    expect_one_entry_per_op(pb, "main");
     ASSERT_EQ(pb.code.size(), opt.code.size());
-    for (std::size_t pc = 0; pc < pb.code.size(); ++pc) {
+    const std::uint32_t unit = units[static_cast<std::size_t>(tier)];
+    std::uint32_t suffix = 0;
+    for (std::size_t pc = pb.code.size(); pc-- > 0;) {
       EXPECT_EQ(pb.code[pc].op, opt.code[pc].op) << pc;
       EXPECT_EQ(pb.code[pc].line, opt.code[pc].line) << pc;
-      EXPECT_EQ(pb.code[pc].base_cost,
-                static_cast<double>(bc::op_info(pb.code[pc].op).machine_words) * t.cpi)
-          << pc;
+      EXPECT_EQ(pb.code[pc].head, opt.code[pc].head) << pc;
+      EXPECT_EQ(pb.code[pc].run_len, opt.code[pc].run_len) << pc;
+      if (pc + 1 == pb.code.size() || pb.code[pc + 1].head) suffix = 0;
+      suffix += static_cast<std::uint32_t>(bc::op_info(pb.code[pc].op).machine_words) * unit;
+      EXPECT_EQ(pb.code[pc].run_cost, suffix) << pc;
     }
   }
 }
@@ -188,6 +199,68 @@ void expect_engines_identical(const bc::Program& prog, const std::string& label)
     EXPECT_EQ(fast.icache_misses, ref.icache_misses) << label << " icache " << with_icache;
     EXPECT_TRUE(fast == ref) << label << " fast vs reference, icache " << with_icache;
     EXPECT_EQ(fast_g, ref_g) << label;
+  }
+}
+
+TEST(Predecode, RunHeadsAtJumpTargetsAfterControlAndAtLineChanges) {
+  // Word addresses count the 2-word frame prologue; 4-byte words on 64-byte
+  // lines from a line-aligned code base put 16 words on a line:
+  //    pc  word
+  //     0    2  const 0    <- head: pc 0
+  //     1    3  store 0
+  //     2    4  load 0     <- head: jump target (the loop)
+  //     3-8  5  const 1; add; store 0; load 0; const 3; cmplt
+  //     9   11  jnz 2      (2 words)
+  //    10   13  load 0     <- head: after a branch
+  //    11   14  const 1
+  //    12   15  add
+  //    13   16  store 0    <- head: first instruction on the next line
+  //    14   17  load 0
+  //    15   18  halt
+  bc::ProgramBuilder pbuild("runs", 0);
+  auto& m = pbuild.method("main", 0, 1);
+  m.const_(0).store(0);
+  m.label("loop");
+  m.load(0).const_(1).add().store(0);
+  m.load(0).const_(3).cmplt().jnz("loop");
+  m.load(0).const_(1).add().store(0);
+  m.load(0).halt();
+  pbuild.entry("main");
+  const bc::Program prog = pbuild.build();
+  const rt::PredecodedBody pb = predecode_method(prog, "main");
+  ASSERT_EQ(pb.code.size(), 16u);
+  const std::vector<std::size_t> heads = {0, 2, 10, 13};
+  for (std::size_t pc = 0; pc < pb.code.size(); ++pc) {
+    const bool want = std::find(heads.begin(), heads.end(), pc) != heads.end();
+    EXPECT_EQ(pb.code[pc].head, want) << "pc " << pc;
+    if (!want) {
+      EXPECT_EQ(pb.code[pc].line, pb.code[pc - 1].line) << "a run has one line, pc " << pc;
+    }
+  }
+  EXPECT_NE(pb.code[13].line, pb.code[12].line) << "pc 13 starts its run by a line change";
+  EXPECT_EQ(pb.code[0].run_len, 2u);
+  EXPECT_EQ(pb.code[2].run_len, 8u) << "load const add store load const cmplt jnz";
+  EXPECT_EQ(pb.code[10].run_len, 3u);
+  EXPECT_EQ(pb.code[11].run_len, 2u);
+  EXPECT_EQ(pb.code[13].run_len, 3u);
+  EXPECT_EQ(test::run_exit_value(prog), 4);
+  expect_engines_identical(prog, "runs");
+
+  // The single-step twin the engine finishes a budget-truncated run in:
+  // every entry is its own run, and the own costs add up to the runs'.
+  const rt::PredecodedBody twin = rt::single_step_twin(pb);
+  ASSERT_EQ(twin.code.size(), pb.code.size());
+  std::uint32_t run_sum = 0;
+  for (std::size_t pc = pb.code.size(); pc-- > 0;) {
+    EXPECT_TRUE(twin.code[pc].head) << pc;
+    EXPECT_EQ(twin.code[pc].run_len, 1u) << pc;
+    EXPECT_EQ(twin.code[pc].op, pb.code[pc].op) << pc;
+    EXPECT_EQ(twin.code[pc].line, pb.code[pc].line) << pc;
+    run_sum += twin.code[pc].run_cost;
+    if (pb.code[pc].head) {
+      EXPECT_EQ(run_sum, pb.code[pc].run_cost) << "run at pc " << pc;
+      run_sum = 0;
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 // MachineModel, CompiledMethod and ProfileData tests.
+#include <array>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "bytecode/size_estimator.hpp"
 #include "runtime/compiled.hpp"
+#include "runtime/interpreter.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/profile.hpp"
 #include "support/error.hpp"
@@ -17,6 +21,23 @@ TEST(MachineModel, ArchitecturesDifferAsThePaperArgues) {
   EXPECT_GT(x86.icache_bytes, ppc.icache_bytes) << "PPC has the smaller I-cache (Table 4 narrative)";
   EXPECT_GT(x86.call_overhead_cycles, ppc.call_overhead_cycles) << "deeper pipeline on P4";
   EXPECT_GT(x86.clock_hz, ppc.clock_hz);
+}
+
+TEST(MachineModel, CpiInWholeTwentiethsOfACycle) {
+  EXPECT_EQ(pentium4_model().cpi_units(), (std::array<std::uint32_t, 3>{44, 29, 20}));
+  EXPECT_EQ(ppc_g4_model().cpi_units(), (std::array<std::uint32_t, 3>{40, 28, 20}));
+  // 2.21 * 20 = 44.2: no integer count of cost units, so the model is
+  // refused rather than rounded, by the model and by both engines.
+  MachineModel m = pentium4_model();
+  m.baseline_cpi = 2.21;
+  EXPECT_THROW(m.cpi_units(), Error);
+  const bc::Program prog = ith::test::make_add_program();
+  for (const EngineKind engine : {EngineKind::kFast, EngineKind::kReference}) {
+    ith::test::IdentitySource source(prog);
+    InterpreterOptions opts;
+    opts.engine = engine;
+    EXPECT_THROW(Interpreter(prog, m, source, nullptr, opts), Error) << engine_name(engine);
+  }
 }
 
 TEST(MachineModel, OptCompileIsSuperlinear) {
