@@ -271,12 +271,12 @@ constexpr Row kExecGolden[] = {
     {"db", "opt", 3, 0x33e7105c02160462ULL, 3964609, 1115121},
     {"db", "opt", 4, 0xc0459c1f250be8fcULL, 4477970, 1655076},
     {"db", "opt", 5, 0x5ac22d8ebcbf4ca2ULL, 3881104, 1031076},
-    {"javac", "adapt", 0, 0x7c729506d9b0eb14ULL, 1852591, 669126},
-    {"javac", "adapt", 1, 0xc581e5ca3dc45faaULL, 1729416, 669171},
-    {"javac", "adapt", 2, 0x7c729506d9b0eb14ULL, 1852591, 669126},
-    {"javac", "adapt", 3, 0xc581e5ca3dc45faaULL, 1729416, 669171},
-    {"javac", "adapt", 4, 0xc581e5ca3dc45faaULL, 1729416, 669171},
-    {"javac", "adapt", 5, 0x4ffb54ee4a36c4acULL, 1824583, 669126},
+    {"javac", "adapt", 0, 0xf7182b5b39d81d76ULL, 1852592, 669126},
+    {"javac", "adapt", 1, 0x965b6cbcca9fcd3aULL, 1729417, 669171},
+    {"javac", "adapt", 2, 0xf7182b5b39d81d76ULL, 1852592, 669126},
+    {"javac", "adapt", 3, 0x965b6cbcca9fcd3aULL, 1729417, 669171},
+    {"javac", "adapt", 4, 0x965b6cbcca9fcd3aULL, 1729417, 669171},
+    {"javac", "adapt", 5, 0x8ee1365b0621146eULL, 1824584, 669126},
     {"javac", "opt", 0, 0x708fbed6662e60ddULL, 5796540, 661887},
     {"javac", "opt", 1, 0x15767d717137de31ULL, 5171080, 1068250},
     {"javac", "opt", 2, 0x350346e57f2095bULL, 5543680, 662746},
@@ -393,7 +393,7 @@ constexpr Row kExecGolden[] = {
     {"ipsixql", "opt", 5, 0xd23688061214a198ULL, 8525952, 227675},
     {"pseudojbb", "adapt", 0, 0xae7a5e27e4be4a9fULL, 2819454, 817473},
     {"pseudojbb", "adapt", 1, 0x33e0b21a4ef59487ULL, 2234192, 1080594},
-    {"pseudojbb", "adapt", 2, 0xe940667a36ad1996ULL, 2770041, 932609},
+    {"pseudojbb", "adapt", 2, 0xcda39bc2d0fdf06eULL, 2770041, 932610},
     {"pseudojbb", "adapt", 3, 0x2251691a269920b2ULL, 2550156, 925259},
     {"pseudojbb", "adapt", 4, 0x33e0b21a4ef59487ULL, 2234192, 1080594},
     {"pseudojbb", "adapt", 5, 0xaf0e1fe4032fa8b1ULL, 2718038, 910903},
@@ -406,12 +406,12 @@ constexpr Row kExecGolden[] = {
 };
 
 constexpr Row kExecGoldenPpc[] = {
-    {"compress", "adapt", 0, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 0, 0x37541fe98f4e4831ULL, 2754340, 2461031},
     {"compress", "adapt", 1, 0xf515d303ee23972cULL, 2700434, 2119958},
-    {"compress", "adapt", 2, 0x708a7b90b25fc464ULL, 2754340, 2461031},
-    {"compress", "adapt", 3, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 2, 0x37541fe98f4e4831ULL, 2754340, 2461031},
+    {"compress", "adapt", 3, 0x37541fe98f4e4831ULL, 2754340, 2461031},
     {"compress", "adapt", 4, 0xf515d303ee23972cULL, 2700434, 2119958},
-    {"compress", "adapt", 5, 0x708a7b90b25fc464ULL, 2754340, 2461031},
+    {"compress", "adapt", 5, 0x37541fe98f4e4831ULL, 2754340, 2461031},
     {"compress", "opt", 0, 0x39805cbdf3bc9e4cULL, 2608301, 2114327},
     {"compress", "opt", 1, 0x9a6ae59ea97bb060ULL, 3833943, 3347624},
     {"compress", "opt", 2, 0x39805cbdf3bc9e4cULL, 2608301, 2114327},
@@ -430,11 +430,11 @@ constexpr Row kExecGoldenPpc[] = {
     {"jess", "opt", 3, 0x6d8cf4570864a59bULL, 7439068, 846663},
     {"jess", "opt", 4, 0x52907ff4369eb97bULL, 7594009, 987005},
     {"jess", "opt", 5, 0x888eff664b254ab0ULL, 7499623, 714073},
-    {"db", "adapt", 0, 0x4144b2507341024cULL, 2353245, 957342},
-    {"db", "adapt", 1, 0x7d8e72e3e0db997fULL, 2235491, 1012892},
+    {"db", "adapt", 0, 0xdaf51ea4ca481e28ULL, 2353246, 957342},
+    {"db", "adapt", 1, 0x8f17a589bf47f047ULL, 2235492, 1012892},
     {"db", "adapt", 2, 0xfcb9e43e248fd816ULL, 2342520, 957342},
-    {"db", "adapt", 3, 0x5a27ff6885eb129ULL, 2355463, 957342},
-    {"db", "adapt", 4, 0x7d8e72e3e0db997fULL, 2235491, 1012892},
+    {"db", "adapt", 3, 0xcb477123d546fbddULL, 2355464, 957342},
+    {"db", "adapt", 4, 0x8f17a589bf47f047ULL, 2235492, 1012892},
     {"db", "adapt", 5, 0x7749cfdf3b5c321ULL, 2287165, 1014213},
     {"db", "opt", 0, 0x1c1079aa1e334e17ULL, 5004753, 1113347},
     {"db", "opt", 1, 0x8457725921011141ULL, 4599989, 1463912},
@@ -491,11 +491,11 @@ constexpr Row kExecGoldenPpc[] = {
     {"jack", "opt", 4, 0x9fc823662e2d651fULL, 5096048, 1654107},
     {"jack", "opt", 5, 0xb1ee3b9cc8e3e8deULL, 4728069, 1192700},
     {"antlr", "adapt", 0, 0x148c7d23fa6bd77ULL, 2399093, 625893},
-    {"antlr", "adapt", 1, 0x664bff6bae2c48a6ULL, 1948747, 689192},
+    {"antlr", "adapt", 1, 0xc9d66ff401dfe536ULL, 1948748, 689192},
     {"antlr", "adapt", 2, 0xb8e0345b62fa6d6bULL, 2262895, 835571},
     {"antlr", "adapt", 3, 0xe6561cdfd6e4ccc6ULL, 2121016, 832397},
-    {"antlr", "adapt", 4, 0x664bff6bae2c48a6ULL, 1948747, 689192},
-    {"antlr", "adapt", 5, 0x955f292c236fdedfULL, 2212343, 837344},
+    {"antlr", "adapt", 4, 0xc9d66ff401dfe536ULL, 1948748, 689192},
+    {"antlr", "adapt", 5, 0xc617a4b9bbbf3c73ULL, 2212344, 837344},
     {"antlr", "opt", 0, 0xd422e5ab51cf1c93ULL, 16335320, 463870},
     {"antlr", "opt", 1, 0x169885a6da300cd0ULL, 12920744, 939548},
     {"antlr", "opt", 2, 0x984ca202d12f13eaULL, 13554237, 482470},
@@ -552,7 +552,7 @@ constexpr Row kExecGoldenPpc[] = {
     {"ps", "opt", 5, 0xf3d9caadcad997ebULL, 7956900, 147197},
     {"ipsixql", "adapt", 0, 0x75a95764a3f2f35aULL, 2191447, 651681},
     {"ipsixql", "adapt", 1, 0xc48a16a48283fa87ULL, 1779153, 664967},
-    {"ipsixql", "adapt", 2, 0xb5f4dc03c4aa695ULL, 2125729, 803865},
+    {"ipsixql", "adapt", 2, 0xa4c7cec7318c961fULL, 2125730, 803865},
     {"ipsixql", "adapt", 3, 0xaa2846fbfc8377fcULL, 1966420, 802087},
     {"ipsixql", "adapt", 4, 0xc48a16a48283fa87ULL, 1779153, 664967},
     {"ipsixql", "adapt", 5, 0xc40bb8b0ecdaebc2ULL, 2060751, 803743},
@@ -562,12 +562,12 @@ constexpr Row kExecGoldenPpc[] = {
     {"ipsixql", "opt", 3, 0x8ce6d07582ffbd42ULL, 9596824, 665007},
     {"ipsixql", "opt", 4, 0xa54154134fd7ec96ULL, 9562719, 740890},
     {"ipsixql", "opt", 5, 0xd496135440787bf8ULL, 9793520, 573560},
-    {"pseudojbb", "adapt", 0, 0x8f746714ec4e83ebULL, 4482853, 2054254},
+    {"pseudojbb", "adapt", 0, 0x348c82e0864125f1ULL, 4482854, 2054254},
     {"pseudojbb", "adapt", 1, 0x6b9981e932194981ULL, 3789022, 2111821},
     {"pseudojbb", "adapt", 2, 0x9cbb671e44900e4bULL, 4418818, 2280610},
     {"pseudojbb", "adapt", 3, 0x718e5c4868d5bcddULL, 4209832, 2272644},
     {"pseudojbb", "adapt", 4, 0x6b9981e932194981ULL, 3789022, 2111821},
-    {"pseudojbb", "adapt", 5, 0xc8ba53b3736cf1aeULL, 4329509, 2281089},
+    {"pseudojbb", "adapt", 5, 0x9b49bf8c8aea3aeeULL, 4329509, 2281090},
     {"pseudojbb", "opt", 0, 0x62d5f1ecdbc955bcULL, 17734473, 1750505},
     {"pseudojbb", "opt", 1, 0x4f23851933614089ULL, 14753613, 2338367},
     {"pseudojbb", "opt", 2, 0x56e75a2d056ae72ULL, 15422833, 1795970},

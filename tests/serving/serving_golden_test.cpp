@@ -55,24 +55,24 @@ struct Row {
 
 // clang-format off
 constexpr Row kServingGolden[] = {
-    {"kv_server", "rolling", 4, 4, 0x3c092517036ce5fULL, 4, 479, 29552, 7, 0x5e926c6a065864d9ULL},
-    {"kv_server", "rolling", 3, 2, 0xdf44b51dcf63b1fcULL, 3, 479, 27662, 0, 0x5e926c6a065864d9ULL},
-    {"kv_server", "rolling", 4, 1, 0x3c092517036ce5fULL, 4, 479, 29552, 7, 0x5e926c6a065864d9ULL},
-    {"kv_server", "all", 4, 4, 0x87b957426b44b667ULL, 4, 463, 28385, 3, 0x5e926c6a065864d9ULL},
-    {"kv_server", "all", 3, 2, 0xf7f5ce0ab6a84f9cULL, 3, 418, 27194, 0, 0x5e926c6a065864d9ULL},
-    {"kv_server", "all", 4, 1, 0x87b957426b44b667ULL, 4, 463, 28385, 3, 0x5e926c6a065864d9ULL},
-    {"query_dispatch", "rolling", 4, 4, 0xf85361e2019ae6c7ULL, 4, 2571, 71036, 3, 0x9a5efe0c429a69a3ULL},
-    {"query_dispatch", "rolling", 3, 2, 0xb064ead2631c5573ULL, 3, 2230, 68590, 0, 0x9a5efe0c429a69a3ULL},
-    {"query_dispatch", "rolling", 4, 1, 0xf85361e2019ae6c7ULL, 4, 2571, 71036, 3, 0x9a5efe0c429a69a3ULL},
-    {"query_dispatch", "all", 4, 4, 0x7f8fc9e1b79099fcULL, 4, 2205, 77567, 12, 0x9a5efe0c429a69a3ULL},
-    {"query_dispatch", "all", 3, 2, 0x5ccf4a77fd650722ULL, 3, 1436, 79519, 15, 0x9a5efe0c429a69a3ULL},
-    {"query_dispatch", "all", 4, 1, 0x7f8fc9e1b79099fcULL, 4, 2205, 77567, 12, 0x9a5efe0c429a69a3ULL},
-    {"text_pipe", "rolling", 4, 4, 0xf9ab2871ab4f87acULL, 4, 3636, 181699, 0, 0x301489fcbbbbe2fULL},
-    {"text_pipe", "rolling", 3, 2, 0x832284c5ade91b66ULL, 3, 3897, 200091, 0, 0x301489fcbbbbe2fULL},
-    {"text_pipe", "rolling", 4, 1, 0xf9ab2871ab4f87acULL, 4, 3636, 181699, 0, 0x301489fcbbbbe2fULL},
-    {"text_pipe", "all", 4, 4, 0x61f6b8ad299d283bULL, 4, 3427, 175751, 0, 0x301489fcbbbbe2fULL},
-    {"text_pipe", "all", 3, 2, 0x9aab040bb6fdb177ULL, 3, 3445, 242788, 0, 0x301489fcbbbbe2fULL},
-    {"text_pipe", "all", 4, 1, 0x61f6b8ad299d283bULL, 4, 3427, 175751, 0, 0x301489fcbbbbe2fULL},
+    {"kv_server", "rolling", 4, 4, 0x35f01769d52b44fdULL, 4, 479, 29552, 7, 0x5e926c6a065864d9ULL},
+    {"kv_server", "rolling", 3, 2, 0x88815aa61096f1f7ULL, 3, 479, 27662, 0, 0x5e926c6a065864d9ULL},
+    {"kv_server", "rolling", 4, 1, 0x35f01769d52b44fdULL, 4, 479, 29552, 7, 0x5e926c6a065864d9ULL},
+    {"kv_server", "all", 4, 4, 0xd894e0fc5e135815ULL, 4, 463, 28385, 3, 0x5e926c6a065864d9ULL},
+    {"kv_server", "all", 3, 2, 0xa28256de9375523fULL, 3, 418, 27194, 0, 0x5e926c6a065864d9ULL},
+    {"kv_server", "all", 4, 1, 0xd894e0fc5e135815ULL, 4, 463, 28385, 3, 0x5e926c6a065864d9ULL},
+    {"query_dispatch", "rolling", 4, 4, 0xd36a7635931a4598ULL, 4, 2571, 71037, 3, 0x9a5efe0c429a69a3ULL},
+    {"query_dispatch", "rolling", 3, 2, 0x6dc87fbac903c4abULL, 3, 2230, 68591, 0, 0x9a5efe0c429a69a3ULL},
+    {"query_dispatch", "rolling", 4, 1, 0xd36a7635931a4598ULL, 4, 2571, 71037, 3, 0x9a5efe0c429a69a3ULL},
+    {"query_dispatch", "all", 4, 4, 0x40a2747bd97193e9ULL, 4, 2205, 77568, 12, 0x9a5efe0c429a69a3ULL},
+    {"query_dispatch", "all", 3, 2, 0xc89226e0e9a22c77ULL, 3, 1436, 79519, 15, 0x9a5efe0c429a69a3ULL},
+    {"query_dispatch", "all", 4, 1, 0x40a2747bd97193e9ULL, 4, 2205, 77568, 12, 0x9a5efe0c429a69a3ULL},
+    {"text_pipe", "rolling", 4, 4, 0x226389a93d9f205ULL, 4, 3636, 181699, 0, 0x301489fcbbbbe2fULL},
+    {"text_pipe", "rolling", 3, 2, 0xa745a6a75e007f9dULL, 3, 3897, 200091, 0, 0x301489fcbbbbe2fULL},
+    {"text_pipe", "rolling", 4, 1, 0x226389a93d9f205ULL, 4, 3636, 181699, 0, 0x301489fcbbbbe2fULL},
+    {"text_pipe", "all", 4, 4, 0x65a98aa8d3bda232ULL, 4, 3427, 175751, 0, 0x301489fcbbbbe2fULL},
+    {"text_pipe", "all", 3, 2, 0x2b218d3a65e1e2cdULL, 3, 3445, 242788, 0, 0x301489fcbbbbe2fULL},
+    {"text_pipe", "all", 4, 1, 0x65a98aa8d3bda232ULL, 4, 3427, 175751, 0, 0x301489fcbbbbe2fULL},
 };
 // clang-format on
 
