@@ -88,7 +88,7 @@ struct EngineBench {
   std::unique_ptr<rt::ICache> icache;
   std::unique_ptr<rt::Interpreter> interp;
   rt::ExecStats cold;  ///< stats of the cold (warm-up) run, fresh icache
-  double best_seconds = std::numeric_limits<double>::infinity();
+  double best_seconds = std::numeric_limits<double>::infinity();  ///< per run
 };
 
 EngineBench setup_engine(const bc::Program& prog, const rt::MachineModel& machine,
@@ -109,16 +109,29 @@ EngineBench setup_engine(const bc::Program& prog, const rt::MachineModel& machin
   return b;
 }
 
-/// One steady-state timing round. The best (minimum) across rounds is the
-/// reported time, rejecting transient interference.
+/// Instructions one timing round executes, at least: a round repeats a
+/// short program back to back until it gets there. A single run of the
+/// 671-instruction adversarial program takes about 3 µs, which one clock
+/// read and one scheduler hiccup swamp.
+constexpr std::uint64_t kRoundInstructions = 1'000'000;
+
+/// One steady-state timing round: enough back-to-back runs to execute about
+/// kRoundInstructions, timed together; the per-run time is the round's time
+/// over its runs. The best (minimum) across rounds is the reported time,
+/// rejecting transient interference.
 void time_round(EngineBench& b) {
-  b.interp->reset_globals();
+  const std::uint64_t insns = std::max<std::uint64_t>(b.cold.instructions, 1);
+  const std::uint64_t runs = (kRoundInstructions + insns - 1) / insns;
   const auto t0 = std::chrono::steady_clock::now();
-  const rt::ExecStats stats = b.interp->run();
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    b.interp->reset_globals();
+    const rt::ExecStats stats = b.interp->run();
+    ITH_CHECK(stats.instructions == b.cold.instructions,
+              "dispatch bench: instruction count drifted across repeats");
+  }
   const auto t1 = std::chrono::steady_clock::now();
-  ITH_CHECK(stats.instructions == b.cold.instructions,
-            "dispatch bench: instruction count drifted across repeats");
-  b.best_seconds = std::min(b.best_seconds, std::chrono::duration<double>(t1 - t0).count());
+  b.best_seconds = std::min(b.best_seconds, std::chrono::duration<double>(t1 - t0).count() /
+                                                static_cast<double>(runs));
 }
 
 std::string format_double(double v, int precision) {

@@ -7,6 +7,9 @@
 // engines"); what differs between engines is how fast the host machine can
 // produce those identical numbers. The headline metric is interpreted
 // instructions per wall-clock second, best-of-N to shed scheduler noise.
+// Each of the N rounds times back-to-back runs of the program until about
+// a million instructions have executed, so a program of a few hundred
+// instructions is not timed by a single clock read pair.
 //
 // Used by bench/micro_dispatch (human-readable table, optional JSON) and
 // tools/bench_json (writes BENCH_interpreter.json for the perf trajectory).
@@ -24,7 +27,7 @@ struct DispatchMeasurement {
   std::string engine;              ///< "fast" or "reference"
   std::uint64_t instructions = 0;  ///< per run (engine-invariant)
   std::uint64_t sim_cycles = 0;    ///< simulated cycles, cold icache run
-  double best_seconds = 0.0;       ///< fastest repeat
+  double best_seconds = 0.0;       ///< fastest round's time per run
   double insns_per_sec = 0.0;
   double ns_per_insn = 0.0;
 };
