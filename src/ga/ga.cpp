@@ -188,6 +188,31 @@ GaResult GeneticAlgorithm::run() {
     ITH_CHECK(cp.population.size() == static_cast<std::size_t>(config_.population) &&
                   cp.fitness.size() == cp.population.size(),
               "checkpoint population size mismatch");
+    ITH_CHECK(cp.generation >= 0 && cp.generation < config_.generations,
+              "checkpoint generation " + std::to_string(cp.generation) +
+                  " lies outside this run's " + std::to_string(config_.generations) +
+                  " generations");
+    // The bytes alone cannot show a gene outside its range; the space can.
+    const auto check_genome = [&](const Genome& g, const std::string& what) {
+      ITH_CHECK(g.size() == space_.size(), "checkpoint " + what + " has " +
+                                               std::to_string(g.size()) + " genes, the space " +
+                                               std::to_string(space_.size()));
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        const GeneSpec& spec = space_.gene(i);
+        ITH_CHECK(g[i] >= spec.lo && g[i] <= spec.hi,
+                  "checkpoint " + what + " gene " + spec.name + " = " + std::to_string(g[i]) +
+                      " lies outside [" + std::to_string(spec.lo) + ", " +
+                      std::to_string(spec.hi) + "]");
+      }
+    };
+    for (std::size_t i = 0; i < cp.population.size(); ++i) {
+      check_genome(cp.population[i], "population genome " + std::to_string(i));
+    }
+    check_genome(cp.best_genome, "best genome");
+    for (const auto& [g, f] : cp.cache) check_genome(g, "cached genome");
+    for (const GenerationStats& gs : cp.history) {
+      check_genome(gs.best_genome, "history genome of generation " + std::to_string(gs.generation));
+    }
     rng.restore(cp.rng_state, cp.rng_inc);
     pop = cp.population;
     fitness = cp.fitness;

@@ -1,5 +1,8 @@
 #include "resilience/checkpoint.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "support/codec.hpp"
 #include "support/error.hpp"
 
@@ -14,11 +17,28 @@ void write_genome(codec::Writer& w, const std::vector<int>& g) {
   for (const int x : g) w.i64(x);
 }
 
-std::vector<int> read_genome(codec::Reader& r) {
+/// Reads an i64 word that must fit an int no smaller than `min`.
+int read_int(codec::Reader& r, const char* field, std::int64_t min) {
+  const std::int64_t v = r.i64();
+  ITH_CHECK(v >= min && v <= std::numeric_limits<int>::max(),
+            std::string("checkpoint ") + field + " out of range (corrupted file)");
+  return static_cast<int>(v);
+}
+
+/// Reads an f64 word that must be finite.
+double read_finite(codec::Reader& r, const char* field) {
+  const double v = r.f64();
+  ITH_CHECK(std::isfinite(v), std::string("checkpoint ") + field + " is not finite (corrupted file)");
+  return v;
+}
+
+std::vector<int> read_genome(codec::Reader& r, const char* field) {
   const std::uint64_t n = r.count();
   std::vector<int> g;
   g.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) g.push_back(static_cast<int>(r.i64()));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    g.push_back(read_int(r, field, std::numeric_limits<int>::min()));
+  }
   return g;
 }
 
@@ -60,37 +80,37 @@ GaCheckpoint deserialize(std::string_view payload) {
   codec::Reader r(payload, kFormat.what);
   GaCheckpoint cp;
   cp.fingerprint = r.u64();
-  cp.generation = static_cast<int>(r.i64());
+  cp.generation = read_int(r, "generation", 0);
   cp.rng_state = r.u64();
   cp.rng_inc = r.u64();
   cp.evaluations = r.u64();
   cp.cache_hits = r.u64();
-  cp.best_ever = r.f64();
-  cp.best_genome = read_genome(r);
-  cp.stale = static_cast<int>(r.i64());
+  cp.best_ever = read_finite(r, "best fitness");
+  cp.best_genome = read_genome(r, "best genome gene");
+  cp.stale = read_int(r, "stale count", 0);
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
-    cp.population.push_back(read_genome(r));
+    cp.population.push_back(read_genome(r, "population gene"));
   }
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
-    cp.fitness.push_back(r.f64());
+    cp.fitness.push_back(read_finite(r, "population fitness"));
   }
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
-    ga::Genome g = read_genome(r);
-    const double f = r.f64();
+    ga::Genome g = read_genome(r, "cached genome gene");
+    const double f = read_finite(r, "cached fitness");
     cp.cache.emplace_back(std::move(g), f);
   }
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
     ga::GenerationStats gs;
-    gs.generation = static_cast<int>(r.i64());
-    gs.best = r.f64();
-    gs.mean = r.f64();
-    gs.worst = r.f64();
-    gs.diversity = r.f64();
-    gs.best_genome = read_genome(r);
+    gs.generation = read_int(r, "history generation", 0);
+    gs.best = read_finite(r, "history best");
+    gs.mean = read_finite(r, "history mean");
+    gs.worst = read_finite(r, "history worst");
+    gs.diversity = read_finite(r, "history diversity");
+    gs.best_genome = read_genome(r, "history genome gene");
     cp.history.push_back(std::move(gs));
   }
   for (std::uint64_t i = 0, n = r.count(); i < n; ++i) {
-    cp.quarantine.push_back(read_genome(r));
+    cp.quarantine.push_back(read_genome(r, "quarantine key"));
   }
   if (!r.exhausted()) throw Error("checkpoint has trailing bytes (corrupted file)");
   return cp;

@@ -20,9 +20,9 @@ namespace ith::rt {
 
 class ICache {
  public:
-  /// Geometry: total bytes, line bytes, associativity. Line bytes and the
-  /// resulting set count must be powers of two, and bytes % (line*assoc)
-  /// == 0.
+  /// Geometry: total bytes, line bytes, associativity. Line bytes, the
+  /// associativity and the resulting set count must be powers of two, and
+  /// bytes % (line*assoc) == 0.
   ICache(std::size_t total_bytes, std::size_t line_bytes, std::size_t assoc);
 
   /// Looks up the line containing `address`; fills on miss. Returns true on
@@ -31,7 +31,7 @@ class ICache {
 
   /// Same as probe() for the line index `address / line_bytes()`.
   bool probe_line(std::uint64_t line) {
-    std::uint64_t* const ways = &lines_[(static_cast<std::size_t>(line) & set_mask_) * assoc_];
+    std::uint64_t* const ways = &lines_[(static_cast<std::size_t>(line) & set_mask_) << assoc_shift_];
     return ways[0] == line || probe_older(ways, line);
   }
 
@@ -47,6 +47,7 @@ class ICache {
   bool probe_older(std::uint64_t* ways, std::uint64_t line);
 
   std::size_t assoc_;
+  std::size_t assoc_shift_ = 0;  ///< log2(assoc_): a set's first way, without a multiply
   std::size_t set_mask_ = 0;
   std::uint64_t line_shift_ = 0;
   // lines_[set*assoc + rank] = line index, rank 0 most recent (kInvalid

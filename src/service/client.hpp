@@ -25,7 +25,7 @@
 //                      mismatch and mixing results would be wrong.
 //
 // Correctness under every rung is structural: suite results are a pure
-// function of the decision signature under a fixed fingerprint, so a local
+// function of the parameter vector under a fixed fingerprint, so a local
 // evaluation and a served result are bit-identical by construction, and the
 // tuner's winner cannot depend on which rung the client happened to be on.
 #pragma once
@@ -72,17 +72,17 @@ class ServiceClient final : public tuner::EvalBackend {
 
   // EvalBackend: never throws; every failure mode collapses to "compute
   // locally" (acquire -> nullopt / lease 0) or "queue for later" (publish).
-  std::optional<std::vector<tuner::BenchmarkResult>> acquire(std::uint64_t sig,
+  std::optional<std::vector<tuner::BenchmarkResult>> acquire(std::uint64_t key,
                                                              std::uint64_t* lease) override;
-  void publish(std::uint64_t sig, std::uint64_t lease,
+  void publish(std::uint64_t key, std::uint64_t lease,
                const std::vector<tuner::BenchmarkResult>& results) override;
 
-  /// Asks the daemon whether `sig` is quarantined. nullopt = unreachable.
-  std::optional<bool> query_quarantine(std::uint64_t sig);
-  /// Asks the daemon to lift the quarantine on `sig` (the cross-process
+  /// Asks the daemon whether `key` is quarantined. nullopt = unreachable.
+  std::optional<bool> query_quarantine(std::uint64_t key);
+  /// Asks the daemon to lift the quarantine on `key` (the cross-process
   /// face of SuiteEvaluator::release_quarantine). Returns whether the
   /// daemon actually released it; nullopt = unreachable.
-  std::optional<bool> release_quarantine(std::uint64_t sig);
+  std::optional<bool> release_quarantine(std::uint64_t key);
   /// Daemon-side svc.* counter snapshot. nullopt = unreachable.
   std::optional<std::vector<std::pair<std::string, std::uint64_t>>> stats();
 

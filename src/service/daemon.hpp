@@ -1,29 +1,33 @@
 // EvalDaemon: the tuning-as-a-service evaluation coordinator.
 //
-// One daemon owns the shared signature->results repository for a fleet of
-// tuning clients. Clients speak the framed protocol in protocol.hpp over a
+// One daemon owns the shared key->results repository for a fleet of
+// tuning clients. A key is SuiteEvaluator::backend_key, a hash of the
+// parameter vector, so the daemon never probes or walks anything: it is an
+// opaque-key store with leases. Under Adapt the results it stores and
+// serves carry their compile traces, which each client folds into its own
+// decision tries. Clients speak the framed protocol in protocol.hpp over a
 // unix domain socket; the daemon answers each acquire with either a cached
 // result, a *lease* (the caller owns the miss: compute locally, publish
 // back), or — when another client already holds the lease — by parking the
 // connection server-side until the leaseholder publishes. That park is the
-// cross-process single-flight: N clients asking for one uncached signature
-// cost the fleet exactly one real suite run.
+// cross-process single-flight: N clients asking for one uncached key cost
+// the fleet exactly one real suite run.
 //
 // Lease lifecycle invariant (asserted by tests and the fleet CI job):
 //
 //   leases_granted == leases_published + leases_reclaimed + leases_outstanding
 //
 // A lease held by a client that disconnects is *reclaimed* on the spot —
-// the signature becomes un-leased, every parked waiter is woken, and the
+// the key becomes un-leased, every parked waiter is woken, and the
 // first to wake is granted a fresh lease (re-dispatch). Leases are never
-// leaked (no signature stays permanently "in flight" for a dead client) and
+// leaked (no key stays permanently "in flight" for a dead client) and
 // never double-counted (a publish under a reclaimed lease id is accepted as
 // an unsolicited publish, not a second lease completion).
 //
-// Persistence: the repository snapshots to an ITHEVC2 file (the evaluator
+// Persistence: the repository snapshots to an ITHEVC3 file (the evaluator
 // cache format, through the same save_eval_cache, published with
-// codec::atomic_write_file; its params table is empty, since the daemon
-// sees signatures, never parameter vectors) every
+// codec::atomic_write_file; its entries are keyed by backend key and its
+// params table is empty) every
 // `snapshot_every` publishes and once more on graceful stop(), skipping
 // any snapshot whose repository has not changed since the last one
 // written. kill() simulates a crash — connections die, no final snapshot
@@ -33,7 +37,7 @@
 //
 // Fault injection: five FaultSite::kSvc* sites (accept, read, write,
 // dispatch, snapshot) keyed on stable identities (connection counter,
-// (conn, frame seq), signature, snapshot counter), so chaos campaigns are
+// (conn, frame seq), key, snapshot counter), so chaos campaigns are
 // replayable by seed like every other fault site in the repo.
 #pragma once
 
@@ -62,7 +66,7 @@ struct DaemonConfig {
   /// SuiteEvaluator::cache_fingerprint). A mismatching hello is rejected —
   /// results from different configurations must never mix.
   std::uint64_t fingerprint = 0;
-  /// ITHEVC2 snapshot file. Empty = no persistence. When the file exists at
+  /// ITHEVC3 snapshot file. Empty = no persistence. When the file exists at
   /// start(), it is loaded and federated into the repository.
   std::string snapshot_path;
   /// Publishes between periodic snapshots (0 = only the stop() snapshot).

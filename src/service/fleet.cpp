@@ -127,6 +127,7 @@ FleetReport run_fleet(const FleetConfig& config) {
       out.winner = result.best.to_string();
       out.fitness = result.best_fitness;
       out.real_evaluations = evaluator.evaluations_performed();
+      out.benchmark_runs = evaluator.benchmark_runs();
       out.ga_evaluations = result.ga.evaluations;
     });
   }
@@ -179,12 +180,13 @@ FleetReport run_fleet(const FleetConfig& config) {
 
   for (const FleetClientReport& c : report.clients) {
     report.fleet_real_evaluations += c.real_evaluations;
+    report.fleet_benchmark_runs += c.benchmark_runs;
   }
 
   if (config.verify_solo) {
     // The bit-identity check: the same tune with the daemon out of the
     // picture must land on the same winner — results are a pure function of
-    // the signature, so which process computed them cannot matter.
+    // the parameter vector, so which process computed them cannot matter.
     for (int i = 0; i < config.clients; ++i) {
       tuner::EvalConfig ec = config.eval;
       ec.obs = config.obs;
@@ -195,6 +197,8 @@ FleetReport run_fleet(const FleetConfig& config) {
       FleetClientReport& out = report.clients[static_cast<std::size_t>(i)];
       out.solo_winner = result.best.to_string();
       out.solo_real_evaluations = solo.evaluations_performed();
+      out.solo_benchmark_runs = solo.benchmark_runs();
+      report.solo_benchmark_runs += out.solo_benchmark_runs;
       out.solo_match = out.solo_winner == out.winner;
       report.solo_real_evaluations += out.solo_real_evaluations;
       report.winners_match = report.winners_match && out.solo_match;

@@ -3,8 +3,10 @@
 // bench_json --fleet, and the chaos-fleet CI leg.
 //
 // Each client is a full chaos_tune-style tune: its own SuiteEvaluator, its
-// own GA (seeded base_seed + i so the populations differ), plugged into the
-// shared daemon via a ServiceClient backend. The harness can kill the
+// own GA (seeded base_seed + i * seed_stride), plugged into the shared
+// daemon via a ServiceClient backend. The daemon keys results by parameter
+// vector; under Adapt they carry their compile traces, which each client
+// folds into its decision tries. The harness can kill the
 // daemon after a chosen client-0 generation and restart it one generation
 // later, which exercises the whole degradation ladder: in-flight requests
 // fail, clients back off and tune standalone, the restarted daemon reloads
@@ -16,7 +18,10 @@
 //     (verify_solo reruns each client without a backend and diffs), and
 //   - the fleet's total real suite evaluations are strictly fewer than the
 //     sum of the standalone runs' — sharing the repository is what the
-//     daemon is *for*.
+//     daemon is *for*. This holds for a fleet sharing one campaign; a
+//     heterogeneous fleet (seed_stride != 0) shares only the parameter
+//     vectors two clients both try, and CI checks it for winners and
+//     leases only.
 #pragma once
 
 #include <cstdint>
@@ -47,15 +52,16 @@ struct FleetConfig {
   /// client runs the *same* campaign, so the shared repository (and the
   /// cross-process single-flight) collapses N clients' suite runs onto
   /// one set of real evaluations. A non-zero stride models a heterogeneous
-  /// fleet; sharing then comes only from signature-space collisions.
+  /// fleet; sharing then comes only from parameter vectors two clients both
+  /// try and, under Adapt, from served traces a client's tries replay.
   std::uint64_t base_seed = 7;
   std::uint64_t seed_stride = 0;
   std::string socket_path = "fleet.sock";
-  /// Daemon persistence (ITHEVC2). Empty = in-memory only; the chaos leg
+  /// Daemon persistence (ITHEVC3). Empty = in-memory only; the chaos leg
   /// needs it, or there is nothing for the restarted daemon to reload.
   std::string snapshot_path;
   std::uint64_t snapshot_every = 4;
-  /// Foreign ITHEVC2 snapshots federated into the daemon before the run.
+  /// Foreign ITHEVC3 snapshots federated into the daemon before the run.
   std::vector<std::string> import_paths;
   /// Daemon-side infrastructure faults (the kSvc* sites).
   resilience::FaultPlan service_faults{};
@@ -76,12 +82,14 @@ struct FleetClientReport {
   std::string winner;
   double fitness = 0.0;
   std::uint64_t real_evaluations = 0;
+  std::uint64_t benchmark_runs = 0;
   std::uint64_t ga_evaluations = 0;
   bool fatally_degraded = false;
   std::size_t pending_unflushed = 0;  ///< publishes never re-federated
   // verify_solo only:
   std::string solo_winner;
   std::uint64_t solo_real_evaluations = 0;
+  std::uint64_t solo_benchmark_runs = 0;
   bool solo_match = true;
 };
 
@@ -89,6 +97,8 @@ struct FleetReport {
   std::vector<FleetClientReport> clients;
   std::uint64_t fleet_real_evaluations = 0;  ///< sum over clients
   std::uint64_t solo_real_evaluations = 0;   ///< sum; 0 unless verify_solo
+  std::uint64_t fleet_benchmark_runs = 0;    ///< sum over clients
+  std::uint64_t solo_benchmark_runs = 0;     ///< sum; 0 unless verify_solo
   /// Daemon stats summed over every instance this run started (2 when the
   /// chaos kill+restart fired, else 1).
   DaemonStats daemon;

@@ -6,18 +6,26 @@
 #include <cstring>
 
 #include "support/codec.hpp"
+#include "support/error.hpp"
 #include "tuner/eval_cache.hpp"
 
 namespace ith::svc {
 
 namespace {
 
-constexpr char kMagic[8] = {'I', 'T', 'H', 'S', 'V', 'P', '1', '\0'};
+constexpr char kMagic[8] = {'I', 'T', 'H', 'S', 'V', 'P', '2', '\0'};
 constexpr const char* kWhat = "service frame";
+
+/// A payload decodes whole or not at all: bytes left over mean the sender
+/// and this reader disagree on the message.
+void expect_exhausted(const codec::Reader& r) {
+  if (!r.exhausted()) throw Error("service frame has trailing bytes");
+}
 
 /// Frames larger than this are a protocol error, not an allocation: a
 /// corrupt size field must fail cleanly. Generous — the largest legitimate
-/// payload is a whole-suite result vector, a few KB.
+/// payload is a whole-suite result vector with its compile traces, tens of
+/// KB.
 constexpr std::uint64_t kMaxPayload = 64ull << 20;
 
 struct FrameHeader {
@@ -163,6 +171,7 @@ HelloMsg decode_hello(const std::string& payload) {
   m.fingerprint = r.u64();
   m.client_id = r.u64();
   m.name = r.str();
+  expect_exhausted(r);
   return m;
 }
 
@@ -190,7 +199,9 @@ std::string encode_u64(std::uint64_t v) {
 
 std::uint64_t decode_u64(const std::string& payload) {
   codec::Reader r(payload, kWhat);
-  return r.u64();
+  const std::uint64_t v = r.u64();
+  expect_exhausted(r);
+  return v;
 }
 
 std::string encode_u64_pair(std::uint64_t a, std::uint64_t b) {
@@ -204,6 +215,7 @@ std::pair<std::uint64_t, std::uint64_t> decode_u64_pair(const std::string& paylo
   codec::Reader r(payload, kWhat);
   const std::uint64_t a = r.u64();
   const std::uint64_t b = r.u64();
+  expect_exhausted(r);
   return {a, b};
 }
 
@@ -225,6 +237,7 @@ std::vector<std::pair<std::string, std::uint64_t>> decode_counters(const std::st
     const std::uint64_t value = r.u64();
     counters.emplace_back(std::move(name), value);
   }
+  expect_exhausted(r);
   return counters;
 }
 

@@ -3,7 +3,7 @@
 //
 // Every frame is
 //
-//   magic    8 bytes  "ITHSVP1\0"   (version bump = new magic)
+//   magic    8 bytes  "ITHSVP2\0"   (version bump = new magic)
 //   type     u32      MsgType
 //   reserved u32      0 (alignment / future flags)
 //   size     u64      payload byte count
@@ -13,13 +13,17 @@
 // A torn or bit-flipped frame fails loudly (bad magic or checksum
 // mismatch) instead of desynchronizing the stream. Payloads are encoded
 // with support/codec.hpp (decoders throw ith::Error("service frame
-// truncated")); result vectors ride as tuner::encode_results bytes, so a
-// served result is byte-identical to a snapshot entry.
+// truncated")); result vectors ride as tuner::encode_results bytes, compile
+// traces included, so a served result is byte-identical to a snapshot
+// entry. ITHSVP2 added the traces; an ITHSVP1 peer fails on bad magic.
 //
-// Conversations are strictly synchronous request/response per connection
-// (one outstanding request), which lets the daemon park a connection
-// server-side while a leased signature is being computed elsewhere — the
-// cross-process single-flight wait — without any frame interleaving rules.
+// The key every acquire, publish and quarantine message names is
+// SuiteEvaluator::backend_key, a hash of the parameter vector (it was the
+// suite signature under ITHSVP1). Conversations are strictly synchronous
+// request/response per connection (one outstanding request), which lets
+// the daemon park a connection server-side while a leased key is being
+// computed elsewhere — the cross-process single-flight wait — without any
+// frame interleaving rules.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +41,12 @@ enum class MsgType : std::uint32_t {
   kHello = 1,              ///< client: fingerprint + identity
   kHelloOk = 2,            ///< daemon: accepted (cache population attached)
   kHelloReject = 3,        ///< daemon: fingerprint mismatch — do not retry
-  kEvalAcquire = 4,        ///< client: signature lookup / lease request
+  kEvalAcquire = 4,        ///< client: key lookup / lease request
   kEvalResult = 5,         ///< daemon: cached (or just-published) results
   kEvalLease = 6,          ///< daemon: caller owns the miss; compute + publish
   kEvalPublish = 7,        ///< client: computed results (lease 0 = unsolicited)
   kPublishAck = 8,         ///< daemon: publish accepted / deduplicated
-  kQuarantineQuery = 9,    ///< client: is this signature quarantined?
+  kQuarantineQuery = 9,    ///< client: is this key quarantined?
   kQuarantineRelease = 10, ///< client: lift the quarantine + drop the entry
   kQuarantineState = 11,   ///< daemon: reply to query/release
   kStats = 12,             ///< client: request the svc.* counter snapshot
@@ -89,6 +93,7 @@ std::string encode_hello(const HelloMsg& m);
 HelloMsg decode_hello(const std::string& payload);
 
 /// kEvalResult / kEvalPublish share this shape (publish adds the lease).
+/// `signature` is the backend key (SuiteEvaluator::backend_key).
 struct ResultsMsg {
   std::uint64_t signature = 0;
   std::uint64_t lease_id = 0;  ///< kEvalPublish only; 0 = unsolicited

@@ -46,7 +46,12 @@ RetuneDecision OnlineController::consider(const heur::InlineParams& candidate) {
   if (obs != nullptr) obs->counter("serve.retune.considered").add(1);
 
   RetuneDecision d;
+  // Where a signature names recorded runs, resolving it may run the
+  // candidate; a quarantine that run just set is this consideration's
+  // verdict, not an earlier one to retry.
+  const std::uint64_t evaluations = shadow_.evaluations_performed();
   d.signature = shadow_.signature_of(candidate);
+  const bool just_ran = shadow_.evaluations_performed() != evaluations;
 
   // Gate 1: identical decisions => identical code; an install would be a
   // recompilation storm buying nothing.
@@ -58,7 +63,7 @@ RetuneDecision OnlineController::consider(const heur::InlineParams& candidate) {
   }
 
   // Gate 2: one release+re-run per quarantined signature.
-  if (config_.retry_quarantined && shadow_.is_quarantined(d.signature) &&
+  if (config_.retry_quarantined && !just_ran && shadow_.is_quarantined(d.signature) &&
       released_.insert(d.signature).second) {
     if (shadow_.release_quarantine(d.signature)) {
       d.released_quarantine = true;
@@ -68,6 +73,9 @@ RetuneDecision OnlineController::consider(const heur::InlineParams& candidate) {
   }
 
   const tuner::SuiteEvaluator::Results results = shadow_.evaluate(candidate);
+  // A re-run after a release records runs the failure did not, and so
+  // can give the candidate another signature.
+  if (d.released_quarantine) d.signature = shadow_.signature_of(candidate);
   d.fitness = fitness_of(results);
   d.predicted_worst = predict_worst(*results);
 

@@ -1,6 +1,6 @@
 // Binary codec shared by every checksummed format the tuner persists or
-// ships: the ITHEVC2 evaluation cache, the ITHGACP1 GA checkpoint and the
-// ITHSVP1 service-frame payloads. Each of those is only a payload schema
+// ships: the ITHEVC3 evaluation cache, the ITHGACP1 GA checkpoint and the
+// ITHSVP2 service-frame payloads. Each of those is only a payload schema
 // over this file; the encoding, the checksum and the file envelope live
 // here and nowhere else.
 //
@@ -10,7 +10,7 @@
 //
 // File envelope (save_sealed / load_sealed):
 //
-//   magic    8 bytes   format tag, e.g. "ITHEVC2\0"
+//   magic    8 bytes   format tag, e.g. "ITHEVC3\0"
 //   size     u64       payload byte count
 //   checksum u64       FNV-1a over the payload
 //   payload  size bytes

@@ -7,7 +7,7 @@
 // stores recorded runs as paths of compile events (vm::CompileEvent): a
 // node holds the next compile's method, tier and hot-site set, which the
 // verdicts on the path to it fix; an edge is keyed by that compile's
-// verdict bytes; a leaf holds the run's ok result.
+// verdict bytes; a leaf holds the run's ok result and its run key.
 //
 // find() walks the trie for a candidate: at each node it asks for the
 // candidate's verdicts at the node's method under the node's hot set and
@@ -17,16 +17,21 @@
 // bit. Falling off the trie proves nothing; the caller runs the benchmark
 // and inserts its trace.
 //
+// The run key (run_key()) hashes a compile path's content, so a walk that
+// reaches a leaf and a run that records the same path name the same key in
+// any process. Under Adapt it is the evaluator's per-benchmark cache key
+// (DESIGN.md §10).
+//
 // Thread-safe: insert() holds the lock throughout; find() holds it only
 // between verdict checks, since a node never changes once published and
 // edges only grow.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,10 @@
 
 namespace ith::tuner {
 
+/// Content hash of a compile path: per event the method, tier, hot sites
+/// and verdict bytes.
+std::uint64_t run_key(const CompileTrace& trace);
+
 class DecisionTrie {
  public:
   /// The candidate's verdict bytes for compiling `method` while the sites
@@ -42,15 +51,22 @@ class DecisionTrie {
   using Verdicts = std::function<std::string(bc::MethodId method,
                                              const std::vector<std::uint64_t>& hot_sites)>;
 
-  /// The result of the recorded run whose every compile event `verdicts`
-  /// agrees with, or nullopt when the walk falls off the trie.
-  std::optional<BenchmarkResult> find(const Verdicts& verdicts) const;
+  using Leaf = RecordedRun;
 
+  /// The leaf of the recorded run whose every compile event `verdicts`
+  /// agrees with, or null when the walk falls off the trie. Leaves live as
+  /// long as the trie.
+  const Leaf* find(const Verdicts& verdicts) const;
+
+  struct Inserted {
+    const Leaf* leaf = nullptr;  ///< the run's leaf, new or already there
+    std::size_t bytes = 0;       ///< bytes the insert added (see bytes())
+  };
   /// Records one ok run: its compile trace and its result. Throws
-  /// ith::Error, a bug, when the trace contradicts a recorded path: a
-  /// different compile event where the path already has one, or a different
-  /// result at its leaf. Returns the bytes the insert added (see bytes()).
-  std::size_t insert(const std::vector<vm::CompileEvent>& trace, const BenchmarkResult& result);
+  /// ith::Error, having changed nothing, when the trace contradicts a
+  /// recorded path: a different compile event where the path already has
+  /// one, or a different result at its leaf (BenchmarkResult::trace aside).
+  Inserted insert(const CompileTrace& trace, const BenchmarkResult& result);
 
   /// Approximate payload bytes held: nodes, hot sets and verdict keys.
   std::size_t bytes() const;
@@ -58,7 +74,7 @@ class DecisionTrie {
  private:
   /// An event node holds the next compile (method, tier, hot_sites); its
   /// children, one per verdict string seen there, form a sibling list. A
-  /// leaf holds only a result. `verdicts` keys the edge from the parent.
+  /// leaf holds only a Leaf. `verdicts` keys the edge from the parent.
   struct Node {
     bc::MethodId method = -1;
     rt::Tier tier = rt::Tier::kOpt;
@@ -66,12 +82,12 @@ class DecisionTrie {
     std::string verdicts;
     std::unique_ptr<Node> first_child;
     std::unique_ptr<Node> next_sibling;
-    std::unique_ptr<const BenchmarkResult> result;  ///< non-null exactly in leaves
+    std::unique_ptr<const Leaf> leaf;  ///< non-null exactly in leaves
   };
 
   /// The node for position k of `trace`: its event, or the leaf past the
   /// end. Adds its size to bytes_.
-  std::unique_ptr<Node> make_node(const std::vector<vm::CompileEvent>& trace, std::size_t k,
+  std::unique_ptr<Node> make_node(const CompileTrace& trace, std::size_t k,
                                   const BenchmarkResult& result);
 
   mutable std::mutex mu_;

@@ -2,19 +2,25 @@
 // SuiteEvaluator's signature->results map, the quarantine and the params ->
 // per-workload keys table) to a single binary file, so a later tuning run
 // against the same evaluator configuration starts warm: it skips every
-// suite execution it has already paid for and every probe of a parameter
-// vector it has already seen. Format "ITHEVC2", a payload schema inside the
-// support/codec.hpp file envelope:
+// suite execution it has already paid for and every resolution of a
+// parameter vector it has already seen. Format "ITHEVC3", a payload schema
+// inside the support/codec.hpp file envelope:
 //
 //   fingerprint  u64
+//   traces       count, then per trace: event count, then per event:
+//                method i64, tier u64, hot-site count, hot sites u64
+//                (strictly ascending), verdicts
 //   entries      count, then per entry: signature u64, results
 //   quarantined  count, then one signature u64 each
 //   params       count, then per row: InlineParams::kNumParams i64 values,
 //                key count, then per key: value u64, exact u64 (0 or 1)
 //
 // where results is a count and per result: name, running, total and
-// compile cycles, outcome kind/budget/trap, detail, attempts. The first
-// three sections are ITHEVC1's payload; ITHEVC1 files are not read (their
+// compile cycles, outcome kind/budget/trap, detail, attempts, and a trace
+// reference (0 = none, k = the k-th trace). The trace table holds each
+// distinct trace once, numbered in order of first reference; only Adapt
+// results carry traces (they are Adapt's keys, and restore() rebuilds the
+// decision tries from them). ITHEVC1 and ITHEVC2 files are not read (their
 // magic is rejected, and a tool that finds one starts cold).
 //
 // The configuration fingerprint inside the snapshot is what makes reuse
@@ -37,9 +43,13 @@ namespace ith::tuner {
 void save_eval_cache(const std::string& path, const EvalCacheSnapshot& snap);
 
 /// Loads and validates a cache file. Throws ith::Error with a distinct
-/// message for each failure mode: unopenable file, bad magic (an ITHEVC1
-/// file included), truncation, trailing bytes, checksum mismatch, a params
-/// table value out of range. Fingerprint compatibility is *not*
+/// message for each failure mode: unopenable file, bad magic (ITHEVC1 and
+/// ITHEVC2 files included), truncation, trailing bytes, checksum mismatch,
+/// and a value the bytes alone show is invalid: a params table value or an
+/// attempt count out of range, an outcome, budget, trap or tier enum out
+/// of range, hot sites not strictly ascending, a trace reference out of
+/// order or range, or an unreferenced trace. Method ids are checked against
+/// the programs by SuiteEvaluator::restore(). Fingerprint compatibility is *not*
 /// checked here — that is SuiteEvaluator::restore()'s job, against the live
 /// configuration. A stale `path + ".tmp"` sibling (a partially written save
 /// abandoned by a crash) is removed first — rename() already guarantees the
@@ -51,13 +61,13 @@ EvalCacheSnapshot load_eval_cache(const std::string& path);
 /// this itself; exposed so daemons can sweep before their first save too.
 bool remove_stale_eval_cache_tmp(const std::string& path);
 
-/// Wire encoding of one suite-run result vector (count + per-result
-/// fields) — byte-identical to how snapshot entries embed results, and the
-/// payload encoding the evaluation-service protocol ships per signature.
+/// Wire encoding of one suite-run result vector: the traces it references,
+/// then count + per-result fields as snapshot entries embed them. The
+/// payload encoding the evaluation-service protocol ships per key.
 std::string encode_results(const std::vector<BenchmarkResult>& results);
 
-/// Inverse of encode_results. Throws ith::Error on truncation or trailing
-/// bytes.
+/// Inverse of encode_results. Throws ith::Error on truncation, trailing
+/// bytes or any value load_eval_cache refuses.
 std::vector<BenchmarkResult> decode_results(std::string_view bytes);
 
 /// Federation: merging two snapshots of the same configuration.

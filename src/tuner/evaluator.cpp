@@ -60,9 +60,13 @@ std::uint64_t hash_program(const bc::Program& prog) {
     h = mix_u64(h, static_cast<std::uint64_t>(m.num_args()));
     h = mix_u64(h, static_cast<std::uint64_t>(m.num_locals()));
     for (const bc::Instruction& insn : m.code()) {
-      h = mix_u64(h, static_cast<std::uint64_t>(insn.op));
-      h = mix_u64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.a)));
-      h = mix_u64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.b)));
+      // One mix per instruction: a and b fill the word, and the opcode
+      // times an odd constant (injective mod 2^64) is folded over it, so a
+      // change to any one of the three changes the word.
+      const std::uint64_t operands = static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.a)) |
+                                     static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.b))
+                                         << 32;
+      h = mix_u64(h, operands ^ (static_cast<std::uint64_t>(insn.op) * 0x9e3779b97f4a7c15ULL));
     }
   }
   return h;
@@ -84,12 +88,15 @@ SuiteEvaluator::SuiteEvaluator(std::vector<wl::Workload> suite, EvalConfig confi
   memo_ = std::make_unique<opt::BodyMemo>(std::move(programs), pipeline,
                                           config_.vm_config.inline_limits, config_.obs,
                                           memo_budget_bytes);
+  inlines_ = pipeline.has_pass("inline");
   // The condition under which VirtualMachine gives each compile a probe
   // walk, and so records its compile trace.
-  traced_ = opt::BodyMemo::supports(pipeline) && pipeline.has_pass("inline");
+  traced_ = opt::BodyMemo::supports(pipeline) && inlines_;
   for (std::size_t i = 0; i < suite_.size(); ++i) {
     tries_.push_back(std::make_unique<DecisionTrie>());
   }
+  bench_busy_.assign(suite_.size(), 0);
+  bench_runs_done_.assign(suite_.size(), 0);
 }
 
 SuiteEvaluator::~SuiteEvaluator() = default;
@@ -99,8 +106,23 @@ bool SuiteEvaluator::replay_enabled() const {
   return traced_ && (plan == nullptr || !plan->armed());
 }
 
-std::optional<BenchmarkResult> SuiteEvaluator::find_replay(std::size_t i,
-                                                           const heur::InlineParams& params) {
+bool SuiteEvaluator::keys_from_runs() const {
+  return config_.scenario == vm::Scenario::kAdapt && replay_enabled();
+}
+
+std::uint64_t SuiteEvaluator::backend_key(const heur::InlineParams& params) {
+  std::uint64_t h = codec::fnv1a("ith-params-key-v1");
+  for (const int v : params.to_array()) {
+    h = mix_u64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
+  }
+  return h;
+}
+
+WorkloadKey SuiteEvaluator::params_key(const heur::InlineParams& params) {
+  return WorkloadKey{backend_key(params), /*exact=*/false};
+}
+
+const RecordedRun* SuiteEvaluator::walk(std::size_t i, const heur::InlineParams& params) const {
   const std::unique_ptr<heur::InlineHeuristic> h = heur::make_jikes(params);
   const opt::ProbeFacts& facts = memo_->facts(static_cast<int>(i));
   const bool adaptive = config_.scenario == vm::Scenario::kAdapt;
@@ -128,11 +150,29 @@ std::optional<BenchmarkResult> SuiteEvaluator::find_replay(std::size_t i,
   });
 }
 
-std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
-                                           const HeuristicFactory& make_heuristic,
-                                           const std::vector<std::uint64_t>& salts,
-                                           bool allow_faults, const heur::InlineParams* replay,
-                                           std::vector<BenchmarkResult>& results) {
+const RecordedRun* SuiteEvaluator::record(std::size_t i,
+                                          std::shared_ptr<const CompileTrace> trace,
+                                          const BenchmarkResult& result) {
+  const std::size_t methods = suite_[i].program.num_methods();
+  for (const vm::CompileEvent& e : *trace) {
+    ITH_CHECK(e.method >= 0 && static_cast<std::size_t>(e.method) < methods,
+              "compile trace of " + suite_[i].name + " names method " + std::to_string(e.method) +
+                  ", which its program lacks");
+  }
+  // Under Adapt the trace is the key, so results carry it: snapshots and
+  // the backend ship it, and a receiver's tries replay it.
+  BenchmarkResult stored = result;
+  stored.trace = config_.scenario == vm::Scenario::kAdapt ? trace : nullptr;
+  const DecisionTrie::Inserted ins = tries_[i]->insert(*trace, stored);
+  if (config_.obs != nullptr) config_.obs->counter("eval.replay_trie_bytes").add(ins.bytes);
+  return ins.leaf;
+}
+
+void SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which,
+                                    const HeuristicFactory& make_heuristic,
+                                    const std::vector<std::uint64_t>& salts, bool allow_faults,
+                                    std::vector<WorkloadKey>* keys,
+                                    std::vector<BenchmarkResult>& results) {
   obs::Context* const obs = config_.obs;
   const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
   obs::ScopedSpan suite_span(obs, obs::Category::kEval, "eval.suite",
@@ -141,34 +181,21 @@ std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which
   const resilience::FaultPlan* const plan = allow_faults ? config_.vm_config.faults : nullptr;
   const bool compile_faults = plan != nullptr && plan->armed() &&
                               plan->enabled(resilience::FaultSite::kCompileInflate);
-  std::atomic<std::size_t> replayed{0};
-  // One benchmark, start to finish, on whichever thread runs it: its
-  // replay check, its own heuristic (prepare() rewrites per-program state,
-  // so concurrent VMs cannot share one), its retry loop and its eval.bench
+  const bool adapt = config_.scenario == vm::Scenario::kAdapt;
+  // One benchmark, start to finish, on whichever thread runs it: its own
+  // heuristic (prepare() rewrites per-program state, so concurrent VMs
+  // cannot share one), its retry loop, its recording and its eval.bench
   // span.
   const auto run_benchmark = [&](std::size_t i) {
     const wl::Workload& w = suite_[i];
     const std::uint64_t t0 = obs != nullptr ? obs->host_now_us() : 0;
-    if (replay != nullptr) {
-      std::optional<BenchmarkResult> hit = find_replay(i, *replay);
-      if (obs != nullptr) obs->counter("eval.replay_us").add(obs->host_now_us() - t0);
-      if (hit.has_value()) {
-        results[i] = std::move(*hit);
-        replayed.fetch_add(1, std::memory_order_relaxed);
-        if (trace) {
-          obs->complete(obs::Category::kEval, "eval.replay", obs::Domain::kHost, t0,
-                        obs->host_now_us() - t0,
-                        {{"bench", w.name}, {"total_cycles", results[i].total_cycles}});
-        }
-        return;
-      }
-    }
     const std::unique_ptr<heur::InlineHeuristic> h = make_heuristic();
     ITH_CHECK(h != nullptr, "heuristic factory returned null");
     BenchmarkResult& br = results[i];
+    br = BenchmarkResult{};
     br.name = w.name;
 
-    std::vector<vm::CompileEvent> compile_trace;
+    CompileTrace compile_trace;
     const int max_attempts = 1 + config_.max_retries;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       vm::VmConfig cfg = config_.vm_config;
@@ -203,9 +230,11 @@ std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which
       break;  // final failure: penalized result (cycle fields stay zero)
     }
 
-    if (replay != nullptr && br.outcome.ok() && br.attempts == 1) {
-      const std::size_t added = tries_[i]->insert(compile_trace, br);
-      if (obs != nullptr) obs->counter("eval.replay_trie_bytes").add(added);
+    if (keys != nullptr && br.outcome.ok() && br.attempts == 1) {
+      const RecordedRun* const run =
+          record(i, std::make_shared<const CompileTrace>(std::move(compile_trace)), br);
+      br = run->result;
+      if (adapt) (*keys)[i] = WorkloadKey{run->key, /*exact=*/true};
     }
     if (obs != nullptr) obs->counter(outcome_counter(br.outcome)).add(1);
     if (trace) {
@@ -227,7 +256,7 @@ std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which
   // would run alone at the end.
   if (which.size() == 1) {
     run_benchmark(which[0]);
-    return replayed.load();
+    return;
   }
   std::vector<std::size_t> order;
   {
@@ -244,7 +273,6 @@ std::size_t SuiteEvaluator::run_benchmarks(const std::vector<std::size_t>& which
   }
   ThreadPool::shared().parallel_for(order.size(),
                                     [&](std::size_t k) { run_benchmark(order[k]); });
-  return replayed.load();
 }
 
 void SuiteEvaluator::note_dispatch_order(const std::vector<BenchmarkResult>& results) {
@@ -265,7 +293,7 @@ std::vector<BenchmarkResult> SuiteEvaluator::evaluate_heuristic(
   std::iota(all.begin(), all.end(), std::size_t{0});
   std::vector<BenchmarkResult> results(suite_.size());
   run_benchmarks(all, make_heuristic, std::vector<std::uint64_t>(suite_.size(), fault_salt),
-                 /*allow_faults=*/true, /*replay=*/nullptr, results);
+                 /*allow_faults=*/true, /*keys=*/nullptr, results);
   std::lock_guard<std::mutex> lock(mu_);
   note_dispatch_order(results);
   return results;
@@ -298,29 +326,31 @@ SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
   Probed probed;
   bool exact = true;
   std::uint64_t consultations = 0;
-  std::uint64_t forks = 0;
-  if (config_.vm_config.effective_pipeline().has_pass("inline")) {
+  if (inlines_ && config_.scenario == vm::Scenario::kAdapt) {
+    // Adapt without recorded runs: no key needs a run, and none collapses.
+    probed.keys.assign(suite_.size(), params_key(params));
+  } else if (inlines_) {
+    // Opt's single all-cold walk. One walk per workload, each a pure
+    // function of its program and writing only its own slot, so they run at
+    // once and the caller waits for the slowest; a lone workload walks on
+    // the caller and never builds the pool.
     opt::SignatureOptions opts;
-    opts.adaptive = config_.scenario == vm::Scenario::kAdapt;
-    // One walk per workload, each a pure function of its program and writing
-    // only its own slot, so they run at once and the caller waits for the
-    // slowest; a lone workload walks on the caller and never builds the pool.
+    opts.adaptive = false;
     std::vector<opt::SignatureResult> walks(suite_.size());
-    const auto walk = [&](std::size_t i) {
+    const auto walk_one = [&](std::size_t i) {
       walks[i] = opt::decision_signature(suite_[i].program, memo_->facts(static_cast<int>(i)),
                                          params, config_.vm_config.inline_limits, opts);
     };
     if (suite_.size() == 1) {
-      walk(0);
+      walk_one(0);
     } else {
-      ThreadPool::shared().parallel_for(suite_.size(), walk);
+      ThreadPool::shared().parallel_for(suite_.size(), walk_one);
     }
     probed.keys.reserve(walks.size());
     for (const opt::SignatureResult& r : walks) {
       probed.keys.push_back(WorkloadKey{r.value, r.exact});
       exact = exact && r.exact;
       consultations += r.consultations;
-      forks += r.forks;
     }
   }
   probed.sig = suite_signature(probed.keys);
@@ -335,7 +365,6 @@ SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
                     {{"params", params.to_string()},
                      {"signature", static_cast<std::int64_t>(probed.sig)},
                      {"consultations", consultations},
-                     {"forks", forks},
                      {"exact", exact}});
     }
   }
@@ -356,205 +385,336 @@ SuiteEvaluator::Probed SuiteEvaluator::probe(const heur::InlineParams& params) {
 }
 
 SuiteEvaluator::Signature SuiteEvaluator::signature_of(const heur::InlineParams& params) {
+  if (keys_from_runs()) return resolve(params, /*baseline=*/false, traced_events(params)).probed.sig;
   return probe(params).sig;
 }
 
 std::vector<WorkloadKey> SuiteEvaluator::workload_keys(const heur::InlineParams& params) {
+  if (keys_from_runs()) {
+    return resolve(params, /*baseline=*/false, traced_events(params)).probed.keys;
+  }
   return probe(params).keys;
 }
 
-SuiteEvaluator::Results SuiteEvaluator::evaluate_signature(
-    const heur::InlineParams& params, const Probed& probed, bool baseline,
-    const std::function<void(const char*)>& cache_event) {
-  obs::Context* const obs = config_.obs;
-  const Signature sig = probed.sig;
-  const bool allow_quarantine = !baseline;
-  bool quarantined = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool waited = false;
-    for (;;) {
-      const auto it = cache_.find(sig);
-      if (it != cache_.end()) {
-        cache_event(waited ? "eval.singleflight_wait" : "eval.cache_hit");
-        return it->second;
+bool SuiteEvaluator::adopt(const std::vector<BenchmarkResult>& remote,
+                           std::vector<BenchmarkResult>& results, std::vector<WorkloadKey>& keys) {
+  const std::size_t n = suite_.size();
+  if (remote.size() != n) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (remote[i].name != suite_[i].name) return false;
+  }
+  std::vector<BenchmarkResult> adopted = remote;
+  std::vector<WorkloadKey> adopted_keys = keys;
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      BenchmarkResult& br = adopted[i];
+      const bool recordable =
+          br.trace != nullptr && br.outcome.ok() && br.attempts == 1 && keys_from_runs();
+      if (!recordable) {
+        br.trace = nullptr;
+        continue;
       }
-      // Single-flight: if another thread is already evaluating this
-      // signature, wait for its result instead of running the whole suite
-      // again.
-      if (in_flight_.find(sig) == in_flight_.end()) break;
+      const RecordedRun* const run = record(i, br.trace, br);
+      br = run->result;
+      adopted_keys[i] = WorkloadKey{run->key, /*exact=*/true};
+    }
+  } catch (const Error&) {
+    // A served trace that does not fit this suite's programs or tries: the
+    // backend is not to be trusted with this result, so compute locally.
+    if (config_.obs != nullptr) config_.obs->counter("eval.remote_rejected").add(1);
+    return false;
+  }
+  results = std::move(adopted);
+  keys = std::move(adopted_keys);
+  return true;
+}
+
+SuiteEvaluator::CacheEvent SuiteEvaluator::traced_events(const heur::InlineParams& params) const {
+  obs::Context* const obs = config_.obs;
+  if (obs == nullptr) return [](const char*, Signature) {};
+  const bool trace = obs->enabled(obs::Category::kEval);
+  return [obs, trace, params](const char* what, Signature sig) {
+    if (trace) {
+      obs->instant(obs::Category::kEval, what, obs::Domain::kHost, obs->host_now_us(),
+                   {{"params", params.to_string()}, {"signature", static_cast<std::int64_t>(sig)}});
+    }
+    obs->counter(what).add(1);
+    obs->counter(std::string_view(what) == "eval.cache_miss" ? "sig.misses" : "sig.hits").add(1);
+  };
+}
+
+SuiteEvaluator::Resolved SuiteEvaluator::resolve(const heur::InlineParams& params, bool baseline,
+                                                 const CacheEvent& cache_event) {
+  obs::Context* const obs = config_.obs;
+  const ParamKey pk = params.to_array();
+  const std::size_t n = suite_.size();
+  const bool from_runs = keys_from_runs();
+  bool waited = false;
+  {
+    // Identical params wait for each other: the owner's result is this
+    // call's result.
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      const auto row = param_sigs_.find(pk);
+      if (row != param_sigs_.end()) {
+        const auto hit = cache_.find(row->second.sig);
+        if (hit != cache_.end()) {
+          cache_event(waited ? "eval.singleflight_wait" : "eval.cache_hit", row->second.sig);
+          return Resolved{row->second, hit->second};
+        }
+      }
+      if (params_in_flight_.find(pk) == params_in_flight_.end()) break;
       waited = true;
       cv_.wait(lock);
     }
-    in_flight_.insert(sig);
-    quarantined = allow_quarantine && quarantine_.find(sig) != quarantine_.end();
+    params_in_flight_.insert(pk);
   }
 
-  // From here until the signature is cached, *any* exit — including a
+  // From here until the result is cached, *any* exit — including a
   // throwing trace sink inside cache_event or a benchmark run — must
-  // release it, or single-flight waiters block forever. RAII, not a catch
-  // block, so no path can be missed. (Local classes have the enclosing
-  // member function's access rights, hence the private member touches.)
+  // release the params and every benchmark claimed, or waiters block
+  // forever. RAII, not a catch block, so no path can be missed. (Local
+  // classes have the enclosing member function's access rights, hence the
+  // private member touches.)
   struct InFlightRelease {
     SuiteEvaluator* self;
-    Signature sig;
+    ParamKey params;
+    std::vector<std::size_t> claimed;
     bool armed = true;
+    /// Caller holds mu_.
+    void release_locked() {
+      self->params_in_flight_.erase(params);
+      for (const std::size_t i : claimed) {
+        self->bench_busy_[i] = 0;
+        ++self->bench_runs_done_[i];
+      }
+      armed = false;
+      self->cv_.notify_all();
+    }
     ~InFlightRelease() {
       if (!armed) return;
       std::lock_guard<std::mutex> lock(self->mu_);
-      self->in_flight_.erase(sig);
-      self->cv_.notify_all();
+      release_locked();
     }
-  } release{this, sig};
+  } release{this, pk, {}};
 
-  const auto quarantine_if_failed = [&](const std::vector<BenchmarkResult>& rs) {
-    const bool any_failed = std::any_of(rs.begin(), rs.end(),
-                                        [](const BenchmarkResult& r) { return !r.outcome.ok(); });
-    if (allow_quarantine && any_failed) {
-      if (obs != nullptr) obs->counter("resil.quarantined").add(1);
-      std::lock_guard<std::mutex> lock(mu_);
-      quarantine_.insert(sig);
-    }
-  };
-  // Ok results enter the per-benchmark store under their workload keys;
-  // a result vector that does not line up with the suite is not indexed.
-  const auto store_ok = [&](const std::vector<BenchmarkResult>& rs) {
-    if (probed.keys.empty() || rs.size() != suite_.size()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (rs[i].outcome.ok() && rs[i].name == suite_[i].name) {
-        bench_store_.emplace(std::make_pair(i, probed.keys[i]), rs[i]);
+  // Keys before any run: the walks overwrite the ones they resolve.
+  std::vector<WorkloadKey> keys;
+  if (from_runs) {
+    keys.assign(n, params_key(params));
+  } else {
+    keys = probe(params).keys;
+  }
+
+  std::vector<BenchmarkResult> results(n);
+  std::vector<char> have(n, 0);
+  // bench_runs_done_ when this call last walked each benchmark (never yet:
+  // a count no benchmark reaches).
+  std::vector<std::uint64_t> walked_at(n, ~std::uint64_t{0});
+  std::vector<std::size_t> missing;
+  std::size_t walked = 0;
+  std::size_t stored = 0;
+  bool probed = false;  // the first walks are this params' level-1 probe
+  bool quarantined = false;
+  const bool replay = replay_enabled();
+  const bool store_keyed = !from_runs && inlines_;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      const Signature sig = suite_signature(keys);
+      const auto hit = cache_.find(sig);
+      if (hit != cache_.end()) {
+        // Every key is known and an earlier suite had them all: collapse.
+        Probed& row = param_sigs_.insert_or_assign(pk, Probed{sig, keys}).first->second;
+        benchmark_replays_ += walked;
+        if (obs != nullptr && walked > 0) {
+          obs->counter("eval.bench_replayed").add(walked);
+          obs->counter("sig.collapsed").add(1);
+        }
+        cache_event(waited ? "eval.singleflight_wait" : "eval.cache_hit", sig);
+        release.release_locked();
+        return Resolved{row, hit->second};
       }
+      if (!baseline && quarantine_.find(sig) != quarantine_.end()) {
+        quarantined = true;
+        break;
+      }
+      if (store_keyed) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (have[i] != 0) continue;
+          const auto it = bench_store_.find(std::make_pair(i, keys[i]));
+          if (it != bench_store_.end()) {
+            results[i] = it->second;
+            have[i] = 1;
+            ++stored;
+          }
+        }
+      }
+      // Walk every benchmark not yet resolved whose trie gained a run since
+      // this call last walked it (all of them the first time).
+      std::vector<std::size_t> to_walk;
+      if (replay) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (have[i] == 0 && bench_runs_done_[i] != walked_at[i]) {
+            to_walk.push_back(i);
+            walked_at[i] = bench_runs_done_[i];
+          }
+        }
+      }
+      if (!to_walk.empty()) {
+        lock.unlock();
+        record_restored();
+        const std::uint64_t t0 = obs != nullptr ? obs->host_now_us() : 0;
+        std::vector<const RecordedRun*> found(n, nullptr);
+        const auto walk_one = [&](std::size_t k) { found[to_walk[k]] = walk(to_walk[k], params); };
+        if (to_walk.size() == 1) {
+          walk_one(0);
+        } else {
+          ThreadPool::shared().parallel_for(to_walk.size(), walk_one);
+        }
+        for (const std::size_t i : to_walk) {
+          if (found[i] == nullptr) continue;
+          results[i] = found[i]->result;
+          if (from_runs) keys[i] = WorkloadKey{found[i]->key, /*exact=*/true};
+          have[i] = 1;
+          ++walked;
+        }
+        if (obs != nullptr) {
+          const std::uint64_t dur = obs->host_now_us() - t0;
+          obs->counter("eval.replay_us").add(dur);
+          if (from_runs && !probed) {
+            obs->counter("sig.probes").add(1);
+            obs->counter("sig.probe_us").add(dur);
+            if (obs->enabled(obs::Category::kEval)) {
+              obs->complete(obs::Category::kEval, "sig.probe", obs::Domain::kHost, t0, dur,
+                            {{"params", params.to_string()},
+                             {"walks", to_walk.size()},
+                             {"replayed", walked}});
+            }
+          }
+        }
+        probed = true;
+        lock.lock();
+        continue;
+      }
+      missing.clear();
+      bool busy = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (have[i] != 0) continue;
+        missing.push_back(i);
+        busy = busy || bench_busy_[i] != 0;
+      }
+      // All or nothing: a call never holds one benchmark while it waits for
+      // another, so two calls cannot wait on each other.
+      if (busy) {
+        waited = true;
+        cv_.wait(lock);
+        continue;
+      }
+      for (const std::size_t i : missing) bench_busy_[i] = 1;
+      release.claimed = missing;
+      break;
+    }
+  }
+
+  const auto store_ok = [&](const std::vector<BenchmarkResult>& rs) {
+    if (!store_keyed) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rs[i].outcome.ok()) bench_store_.emplace(std::make_pair(i, keys[i]), rs[i]);
     }
   };
 
-  const std::size_t n = suite_.size();
-  std::vector<BenchmarkResult> results;
+  std::size_t ran = 0;
   if (quarantined) {
     if (obs != nullptr) obs->counter("resil.quarantine_hits").add(1);
-    results.reserve(n);
-    for (const wl::Workload& w : suite_) {
-      BenchmarkResult br;
-      br.name = w.name;
+    for (std::size_t i = 0; i < n; ++i) {
+      BenchmarkResult& br = results[i];
+      br = BenchmarkResult{};
+      br.name = suite_[i].name;
       br.outcome = resilience::EvalOutcome::make_trap(resilience::TrapKind::kRuntime,
                                                       "quarantined");
       br.attempts = 0;
-      results.push_back(std::move(br));
     }
+  } else if (missing.empty()) {
+    // Every benchmark resolved without a run: a level-1 hit.
+    cache_event("eval.cache_hit", suite_signature(keys));
+    if (obs != nullptr) obs->counter("eval.bench_reused").add(stored);
   } else {
-    // Whatever the store already holds needs no run; only ok results are
-    // stored, so an assembled suite never inherits a failure.
-    results.resize(n);
-    std::vector<std::size_t> missing;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto it = probed.keys.empty()
-                            ? bench_store_.end()
-                            : bench_store_.find(std::make_pair(i, probed.keys[i]));
-        if (it != bench_store_.end()) {
-          results[i] = it->second;
-        } else {
-          missing.push_back(i);
-        }
-      }
-    }
-    bool have_results = missing.empty();
-    if (have_results) {
-      cache_event("eval.cache_hit");
-      if (obs != nullptr) obs->counter("eval.bench_reused").add(n);
-    }
     std::uint64_t backend_lease = 0;
-    if (!have_results && !baseline && config_.backend != nullptr) {
+    bool have_results = false;
+    if (!baseline && config_.backend != nullptr) {
       // Shared-cache consult, at suite granularity: another process may
-      // have already paid for this signature (or be computing it right now
+      // have already paid for these params (or be computing them right now
       // — acquire blocks through the daemon's cross-process single-flight).
       // The served bytes are bit-identical to a local run under the
       // matching fingerprint, so the quarantine decision mirrors the local
       // path exactly.
       if (std::optional<std::vector<BenchmarkResult>> remote =
-              config_.backend->acquire(sig, &backend_lease)) {
-        cache_event("eval.remote_hit");
-        results = std::move(*remote);
-        quarantine_if_failed(results);
-        store_ok(results);
-        have_results = true;
+              config_.backend->acquire(backend_key(params), &backend_lease)) {
+        have_results = adopt(*remote, results, keys);
+        if (have_results) cache_event("eval.remote_hit", suite_signature(keys));
       }
     }
     if (!have_results) {
-      cache_event("eval.cache_miss");
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++evaluations_performed_;
+      cache_event("eval.cache_miss", suite_signature(keys));
+      ran = missing.size();
+      if (obs != nullptr) {
+        obs->counter("eval.bench_reused").add(stored);
+        obs->counter("eval.bench_runs").add(ran);
       }
-      if (obs != nullptr) obs->counter("eval.bench_reused").add(n - missing.size());
-      // Each benchmark is salted with its own key, not the suite
+      // Each benchmark is salted with its own pre-run key, not the suite
       // signature: a stored result is then exactly what every suite
       // sharing that key would have drawn, whatever the evaluation order.
-      std::vector<std::uint64_t> salts(n, sig);
-      for (std::size_t i = 0; i < probed.keys.size(); ++i) salts[i] = probed.keys[i].salt();
-      const std::size_t replayed =
-          run_benchmarks(missing, [&params] { return heur::make_jikes(params); }, salts,
-                         /*allow_faults=*/!baseline, replay_enabled() ? &params : nullptr,
-                         results);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        benchmark_runs_ += missing.size() - replayed;
-        benchmark_replays_ += replayed;
-      }
-      if (obs != nullptr) {
-        obs->counter("eval.bench_runs").add(missing.size() - replayed);
-        obs->counter("eval.bench_replayed").add(replayed);
-      }
-      store_ok(results);
-      quarantine_if_failed(results);
+      std::vector<std::uint64_t> salts(n, suite_signature(keys));
+      for (std::size_t i = 0; i < keys.size(); ++i) salts[i] = keys[i].salt();
+      run_benchmarks(missing, [&params] { return heur::make_jikes(params); }, salts,
+                     /*allow_faults=*/!baseline, replay ? &keys : nullptr, results);
       // Report the freshly paid-for run back to the fleet, failures
       // included (the daemon runs the same quarantine rule server-side).
       // Best-effort: the backend absorbs I/O errors.
       if (!baseline && config_.backend != nullptr) {
-        config_.backend->publish(sig, backend_lease, results);
+        config_.backend->publish(backend_key(params), backend_lease, results);
       }
     }
   }
+  if (!quarantined) store_ok(results);
+  if (obs != nullptr && walked > 0) obs->counter("eval.bench_replayed").add(walked);
+
+  const Signature sig = suite_signature(keys);
+  const bool any_failed = std::any_of(results.begin(), results.end(),
+                                      [](const BenchmarkResult& r) { return !r.outcome.ok(); });
+  const bool quarantine_now = !baseline && !quarantined && any_failed;
+  if (quarantine_now && obs != nullptr) obs->counter("resil.quarantined").add(1);
 
   std::lock_guard<std::mutex> lock(mu_);
-  release.armed = false;  // the guard would deadlock re-locking mu_ from here
-  in_flight_.erase(sig);
+  if (quarantine_now) quarantine_.insert(sig);
+  if (ran > 0) ++evaluations_performed_;
+  benchmark_runs_ += ran;
+  benchmark_replays_ += walked;
   if (!quarantined) note_dispatch_order(results);
-  // Notify before emplace: if the insert throws, woken waiters re-check
+  Probed& row = param_sigs_.insert_or_assign(pk, Probed{sig, keys}).first->second;
+  // Release before emplace: if the insert throws, woken waiters re-check
   // under this same lock and simply become the new owner — no missed wakeup.
-  cv_.notify_all();
-  return cache_.emplace(sig, std::make_shared<std::vector<BenchmarkResult>>(std::move(results)))
-      .first->second;
+  release.release_locked();
+  return Resolved{
+      row, cache_.emplace(sig, std::make_shared<std::vector<BenchmarkResult>>(std::move(results)))
+               .first->second};
 }
 
 SuiteEvaluator::Results SuiteEvaluator::evaluate(const heur::InlineParams& params) {
-  obs::Context* const obs = config_.obs;
-  const bool trace = obs != nullptr && obs->enabled(obs::Category::kEval);
-  const Probed probed = probe(params);
-  const auto cache_event = [&](const char* what) {
-    if (trace) {
-      obs->instant(obs::Category::kEval, what, obs::Domain::kHost, obs->host_now_us(),
-                   {{"params", params.to_string()},
-                    {"signature", static_cast<std::int64_t>(probed.sig)}});
-    }
-    if (obs != nullptr) {
-      obs->counter(what).add(1);
-      obs->counter(std::string_view(what) == "eval.cache_miss" ? "sig.misses" : "sig.hits").add(1);
-    }
-  };
-  return evaluate_signature(params, probed, /*baseline=*/false, cache_event);
+  return resolve(params, /*baseline=*/false, traced_events(params)).results;
 }
 
 SuiteEvaluator::Results SuiteEvaluator::default_results() {
-  const heur::InlineParams params = heur::default_params();
   // Faults suppressed: the baseline is the denominator of every normalized
   // figure, so a chaos campaign must never see a penalized default run. The
   // quarantine and the shared backend are bypassed for the same reason (a
   // quarantined signature aliasing the defaults must not poison the
   // baseline); no cache events are emitted, matching the historical
   // behaviour of this path.
-  return evaluate_signature(params, probe(params), /*baseline=*/true, [](const char*) {});
+  return resolve(heur::default_params(), /*baseline=*/true, [](const char*, Signature) {})
+      .results;
 }
 
 std::size_t SuiteEvaluator::cache_size() const {
@@ -593,8 +753,9 @@ std::uint64_t SuiteEvaluator::cache_fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (fingerprint_.has_value()) return *fingerprint_;
 
-  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v3");
-  // The params -> keys table is only as good as the probe that filled it.
+  std::uint64_t fp = codec::fnv1a("ith-eval-cache-v4");
+  // Under Opt the params -> keys table is only as good as the probe that
+  // filled it; under Adapt it names run keys (tuner/decision_trie.hpp).
   fp = mix_u64(fp, opt::kSignatureVersion);
   fp = mix_u64(fp, opt::SignatureOptions{}.max_events);
   const rt::MachineModel& m = config_.machine;
@@ -682,21 +843,54 @@ EvalCacheSnapshot SuiteEvaluator::snapshot() const {
   return snap;
 }
 
-void SuiteEvaluator::restore(const EvalCacheSnapshot& snap) {
+void SuiteEvaluator::restore(EvalCacheSnapshot snap) {
   ITH_CHECK(snap.fingerprint == cache_fingerprint(),
             "evaluation cache fingerprint mismatch (different evaluator configuration)");
-  const std::size_t want_keys =
-      config_.vm_config.effective_pipeline().has_pass("inline") ? suite_.size() : 0;
+  const std::size_t want_keys = inlines_ ? suite_.size() : 0;
   for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
     ITH_CHECK(row.keys.size() == want_keys,
               "evaluation cache params table has " + std::to_string(row.keys.size()) +
                   " keys per row, this suite needs " + std::to_string(want_keys));
+  }
+  // Only entries that line up with the suite are indexed per benchmark.
+  const auto fits = [&](const EvalCacheSnapshot::Entry& e) {
+    if (e.results.size() != suite_.size()) return false;
+    for (std::size_t i = 0; i < e.results.size(); ++i) {
+      if (e.results[i].name != suite_[i].name) return false;
+    }
+    return true;
+  };
+  std::vector<Restored> traces;
+  const bool replay = replay_enabled();
+  for (EvalCacheSnapshot::Entry& e : snap.entries) {
+    const bool fit = fits(e);
+    for (std::size_t i = 0; i < e.results.size(); ++i) {
+      BenchmarkResult& br = e.results[i];
+      if (br.trace == nullptr) continue;
+      if (!fit || !replay || !br.outcome.ok() || br.attempts != 1) {
+        br.trace = nullptr;
+        continue;
+      }
+      for (const vm::CompileEvent& ev : *br.trace) {
+        ITH_CHECK(ev.method >= 0 &&
+                      static_cast<std::size_t>(ev.method) < suite_[i].program.num_methods(),
+                  "evaluation cache trace of " + suite_[i].name + " names method " +
+                      std::to_string(ev.method) + ", which its program lacks");
+      }
+      traces.push_back(Restored{i, br});
+    }
   }
 
   // Suite signatures are recomputed from the keys, never read: the table
   // cannot name a signature its keys do not mix into.
   std::map<Signature, const std::vector<WorkloadKey>*> keys_of;
   std::uint64_t restored = 0;
+  const bool store_keyed = inlines_ && !keys_from_runs();
+  {
+    std::lock_guard<std::mutex> lock(restored_mu_);
+    restored_.insert(restored_.end(), std::make_move_iterator(traces.begin()),
+                     std::make_move_iterator(traces.end()));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   for (const EvalCacheSnapshot::ParamsKeys& row : snap.params) {
     const auto [it, fresh] =
@@ -704,22 +898,36 @@ void SuiteEvaluator::restore(const EvalCacheSnapshot& snap) {
     keys_of.emplace(it->second.sig, &it->second.keys);
     restored += fresh ? 1 : 0;
   }
-  for (const EvalCacheSnapshot::Entry& e : snap.entries) {
-    // Never displace a live entry: an in-flight owner is about to publish
-    // the same results anyway.
-    cache_.emplace(e.signature, std::make_shared<std::vector<BenchmarkResult>>(e.results));
+  for (EvalCacheSnapshot::Entry& e : snap.entries) {
     const auto keys = keys_of.find(e.signature);
-    if (keys == keys_of.end() || keys->second->empty() || e.results.size() != suite_.size()) {
-      continue;
-    }
-    for (std::size_t i = 0; i < e.results.size(); ++i) {
-      if (e.results[i].outcome.ok() && e.results[i].name == suite_[i].name) {
-        bench_store_.emplace(std::make_pair(i, (*keys->second)[i]), e.results[i]);
+    if (store_keyed && keys != keys_of.end() && fits(e)) {
+      for (std::size_t i = 0; i < e.results.size(); ++i) {
+        if (e.results[i].outcome.ok()) {
+          bench_store_.emplace(std::make_pair(i, (*keys->second)[i]), e.results[i]);
+        }
       }
     }
+    // Never displace a live entry: an in-flight owner is about to publish
+    // the same results anyway.
+    cache_.emplace(e.signature,
+                   std::make_shared<std::vector<BenchmarkResult>>(std::move(e.results)));
   }
   quarantine_.insert(snap.quarantined.begin(), snap.quarantined.end());
   if (config_.obs != nullptr) config_.obs->counter("sig.restored").add(restored);
+}
+
+void SuiteEvaluator::record_restored() {
+  std::lock_guard<std::mutex> lock(restored_mu_);
+  for (const Restored& r : restored_) {
+    try {
+      record(r.bench, r.result.trace, r.result);
+    } catch (const Error&) {
+      // A restored trace that contradicts the tries proves nothing; the
+      // benchmark simply runs when a walk needs it.
+      if (config_.obs != nullptr) config_.obs->counter("eval.restore_rejected").add(1);
+    }
+  }
+  restored_.clear();
 }
 
 std::vector<std::vector<int>> SuiteEvaluator::quarantined_keys() const {
@@ -735,10 +943,10 @@ std::vector<std::vector<int>> SuiteEvaluator::quarantined_keys() const {
 
 bool SuiteEvaluator::release_quarantine(Signature sig) {
   std::lock_guard<std::mutex> lock(mu_);
-  // An in-flight owner is about to publish results for this signature; a
-  // concurrent release would race its cache insert. Refuse — the caller can
-  // simply retry after the evaluation lands.
-  if (in_flight_.find(sig) != in_flight_.end()) return false;
+  // An in-flight owner may be about to cache results under this signature;
+  // a concurrent release would race its cache insert. Refuse — the caller
+  // can simply retry after the evaluation lands.
+  if (!params_in_flight_.empty()) return false;
   const bool was_quarantined = quarantine_.erase(sig) != 0;
   if (was_quarantined) {
     cache_.erase(sig);  // the cached entry is the penalty result, not data

@@ -1,17 +1,21 @@
 // SuiteEvaluator: runs a benchmark suite under a candidate heuristic and
 // reports per-benchmark running/total cycles. This is the expensive inner
 // loop of tuning, so results are memoized — in two levels. Level 1 maps a
-// parameter vector to its per-workload keys (a cheap static probe of every
-// inline decision the params imply in each program; see
-// opt/decision_probe.hpp) and the suite signature they mix into. Level 2
-// maps suite signatures to suite results, and below it a per-benchmark
-// store maps (benchmark, workload key) to that benchmark's ok result.
-// Distinct params that drive the optimizer to identical decisions collapse
-// onto one signature, so only one of them ever pays for a suite run; and a
-// new signature runs only the benchmarks whose keys the store has not seen.
-// Below the store, run-level replay proves most of those runs identical to
-// one already recorded and reuses its result (tuner/decision_trie.hpp,
-// DESIGN.md §10).
+// parameter vector to one key per benchmark and the suite signature they
+// mix into; level 2 maps suite signatures to suite results. Distinct params
+// whose benchmarks all share keys collapse onto one signature, so only one
+// of them ever pays for a suite run. What a key is depends on the scenario
+// (DESIGN.md §10):
+//   - Adapt: the run key of the recorded run the benchmark's decision trie
+//     walks to (tuner/decision_trie.hpp). A walk that falls off runs the
+//     benchmark, records its trace and takes that trace's key; everything
+//     else keeps a key derived from the parameter vector.
+//   - Opt: the value of one all-cold decision walk per program
+//     (opt/decision_probe.hpp); a per-benchmark store maps (benchmark, key)
+//     to that benchmark's ok result, and below it the tries replay runs.
+// The shared backend (the evaluation daemon) is keyed by a hash of the
+// parameter vector, and under Adapt its results carry their compile traces,
+// which the evaluator folds into its tries.
 #pragma once
 
 #include <compare>
@@ -39,6 +43,9 @@
 
 namespace ith::tuner {
 
+/// A run's optimizing compiles in order (vm::RunResult::compile_trace).
+using CompileTrace = std::vector<vm::CompileEvent>;
+
 struct BenchmarkResult {
   std::string name;
   std::uint64_t running_cycles = 0;
@@ -50,35 +57,47 @@ struct BenchmarkResult {
   /// Guarded attempts consumed (1 = first try succeeded; 0 = quarantined,
   /// never run).
   int attempts = 1;
+  /// The run's compile trace, under Adapt, when the evaluator recorded the
+  /// run in its decision trie (a first-attempt ok run); null otherwise and
+  /// always under Opt. Shared: every result a walk reaches holds the
+  /// recorded run's one copy.
+  std::shared_ptr<const CompileTrace> trace = nullptr;
 };
 
 /// A shared evaluation backend (e.g. the evaluation daemon in src/service/).
-/// The SuiteEvaluator consults it on every level-2 cache miss *before*
-/// paying for a real suite run, and reports locally computed results back,
-/// so many evaluator processes federate onto one result repository.
+/// The SuiteEvaluator consults it whenever a parameter vector needs a
+/// benchmark run *before* paying for it, and reports locally computed
+/// results back, so many evaluator processes federate onto one result
+/// repository.
+///
+/// The key is SuiteEvaluator::backend_key(params), a hash of the parameter
+/// vector, so no process needs a probe or a trie to name it. Under Adapt
+/// the results carry their compile traces (BenchmarkResult::trace); the
+/// evaluator inserts them into its tries, so a client that received one
+/// candidate replays an equivalent one locally.
 ///
 /// Implementations must be infallible from the evaluator's point of view:
 /// connection loss, timeouts and protocol errors are absorbed internally
 /// (returning "compute locally"), never thrown. Because suite results are a
-/// pure function of the decision signature under a fixed configuration
+/// pure function of the parameter vector under a fixed configuration
 /// fingerprint, serving a result from the backend instead of computing it
 /// locally is bit-identical by construction.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
 
-  /// Consults the shared cache for `sig`. May block while another process
-  /// computes the same signature (cross-process single-flight). Returns the
+  /// Consults the shared cache for `key`. May block while another process
+  /// computes the same key (cross-process single-flight). Returns the
   /// shared results on a hit; returns std::nullopt when this caller must
   /// compute locally, with `*lease` set to the lease token to hand back to
   /// publish() (0 = degraded / no daemon — publish becomes best-effort).
-  virtual std::optional<std::vector<BenchmarkResult>> acquire(std::uint64_t sig,
+  virtual std::optional<std::vector<BenchmarkResult>> acquire(std::uint64_t key,
                                                               std::uint64_t* lease) = 0;
 
   /// Reports a locally computed suite run back to the shared cache.
   /// Best-effort: a failure to publish costs other processes a duplicate
   /// evaluation, never correctness.
-  virtual void publish(std::uint64_t sig, std::uint64_t lease,
+  virtual void publish(std::uint64_t key, std::uint64_t lease,
                        const std::vector<BenchmarkResult>& results) = 0;
 };
 
@@ -99,7 +118,7 @@ struct EvalConfig {
   /// sig.probe spans).
   obs::Context* obs = nullptr;
   /// Shared evaluation backend. Non-owning, may be null (= fully local).
-  /// Consulted by evaluate() on level-2 misses; never consulted by
+  /// Consulted before any benchmark runs for evaluate(); never consulted by
   /// default_results(), whose baseline must always be computed locally with
   /// fault injection suppressed.
   EvalBackend* backend = nullptr;
@@ -113,30 +132,33 @@ struct EvalConfig {
   int max_retries = 2;
 };
 
-/// One benchmark's share of a decision signature: the probe's value over
-/// that benchmark's program, and whether it was exact. An inexact value is
-/// the raw parameter hash — still a sound key, it just never collapses —
-/// and the flag keeps it from ever equalling an exact one. A benchmark's
-/// result is a pure function of its program and this key under one
-/// evaluator fingerprint, which is what lets suites share results per
-/// benchmark.
+/// One benchmark's share of a suite signature. An exact key names what
+/// fixes the run: under Adapt the run key of a recorded run
+/// (tuner/decision_trie.hpp), under Opt the probe's value over the
+/// benchmark's program. An inexact key is derived from the parameter vector
+/// — still a sound key, it just never collapses — and the flag keeps it
+/// from ever equalling an exact one. A benchmark's result is a pure
+/// function of its program and its key under one evaluator fingerprint,
+/// which is what lets suites share results per benchmark.
 struct WorkloadKey {
   std::uint64_t value = 0;
   bool exact = true;
 
-  /// The fault salt of every run of a benchmark under this key, so a stored
-  /// result is exactly what any suite sharing the key would have drawn.
+  /// A run's fault salt: the key it has before the run (under Adapt the
+  /// parameter-derived key, since a run key exists only afterwards), so
+  /// every suite that shares a key draws the same faults.
   std::uint64_t salt() const { return resilience::mix_keys(value, exact ? 1 : 0); }
   friend auto operator<=>(const WorkloadKey&, const WorkloadKey&) = default;
 };
 
 /// Serializable image of the evaluator's cached state: every signature with
-/// completed results, the quarantine set and every probed parameter
-/// vector's per-workload keys, stamped with a fingerprint of everything
-/// that could change what a suite run or a probe returns (machine model,
-/// scenario, VM/optimizer configuration, fault plan, workload programs,
-/// probe version and budget). eval_cache.hpp persists this as an ITHEVC2
-/// file.
+/// completed results (under Adapt with their compile traces, from which
+/// restore() rebuilds the decision tries), the quarantine set and every
+/// resolved parameter vector's per-workload keys, stamped with a
+/// fingerprint of everything that could change what a suite run or a probe
+/// returns (machine model, scenario, VM/optimizer configuration, fault
+/// plan, workload programs, probe version and budget). eval_cache.hpp
+/// persists this as an ITHEVC3 file.
 struct EvalCacheSnapshot {
   std::uint64_t fingerprint = 0;
   struct Entry {
@@ -145,13 +167,20 @@ struct EvalCacheSnapshot {
   };
   std::vector<Entry> entries;
   std::vector<std::uint64_t> quarantined;
-  /// Level 1: a probed parameter vector and its keys, one per suite
+  /// Level 1: a resolved parameter vector and its keys, one per suite
   /// benchmark in suite order (none when the pipeline has no inline pass).
   struct ParamsKeys {
     heur::InlineParams::Array params{};
     std::vector<WorkloadKey> keys;
   };
   std::vector<ParamsKeys> params;
+};
+
+/// A run a decision trie recorded: its result as recorded and the run key
+/// of its compile path (tuner/decision_trie.hpp).
+struct RecordedRun {
+  BenchmarkResult result;
+  std::uint64_t key = 0;
 };
 
 class DecisionTrie;
@@ -164,8 +193,8 @@ class SuiteEvaluator {
                  std::size_t memo_budget_bytes = opt::BodyMemo::kBudgetBytes);
   ~SuiteEvaluator();
 
-  /// Decision signature of one parameter vector over the whole suite: the
-  /// level-2 cache key and the quarantine key.
+  /// Suite signature of one parameter vector: the level-2 cache key and the
+  /// quarantine key.
   using Signature = std::uint64_t;
 
   /// One memoized suite run. Shared ownership: the pointer (and everything
@@ -175,28 +204,23 @@ class SuiteEvaluator {
   using Results = std::shared_ptr<const std::vector<BenchmarkResult>>;
 
   /// Runs every benchmark under the Figure 3/4 heuristic with `params`.
-  /// Memoized by decision signature — calls whose params imply the same
-  /// inline decisions (not merely equal params) return the *same* shared
-  /// vector (pointer-identical) after one cheap probe. Concurrent calls
-  /// with an uncached signature are single-flighted: one caller runs the
-  /// suite, the others block until its result lands in the cache instead
-  /// of recomputing it.
+  /// Memoized by suite signature — calls whose params give every benchmark
+  /// the same key (not merely equal params) return the *same* shared vector
+  /// (pointer-identical). Concurrent calls with identical params wait for
+  /// each other, and no two calls run one benchmark at once: a call that
+  /// needs a benchmark another call is running waits for that run, then
+  /// looks again, so concurrency never adds runs.
   ///
-  /// A signature miss first assembles the suite from the per-benchmark
-  /// store; when every benchmark is found nothing runs (no backend call,
+  /// Resolution, per benchmark: under Adapt with keys_from_runs(), a walk
+  /// of its decision trie (probing `params` at each recorded compile); a
+  /// walk that reaches a leaf reuses that run's result and key. Under Opt,
+  /// the per-benchmark store under the probe's key, then the trie. When
+  /// every benchmark resolves nothing runs (a level-1 hit: no backend call,
   /// not counted in evaluations_performed). Otherwise the backend is
-  /// consulted for the whole suite, and failing that only the missing
-  /// benchmarks run, each salted with its own workload key. Only ok
+  /// consulted for the whole suite, and failing that only the unresolved
+  /// benchmarks run, each salted with its own pre-run key. First-attempt ok
+  /// runs are recorded in the tries (when replay is enabled); only ok
   /// results enter the store, so failures are re-run, never reused.
-  ///
-  /// Run-level replay: with no armed fault plan and a pipeline whose
-  /// compiles the body memo keys by one probe walk (so every VM records a
-  /// compile trace), each missing benchmark first walks its decision trie
-  /// of recorded runs, probing `params` at each recorded compile; a walk
-  /// that reaches a leaf reuses that run's result instead of running (and
-  /// stores it under the new key like a run's), and a walk that falls off
-  /// runs the benchmark and records its trace. default_results() replays
-  /// and records the same way; evaluate_heuristic() does neither.
   ///
   /// Every benchmark executes under vm_config.budget via a guarded run:
   /// failures become penalized BenchmarkResults (see BenchmarkResult::
@@ -220,40 +244,50 @@ class SuiteEvaluator {
   /// never corrupt the normalization baseline.
   Results default_results();
 
-  /// The level-1 lookup: memoized decision signature of `params`. Public
-  /// because collapse statistics and tests want the mapping without paying
-  /// for a suite run. First call per distinct params runs the probe: one
-  /// decision walk per workload, concurrently on ThreadPool::shared() when
-  /// the suite has two or more (traced as a "sig.probe" kEval span;
-  /// counters sig.probes / sig.collapsed / sig.overflow / sig.probe_us,
-  /// where the span and sig.probe_us are the probe's wall time, not the sum
-  /// of its walks).
+  /// The level-1 lookup: memoized suite signature of `params`. Public
+  /// because collapse statistics and tests want the mapping. When
+  /// keys_from_runs(), this resolves `params` exactly as evaluate() would —
+  /// running whatever no walk resolves — and a later evaluate(params) is a
+  /// hit. Otherwise the keys need no run: Opt's probe (one decision walk
+  /// per workload, concurrently on ThreadPool::shared() when the suite has
+  /// two or more) or the parameter-derived keys. The first resolution of a
+  /// parameter vector is traced as a "sig.probe" kEval span; counters
+  /// sig.probes / sig.collapsed / sig.overflow / sig.probe_us, where the span
+  /// and sig.probe_us are the probe's or the walks' wall time, not the sum
+  /// of its walks.
   Signature signature_of(const heur::InlineParams& params);
 
   /// The other half of the level-1 entry: `params`' key per suite
   /// benchmark, in suite order (empty when the pipeline has no inline
-  /// pass). Probes on first use, like signature_of.
+  /// pass). Resolves on first use, like signature_of.
   std::vector<WorkloadKey> workload_keys(const heur::InlineParams& params);
+
+  /// True when a benchmark's key is the run key of its recorded run: the
+  /// Adapt scenario with replay enabled (every VM records a compile trace
+  /// and no fault plan is armed). Then resolving a parameter vector may run
+  /// benchmarks; otherwise every key is known before any run.
+  bool keys_from_runs() const;
+
+  /// The shared backend's key for `params`: a hash of the parameter vector.
+  static std::uint64_t backend_key(const heur::InlineParams& params);
 
   const std::vector<wl::Workload>& suite() const { return suite_; }
   const EvalConfig& config() const { return config_; }
   std::size_t cache_size() const;
-  /// Number of suite evaluations that ran or replayed at least one
-  /// benchmark, by evaluate() or default_results() (cache hits, signature
-  /// collapses, suites assembled wholly from the per-benchmark store or
-  /// served by the backend, and single-flight waiters excluded).
+  /// Number of suite evaluations that ran at least one benchmark, by
+  /// evaluate() or default_results() (cache hits, signature collapses,
+  /// suites resolved wholly by walks or the store or served by the backend,
+  /// and single-flight waiters excluded).
   std::uint64_t evaluations_performed() const;
   /// Interpreter runs those evaluations made: at most suite size times
-  /// evaluations_performed(), less every benchmark the store supplied or a
-  /// replay reused.
+  /// evaluations_performed().
   std::uint64_t benchmark_runs() const;
-  /// Missing benchmarks those evaluations served by run-level replay.
-  /// Without failures, benchmark_runs() + benchmark_replays() is the number
-  /// of distinct (benchmark, workload key) pairs evaluated.
+  /// Benchmarks resolved by a walk of their decision trie, summed over
+  /// every resolution that walked.
   std::uint64_t benchmark_replays() const;
-  /// Distinct parameter vectors probed so far (level-1 size).
+  /// Distinct parameter vectors resolved so far (level-1 size).
   std::size_t params_seen() const;
-  /// Distinct decision signatures those params collapsed onto.
+  /// Distinct suite signatures those params collapsed onto.
   std::size_t signatures_seen() const;
 
   /// Fingerprint of everything that determines suite results for a given
@@ -265,14 +299,18 @@ class SuiteEvaluator {
   /// and every level-1 entry. In-flight evaluations are not included.
   EvalCacheSnapshot snapshot() const;
   /// Merges a snapshot produced by an identically-configured evaluator:
-  /// restored params need no probe (their suite signatures are recomputed
-  /// from the keys), restored entries satisfy later evaluate() calls
-  /// without a run (and without counting as evaluations_performed), and
-  /// the ok results of entries whose keys the table names seed the
-  /// per-benchmark store. Throws ith::Error, having applied nothing, when
-  /// the snapshot's fingerprint does not match cache_fingerprint() or a
-  /// table row has the wrong number of keys for this suite.
-  void restore(const EvalCacheSnapshot& snap);
+  /// restored params need no resolution (their suite signatures are
+  /// recomputed from the keys), restored entries satisfy later evaluate()
+  /// calls without a run (and without counting as evaluations_performed),
+  /// the traces of the entries' results go into the tries, and where keys
+  /// need no run the ok results of entries whose keys the table names seed
+  /// the per-benchmark store. The tries are built from the traces when a
+  /// walk first needs them, so a warm tune that walks nothing never pays
+  /// for them; a trace that contradicts them is dropped. Throws ith::Error,
+  /// having applied nothing, when the snapshot's fingerprint does not match
+  /// cache_fingerprint(), a table row has the wrong number of keys for this
+  /// suite or a trace names a method its program lacks.
+  void restore(EvalCacheSnapshot snap);
 
   /// Quarantined signatures, widened for checkpoint serialization (two
   /// ints per signature: low word, high word).
@@ -284,13 +322,14 @@ class SuiteEvaluator {
 
   /// Lifts the quarantine on `sig` and drops its cached (penalized) results
   /// so the next evaluate() of any aliasing params performs a fresh guarded
-  /// run of the benchmarks that failed (the store never holds a failure).
-  /// Returns true when the signature was actually quarantined. This is
-  /// the online tuner's retry path: the quarantine is keyed on signature,
-  /// so a seed genome quarantined by a transient fault would otherwise pin
-  /// every later retune of that genome to the penalty result forever —
-  /// starvation, since the controller can never observe it recovering.
-  /// No-op (returns false) while the signature is in flight.
+  /// run of the benchmarks that failed (neither the store nor the tries
+  /// ever hold a failure). Returns true when the signature was actually
+  /// quarantined. This is the online tuner's retry path: the quarantine is
+  /// keyed on signature, so a seed genome quarantined by a transient fault
+  /// would otherwise pin every later retune of that genome to the penalty
+  /// result forever — starvation, since the controller can never observe
+  /// it recovering. No-op (returns false) while any evaluation is in
+  /// flight.
   bool release_quarantine(Signature sig);
 
   /// True while `sig` is in the quarantine set.
@@ -310,49 +349,81 @@ class SuiteEvaluator {
     Signature sig = 0;
     std::vector<WorkloadKey> keys;
   };
-  /// The level-1 lookup behind signature_of and workload_keys.
+  /// The level-1 entry of a parameter vector and its suite results.
+  struct Resolved {
+    Probed probed;
+    Results results;
+  };
+  /// Receives "eval.cache_hit", "eval.cache_miss" and the like with the
+  /// signature they concern.
+  using CacheEvent = std::function<void(const char*, Signature)>;
+
+  /// The level-1 lookup when no key needs a run (see keys_from_runs()):
+  /// Opt's probe, or the parameter-derived keys. Memoized in param_sigs_.
   Probed probe(const heur::InlineParams& params);
 
   /// The suite signature `keys` mix into (the one signature_of returns).
   static Signature suite_signature(const std::vector<WorkloadKey>& keys);
 
+  /// The inexact key of every benchmark of `params`.
+  static WorkloadKey params_key(const heur::InlineParams& params);
+
   /// The uncached evaluation path: runs the benchmarks `which` (suite
   /// indices) through guarded_run with the retry loop, benchmark i salted
   /// with salts[i], into results[i]; other slots are left alone.
-  /// `allow_faults` is false for the default-params baseline. `replay`,
-  /// when not null, is the parameter vector make_heuristic builds the Jikes
-  /// heuristic of: each benchmark is first checked against its decision
-  /// trie, and first-attempt ok runs are recorded. Two or more benchmarks
-  /// run concurrently on ThreadPool::shared(), started in dispatch_order_;
-  /// a slot always gets its own benchmark's result, so the order changes
-  /// wall time only. Returns how many benchmarks were replayed.
-  std::size_t run_benchmarks(const std::vector<std::size_t>& which,
-                             const HeuristicFactory& make_heuristic,
-                             const std::vector<std::uint64_t>& salts, bool allow_faults,
-                             const heur::InlineParams* replay,
-                             std::vector<BenchmarkResult>& results);
+  /// `allow_faults` is false for the default-params baseline. When `keys`
+  /// is not null, first-attempt ok runs are recorded in their tries, and
+  /// under Adapt a recorded run's result carries its trace and keys[i]
+  /// becomes its run key. Two or more benchmarks run concurrently on
+  /// ThreadPool::shared(), started in dispatch_order_; a slot always gets
+  /// its own benchmark's result, so the order changes wall time only.
+  void run_benchmarks(const std::vector<std::size_t>& which,
+                      const HeuristicFactory& make_heuristic,
+                      const std::vector<std::uint64_t>& salts, bool allow_faults,
+                      std::vector<WorkloadKey>* keys, std::vector<BenchmarkResult>& results);
 
   /// True when runs may be recorded and replayed: every VM records a
   /// compile trace and no fault plan is armed (fault draws are salted by
-  /// workload key, so a run under another key may draw differently).
+  /// key, so a run under another key may draw differently).
   bool replay_enabled() const;
 
   /// Walks benchmark i's decision trie under `params`: at each recorded
   /// compile, DecisionProbe with the Jikes heuristic and the VM's site
   /// oracle over the recorded hot set.
-  std::optional<BenchmarkResult> find_replay(std::size_t i, const heur::InlineParams& params);
+  const RecordedRun* walk(std::size_t i, const heur::InlineParams& params) const;
+
+  /// Records benchmark i's ok first-attempt run in its trie; returns the
+  /// leaf (whose result carries the trace under Adapt). Throws ith::Error
+  /// when the trace names a method the program lacks or contradicts the
+  /// trie.
+  const RecordedRun* record(std::size_t i, std::shared_ptr<const CompileTrace> trace,
+                            const BenchmarkResult& result);
+
+  /// Takes a backend hit as benchmark results: one per suite benchmark,
+  /// each trace recorded (its run key becoming the benchmark's key under
+  /// Adapt). Returns false, leaving `results` and `keys` alone, when the
+  /// vector does not fit this suite or a trace does not fit its program.
+  bool adopt(const std::vector<BenchmarkResult>& remote, std::vector<BenchmarkResult>& results,
+             std::vector<WorkloadKey>& keys);
+
+  /// Records the traces restore() took in, in restore order; every walk
+  /// calls it first.
+  void record_restored();
 
   /// Sets dispatch_order_ from the first complete suite result; caller
   /// holds mu_.
   void note_dispatch_order(const std::vector<BenchmarkResult>& results);
 
-  /// Shared single-flight body of evaluate()/default_results(): looks up /
-  /// claims `sig`, then assembles the suite from the per-benchmark store,
-  /// the shared backend (when not `baseline`) or runs of the missing
-  /// benchmarks. `baseline` also suppresses faults and the quarantine.
-  Results evaluate_signature(const heur::InlineParams& params, const Probed& probed,
-                             bool baseline,
-                             const std::function<void(const char*)>& cache_event);
+  /// The single-flight body of evaluate()/signature_of()/default_results():
+  /// looks up `params`, then resolves each benchmark (walk, store), and
+  /// assembles the suite from those, the shared backend (when not
+  /// `baseline`) or runs of the rest. `baseline` also suppresses faults and
+  /// the quarantine.
+  Resolved resolve(const heur::InlineParams& params, bool baseline,
+                   const CacheEvent& cache_event);
+
+  /// The cache events evaluate() traces for `params`.
+  CacheEvent traced_events(const heur::InlineParams& params) const;
 
   std::vector<wl::Workload> suite_;
   EvalConfig config_;
@@ -364,19 +435,36 @@ class SuiteEvaluator {
   std::unique_ptr<opt::BodyMemo> memo_;
   std::map<ParamKey, Probed> param_sigs_;  ///< level 1; guarded by mu_
   std::map<Signature, Results> cache_;     ///< level 2; guarded by mu_
-  /// Ok results by (suite index, workload key); guarded by mu_. Failures
-  /// never enter it, so quarantine and its release keep suite meaning.
+  /// Ok results by (suite index, workload key) when keys need no run (see
+  /// keys_from_runs()); guarded by mu_. Failures never enter it, so
+  /// quarantine and its release keep suite meaning.
   std::map<std::pair<std::size_t, WorkloadKey>, BenchmarkResult> bench_store_;
   /// One decision trie of recorded runs per suite benchmark (each locks
   /// itself); unbounded, like bench_store_, and as long-lived.
   std::vector<std::unique_ptr<DecisionTrie>> tries_;
+  /// Restored runs not yet in their tries (see restore()); guarded by
+  /// restored_mu_, which a walker holds while it records them, so no walk
+  /// starts before they are in.
+  struct Restored {
+    std::size_t bench = 0;
+    BenchmarkResult result;  ///< carries the trace
+  };
+  std::vector<Restored> restored_;
+  std::mutex restored_mu_;
   /// The pipeline runs the inline pass once, as a setup pass: each VM's
   /// compiles are keyed by one probe walk and recorded.
   bool traced_ = false;
-  /// Signatures currently being evaluated by some thread; guarded by mu_.
-  /// Waiters block on cv_ until the owning thread caches the result (or
-  /// abandons the signature by exception) rather than re-running the suite.
-  std::set<Signature> in_flight_;
+  /// The pipeline has an inline pass: without one every parameter vector
+  /// compiles identically and there are no keys.
+  bool inlines_ = false;
+  /// Parameter vectors being resolved; guarded by mu_. A call with the
+  /// same params waits on cv_ for the owner's result.
+  std::set<ParamKey> params_in_flight_;
+  /// Per suite benchmark, guarded by mu_: whether a run of it is in flight,
+  /// and how many runs of it have finished (a waiter whose walk predates a
+  /// finished run walks again).
+  std::vector<char> bench_busy_;
+  std::vector<std::uint64_t> bench_runs_done_;
   /// Signatures whose suite failed even after retries; guarded by mu_.
   std::set<Signature> quarantine_;
   std::uint64_t evaluations_performed_ = 0;

@@ -5,7 +5,13 @@
 // generation), then end-to-end through tune() with a real evaluator, fault
 // injection, and a mid-run "kill" (an exception thrown from the progress
 // callback, the same point where chaos_tune calls exit(3)).
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,8 +21,10 @@
 #include "ga/ga.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 #include "tuner/evaluator.hpp"
+#include "tuner/parameter_space.hpp"
 #include "tuner/tuner.hpp"
 #include "workloads/suite.hpp"
 
@@ -191,6 +199,99 @@ TEST(CheckpointResume, ResumeOfFinishedRunIsANoOp) {
   EXPECT_EQ(calls, calls_before);  // nothing re-evaluated
   EXPECT_EQ(got.best, want.best);
   EXPECT_EQ(got.best_fitness, want.best_fitness);
+}
+
+// Damaged checkpoints fail typed, naming the field, instead of resuming a
+// search the file never held. A GA over the inline parameter space (with a
+// cheap synthetic fitness) journals generation 2 of 4; each case damages
+// one field, writes the checkpoint as a well-sealed file, and resumes.
+class DamagedCheckpoint : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "damaged_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".cp";
+    config_.population = 6;
+    config_.generations = 4;
+    config_.seed = 7;
+    config_.memoize = true;
+    config_.journal = [this](const resilience::GaCheckpoint& cp) {
+      if (cp.generation == 2) checkpoint_ = cp;
+    };
+    ga::GeneticAlgorithm(space_, fitness_, config_).run();
+    config_.journal = nullptr;
+    ASSERT_EQ(checkpoint_.generation, 2);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Loads `path_` and resumes from it; returns the ith::Error text, or ""
+  /// when the run finished (a failure for every caller).
+  std::string resume_error() {
+    try {
+      const resilience::GaCheckpoint cp = resilience::load_checkpoint(path_);
+      ga::GaConfig resumed = config_;
+      resumed.resume_from = &cp;
+      ga::GeneticAlgorithm(space_, fitness_, resumed).run();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  const ga::GenomeSpace space_ = tuner::inline_param_space(/*include_hot=*/true);
+  const ga::FitnessFn fitness_ = [](const ga::Genome& g) {
+    double f = 1.0;
+    for (const int x : g) f += 1e-3 * x;
+    return f;
+  };
+  ga::GaConfig config_;
+  resilience::GaCheckpoint checkpoint_;
+  std::string path_;
+};
+
+TEST_F(DamagedCheckpoint, GeneOutsideItsRangeIsRefusedAtResume) {
+  // CALLEE_MAX_SIZE = -1,000,000 fits an int, so the decoder keeps it; the
+  // genome space does not.
+  checkpoint_.population[0][0] = -1'000'000;
+  resilience::save_checkpoint(path_, checkpoint_);
+  const std::string error = resume_error();
+  EXPECT_NE(error.find("population genome 0 gene CALLEE_MAX_SIZE = -1000000"), std::string::npos)
+      << error;
+}
+
+TEST_F(DamagedCheckpoint, GeneWiderThanAnIntIsRefusedByTheDecoder) {
+  // CALLER_MAX_SIZE = 2^40 cannot be written through GaCheckpoint's ints:
+  // write a marker, then patch its word in the payload and re-seal it.
+  constexpr int kMarker = 0x5eed1234;
+  checkpoint_.population[0][3] = kMarker;
+  resilience::save_checkpoint(path_, checkpoint_);
+  std::ifstream in(path_, std::ios::binary);
+  std::string payload((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  payload = payload.substr(24);  // past magic, size, checksum
+  const std::int64_t marker = kMarker;
+  const std::int64_t wide = std::int64_t{1} << 40;
+  const std::size_t at =
+      payload.find(std::string(reinterpret_cast<const char*>(&marker), sizeof marker));
+  ASSERT_NE(at, std::string::npos);
+  std::memcpy(payload.data() + at, &wide, sizeof wide);
+  const codec::FileFormat format{{'I', 'T', 'H', 'G', 'A', 'C', 'P', '1'}, "checkpoint"};
+  codec::save_sealed(path_, format, payload);
+  const std::string error = resume_error();
+  EXPECT_NE(error.find("population gene out of range"), std::string::npos) << error;
+}
+
+TEST_F(DamagedCheckpoint, NonFiniteFitnessIsRefusedByTheDecoder) {
+  checkpoint_.fitness[0] = std::numeric_limits<double>::quiet_NaN();
+  resilience::save_checkpoint(path_, checkpoint_);
+  const std::string error = resume_error();
+  EXPECT_NE(error.find("population fitness is not finite"), std::string::npos) << error;
+}
+
+TEST_F(DamagedCheckpoint, GenerationOutsideTheRunIsRefusedAtResume) {
+  checkpoint_.generation = config_.generations;
+  resilience::save_checkpoint(path_, checkpoint_);
+  const std::string error = resume_error();
+  EXPECT_NE(error.find("checkpoint generation 4 lies outside"), std::string::npos) << error;
 }
 
 }  // namespace

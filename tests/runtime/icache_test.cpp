@@ -35,6 +35,8 @@ TEST(ICache, GeometryValidation) {
   EXPECT_THROW(ICache(100, 64, 2), Error);   // not divisible into sets
   EXPECT_THROW(ICache(1024, 60, 2), Error);  // line not power of two
   EXPECT_THROW(ICache(64, 64, 2), Error);    // smaller than one set
+  EXPECT_THROW(ICache(768, 64, 3), Error);   // associativity not a power of two
+  EXPECT_THROW(ICache(1024, 64, 0), Error);  // no ways
   EXPECT_NO_THROW(ICache(1024, 64, 2));
 }
 

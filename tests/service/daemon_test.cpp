@@ -27,6 +27,8 @@
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "tuner/eval_cache.hpp"
+#include "tuner/evaluator.hpp"
+#include "workloads/suite.hpp"
 
 namespace ith {
 namespace {
@@ -663,6 +665,56 @@ TEST_F(DaemonTest, LeasesBalanceUnderInjectedChaos) {
   svc::EvalDaemon reborn(dc);
   reborn.start();
   reborn.stop();
+}
+
+TEST_F(DaemonTest, ServedTracesLetAClientReplayAnEquivalentCandidate) {
+  // Two evaluators share one daemon keyed by parameter vector. Under Adapt
+  // a served result carries its compile trace, so the second client, once
+  // served P1, resolves an equivalent P2 by walking its own trie: no run,
+  // no daemon round trip.
+  std::vector<wl::Workload> suite;
+  suite.push_back(wl::make_workload("db"));
+  const tuner::EvalConfig plain;
+  svc::DaemonConfig dc = daemon_config();
+  dc.fingerprint = tuner::SuiteEvaluator(suite, plain).cache_fingerprint();
+  svc::EvalDaemon daemon(dc);
+  daemon.start();
+
+  heur::InlineParams p1 = heur::default_params();
+  p1.callee_max_size += 1;
+  heur::InlineParams p2 = p1;
+  p2.max_inline_depth += 1;  // deeper than db's call graph: decisions unchanged
+
+  svc::ClientConfig cc = client_config();
+  cc.fingerprint = dc.fingerprint;
+  svc::ServiceClient first_client(cc);
+  tuner::EvalConfig first_config = plain;
+  first_config.backend = &first_client;
+  tuner::SuiteEvaluator first(suite, first_config);
+  const tuner::SuiteEvaluator::Results want = first.evaluate(p1);
+  ASSERT_EQ(first.benchmark_runs(), 1u);
+  ASSERT_NE((*want)[0].trace, nullptr);
+
+  cc.client_id = 2;
+  svc::ServiceClient second_client(cc);
+  tuner::EvalConfig second_config = plain;
+  second_config.backend = &second_client;
+  tuner::SuiteEvaluator second(suite, second_config);
+  const tuner::SuiteEvaluator::Results served = second.evaluate(p1);
+  EXPECT_EQ(second.benchmark_runs(), 0u);
+  EXPECT_EQ(second.evaluations_performed(), 0u);
+  ASSERT_NE((*served)[0].trace, nullptr);
+  EXPECT_EQ((*served)[0].total_cycles, (*want)[0].total_cycles);
+  EXPECT_EQ(second.signature_of(p1), first.signature_of(p1));
+
+  const std::uint64_t requests = daemon.stats().requests;
+  const tuner::SuiteEvaluator::Results replayed = second.evaluate(p2);
+  EXPECT_EQ(replayed.get(), served.get());  // one run key: one signature
+  EXPECT_EQ(second.benchmark_runs(), 0u);
+  EXPECT_EQ(second.benchmark_replays(), 1u);
+  EXPECT_EQ(daemon.stats().requests, requests);
+  daemon.stop();
+  EXPECT_TRUE(daemon.stats().leases_balanced());
 }
 
 }  // namespace

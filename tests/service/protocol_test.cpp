@@ -104,7 +104,7 @@ TEST_F(SocketPair, ChecksumMismatchIsError) {
 TEST_F(SocketPair, OversizedFrameIsError) {
   // A corrupt size field must fail cleanly, never allocate terabytes.
   std::string raw(32, '\0');
-  std::memcpy(raw.data(), "ITHSVP1\0", 8);
+  std::memcpy(raw.data(), "ITHSVP2\0", 8);
   const std::uint64_t huge = ~0ull;
   std::memcpy(raw.data() + 16, &huge, sizeof huge);
   ASSERT_EQ(::send(a(), raw.data(), raw.size(), 0), static_cast<ssize_t>(raw.size()));
@@ -154,7 +154,7 @@ TEST_F(SocketPair, TimeoutMidPayloadIsError) {
   // header is consumed, so even a payload deadline is a desync, not a
   // retryable timeout.
   std::string raw(32, '\0');
-  std::memcpy(raw.data(), "ITHSVP1\0", 8);
+  std::memcpy(raw.data(), "ITHSVP2\0", 8);
   const std::uint32_t type = 4;  // kEvalAcquire
   std::memcpy(raw.data() + 8, &type, sizeof type);
   const std::uint64_t size = 8;

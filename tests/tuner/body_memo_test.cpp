@@ -107,7 +107,12 @@ TEST_P(MemoizedSuite, EvaluateMatchesSerialRunsWithoutMemo) {
     // Distinct signatures, but a suite whose every benchmark key an
     // earlier suite already ran is assembled from the per-benchmark store.
     EXPECT_LE(eval.evaluations_performed(), kParams);
-    EXPECT_EQ(eval.benchmark_runs() + eval.benchmark_replays(), distinct_runs.size());
+    if (c.scenario == vm::Scenario::kAdapt) {
+      // Each run key names one recorded run, which ran once.
+      EXPECT_EQ(eval.benchmark_runs(), distinct_runs.size());
+    } else {
+      EXPECT_EQ(eval.benchmark_runs() + eval.benchmark_replays(), distinct_runs.size());
+    }
     EXPECT_GT(ctx.counter("opt.memo_misses").value(), 0u);
     if (budget == opt::BodyMemo::kBudgetBytes) {
       EXPECT_GT(ctx.counter("opt.memo_hits").value(), 0u);

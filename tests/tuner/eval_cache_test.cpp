@@ -1,4 +1,4 @@
-// Persistent evaluation cache (ITHEVC2): full-fidelity roundtrip through
+// Persistent evaluation cache (ITHEVC3): full-fidelity roundtrip through
 // the binary format, trailing bytes after a whole file (the other loader
 // diagnostics — missing file, bad magic, truncation, bit flips — are swept
 // in tests/codec/golden_test.cpp's Envelope suite), and the fingerprint gate
@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,8 +62,22 @@ TEST_F(EvalCacheFile, Roundtrip) {
       EXPECT_EQ(have.outcome.trap, want.outcome.trap);
       EXPECT_EQ(have.outcome.detail, want.outcome.detail);
       EXPECT_EQ(have.attempts, want.attempts);
+      ASSERT_EQ(have.trace == nullptr, want.trace == nullptr);
+      if (want.trace == nullptr) continue;
+      ASSERT_EQ(have.trace->size(), want.trace->size());
+      for (std::size_t k = 0; k < want.trace->size(); ++k) {
+        const vm::CompileEvent& he = (*have.trace)[k];
+        const vm::CompileEvent& we = (*want.trace)[k];
+        EXPECT_EQ(he.method, we.method);
+        EXPECT_EQ(he.tier, we.tier);
+        EXPECT_EQ(he.hot_sites, we.hot_sites);
+        EXPECT_EQ(he.verdicts, we.verdicts);
+      }
     }
   }
+  // One trace in the table, so the results that share it on save share it
+  // on load.
+  EXPECT_EQ(got.entries[0].results[1].trace, got.entries[2].results[1].trace);
   ASSERT_EQ(got.params.size(), snap.params.size());
   for (std::size_t i = 0; i < snap.params.size(); ++i) {
     EXPECT_EQ(got.params[i].params, snap.params[i].params);
@@ -95,7 +111,7 @@ TEST_F(EvalCacheFile, MalformedParamsTableRejected) {
   constexpr std::size_t kRowBytes = 6 * 8 + 8 + 2 * 16;
   const std::size_t first_param = payload.size() - 2 * kRowBytes;
   const std::size_t last_flag = payload.size() - 8;
-  const codec::FileFormat format{"ITHEVC2", "evaluation cache"};
+  const codec::FileFormat format{"ITHEVC3", "evaluation cache"};
   for (const auto& [offset, needle] : {std::pair{first_param, "out of range"},
                                        std::pair{last_flag, "not 0 or 1"}}) {
     std::string bad = payload;
@@ -156,6 +172,71 @@ TEST_F(EvalCacheFile, FingerprintMismatchRefusedByRestore) {
     EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"), std::string::npos) << e.what();
   }
   EXPECT_EQ(other.cache_size(), 0u);  // nothing leaked in before the check
+}
+
+TEST(EvalCacheFingerprint, EachInstructionFieldChangesIt) {
+  // The fingerprint mixes each instruction as one word: a change to its
+  // opcode, its a operand or its b operand alone must still change it.
+  const wl::Workload db = wl::make_workload("db");
+  const auto fingerprint = [](const wl::Workload& w) {
+    return tuner::SuiteEvaluator({w}, tuner::EvalConfig{}).cache_fingerprint();
+  };
+  const std::uint64_t base = fingerprint(db);
+  const bc::Instruction first = db.program.method(0).code().front();
+  const std::vector<bc::Instruction> variants = {
+      {static_cast<bc::Op>(static_cast<int>(first.op) + 1), first.a, first.b},
+      {first.op, first.a + 1, first.b},
+      {first.op, first.a, first.b + 1},
+  };
+  std::set<std::uint64_t> seen{base};
+  for (const bc::Instruction& insn : variants) {
+    wl::Workload changed = db;
+    changed.program.mutable_method(0).mutable_code().front() = insn;
+    EXPECT_TRUE(seen.insert(fingerprint(changed)).second)
+        << "op " << static_cast<int>(insn.op) << " a " << insn.a << " b " << insn.b;
+  }
+}
+
+TEST_F(EvalCacheFile, RestoredTracesReplayAnEquivalentCandidate) {
+  // Under Adapt the file carries each run's compile trace, and the restored
+  // evaluator's tries replay a candidate the producer never saw.
+  tuner::SuiteEvaluator producer = make_evaluator(/*iterations=*/2);
+  heur::InlineParams a = heur::default_params();
+  a.callee_max_size += 1;
+  heur::InlineParams b = a;
+  b.max_inline_depth += 1;  // deeper than db's call graph: decisions unchanged
+  producer.evaluate(a);
+  tuner::save_eval_cache(path_, producer.snapshot());
+
+  tuner::SuiteEvaluator consumer = make_evaluator(/*iterations=*/2);
+  consumer.restore(tuner::load_eval_cache(path_));
+  EXPECT_EQ(consumer.evaluate(b), consumer.evaluate(a));
+  EXPECT_EQ(consumer.benchmark_runs(), 0u);
+  EXPECT_EQ(consumer.benchmark_replays(), 1u);
+  EXPECT_EQ(consumer.evaluations_performed(), 0u);
+}
+
+TEST_F(EvalCacheFile, TraceNamingAMissingMethodIsRefusedByRestore) {
+  tuner::SuiteEvaluator producer = make_evaluator(/*iterations=*/2);
+  producer.evaluate(heur::default_params());
+  tuner::EvalCacheSnapshot snap = producer.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  tuner::BenchmarkResult& br = snap.entries[0].results[0];
+  ASSERT_NE(br.trace, nullptr);
+  tuner::CompileTrace bad = *br.trace;
+  ASSERT_FALSE(bad.empty());
+  bad[0].method = 1'000'000;
+  br.trace = std::make_shared<const tuner::CompileTrace>(bad);
+
+  tuner::SuiteEvaluator consumer = make_evaluator(/*iterations=*/2);
+  try {
+    consumer.restore(snap);
+    FAIL() << "restored a trace naming a missing method";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("names method 1000000"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(consumer.cache_size(), 0u);
+  EXPECT_EQ(consumer.params_seen(), 0u);
 }
 
 }  // namespace

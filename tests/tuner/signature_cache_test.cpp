@@ -16,10 +16,12 @@
 namespace ith {
 namespace {
 
-tuner::SuiteEvaluator make_evaluator(const resilience::FaultPlan* plan = nullptr) {
+tuner::SuiteEvaluator make_evaluator(const resilience::FaultPlan* plan = nullptr,
+                                     vm::Scenario scenario = vm::Scenario::kAdapt) {
   std::vector<wl::Workload> suite;
   suite.push_back(wl::make_workload("db"));
   tuner::EvalConfig config;
+  config.scenario = scenario;
   config.iterations = 2;
   config.max_retries = 1;
   config.vm_config.faults = plan;
@@ -69,16 +71,18 @@ TEST(SignatureCache, WarmTuneMatchesColdWithZeroRealEvaluations) {
 // Regression for quarantine keyed on raw params: two aliased genomes whose
 // shared signature fails persistently must produce ONE quarantine entry,
 // and the second genome must short-circuit to the penalized verdict without
-// ever re-running the failing suite.
+// ever re-running the failing suite. Under an armed plan only Opt's probe
+// keys alias (Adapt's keys then derive from the parameter vector, and a
+// failed run is never recorded), so the campaign runs under Opt.
 TEST(SignatureCache, AliasedFailingParamsShareOneQuarantineEntry) {
   heur::InlineParams a = heur::default_params();
   heur::InlineParams b = a;
   b.max_inline_depth += 1;  // deeper than db's call graph: decisions unchanged
 
   // The alias must actually hold or this test degenerates; assert it with a
-  // fault-free evaluator (the signature ignores the fault plan).
+  // fault-free evaluator (the probe ignores the fault plan).
   {
-    tuner::SuiteEvaluator probe = make_evaluator();
+    tuner::SuiteEvaluator probe = make_evaluator(nullptr, vm::Scenario::kOpt);
     ASSERT_EQ(probe.signature_of(a), probe.signature_of(b));
   }
 
@@ -86,7 +90,7 @@ TEST(SignatureCache, AliasedFailingParamsShareOneQuarantineEntry) {
   plan.rate = 1.0;  // every attempt faults — the signature is doomed
   plan.seed = 1;
   plan.sites = resilience::FaultPlan::site_bit(resilience::FaultSite::kEvaluator);
-  tuner::SuiteEvaluator eval = make_evaluator(&plan);
+  tuner::SuiteEvaluator eval = make_evaluator(&plan, vm::Scenario::kOpt);
 
   const tuner::SuiteEvaluator::Results first = eval.evaluate(a);
   EXPECT_FALSE((*first)[0].outcome.ok());
@@ -103,7 +107,7 @@ TEST(SignatureCache, AliasedFailingParamsShareOneQuarantineEntry) {
 
   // And a fresh evaluator that only preloads the quarantine (the resume
   // path) short-circuits genome b without ever having seen genome a.
-  tuner::SuiteEvaluator resumed = make_evaluator(&plan);
+  tuner::SuiteEvaluator resumed = make_evaluator(&plan, vm::Scenario::kOpt);
   resumed.preload_quarantine(eval.quarantined_keys());
   const tuner::SuiteEvaluator::Results shortcut = resumed.evaluate(b);
   EXPECT_EQ((*shortcut)[0].attempts, 0);

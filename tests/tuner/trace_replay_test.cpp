@@ -101,10 +101,17 @@ TEST_P(TraceReplay, EvaluateMatchesSerialKeySaltedRuns) {
     heur::JikesHeuristic h(p);
     expect_same(*eval.evaluate(p), serial_suite(suite, config, h, key_salts(eval, p)));
   }
-  // Each distinct (benchmark, key) pair ran or was replayed exactly once.
-  EXPECT_EQ(eval.benchmark_runs() + eval.benchmark_replays(), key_pairs(eval, params).size());
-  if (c.scenario == vm::Scenario::kAdapt && std::string(c.suite) == "specjvm98") {
-    EXPECT_GT(eval.benchmark_replays(), 0u);
+  if (c.scenario == vm::Scenario::kAdapt) {
+    // Each distinct run key names one recorded run: it ran exactly once,
+    // and every other suite that reached it walked there.
+    EXPECT_EQ(eval.benchmark_runs(), key_pairs(eval, params).size());
+    if (std::string(c.suite) == "specjvm98") {
+      EXPECT_GT(eval.benchmark_replays(), 0u);
+    }
+  } else {
+    // Each distinct (benchmark, key) pair ran or was replayed exactly once;
+    // the store served every later suite that shared it.
+    EXPECT_EQ(eval.benchmark_runs() + eval.benchmark_replays(), key_pairs(eval, params).size());
   }
 }
 
@@ -160,11 +167,11 @@ TEST(TraceReplayFaults, ArmedPlanReplaysNothingAndMatchesSerialRuns) {
   config.vm_config.faults = &plan;
 
   tuner::SuiteEvaluator eval(suite, config);
-  eval.default_results();
-  // The default params and the Table 4 genomes: without replay, a longer
-  // list would only add runs.
-  std::vector<heur::InlineParams> params = genomes(vm::Scenario::kAdapt);
-  params.resize(1 + bench::recorded_tuned_params().size());
+  // The default params share the fault-free baseline's key, so evaluate()
+  // returns the baseline itself.
+  EXPECT_EQ(eval.evaluate(heur::default_params()), eval.default_results());
+  // The Table 4 genomes: without replay, a longer list would only add runs.
+  const std::vector<heur::InlineParams> params = bench::recorded_tuned_params();
   for (const heur::InlineParams& p : params) {
     SCOPED_TRACE(p.to_string());
     heur::JikesHeuristic h(p);
@@ -201,15 +208,27 @@ TEST(DecisionTrie, FindFollowsVerdictsToTheRecordedResult) {
       return method == 1 ? first : second;
     };
   };
-  EXPECT_FALSE(trie.find(verdicts_of("a", "b")).has_value());
-  EXPECT_GT(trie.insert({event(1, {7}, "a"), event(2, {7, 9}, "b")}, result(100)), 0u);
-  EXPECT_GT(trie.insert({event(1, {7}, "a"), event(2, {7, 9}, "c")}, result(200)), 0u);
-  EXPECT_EQ(trie.insert({event(1, {7}, "a"), event(2, {7, 9}, "c")}, result(200)), 0u);
+  EXPECT_EQ(trie.find(verdicts_of("a", "b")), nullptr);
+  const tuner::CompileTrace ab{event(1, {7}, "a"), event(2, {7, 9}, "b")};
+  const tuner::CompileTrace ac{event(1, {7}, "a"), event(2, {7, 9}, "c")};
+  const tuner::DecisionTrie::Inserted first = trie.insert(ab, result(100));
+  EXPECT_GT(first.bytes, 0u);
+  const tuner::DecisionTrie::Inserted second = trie.insert(ac, result(200));
+  EXPECT_GT(second.bytes, 0u);
+  const tuner::DecisionTrie::Inserted again = trie.insert(ac, result(200));
+  EXPECT_EQ(again.bytes, 0u);
+  EXPECT_EQ(again.leaf, second.leaf);
 
-  EXPECT_EQ(trie.find(verdicts_of("a", "b"))->total_cycles, 100u);
-  EXPECT_EQ(trie.find(verdicts_of("a", "c"))->total_cycles, 200u);
-  EXPECT_FALSE(trie.find(verdicts_of("a", "d")).has_value());
-  EXPECT_FALSE(trie.find(verdicts_of("x", "b")).has_value());
+  // A walk reaches the leaf a run recorded, and both name the run key of
+  // the path: a content hash that any process computes alike.
+  EXPECT_EQ(trie.find(verdicts_of("a", "b")), first.leaf);
+  EXPECT_EQ(trie.find(verdicts_of("a", "b"))->result.total_cycles, 100u);
+  EXPECT_EQ(trie.find(verdicts_of("a", "c"))->result.total_cycles, 200u);
+  EXPECT_EQ(first.leaf->key, tuner::run_key(ab));
+  EXPECT_EQ(second.leaf->key, tuner::run_key(ac));
+  EXPECT_NE(first.leaf->key, second.leaf->key);
+  EXPECT_EQ(trie.find(verdicts_of("a", "d")), nullptr);
+  EXPECT_EQ(trie.find(verdicts_of("x", "b")), nullptr);
 }
 
 TEST(DecisionTrie, ConflictingInsertThrows) {

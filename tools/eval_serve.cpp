@@ -6,10 +6,12 @@
 //
 // The daemon coordinates a fleet of tuning clients (chaos_tune-compatible
 // configuration flags pick the evaluator fingerprint it will accept): it
-// answers acquire requests from the shared repository, grants leases on
-// misses, parks concurrent askers behind the leaseholder (cross-process
-// single-flight), and persists the repository as an ITHEVC2 snapshot that
-// any tuning tool (or another daemon) can import.
+// answers acquire requests from the shared repository, keyed by a hash of
+// the parameter vector, grants leases on misses, parks concurrent askers
+// behind the leaseholder (cross-process single-flight), and persists the
+// repository — under Adapt with each result's compile trace, which clients
+// fold into their decision tries — as an ITHEVC3 snapshot that any tuning
+// tool (or another daemon) can import.
 //
 // Runs until SIGINT/SIGTERM (graceful: final snapshot) or --run-seconds.
 //
@@ -59,7 +61,7 @@ const std::vector<FlagSpec> kFlags = {
      "eval settings"},
     {"eval-fault-seed", "N", "eval-site fault-plan seed (default 1)"},
     {"eval-fault-sites", "CSV", "vm,compile,eval,sink"},
-    {"snapshot", "PATH", "ITHEVC2 persistence (loaded at start if present)"},
+    {"snapshot", "PATH", "ITHEVC3 persistence (loaded at start if present)"},
     {"snapshot-every", "N", "publishes between periodic snapshots (default 8)"},
     {"import", "CSV", "foreign snapshots to federate in at start"},
     {"fault-rate", "R",

@@ -62,7 +62,7 @@ const std::vector<FlagSpec> kFlags = {
     {"iterations", "N", "VM iterations per benchmark (default 2)"},
     {"retries", "N", "guarded retries per benchmark (default 2)"},
     {"socket", "PATH", "daemon socket (default fleet_tune.sock)"},
-    {"snapshot", "PATH", "daemon ITHEVC2 persistence (default none)"},
+    {"snapshot", "PATH", "daemon ITHEVC3 persistence (default none)"},
     {"snapshot-every", "N", "publishes between periodic snapshots (default 4)"},
     {"import", "CSV", "foreign snapshots federated in at start"},
     {"fault-rate", "R", "fault probability (default 0)"},
@@ -207,10 +207,12 @@ int main(int argc, char** argv) {
     const svc::DaemonStats& d = report.daemon;
     std::cout << "FLEET real_evals=" << report.fleet_real_evaluations
               << " clients=" << fc.clients << " federated_entries=" << report.federated_entries
-              << " federated_quarantine=" << report.federated_quarantine << "\n";
+              << " federated_quarantine=" << report.federated_quarantine
+              << " benchmark_runs=" << report.fleet_benchmark_runs << "\n";
     if (fc.verify_solo) {
       std::cout << "SOLO real_evals=" << report.solo_real_evaluations << " winners_match="
-                << (report.winners_match ? "yes" : "NO") << "\n";
+                << (report.winners_match ? "yes" : "NO")
+                << " benchmark_runs=" << report.solo_benchmark_runs << "\n";
     }
     std::cout << "LEASES granted=" << d.leases_granted << " published=" << d.leases_published
               << " reclaimed=" << d.leases_reclaimed << " outstanding=" << d.leases_outstanding
