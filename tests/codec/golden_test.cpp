@@ -1,13 +1,13 @@
 // Byte formats pinned against golden data, and one integrity suite for all
 // of them.
 //
-// golden/sample.evc (ITHEVC2) and golden/sample.gacp are samples.hpp's
+// golden/sample.evc (ITHEVC3) and golden/sample.gacp are samples.hpp's
 // records as the encoders write them (the checkpoint's bytes predate
-// support/codec); the ITHSVP1 frames below are pinned the same way.
+// support/codec); the ITHSVP2 frames below are pinned the same way.
 // Loading a golden file must give back the sample, and saving the sample
-// must reproduce the file byte for byte. golden/sample.v1.evc is the same
-// snapshot as the retired ITHEVC1 format wrote it, which must now be
-// refused as bad magic.
+// must reproduce the file byte for byte. golden/sample.v1.evc and
+// golden/sample.v2.evc are earlier samples as the retired ITHEVC1 and
+// ITHEVC2 formats wrote them, which must now be refused as bad magic.
 //
 // The Envelope suite feeds every truncation prefix and every single-byte
 // flip of the golden files, and of encoded frames, to the real loaders and
@@ -16,7 +16,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -27,6 +30,7 @@
 #include "codec/samples.hpp"
 #include "resilience/checkpoint.hpp"
 #include "service/protocol.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 #include "tuner/eval_cache.hpp"
 
@@ -45,28 +49,35 @@ void dump(const std::string& path, const std::string& bytes) {
 
 const std::string kGoldenEvc = slurp(ITH_GOLDEN_DIR "/sample.evc");
 const std::string kGoldenEvcV1 = slurp(ITH_GOLDEN_DIR "/sample.v1.evc");
+const std::string kGoldenEvcV2 = slurp(ITH_GOLDEN_DIR "/sample.v2.evc");
 const std::string kGoldenGacp = slurp(ITH_GOLDEN_DIR "/sample.gacp");
 
-// ITHSVP1 frames: 32-byte header (magic, type, reserved, size, checksum),
+// ITHSVP2 frames: 32-byte header (magic, type, reserved, size, checksum),
 // then the payload.
 const std::string kHelloFrame(
-    "\x49\x54\x48\x53\x56\x50\x31\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+    "\x49\x54\x48\x53\x56\x50\x32\x00\x01\x00\x00\x00\x00\x00\x00\x00"
     "\x21\x00\x00\x00\x00\x00\x00\x00\xdb\x70\x57\xa0\x89\xde\xcc\xd3"
     "\xef\xbe\xfe\xca\xce\xfa\xed\xfe\x11\x00\x00\x00\x00\x00\x00\x00"
     "\x09\x00\x00\x00\x00\x00\x00\x00\x63\x6c\x69\x65\x6e\x74\x2d\x31"
     "\x37",
     65);
 const std::string kPublishFrame(
-    "\x49\x54\x48\x53\x56\x50\x31\x00\x07\x00\x00\x00\x00\x00\x00\x00"
-    "\x62\x00\x00\x00\x00\x00\x00\x00\x62\xd4\x99\x38\x66\x67\xd1\x02"
+    "\x49\x54\x48\x53\x56\x50\x32\x00\x07\x00\x00\x00\x00\x00\x00\x00"
+    "\xcd\x00\x00\x00\x00\x00\x00\x00\x7d\xf2\x9d\xe7\xb9\x2e\x49\x44"
     "\x34\x12\x00\x00\x00\x00\x00\x00\x63\x00\x00\x00\x00\x00\x00\x00"
     "\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
-    "\x64\x62\xe8\x03\x00\x00\x00\x00\x00\x00\xdc\x05\x00\x00\x00\x00"
-    "\x00\x00\xf4\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+    "\x02\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x03\x00\x00\x00"
+    "\x0c\x00\x00\x00\x03\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00"
+    "\x01\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00"
     "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00"
-    "\x00\x00",
-    130);
+    "\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00"
+    "\x00\x00\x00\x64\x62\xe8\x03\x00\x00\x00\x00\x00\x00\xdc\x05\x00"
+    "\x00\x00\x00\x00\x00\xf4\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00"
+    "\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00",
+    237);
 constexpr std::size_t kFrameHeader = 32;
 
 svc::HelloMsg sample_hello() {
@@ -87,6 +98,7 @@ svc::ResultsMsg sample_publish() {
   ok.total_cycles = 1500;
   ok.compile_cycles = 500;
   ok.attempts = 2;
+  ok.trace = sample_trace();
   m.results.push_back(ok);
   return m;
 }
@@ -233,7 +245,7 @@ struct SealedFormat {
 };
 
 const SealedFormat kFileFormats[] = {
-    {"ITHEVC2", &kGoldenEvc, [](const std::string& p) { tuner::load_eval_cache(p); }},
+    {"ITHEVC3", &kGoldenEvc, [](const std::string& p) { tuner::load_eval_cache(p); }},
     {"ITHGACP1", &kGoldenGacp, [](const std::string& p) { resilience::load_checkpoint(p); }},
 };
 
@@ -324,11 +336,14 @@ TEST_F(Envelope, ForeignBytesAreBadMagic) {
 }
 
 TEST_F(Envelope, RetiredEvalCacheVersionIsBadMagic) {
-  // An ITHEVC1 file is whole and checksummed, but its format is retired:
-  // a tool handed one reports bad magic and starts cold.
+  // ITHEVC1 and ITHEVC2 files are whole and checksummed, but their formats
+  // are retired: a tool handed one reports bad magic and starts cold.
   ASSERT_EQ(kGoldenEvcV1.substr(0, 8), std::string("ITHEVC1\0", 8));
-  const std::string error = load_error(kFileFormats[0], kGoldenEvcV1);
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  ASSERT_EQ(kGoldenEvcV2.substr(0, 8), std::string("ITHEVC2\0", 8));
+  for (const std::string* retired : {&kGoldenEvcV1, &kGoldenEvcV2}) {
+    const std::string error = load_error(kFileFormats[0], *retired);
+    EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  }
 }
 
 struct PinnedFrame {
@@ -381,6 +396,93 @@ TEST(EnvelopeFrame, EveryTruncatedPayloadFailsToDecode) {
             << frame.name << " payload prefix " << len << ": " << e.what();
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile words: what a checksum cannot catch. Every byte offset of the
+// ITHEVC3 golden payload and of the pinned ITHSVP2 payloads is overwritten
+// with each of thirteen hostile 8-byte words (cut short at the end), and
+// the result is re-sealed, so it passes the envelope. Each must either
+// throw ith::Error or load into a value that re-encodes to the same bytes:
+// nothing the decoder accepts may be a silent default or a narrowing.
+
+const std::uint64_t kHostileWords[] = {
+    0,
+    1,
+    2,
+    0x7fffffffULL,
+    0x80000000ULL,
+    0xffffffffULL,
+    std::uint64_t{1} << 32,
+    std::uint64_t{1} << 40,
+    std::uint64_t{1} << 63,
+    ~std::uint64_t{0},
+    0x7ff8000000000000ULL,  // NaN
+    0x7ff0000000000000ULL,  // +inf
+    0xfff0000000000000ULL,  // -inf
+};
+
+/// Calls `check` with every hostile variant of `payload`.
+void for_each_hostile_variant(const std::string& payload,
+                              const std::function<void(const std::string&)>& check) {
+  for (std::size_t offset = 0; offset < payload.size(); ++offset) {
+    for (const std::uint64_t word : kHostileWords) {
+      std::string bad = payload;
+      const std::size_t n = std::min(sizeof word, bad.size() - offset);
+      std::memcpy(bad.data() + offset, &word, n);
+      if (bad != payload) check(bad);
+    }
+  }
+}
+
+TEST_F(GoldenFile, HostileWordsInTheEvalCacheThrowOrRoundTrip) {
+  const std::string payload = kGoldenEvc.substr(24);  // past magic, size, checksum
+  const std::string resaved = path_ + ".resaved";
+  std::size_t loaded = 0;
+  for_each_hostile_variant(payload, [&](const std::string& bad) {
+    // Sealed by hand (magic, size, checksum), as save_sealed would, but
+    // without its fsync: there are ten thousand of these.
+    std::string sealed = kGoldenEvc.substr(0, 8);
+    for (const std::uint64_t word : {std::uint64_t{bad.size()}, codec::fnv1a(bad)}) {
+      sealed.append(reinterpret_cast<const char*>(&word), sizeof word);
+    }
+    dump(path_, sealed + bad);
+    tuner::EvalCacheSnapshot snap;
+    try {
+      snap = tuner::load_eval_cache(path_);
+    } catch (const Error&) {
+      return;
+    }
+    ++loaded;
+    tuner::save_eval_cache(resaved, snap);
+    EXPECT_EQ(slurp(resaved), slurp(path_)) << "a damaged payload loaded as another value";
+  });
+  std::remove(resaved.c_str());
+  EXPECT_GT(loaded, 0u);  // the fingerprint and quarantine words take any value
+}
+
+TEST(GoldenFrame, HostileWordsInAFramePayloadThrowOrRoundTrip) {
+  const struct {
+    const char* name;
+    const std::string* frame;
+    std::function<std::string(const std::string&)> reencode;
+  } frames[] = {
+      {"hello", &kHelloFrame,
+       [](const std::string& p) { return svc::encode_hello(svc::decode_hello(p)); }},
+      {"publish", &kPublishFrame,
+       [](const std::string& p) { return svc::encode_results_msg(svc::decode_results_msg(p)); }},
+  };
+  for (const auto& f : frames) {
+    for_each_hostile_variant(f.frame->substr(kFrameHeader), [&](const std::string& bad) {
+      std::string again;
+      try {
+        again = f.reencode(bad);
+      } catch (const Error&) {
+        return;
+      }
+      EXPECT_EQ(again, bad) << f.name << ": a damaged payload decoded as another value";
+    });
   }
 }
 

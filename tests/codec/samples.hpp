@@ -1,16 +1,33 @@
 // The sample records the format tests share. golden/sample.gacp is the
 // checkpoint sample as written by the encoder before the codec was unified,
-// golden/sample.evc the snapshot sample as written in ITHEVC2 (the first
-// three sections byte-identical to the ITHEVC1 golden, kept as
-// golden/sample.v1.evc); changing a sample means regenerating its golden
-// file too.
+// golden/sample.evc the snapshot sample as written in ITHEVC3. The retired
+// ITHEVC1 and ITHEVC2 goldens (golden/sample.v1.evc, golden/sample.v2.evc)
+// are kept to show their magic is refused. Changing a sample means
+// regenerating its golden file too.
 #pragma once
+
+#include <memory>
+#include <string>
 
 #include "resilience/budget.hpp"
 #include "resilience/checkpoint.hpp"
 #include "tuner/eval_cache.hpp"
 
 namespace ith {
+
+/// A two-compile trace: a mid-tier compile with two hot sites, then a full
+/// one with none.
+inline std::shared_ptr<const tuner::CompileTrace> sample_trace() {
+  vm::CompileEvent mid;
+  mid.method = 3;
+  mid.tier = rt::Tier::kMidOpt;
+  mid.hot_sites = {0x300000007ULL, 0x30000000cULL};
+  mid.verdicts = std::string("\x01\x00\x02", 3);
+  vm::CompileEvent full;
+  full.method = 0;
+  full.tier = rt::Tier::kOpt;
+  return std::make_shared<const tuner::CompileTrace>(tuner::CompileTrace{mid, full});
+}
 
 inline tuner::EvalCacheSnapshot sample_snapshot() {
   tuner::EvalCacheSnapshot snap;
@@ -30,6 +47,7 @@ inline tuner::EvalCacheSnapshot sample_snapshot() {
   r2.running_cycles = 42;
   r2.total_cycles = 43;
   r2.compile_cycles = 1;
+  r2.trace = sample_trace();
   ok.results.push_back(r2);
   snap.entries.push_back(ok);
 
@@ -41,6 +59,13 @@ inline tuner::EvalCacheSnapshot sample_snapshot() {
   rf.attempts = 0;
   failed.results.push_back(rf);
   snap.entries.push_back(failed);
+
+  // A second suite that reached r2's run: the file holds its trace once.
+  tuner::EvalCacheSnapshot::Entry shared;
+  shared.signature = 0xaaaabbbbccccddddULL;
+  shared.results.push_back(r1);
+  shared.results.push_back(r2);
+  snap.entries.push_back(shared);
 
   snap.quarantined = {0x5555666677778888ULL, 0x9999aaaabbbbccccULL};
 
