@@ -150,15 +150,19 @@ const RecordedRun* SuiteEvaluator::walk(std::size_t i, const heur::InlineParams&
   });
 }
 
-const RecordedRun* SuiteEvaluator::record(std::size_t i,
-                                          std::shared_ptr<const CompileTrace> trace,
-                                          const BenchmarkResult& result) {
+void SuiteEvaluator::check_trace(std::size_t i, const CompileTrace& trace) const {
   const std::size_t methods = suite_[i].program.num_methods();
-  for (const vm::CompileEvent& e : *trace) {
+  for (const vm::CompileEvent& e : trace) {
     ITH_CHECK(e.method >= 0 && static_cast<std::size_t>(e.method) < methods,
               "compile trace of " + suite_[i].name + " names method " + std::to_string(e.method) +
                   ", which its program lacks");
   }
+}
+
+const RecordedRun* SuiteEvaluator::record(std::size_t i,
+                                          std::shared_ptr<const CompileTrace> trace,
+                                          const BenchmarkResult& result) {
+  check_trace(i, *trace);
   // Under Adapt the trace is the key, so results carry it: snapshots and
   // the backend ship it, and a receiver's tries replay it.
   BenchmarkResult stored = result;
@@ -871,12 +875,7 @@ void SuiteEvaluator::restore(EvalCacheSnapshot snap) {
         br.trace = nullptr;
         continue;
       }
-      for (const vm::CompileEvent& ev : *br.trace) {
-        ITH_CHECK(ev.method >= 0 &&
-                      static_cast<std::size_t>(ev.method) < suite_[i].program.num_methods(),
-                  "evaluation cache trace of " + suite_[i].name + " names method " +
-                      std::to_string(ev.method) + ", which its program lacks");
-      }
+      check_trace(i, *br.trace);
       traces.push_back(Restored{i, br});
     }
   }

@@ -392,6 +392,10 @@ class SuiteEvaluator {
   /// oracle over the recorded hot set.
   const RecordedRun* walk(std::size_t i, const heur::InlineParams& params) const;
 
+  /// Throws ith::Error when `trace` names a method benchmark i's program
+  /// lacks (a trace from a file or the backend).
+  void check_trace(std::size_t i, const CompileTrace& trace) const;
+
   /// Records benchmark i's ok first-attempt run in its trie; returns the
   /// leaf (whose result carries the trace under Adapt). Throws ith::Error
   /// when the trace names a method the program lacks or contradicts the
