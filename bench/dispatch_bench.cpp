@@ -205,13 +205,34 @@ double geomean_speedup(const std::vector<DispatchMeasurement>& ms) {
   return n == 0 ? 1.0 : std::exp(log_sum / n);
 }
 
+DispatchSamples run_dispatch_samples(const DispatchBenchConfig& config, int n) {
+  ITH_CHECK(n >= 1, "dispatch bench needs at least one sample");
+  DispatchSamples samples;
+  for (int i = 0; i < n; ++i) samples.push_back(run_dispatch_bench(config));
+  return samples;
+}
+
+const std::vector<DispatchMeasurement>& median_sample(const DispatchSamples& samples) {
+  ITH_CHECK(!samples.empty(), "no dispatch samples");
+  std::vector<std::size_t> order(samples.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return geomean_speedup(samples[a]) < geomean_speedup(samples[b]);
+  });
+  return samples[order[(order.size() - 1) / 2]];
+}
+
 void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
-                      const std::vector<DispatchMeasurement>& ms) {
+                      const DispatchSamples& samples) {
+  const std::vector<DispatchMeasurement>& ms = median_sample(samples);
+  std::vector<double> geomeans;
+  for (const auto& sample : samples) geomeans.push_back(geomean_speedup(sample));
   os << "{\n";
   os << "  \"benchmark\": \"interpreter_dispatch\",\n";
   os << "  \"unit\": \"interpreted instructions per wall-clock second\",\n";
-  os << "  \"config\": {\"repeats\": " << config.repeats << ", \"run_scale\": "
-     << format_double(config.run_scale, 2) << ", \"fuzz_seed\": " << config.fuzz_seed
+  os << "  \"config\": {\"repeats\": " << config.repeats << ", \"samples\": " << samples.size()
+     << ", \"run_scale\": " << format_double(config.run_scale, 2)
+     << ", \"fuzz_seed\": " << config.fuzz_seed
      << ", \"icache\": " << (config.with_icache ? "true" : "false") << "},\n";
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
@@ -224,6 +245,14 @@ void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
        << (i + 1 < ms.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
+  os << "  \"geomean_samples\": [";
+  for (std::size_t i = 0; i < geomeans.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << format_double(geomeans[i], 3);
+  }
+  os << "],\n";
+  const auto [lo, hi] = std::minmax_element(geomeans.begin(), geomeans.end());
+  os << "  \"geomean_range\": [" << format_double(*lo, 3) << ", " << format_double(*hi, 3)
+     << "],\n";
   os << "  \"geomean_speedup_fast_over_reference\": " << format_double(geomean_speedup(ms), 3)
      << "\n";
   os << "}\n";

@@ -56,9 +56,25 @@ std::vector<DispatchMeasurement> run_dispatch_bench(const DispatchBenchConfig& c
 /// Geometric-mean speedup of fast over reference (instructions/sec ratio).
 double geomean_speedup(const std::vector<DispatchMeasurement>& ms);
 
-/// Writes the BENCH_interpreter.json document.
+/// One run_dispatch_bench pass per sample. A single pass's geomean speedup
+/// varies by about ±10% across runs of one binary on a shared host, so the
+/// recorded figure is the median of kRecordSamples passes and the guard
+/// compares the median of kGuardSamples passes with it.
+using DispatchSamples = std::vector<std::vector<DispatchMeasurement>>;
+inline constexpr int kRecordSamples = 9;
+inline constexpr int kGuardSamples = 5;
+
+/// Runs `n` (>= 1) passes of run_dispatch_bench back to back.
+DispatchSamples run_dispatch_samples(const DispatchBenchConfig& config, int n);
+
+/// The pass whose geomean speedup is the median (the lower middle one for
+/// an even count).
+const std::vector<DispatchMeasurement>& median_sample(const DispatchSamples& samples);
+
+/// Writes the BENCH_interpreter.json document: the median pass's rows, the
+/// median geomean speedup, and every pass's geomean with their range.
 void write_bench_json(std::ostream& os, const DispatchBenchConfig& config,
-                      const std::vector<DispatchMeasurement>& ms);
+                      const DispatchSamples& samples);
 
 /// Human-readable table with a per-workload and geomean speedup column.
 void print_dispatch_table(std::ostream& os, const std::vector<DispatchMeasurement>& ms);

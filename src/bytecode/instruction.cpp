@@ -1,58 +1,16 @@
 #include "bytecode/instruction.hpp"
 
-#include <array>
-
 #include "support/error.hpp"
 
 namespace ith::bc {
 
-namespace {
-// Machine-word estimates model a simple RISC-ish lowering: arithmetic is one
-// instruction, division expands, branches need a compare+branch pair, and a
-// call expands into argument marshalling + linkage (this is what makes call
-// elimination by inlining shrink the *dynamic* footprint but inlined bodies
-// grow the *static* one).
-constexpr std::array<OpInfo, kNumOps> kOpTable = {{
-    /*kConst*/ {"const", +1, false, false, 1},
-    /*kLoad*/ {"load", +1, false, false, 1},
-    /*kStore*/ {"store", -1, false, false, 1},
-    /*kAdd*/ {"add", -1, false, false, 1},
-    /*kSub*/ {"sub", -1, false, false, 1},
-    /*kMul*/ {"mul", -1, false, false, 1},
-    // Workload divisors are compile-time constants; real compilers lower
-    // those to a multiply/shift pair, hence 2 words rather than a full
-    // hardware divide.
-    /*kDiv*/ {"div", -1, false, false, 2},
-    /*kMod*/ {"mod", -1, false, false, 2},
-    /*kNeg*/ {"neg", 0, false, false, 1},
-    /*kCmpLt*/ {"cmplt", -1, false, false, 1},
-    /*kCmpLe*/ {"cmple", -1, false, false, 1},
-    /*kCmpEq*/ {"cmpeq", -1, false, false, 1},
-    /*kCmpNe*/ {"cmpne", -1, false, false, 1},
-    /*kJmp*/ {"jmp", 0, true, true, 1},
-    /*kJz*/ {"jz", -1, true, false, 2},
-    /*kJnz*/ {"jnz", -1, true, false, 2},
-    /*kCall*/ {"call", 0 /*special*/, false, false, 4},
-    /*kRet*/ {"ret", -1, false, true, 2},
-    /*kGLoad*/ {"gload", 0, false, false, 3},
-    /*kGStore*/ {"gstore", -2, false, false, 3},
-    // kPop compiles to nothing: with register allocation a discarded stack
-    // value simply never leaves its register.
-    /*kPop*/ {"pop", -1, false, false, 0},
-    /*kNop*/ {"nop", 0, false, false, 0},
-    /*kHalt*/ {"halt", 0, false, true, 1},
-}};
-}  // namespace
-
-const OpInfo& op_info(Op op) {
-  const auto idx = static_cast<std::size_t>(op);
-  ITH_CHECK(idx < kOpTable.size(), "invalid opcode byte");
-  return kOpTable[idx];
-}
+namespace detail {
+void invalid_opcode() { ::ith::detail::raise(__FILE__, __LINE__, "invalid opcode byte"); }
+}  // namespace detail
 
 bool op_from_name(std::string_view name, Op& out) {
-  for (std::size_t i = 0; i < kOpTable.size(); ++i) {
-    if (kOpTable[i].name == name) {
+  for (std::size_t i = 0; i < detail::kOpTable.size(); ++i) {
+    if (detail::kOpTable[i].name == name) {
       out = static_cast<Op>(i);
       return true;
     }

@@ -7,6 +7,8 @@
 // the static code size.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -63,8 +65,55 @@ struct OpInfo {
                                // generated machine code" used by the heuristic)
 };
 
-/// Metadata for `op`; throws ith::Error on an out-of-range opcode byte.
-const OpInfo& op_info(Op op);
+namespace detail {
+// Machine-word estimates model a simple RISC-ish lowering: arithmetic is one
+// instruction, division expands, branches need a compare+branch pair, and a
+// call expands into argument marshalling + linkage (this is what makes call
+// elimination by inlining shrink the *dynamic* footprint but inlined bodies
+// grow the *static* one).
+inline constexpr std::array<OpInfo, kNumOps> kOpTable = {{
+    /*kConst*/ {"const", +1, false, false, 1},
+    /*kLoad*/ {"load", +1, false, false, 1},
+    /*kStore*/ {"store", -1, false, false, 1},
+    /*kAdd*/ {"add", -1, false, false, 1},
+    /*kSub*/ {"sub", -1, false, false, 1},
+    /*kMul*/ {"mul", -1, false, false, 1},
+    // Workload divisors are compile-time constants; real compilers lower
+    // those to a multiply/shift pair, hence 2 words rather than a full
+    // hardware divide.
+    /*kDiv*/ {"div", -1, false, false, 2},
+    /*kMod*/ {"mod", -1, false, false, 2},
+    /*kNeg*/ {"neg", 0, false, false, 1},
+    /*kCmpLt*/ {"cmplt", -1, false, false, 1},
+    /*kCmpLe*/ {"cmple", -1, false, false, 1},
+    /*kCmpEq*/ {"cmpeq", -1, false, false, 1},
+    /*kCmpNe*/ {"cmpne", -1, false, false, 1},
+    /*kJmp*/ {"jmp", 0, true, true, 1},
+    /*kJz*/ {"jz", -1, true, false, 2},
+    /*kJnz*/ {"jnz", -1, true, false, 2},
+    /*kCall*/ {"call", 0 /*special*/, false, false, 4},
+    /*kRet*/ {"ret", -1, false, true, 2},
+    /*kGLoad*/ {"gload", 0, false, false, 3},
+    /*kGStore*/ {"gstore", -2, false, false, 3},
+    // kPop compiles to nothing: with register allocation a discarded stack
+    // value simply never leaves its register.
+    /*kPop*/ {"pop", -1, false, false, 0},
+    /*kNop*/ {"nop", 0, false, false, 0},
+    /*kHalt*/ {"halt", 0, false, true, 1},
+}};
+
+/// Throws ith::Error for an opcode byte outside the instruction set.
+[[noreturn]] void invalid_opcode();
+}  // namespace detail
+
+/// Metadata for `op`; throws ith::Error on an out-of-range opcode byte. A
+/// table read in the header, so the per-instruction callers (predecode,
+/// the optimizer's scans, the reference engine) inline it.
+constexpr const OpInfo& op_info(Op op) {
+  const auto idx = static_cast<std::size_t>(op);
+  if (idx >= detail::kOpTable.size()) [[unlikely]] detail::invalid_opcode();
+  return detail::kOpTable[idx];
+}
 
 /// Mnemonic lookup for the parser; returns false if `name` is unknown.
 bool op_from_name(std::string_view name, Op& out);

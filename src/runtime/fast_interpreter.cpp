@@ -19,7 +19,7 @@ FastInterpreter::FastInterpreter(const bc::Program& prog, const MachineModel& ma
                                  CodeSource& source, ICache* icache, InterpreterOptions options)
     : Engine(prog, machine, source, icache, options), predecoded_(prog.num_methods()) {
   frames_.reserve(64);
-  locals_.reserve(1024);
+  locals_.resize(1024);
   stack_.resize(256);
 }
 
@@ -64,14 +64,22 @@ void FastInterpreter::ensure_stack(std::size_t need) {
   if (stack_.size() < need) stack_.resize(std::max(need, stack_.size() * 2));
 }
 
+void FastInterpreter::claim_locals(std::size_t top) {
+  if (locals_.size() < top) locals_.resize(std::max(top, locals_.size() * 2));
+  locals_top_ = top;
+}
+
 FastInterpreter::EnterState FastInterpreter::call_into(bc::MethodId id, std::int32_t nargs,
                                                        std::size_t sp, ExecStats& stats,
                                                        const void* const* labels) {
   const CompiledMethod& cm = source_.invoke(id);
   ITH_ASSERT(cm.word_offset.size() == cm.body.size() + 1, "compiled method not finalized");
   PredecodedBody& body = attach(cm, labels);
-  const std::size_t locals_base = locals_.size();
-  locals_.resize(locals_base + static_cast<std::size_t>(cm.body.num_locals()), 0);
+  const std::size_t locals_base = locals_top_;
+  const auto num_locals = static_cast<std::size_t>(cm.body.num_locals());
+  claim_locals(locals_base + num_locals);
+  // The arena above locals_top_ holds what returned frames left behind.
+  std::fill_n(locals_.data() + locals_base, num_locals, 0);
   // Arguments: top of stack is the last argument.
   const auto n = static_cast<std::size_t>(nargs);
   ITH_CHECK(sp > n, "argument stack underflow");  // slot 0 is the dummy
@@ -86,7 +94,7 @@ FastInterpreter::EnterState FastInterpreter::call_into(bc::MethodId id, std::int
     throw resilience::BudgetExceededError(resilience::BudgetKind::kFrameDepth,
                                           "simulated stack overflow (recursion too deep)");
   }
-  if (locals_.size() + stack_.size() > options_.max_arena_words) {
+  if (locals_top_ + stack_.size() > options_.max_arena_words) {
     throw resilience::BudgetExceededError(
         resilience::BudgetKind::kArena,
         "interpreter: arena budget exceeded (locals + operand stack)");
@@ -100,7 +108,6 @@ bool FastInterpreter::try_osr(std::size_t target, std::size_t sp, ExecStats& sta
   const CompiledMethod* cur = fr.pb->cm;
   const CompiledMethod* repl = source_.osr_replacement(*cur, target);
   if (repl == nullptr || repl == cur) return false;
-  if (cur->tier != Tier::kBaseline) return false;
   if (cur == osr_failed_from_ && repl == osr_failed_to_) return false;
 
   const auto om = cur->origin.empty() ? cur->method_id : cur->origin[target].first;
@@ -116,8 +123,13 @@ bool FastInterpreter::try_osr(std::size_t target, std::size_t sp, ExecStats& sta
 
   const auto old_locals = static_cast<std::size_t>(cur->body.num_locals());
   const auto new_locals = static_cast<std::size_t>(repl->body.num_locals());
-  ITH_ASSERT(fr.locals_base + old_locals == locals_.size(), "OSR on a non-top frame");
-  if (new_locals > old_locals) locals_.resize(fr.locals_base + new_locals, 0);
+  ITH_ASSERT(fr.locals_base + old_locals == locals_top_, "OSR on a non-top frame");
+  if (new_locals > old_locals) {
+    // The replacement's extra (inlinee) slots start zeroed, like a fresh
+    // frame's.
+    claim_locals(fr.locals_base + new_locals);
+    std::fill_n(locals_.data() + fr.locals_base + old_locals, new_locals - old_locals, 0);
+  }
   PredecodedBody& body = attach(*repl, labels);
   ensure_stack(fr.stack_floor + static_cast<std::size_t>(body.max_operand_depth) + 1);
   fr.pb = &body;
@@ -136,7 +148,7 @@ ExecStats FastInterpreter::run() {
   std::uint64_t calls = 0;
 
   frames_.clear();
-  locals_.clear();
+  locals_top_ = 0;
 
   const std::size_t gsize = globals_.size();
   std::int64_t* const gbl = globals_.data();
@@ -236,9 +248,9 @@ ExecStats FastInterpreter::run() {
 
 // Taken-branch tail shared by the jump handlers: ip->a is the pc-relative
 // jump delta, so the target is computed by pointer arithmetic alone. A
-// non-positive delta is a back edge — profile tick plus OSR window —
-// exactly as in the reference engine. A jump target starts a run; an OSR
-// entry may land inside one and is charged from there.
+// non-positive delta is a back edge — profile tick, plus the OSR offer
+// from a baseline frame — exactly as in the reference engine. A jump target
+// starts a run; an OSR entry may land inside one and is charged from there.
 #define ITH_TAKEN_BRANCH()                                       \
   {                                                              \
     const std::int32_t d = ip->a;                                \
@@ -248,7 +260,8 @@ ExecStats FastInterpreter::run() {
       const auto target =                                        \
           static_cast<std::size_t>((ip - body.code.data()) + d); \
       EnterState st;                                             \
-      if (try_osr(target, sp_of(top), stats, kLabels, st)) {     \
+      if (body.cm->tier == Tier::kBaseline &&                    \
+          try_osr(target, sp_of(top), stats, kLabels, st)) {     \
         ip = st.ip;                                              \
         loc = st.loc;                                            \
         top = st.top;                                            \
@@ -375,7 +388,7 @@ ExecStats FastInterpreter::run() {
       ITH_CASE(kRet) {
         const FastFrame& leaving = frames_.back();
         ITH_ASSERT(sp_of(top) == leaving.stack_floor + 1, "operand stack unbalanced at return");
-        locals_.resize(leaving.locals_base);
+        locals_top_ = leaving.locals_base;
         frames_.pop_back();
         current_line_ = ~0ULL;
         if (frames_.empty()) {
@@ -384,7 +397,7 @@ ExecStats FastInterpreter::run() {
         }
         const FastFrame& fr = frames_.back();
         ip = fr.resume;
-        loc = locals_.data() + fr.locals_base;  // shrink never reallocates
+        loc = locals_.data() + fr.locals_base;
         ITH_DISPATCH();
       }
       ITH_CASE(kGLoad) {

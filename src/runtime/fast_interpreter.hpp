@@ -23,7 +23,13 @@
 //     holds the rest, above a dummy slot 0;
 //   * the frame / locals / operand-stack arenas are members reused across
 //     run() calls, so repeated VirtualMachine::run iterations allocate
-//     nothing on the hot path.
+//     nothing on the hot path. The locals arena is flat: `locals_top_`
+//     indexes its first free slot, a call zeroes only the callee's locals
+//     above it, and a return or an OSR transfer moves the index; the arena
+//     itself grows geometrically and never shrinks;
+//   * the OSR offer (CodeSource::osr_replacement) is made only from
+//     baseline frames, as in the reference engine, so a back edge in
+//     optimized code costs the profile tick alone.
 //
 // Predecoded bodies are cached per method id, keyed by the CompiledMethod's
 // address; recompilation (a new address in the slot) retires the old
@@ -97,6 +103,10 @@ class FastInterpreter final : public Engine {
   /// Grows the operand stack to at least `need` slots.
   void ensure_stack(std::size_t need);
 
+  /// Moves locals_top_ to `top`, growing the locals arena when it is
+  /// smaller. The slots gained hold stale values; the caller zeroes them.
+  void claim_locals(std::size_t top);
+
   struct Slot {
     const CompiledMethod* cm = nullptr;
     std::unique_ptr<PredecodedBody> pb;
@@ -106,7 +116,8 @@ class FastInterpreter final : public Engine {
 
   // Execution arenas, reused across run() calls.
   std::vector<FastFrame> frames_;
-  std::vector<std::int64_t> locals_;
+  std::vector<std::int64_t> locals_;  // slots [0, locals_top_) are live
+  std::size_t locals_top_ = 0;
   std::vector<std::int64_t> stack_;  // capacity managed explicitly; `top` is in run()
 
   // The I-cache line of the last probe (~0 after a control transfer). A

@@ -125,9 +125,9 @@ ExecStats ReferenceInterpreter::run() {
   const CompiledMethod* osr_failed_from = nullptr;
   const CompiledMethod* osr_failed_to = nullptr;
   auto attempt_osr = [&](Frame& fr2, std::size_t target) -> bool {
+    if (fr2.cm->tier != Tier::kBaseline) return false;  // offered only from baseline frames
     const CompiledMethod* repl = source_.osr_replacement(*fr2.cm, target);
     if (repl == nullptr || repl == fr2.cm) return false;
-    if (fr2.cm->tier != Tier::kBaseline) return false;
     if (fr2.cm == osr_failed_from && repl == osr_failed_to) return false;
 
     const auto om = fr2.cm->origin.empty() ? fr2.cm->method_id : fr2.cm->origin[target].first;

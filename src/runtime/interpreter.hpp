@@ -47,7 +47,12 @@
 
 namespace ith::rt {
 
-/// The interpreter's view of the VM: code lookup plus profile hooks.
+/// The interpreter's view of the VM: code lookup plus profile hooks. Both
+/// engines make the same calls, with the same arguments, in the same order
+/// (EngineEquivalence.SameCodeSourceCallsOnBothEngines), so a source's
+/// decisions cannot depend on the engine. invoke, on_back_edge and
+/// on_call_site run on every call and back edge of the simulated program:
+/// a source should count and return, and do real work only rarely.
 class CodeSource {
  public:
   virtual ~CodeSource() = default;
@@ -64,14 +69,15 @@ class CodeSource {
   /// A backward branch was taken inside `id`.
   virtual void on_back_edge(bc::MethodId id);
 
-  /// Offered after every taken back edge: if a better compilation of the
+  /// Offered after every taken back edge in a baseline-tier frame (after
+  /// on_back_edge), and only there: transfers leave baseline frames only,
+  /// so optimized frames are never asked. If a better compilation of the
   /// executing method exists, return it and the interpreter attempts an
   /// on-stack replacement (transfer of the live frame). Return nullptr to
   /// decline (the default). The returned body must stay valid as long as
-  /// invoke()'s results. Transfers only succeed from baseline-tier frames
-  /// whose loop-header state provably maps into the replacement (unique
-  /// origin match + equal operand-stack depth); otherwise execution
-  /// continues in the old code.
+  /// invoke()'s results. A transfer succeeds only when the loop-header
+  /// state provably maps into the replacement (unique origin match + equal
+  /// operand-stack depth); otherwise execution continues in the old code.
   virtual const CompiledMethod* osr_replacement(const CompiledMethod& current,
                                                 std::size_t target_pc);
 

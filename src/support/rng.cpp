@@ -12,22 +12,8 @@ Pcg32::Pcg32(std::uint64_t seed, std::uint64_t seq) : state_(0), inc_((seq << 1u
   operator()();
 }
 
-Pcg32::result_type Pcg32::operator()() {
-  const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  const auto rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-std::uint32_t Pcg32::bounded(std::uint32_t bound) {
-  ITH_CHECK(bound > 0, "Pcg32::bounded requires bound > 0");
-  // Rejection sampling: discard the non-multiple-of-bound tail of the range.
-  const std::uint32_t threshold = static_cast<std::uint32_t>(-bound) % bound;
-  for (;;) {
-    const std::uint32_t r = operator()();
-    if (r >= threshold) return r % bound;
-  }
+void Pcg32::zero_bound() {
+  detail::raise(__FILE__, __LINE__, "Pcg32::bounded requires bound > 0");
 }
 
 std::int64_t Pcg32::range(std::int64_t lo, std::int64_t hi) {

@@ -24,10 +24,25 @@ class Pcg32 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
 
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
-  /// Uniform integer in [0, bound), bias-free (rejection sampling).
-  std::uint32_t bounded(std::uint32_t bound);
+  /// Uniform integer in [0, bound), bias-free (rejection sampling). Throws
+  /// ith::Error for a zero bound.
+  std::uint32_t bounded(std::uint32_t bound) {
+    if (bound == 0) [[unlikely]] zero_bound();
+    // Rejection sampling: discard the non-multiple-of-bound tail of the range.
+    const std::uint32_t threshold = static_cast<std::uint32_t>(-bound) % bound;
+    for (;;) {
+      const std::uint32_t r = operator()();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
@@ -59,6 +74,8 @@ class Pcg32 {
   }
 
  private:
+  [[noreturn]] static void zero_bound();
+
   std::uint64_t state_;
   std::uint64_t inc_;
 };

@@ -35,7 +35,9 @@ VirtualMachine::VirtualMachine(const bc::Program& prog, const rt::MachineModel& 
       heuristic_(heuristic),
       config_(config),
       current_(prog.num_methods()),
-      opt_compile_count_(prog.num_methods(), 0),
+      next_trip_(prog.num_methods(), config.scenario == Scenario::kAdapt
+                                         ? config.hot_method_threshold
+                                         : kNeverTrips),
       profile_(prog.num_methods()),
       obs_(config.obs) {
   // Whole-program heuristics (the knapsack oracle) see the program once per
@@ -251,14 +253,15 @@ void VirtualMachine::install(bc::MethodId id, std::unique_ptr<rt::CompiledMethod
 
 const rt::CompiledMethod& VirtualMachine::invoke(bc::MethodId id) {
   profile_.record_invocation(id);
-  auto& slot = current_[static_cast<std::size_t>(id)];
+  const auto i = static_cast<std::size_t>(id);
+  auto& slot = current_[i];
   if (slot == nullptr) {
     install(id, config_.scenario == Scenario::kOpt ? compile_opt(id, rt::Tier::kOpt)
                                                : compile_baseline(id));
-  } else {
-    maybe_recompile(id);
+  } else if (profile_.hot_score(id) >= next_trip_[i]) {
+    promote(id);
   }
-  return *current_[static_cast<std::size_t>(id)];
+  return *current_[i];
 }
 
 void VirtualMachine::on_back_edge(bc::MethodId id) {
@@ -269,7 +272,7 @@ void VirtualMachine::on_back_edge(bc::MethodId id) {
   // invocation picks up the optimized version. With config_.enable_osr the
   // interpreter additionally transfers the live frame at the loop header
   // via osr_replacement() below.
-  maybe_recompile(id);
+  if (profile_.hot_score(id) >= next_trip_[static_cast<std::size_t>(id)]) promote(id);
 }
 
 const rt::CompiledMethod* VirtualMachine::osr_replacement(const rt::CompiledMethod& current,
@@ -302,32 +305,21 @@ void VirtualMachine::on_call_site(bc::MethodId origin_method, std::int32_t origi
   }
 }
 
-void VirtualMachine::maybe_recompile(bc::MethodId id) {
-  if (config_.scenario != Scenario::kAdapt) return;
-  auto& slot = current_[static_cast<std::size_t>(id)];
-  if (slot == nullptr) return;
-  int& count = opt_compile_count_[static_cast<std::size_t>(id)];
-  const std::uint64_t score = profile_.hot_score(id);
-  rt::Tier target;
-  if (count == 0) {
-    if (score < config_.hot_method_threshold) return;
-    // First promotion: O1 unless the ladder is collapsed.
-    target = config_.rehot_multiplier == 0 ? rt::Tier::kOpt : rt::Tier::kMidOpt;
-  } else if (count == 1 && config_.rehot_multiplier > 0) {
-    // Full O2 promotion: by now the profile has seen enough call-site
-    // traffic that hot sites are actually marked hot.
-    if (score < config_.hot_method_threshold * config_.rehot_multiplier) return;
-    target = rt::Tier::kOpt;
-  } else {
-    return;  // already at the top level
-  }
-  ++count;
+void VirtualMachine::promote(bc::MethodId id) {
+  const auto i = static_cast<std::size_t>(id);
+  const auto& slot = current_[i];
+  // From baseline: O1 unless the ladder is collapsed. From O1: full O2, by
+  // when the profile has seen enough call-site traffic that hot sites are
+  // actually marked hot.
+  const bool to_top = slot->tier != rt::Tier::kBaseline || config_.rehot_multiplier == 0;
+  const rt::Tier target = to_top ? rt::Tier::kOpt : rt::Tier::kMidOpt;
+  next_trip_[i] = to_top ? kNeverTrips : config_.hot_method_threshold * config_.rehot_multiplier;
   if (obs_ != nullptr && obs_->enabled(obs::Category::kVm)) {
     obs_->instant(obs::Category::kVm, "vm.promote", obs::Domain::kSim, sim_now_,
                   {{"method", prog_.method(id).name()},
                    {"from_tier", tier_name(slot->tier)},
                    {"to_tier", tier_name(target)},
-                   {"hot_score", score}});
+                   {"hot_score", profile_.hot_score(id)}});
     obs_->counter("vm.promotions").add(1);
   }
   install(id, compile_opt(id, target));

@@ -11,6 +11,12 @@
 //            *hot call sites* inside it are judged by the Figure 4 test
 //            (HOT_CALLEE_MAX_SIZE) instead of the Figure 3 chain.
 //
+// The engine calls the VM (as its rt::CodeSource) on every simulated call
+// and back edge. Each such call bumps a profile counter and compares the
+// method's hot score with the score of its next promotion; the tier-up
+// logic runs only when the score reaches it, so a call or back edge costs
+// its counters and one compare.
+//
 // Methodology (section 5): the benchmark runs `iterations` times inside one
 // VM. Iteration 1 gives *total time* (execution + all compilation during
 // it); the best later iteration gives *running time*. Compilation performed
@@ -207,7 +213,9 @@ class VirtualMachine final : private rt::CodeSource {
   std::unique_ptr<rt::CompiledMethod> compile_baseline(bc::MethodId id);
   std::unique_ptr<rt::CompiledMethod> compile_opt(bc::MethodId id, rt::Tier tier);
   void install(bc::MethodId id, std::unique_ptr<rt::CompiledMethod> cm);
-  void maybe_recompile(bc::MethodId id);
+  /// Recompiles `id` one tier up and sets its next trip. Called only when
+  /// the method's hot score reaches next_trip_, so only at a crossing.
+  void promote(bc::MethodId id);
 
   /// Applies the kCompileInflate fault (if armed), accrues the cycles
   /// against this run's compile-cycle budget (throwing kCompileCycles when
@@ -236,7 +244,13 @@ class VirtualMachine final : private rt::CodeSource {
 
   std::vector<std::unique_ptr<rt::CompiledMethod>> current_;
   std::vector<std::unique_ptr<rt::CompiledMethod>> retired_;
-  std::vector<int> opt_compile_count_;  // per-method optimizing compilations so far
+  /// Per method, the hot score at which it is next promoted:
+  /// hot_method_threshold before its first promotion, hot_method_threshold
+  /// * rehot_multiplier after it, kNeverTrips at the top tier and under Opt.
+  /// A call or back edge compares the score with it and goes on; the
+  /// tier-up logic runs only at a crossing.
+  static constexpr std::uint64_t kNeverTrips = ~std::uint64_t{0};
+  std::vector<std::uint64_t> next_trip_;
   rt::ProfileData profile_;
   std::unique_ptr<rt::ICache> icache_;
   std::unique_ptr<rt::Interpreter> interp_;

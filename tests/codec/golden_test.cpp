@@ -401,11 +401,12 @@ TEST(EnvelopeFrame, EveryTruncatedPayloadFailsToDecode) {
 
 // ---------------------------------------------------------------------------
 // Hostile words: what a checksum cannot catch. Every byte offset of the
-// ITHEVC3 golden payload and of the pinned ITHSVP2 payloads is overwritten
-// with each of thirteen hostile 8-byte words (cut short at the end), and
-// the result is re-sealed, so it passes the envelope. Each must either
-// throw ith::Error or load into a value that re-encodes to the same bytes:
-// nothing the decoder accepts may be a silent default or a narrowing.
+// ITHEVC3 and ITHGACP1 golden payloads and of the pinned ITHSVP2 payloads
+// is overwritten with each of thirteen hostile 8-byte words (cut short at
+// the end), and the result is re-sealed, so it passes the envelope. Each
+// must either throw ith::Error or load into a value that re-encodes to the
+// same bytes: nothing the decoder accepts may be a silent default or a
+// narrowing.
 
 const std::uint64_t kHostileWords[] = {
     0,
@@ -436,30 +437,47 @@ void for_each_hostile_variant(const std::string& payload,
   }
 }
 
-TEST_F(GoldenFile, HostileWordsInTheEvalCacheThrowOrRoundTrip) {
-  const std::string payload = kGoldenEvc.substr(24);  // past magic, size, checksum
-  const std::string resaved = path_ + ".resaved";
+/// Writes every hostile variant of `golden`'s payload to `path`, sealed by
+/// hand (magic, size, checksum) as save_sealed would but without its fsync:
+/// there are thousands of these. `load` reads `path`, and `resave` writes
+/// what it loaded to the path it is given. Each variant must throw
+/// ith::Error or resave to the same bytes. Returns how many loaded.
+template <typename Load, typename Resave>
+std::size_t sweep_hostile_file(const std::string& golden, const std::string& path, Load load,
+                               Resave resave) {
+  const std::string payload = golden.substr(24);  // past magic, size, checksum
+  const std::string resaved = path + ".resaved";
   std::size_t loaded = 0;
   for_each_hostile_variant(payload, [&](const std::string& bad) {
-    // Sealed by hand (magic, size, checksum), as save_sealed would, but
-    // without its fsync: there are ten thousand of these.
-    std::string sealed = kGoldenEvc.substr(0, 8);
+    std::string sealed = golden.substr(0, 8);
     for (const std::uint64_t word : {std::uint64_t{bad.size()}, codec::fnv1a(bad)}) {
       sealed.append(reinterpret_cast<const char*>(&word), sizeof word);
     }
-    dump(path_, sealed + bad);
-    tuner::EvalCacheSnapshot snap;
+    dump(path, sealed + bad);
+    decltype(load(path)) value;
     try {
-      snap = tuner::load_eval_cache(path_);
+      value = load(path);
     } catch (const Error&) {
       return;
     }
     ++loaded;
-    tuner::save_eval_cache(resaved, snap);
-    EXPECT_EQ(slurp(resaved), slurp(path_)) << "a damaged payload loaded as another value";
+    resave(resaved, value);
+    EXPECT_EQ(slurp(resaved), slurp(path)) << "a damaged payload loaded as another value";
   });
   std::remove(resaved.c_str());
+  return loaded;
+}
+
+TEST_F(GoldenFile, HostileWordsInTheEvalCacheThrowOrRoundTrip) {
+  const std::size_t loaded =
+      sweep_hostile_file(kGoldenEvc, path_, tuner::load_eval_cache, tuner::save_eval_cache);
   EXPECT_GT(loaded, 0u);  // the fingerprint and quarantine words take any value
+}
+
+TEST_F(GoldenFile, HostileWordsInTheCheckpointThrowOrRoundTrip) {
+  const std::size_t loaded = sweep_hostile_file(kGoldenGacp, path_, resilience::load_checkpoint,
+                                                resilience::save_checkpoint);
+  EXPECT_GT(loaded, 0u);  // the fingerprint and RNG words take any value
 }
 
 TEST(GoldenFrame, HostileWordsInAFramePayloadThrowOrRoundTrip) {

@@ -2,9 +2,11 @@
 // fields) and globals against the reference interpreter, over the whole
 // workload suite, under every scenario that exercises the cost model —
 // icache simulation, adaptive recompilation, and OSR frame transfer.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "fuzz/campaign.hpp"
 #include "fuzz/generator.hpp"
 #include "heuristics/heuristic.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/icache.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/machine.hpp"
@@ -369,6 +372,133 @@ TEST(EngineEquivalence, OsrEntryInsideARunChargesTheRestOfTheRun) {
   }
   // Every budget, so one trap lands inside the run the OSR entry charges.
   EXPECT_GT(expect_budget_sweep_identical(prog, "mid_run_osr", 600, make_source), 0u);
+}
+
+/// One call an engine made on its CodeSource, with its arguments.
+struct SourceCall {
+  char kind;  ///< 'i' invoke, 'b' on_back_edge, 's' on_call_site, 'o' osr_replacement
+  std::int64_t a;
+  std::int64_t b = 0;
+  std::int64_t c = 0;
+
+  friend bool operator==(const SourceCall&, const SourceCall&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SourceCall& call) {
+  return os << call.kind << '(' << call.a << ", " << call.b << ", " << call.c << ')';
+}
+
+/// Logs every CodeSource call. Serves a method's baseline body for its
+/// first `trip` invocations and an always-inline optimized body after, and
+/// offers the optimized body for OSR from the method's `trip`-th back edge
+/// on, so frames of both tiers take back edges and some transfers succeed.
+class RecordingLadderSource final : public rt::CodeSource {
+ public:
+  RecordingLadderSource(const bc::Program& prog, std::uint64_t trip)
+      : trip_(trip), invocations_(prog.num_methods()), back_edges_(prog.num_methods()) {
+    heur::AlwaysInlineHeuristic always;
+    opt::PassManager pm(prog, always);
+    for (std::size_t i = 0; i < prog.num_methods(); ++i) {
+      const auto id = static_cast<bc::MethodId>(i);
+      auto base = std::make_unique<rt::CompiledMethod>();
+      base->body = prog.method(id);
+      base->tier = rt::Tier::kBaseline;
+      base->method_id = id;
+      base->code_base = 0x1000 + 0x10000 * i;
+      for (std::size_t pc = 0; pc < base->body.size(); ++pc) {
+        base->origin.emplace_back(id, static_cast<std::int32_t>(pc));
+      }
+      base->finalize();
+      baseline_.push_back(std::move(base));
+
+      opt::OptimizeResult r = pm.run(id);
+      auto top = std::make_unique<rt::CompiledMethod>();
+      top->body = std::move(r.body.method);
+      top->tier = rt::Tier::kOpt;
+      top->method_id = id;
+      top->code_base = 0x900000 + 0x10000 * i;
+      for (const opt::InstrMeta& m : r.body.meta) top->origin.emplace_back(m.origin_method, m.origin_pc);
+      top->finalize();
+      optimized_.push_back(std::move(top));
+    }
+  }
+
+  const rt::CompiledMethod& invoke(bc::MethodId id) override {
+    log.push_back({'i', id});
+    const auto i = static_cast<std::size_t>(id);
+    return ++invocations_[i] > trip_ ? *optimized_[i] : *baseline_[i];
+  }
+  void on_back_edge(bc::MethodId id) override {
+    log.push_back({'b', id});
+    ++back_edges_[static_cast<std::size_t>(id)];
+  }
+  void on_call_site(bc::MethodId origin_method, std::int32_t origin_pc) override {
+    log.push_back({'s', origin_method, origin_pc});
+  }
+  const rt::CompiledMethod* osr_replacement(const rt::CompiledMethod& current,
+                                            std::size_t target_pc) override {
+    log.push_back({'o', current.method_id, static_cast<std::int64_t>(current.tier),
+                   static_cast<std::int64_t>(target_pc)});
+    const auto i = static_cast<std::size_t>(current.method_id);
+    return back_edges_[i] >= trip_ ? optimized_[i].get() : nullptr;
+  }
+
+  std::vector<SourceCall> log;
+
+ private:
+  std::uint64_t trip_;
+  std::vector<std::uint64_t> invocations_;
+  std::vector<std::uint64_t> back_edges_;
+  std::vector<std::unique_ptr<rt::CompiledMethod>> baseline_;
+  std::vector<std::unique_ptr<rt::CompiledMethod>> optimized_;
+};
+
+// The VM's profile, tier-up and OSR decisions are functions of the calls an
+// engine makes on its CodeSource, so both engines must make the same calls
+// with the same arguments in the same order — OSR offers included, which
+// both make only from baseline frames.
+TEST(EngineEquivalence, SameCodeSourceCallsOnBothEngines) {
+  std::vector<std::pair<std::string, bc::Program>> programs =
+      fuzz::load_corpus(ITH_FUZZ_CORPUS_DIR);
+  ASSERT_FALSE(programs.empty());
+  programs.emplace_back("loop200", test::make_loop_program(200));
+  programs.emplace_back("fib12", test::make_fib_program(12));
+  std::size_t offers = 0;
+  std::uint64_t transfers = 0;
+  for (const auto& [name, prog] : programs) {
+    for (const std::uint64_t trip : {1u, 3u}) {
+      std::vector<SourceCall> logs[2];
+      rt::ExecStats stats[2];
+      int e = 0;
+      for (const rt::EngineKind engine : {rt::EngineKind::kFast, rt::EngineKind::kReference}) {
+        RecordingLadderSource source(prog, trip);
+        rt::InterpreterOptions opts;
+        opts.engine = engine;
+        rt::Interpreter interp(prog, rt::pentium4_model(), source, nullptr, opts);
+        stats[e] = interp.run();
+        logs[e++] = std::move(source.log);
+      }
+      const std::string label = name + " trip " + std::to_string(trip);
+      EXPECT_TRUE(stats[0] == stats[1]) << label;
+      const std::size_t n = std::min(logs[0].size(), logs[1].size());
+      std::size_t at = 0;
+      while (at < n && logs[0][at] == logs[1][at]) ++at;
+      if (at < n) {
+        ADD_FAILURE() << label << ": call " << at << " differs: fast " << logs[0][at]
+                      << ", reference " << logs[1][at];
+      }
+      EXPECT_EQ(logs[0].size(), logs[1].size()) << label;
+      for (const SourceCall& call : logs[0]) {
+        if (call.kind != 'o') continue;
+        ++offers;
+        EXPECT_EQ(call.b, static_cast<std::int64_t>(rt::Tier::kBaseline))
+            << label << ": OSR offered from a non-baseline frame";
+      }
+      transfers += stats[0].osr_transitions;
+    }
+  }
+  EXPECT_GT(offers, 0u);
+  EXPECT_GT(transfers, 0u) << "no OSR transfer happened; the source lost its point";
 }
 
 TEST(EngineEquivalence, StackOverflowTrapMessageIdentical) {

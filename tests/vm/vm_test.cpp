@@ -2,11 +2,18 @@
 // the paper's two-iteration methodology, and time accounting.
 #include "vm/vm.hpp"
 
+#include <cstring>
+#include <map>
+#include <string>
+#include <variant>
+
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
 
 #include "heuristics/heuristic.hpp"
+#include "obs/context.hpp"
+#include "obs/sink.hpp"
 #include "testing.hpp"
 #include "workloads/suite.hpp"
 
@@ -257,6 +264,56 @@ TEST(Vm, IcacheCanBeDisabled) {
   cfg.simulate_icache = false;
   const RunResult r = run_vm(p, Scenario::kOpt, h, 2, cfg);
   EXPECT_EQ(r.iterations[0].exec.icache_probes, 0u);
+}
+
+/// The value of the arg named `key` of `e`, which must be there with type T.
+template <typename T>
+T event_arg(const obs::Event& e, const char* key) {
+  for (const obs::Arg& a : e.args) {
+    if (a.key == key) return std::get<T>(a.value);
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return T{};
+}
+
+// The VM enters its tier-up logic only when a method's hot score reaches
+// the next threshold, so each promotion fires on the very call or back edge
+// that reaches it: the first at hot_method_threshold, the second at
+// hot_method_threshold * rehot_multiplier, never one event later.
+TEST(Vm, PromotionsFireExactlyAtTheirThresholds) {
+  std::size_t firsts = 0;
+  std::size_t seconds = 0;
+  for (const wl::Workload& w : wl::make_suite("all")) {
+    for (const bool osr : {false, true}) {
+      obs::MemorySink sink;
+      obs::Context ctx(&sink, static_cast<std::uint32_t>(obs::Category::kVm));
+      heur::JikesHeuristic h;
+      VmConfig cfg;
+      cfg.enable_osr = osr;
+      cfg.obs = &ctx;
+      VirtualMachine m(w.program, rt::pentium4_model(), h, cfg);
+      const RunResult r = m.run(2);
+      const std::string label = w.name + (osr ? " (OSR)" : "");
+      std::map<std::string, int> promoted;  // per method
+      std::size_t promotions = 0;
+      for (const obs::Event& e : sink.events()) {
+        if (std::strcmp(e.name, "vm.promote") != 0) continue;
+        ++promotions;
+        const std::string method = event_arg<std::string>(e, "method");
+        const int nth = promoted[method]++;
+        ASSERT_LT(nth, 2) << label << ": " << method << " promoted a third time";
+        const std::uint64_t want = nth == 0
+                                       ? cfg.hot_method_threshold
+                                       : cfg.hot_method_threshold * cfg.rehot_multiplier;
+        EXPECT_EQ(static_cast<std::uint64_t>(event_arg<std::int64_t>(e, "hot_score")), want)
+            << label << ": promotion " << nth + 1 << " of " << method;
+        ++(nth == 0 ? firsts : seconds);
+      }
+      EXPECT_EQ(promotions, r.recompilations) << label;
+    }
+  }
+  EXPECT_GT(firsts, 0u);
+  EXPECT_GT(seconds, 0u) << "no method reached the second threshold";
 }
 
 TEST(Vm, ScenarioNames) {

@@ -4,7 +4,8 @@
 //     Runs the dispatch micro-benchmark over both engines (fast and
 //     reference) and emits BENCH_interpreter.json (instructions/sec and
 //     ns/instruction per engine, fixed workloads, pinned seed, and the
-//     fast/reference geomean speedup).
+//     median fast/reference geomean speedup of nine passes, as
+//     micro_dispatch --json records it).
 //
 //   bench_json --tuning [OUTPUT_PATH]
 //     Times one cold and one warm tuning run (default GA config, fixed
@@ -284,15 +285,16 @@ int main(int argc, char** argv) {
     if (mode == "--fleet") return run_fleet_bench(out_path("BENCH_fleet.json"));
     const std::string path = out_path("BENCH_interpreter.json");
     ith::bench::DispatchBenchConfig config;
-    const auto results = ith::bench::run_dispatch_bench(config);
+    const ith::bench::DispatchSamples samples =
+        ith::bench::run_dispatch_samples(config, ith::bench::kRecordSamples);
     std::ofstream out(path);
     if (!out) {
       std::cerr << "bench_json: cannot write " << path << "\n";
       return 1;
     }
-    ith::bench::write_bench_json(out, config, results);
-    std::cout << "wrote " << path << " (geomean fast/reference speedup "
-              << ith::bench::geomean_speedup(results) << "x)\n";
+    ith::bench::write_bench_json(out, config, samples);
+    std::cout << "wrote " << path << " (median geomean fast/reference speedup "
+              << ith::bench::geomean_speedup(ith::bench::median_sample(samples)) << "x)\n";
   } catch (const ith::Error& e) {
     std::cerr << "bench_json: " << e.what() << "\n";
     return 1;

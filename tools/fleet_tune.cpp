@@ -10,13 +10,16 @@
 // command orchestrates the whole fleet deterministically. Each client runs
 // a full GA tune (seed --seed + client index) with the shared repository as
 // its evaluation backend. The tool prints, and its exit code asserts, the
-// two fleet-level properties:
+// fleet-level properties:
 //
 //   - WINNER lines: with --verify-solo, each client's fleet winner must be
 //     bit-identical to the same tune run standalone — sharing results can
 //     make tuning cheaper, never different.
-//   - FLEET/SOLO lines: the fleet's total real suite evaluations must be
-//     strictly fewer than the standalone total.
+//   - FLEET/SOLO lines: with --verify-solo, the fleet's total real suite
+//     evaluations must be strictly fewer than the standalone total when
+//     every client runs the same campaign (--seed-stride=0), and no more
+//     than it otherwise (distinct campaigns share only the parameter
+//     vectors they happen to have in common).
 //   - LEASES line: every lease granted is published or reclaimed (no leaks),
 //     even under injected faults and a mid-flight daemon kill.
 //
@@ -232,10 +235,16 @@ int main(int argc, char** argv) {
 
     bool ok = report.leases_balanced;
     if (fc.verify_solo) {
-      ok = ok && report.winners_match &&
-           report.fleet_real_evaluations < report.solo_real_evaluations;
-      if (report.fleet_real_evaluations >= report.solo_real_evaluations) {
-        std::cout << "FAIL: fleet performed no fewer real evaluations than standalone\n";
+      // One campaign must collapse its clients' suite runs; distinct ones
+      // must at least never cost more than running alone.
+      const bool one_campaign = fc.seed_stride == 0;
+      const bool fewer = one_campaign
+                             ? report.fleet_real_evaluations < report.solo_real_evaluations
+                             : report.fleet_real_evaluations <= report.solo_real_evaluations;
+      ok = ok && report.winners_match && fewer;
+      if (!fewer) {
+        std::cout << "FAIL: fleet performed " << (one_campaign ? "no fewer" : "more")
+                  << " real evaluations than standalone\n";
       }
       if (!report.winners_match) std::cout << "FAIL: a fleet winner diverged from standalone\n";
     }
