@@ -13,9 +13,43 @@ namespace {
 /// the hash node, the LRU node and the shared body's control block.
 constexpr std::size_t kEntryOverhead = 128;
 
+// Body::code's flag bits, above the opcode.
+constexpr std::uint8_t kHasA = 0x40;
+constexpr std::uint8_t kHasB = 0x80;
+static_assert(bc::kNumOps <= kHasA, "opcodes must leave the flag bits free");
+
+void put_zigzag(std::vector<std::uint8_t>& out, std::int32_t v) {
+  std::uint32_t u = (static_cast<std::uint32_t>(v) << 1) ^ static_cast<std::uint32_t>(v >> 31);
+  while (u >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(u | 0x80));
+    u >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(u));
+}
+
+std::int32_t get_zigzag(const std::uint8_t*& p) {
+  std::uint32_t u = 0;
+  for (int shift = 0;; shift += 7) {
+    const std::uint8_t byte = *p++;
+    u |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) break;
+  }
+  return static_cast<std::int32_t>((u >> 1) ^ (0u - (u & 1)));
+}
+
 std::shared_ptr<const BodyMemo::Body> compact(const OptimizeResult& result) {
   auto body = std::make_shared<BodyMemo::Body>();
-  body->code = result.body.method.code();
+  const std::vector<bc::Instruction>& code = result.body.method.code();
+  body->code.reserve(code.size() * 2);
+  for (const bc::Instruction& insn : code) {
+    body->code.push_back(static_cast<std::uint8_t>(static_cast<std::uint8_t>(insn.op) |
+                                                   (insn.a != 0 ? kHasA : 0) |
+                                                   (insn.b != 0 ? kHasB : 0)));
+    if (insn.a != 0) put_zigzag(body->code, insn.a);
+    if (insn.b != 0) put_zigzag(body->code, insn.b);
+  }
+  body->code.shrink_to_fit();
+  body->num_insns = static_cast<std::uint32_t>(code.size());
   body->num_locals = result.body.method.num_locals();
   body->stats = result.stats;
   const std::vector<InstrMeta>& meta = result.body.meta;
@@ -38,12 +72,25 @@ std::shared_ptr<const BodyMemo::Body> compact(const OptimizeResult& result) {
 
 }  // namespace
 
+std::vector<bc::Instruction> BodyMemo::Body::decode() const {
+  std::vector<bc::Instruction> out(num_insns);
+  const std::uint8_t* p = code.data();
+  for (bc::Instruction& insn : out) {
+    const std::uint8_t head = *p++;
+    insn.op = static_cast<bc::Op>(head & (kHasA - 1));
+    if ((head & kHasA) != 0) insn.a = get_zigzag(p);
+    if ((head & kHasB) != 0) insn.b = get_zigzag(p);
+  }
+  ITH_ASSERT(p == code.data() + code.size(), "memo entry code length mismatch");
+  return out;
+}
+
 std::vector<std::pair<bc::MethodId, std::int32_t>> BodyMemo::Body::expand_origins() const {
   std::vector<std::pair<bc::MethodId, std::int32_t>> out;
-  out.reserve(code.size());
+  out.reserve(num_insns);
   for (std::size_t r = 0; r < origins.size(); ++r) {
     const OriginRun& run = origins[r];
-    const std::size_t end = r + 1 < origins.size() ? origins[r + 1].start : code.size();
+    const std::size_t end = r + 1 < origins.size() ? origins[r + 1].start : num_insns;
     for (std::size_t i = run.start; i < end; ++i) {
       out.emplace_back(run.method,
                        run.pc < 0 ? run.pc : run.pc + static_cast<std::int32_t>(i - run.start));
@@ -117,8 +164,8 @@ std::shared_ptr<const BodyMemo::Body> BodyMemo::find(const Key& key) {
 void BodyMemo::insert(const Key& key, const OptimizeResult& result) {
   std::shared_ptr<const Body> body = compact(result);
   const std::size_t bytes = kEntryOverhead + sizeof(Body) + key.verdicts.size() +
-                            body->code.size() * sizeof(bc::Instruction) +
-                            body->origins.size() * sizeof(Body::OriginRun);
+                            body->code.capacity() +
+                            body->origins.capacity() * sizeof(Body::OriginRun);
   if (bytes > budget_) return;  // would evict everything and still not fit
 
   std::uint64_t evicted = 0;

@@ -1,6 +1,6 @@
 #include "runtime/compiled.hpp"
 
-#include <deque>
+#include <vector>
 
 #include "bytecode/size_estimator.hpp"
 #include "support/error.hpp"
@@ -18,13 +18,14 @@ void CompiledMethod::finalize() {
   }
   word_offset[n] = words;
 
-  // Abstract stack depths (the body is verified, so joins are consistent).
+  // Abstract stack depths. The body is verified, so joins are consistent
+  // and the order the worklist visits pcs in cannot change a depth.
   stack_depth.assign(n, -1);
-  std::deque<std::size_t> worklist{0};
+  std::vector<std::size_t> worklist{0};
   stack_depth[0] = 0;
   while (!worklist.empty()) {
-    const std::size_t pc = worklist.front();
-    worklist.pop_front();
+    const std::size_t pc = worklist.back();
+    worklist.pop_back();
     const bc::Instruction& insn = body.code()[pc];
     const int out = stack_depth[pc] + bc::stack_effect(insn);
     auto visit = [&](std::size_t to) {

@@ -285,6 +285,9 @@ class SuiteEvaluator {
   /// Benchmarks resolved by a walk of their decision trie, summed over
   /// every resolution that walked.
   std::uint64_t benchmark_replays() const;
+  /// Hits, misses, evictions, entries and bytes of the memo of optimized
+  /// bodies.
+  opt::BodyMemo::Stats memo_stats() const { return memo_->stats(); }
   /// Distinct parameter vectors resolved so far (level-1 size).
   std::size_t params_seen() const;
   /// Distinct suite signatures those params collapsed onto.

@@ -172,7 +172,7 @@ std::unique_ptr<rt::CompiledMethod> VirtualMachine::compile_opt(bc::MethodId id,
   if (memoized != nullptr) {
     const bc::Method& original = prog_.method(id);
     cm->body = bc::Method(original.name(), original.num_args(), memoized->num_locals);
-    cm->body.mutable_code() = memoized->code;
+    cm->body.mutable_code() = memoized->decode();
     cm->origin = memoized->expand_origins();
     stats = memoized->stats;
   } else {

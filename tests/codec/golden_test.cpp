@@ -406,7 +406,7 @@ TEST(EnvelopeFrame, EveryTruncatedPayloadFailsToDecode) {
 // the end), and the result is re-sealed, so it passes the envelope. Each
 // must either throw ith::Error or load into a value that re-encodes to the
 // same bytes: nothing the decoder accepts may be a silent default or a
-// narrowing.
+// narrowing. The splice sweep below holds spliced payloads to the same rule.
 
 const std::uint64_t kHostileWords[] = {
     0,
@@ -437,18 +437,44 @@ void for_each_hostile_variant(const std::string& payload,
   }
 }
 
-/// Writes every hostile variant of `golden`'s payload to `path`, sealed by
-/// hand (magic, size, checksum) as save_sealed would but without its fsync:
-/// there are thousands of these. `load` reads `path`, and `resave` writes
-/// what it loaded to the path it is given. Each variant must throw
-/// ith::Error or resave to the same bytes. Returns how many loaded.
+/// Calls `check` with A[0, k) + B[k, end) for every ordered pair of
+/// distinct golden payloads (ITHEVC3, ITHGACP1, the two pinned ITHSVP2
+/// frames) and every 8-byte boundary k up to the longer one's end: a value
+/// that starts as one record and ends as another, its words still aligned.
+/// Past A's end the splice is all of A, past B's end none of B.
+void for_each_splice(const std::function<void(const std::string&)>& check) {
+  const std::string payloads[] = {kGoldenEvc.substr(24), kGoldenGacp.substr(24),
+                                  kHelloFrame.substr(kFrameHeader),
+                                  kPublishFrame.substr(kFrameHeader)};
+  for (const std::string& a : payloads) {
+    for (const std::string& b : payloads) {
+      if (&a == &b) continue;
+      for (std::size_t k = 0; k <= std::max(a.size(), b.size()); k += 8) {
+        check(a.substr(0, std::min(k, a.size())) + b.substr(std::min(k, b.size())));
+      }
+    }
+  }
+}
+
+using Variants = std::function<void(const std::function<void(const std::string&)>&)>;
+
+Variants hostile_variants(const std::string& payload) {
+  return [payload](const std::function<void(const std::string&)>& check) {
+    for_each_hostile_variant(payload, check);
+  };
+}
+
+/// Writes every payload `variants` yields to `path`, sealed by hand under
+/// `golden`'s magic (magic, size, checksum) as save_sealed would but without
+/// its fsync: there are thousands of these. `load` reads `path`, and
+/// `resave` writes what it loaded to the path it is given. Each payload must
+/// throw ith::Error or resave to the same bytes. Returns how many loaded.
 template <typename Load, typename Resave>
-std::size_t sweep_hostile_file(const std::string& golden, const std::string& path, Load load,
-                               Resave resave) {
-  const std::string payload = golden.substr(24);  // past magic, size, checksum
+std::size_t sweep_sealed_file(const std::string& golden, const Variants& variants,
+                              const std::string& path, Load load, Resave resave) {
   const std::string resaved = path + ".resaved";
   std::size_t loaded = 0;
-  for_each_hostile_variant(payload, [&](const std::string& bad) {
+  variants([&](const std::string& bad) {
     std::string sealed = golden.substr(0, 8);
     for (const std::uint64_t word : {std::uint64_t{bad.size()}, codec::fnv1a(bad)}) {
       sealed.append(reinterpret_cast<const char*>(&word), sizeof word);
@@ -468,41 +494,68 @@ std::size_t sweep_hostile_file(const std::string& golden, const std::string& pat
   return loaded;
 }
 
-TEST_F(GoldenFile, HostileWordsInTheEvalCacheThrowOrRoundTrip) {
-  const std::size_t loaded =
-      sweep_hostile_file(kGoldenEvc, path_, tuner::load_eval_cache, tuner::save_eval_cache);
-  EXPECT_GT(loaded, 0u);  // the fingerprint and quarantine words take any value
-}
-
-TEST_F(GoldenFile, HostileWordsInTheCheckpointThrowOrRoundTrip) {
-  const std::size_t loaded = sweep_hostile_file(kGoldenGacp, path_, resilience::load_checkpoint,
-                                                resilience::save_checkpoint);
-  EXPECT_GT(loaded, 0u);  // the fingerprint and RNG words take any value
-}
-
-TEST(GoldenFrame, HostileWordsInAFramePayloadThrowOrRoundTrip) {
+/// Decodes every payload `variants` yields as a hello and as a publish
+/// payload: each must throw ith::Error or re-encode to the same bytes.
+void sweep_frame_payloads(const Variants& variants) {
   const struct {
     const char* name;
-    const std::string* frame;
     std::function<std::string(const std::string&)> reencode;
   } frames[] = {
-      {"hello", &kHelloFrame,
-       [](const std::string& p) { return svc::encode_hello(svc::decode_hello(p)); }},
-      {"publish", &kPublishFrame,
+      {"hello", [](const std::string& p) { return svc::encode_hello(svc::decode_hello(p)); }},
+      {"publish",
        [](const std::string& p) { return svc::encode_results_msg(svc::decode_results_msg(p)); }},
   };
-  for (const auto& f : frames) {
-    for_each_hostile_variant(f.frame->substr(kFrameHeader), [&](const std::string& bad) {
+  variants([&](const std::string& bad) {
+    for (const auto& f : frames) {
       std::string again;
       try {
         again = f.reencode(bad);
       } catch (const Error&) {
-        return;
+        continue;
       }
       EXPECT_EQ(again, bad) << f.name << ": a damaged payload decoded as another value";
-    });
-  }
+    }
+  });
 }
+
+TEST_F(GoldenFile, HostileWordsInTheEvalCacheThrowOrRoundTrip) {
+  const std::size_t loaded =
+      sweep_sealed_file(kGoldenEvc, hostile_variants(kGoldenEvc.substr(24)), path_,
+                        tuner::load_eval_cache, tuner::save_eval_cache);
+  EXPECT_GT(loaded, 0u);  // the fingerprint and quarantine words take any value
+}
+
+TEST_F(GoldenFile, HostileWordsInTheCheckpointThrowOrRoundTrip) {
+  const std::size_t loaded =
+      sweep_sealed_file(kGoldenGacp, hostile_variants(kGoldenGacp.substr(24)), path_,
+                        resilience::load_checkpoint, resilience::save_checkpoint);
+  EXPECT_GT(loaded, 0u);  // the fingerprint and RNG words take any value
+}
+
+TEST(GoldenFrame, HostileWordsInAFramePayloadThrowOrRoundTrip) {
+  sweep_frame_payloads(hostile_variants(kHelloFrame.substr(kFrameHeader)));
+  sweep_frame_payloads(hostile_variants(kPublishFrame.substr(kFrameHeader)));
+}
+
+// Splices: a checksum over the whole payload cannot tell a payload from
+// one made of two records' halves, so every splice of the golden payloads
+// is sealed in each file format and decoded as each frame payload. Each
+// must throw ith::Error or load into a value that re-encodes to its bytes.
+
+TEST_F(GoldenFile, SplicedPayloadsInTheEvalCacheThrowOrRoundTrip) {
+  const std::size_t loaded = sweep_sealed_file(kGoldenEvc, for_each_splice, path_,
+                                               tuner::load_eval_cache, tuner::save_eval_cache);
+  EXPECT_GT(loaded, 0u);  // past its end a splice of the cache payload is all of it
+}
+
+TEST_F(GoldenFile, SplicedPayloadsInTheCheckpointThrowOrRoundTrip) {
+  const std::size_t loaded = sweep_sealed_file(kGoldenGacp, for_each_splice, path_,
+                                               resilience::load_checkpoint,
+                                               resilience::save_checkpoint);
+  EXPECT_GT(loaded, 0u);  // past its end a splice of the checkpoint payload is all of it
+}
+
+TEST(GoldenFrame, SplicedPayloadsInAFrameThrowOrRoundTrip) { sweep_frame_payloads(for_each_splice); }
 
 }  // namespace
 }  // namespace ith

@@ -1,10 +1,13 @@
-// BodyMemo: compact entries that expand back to exactly what PassManager
-// built, exact keys, least-recently-used eviction under the byte budget, and
-// VMs that share one memo — across runs and across threads — producing the
-// same RunResult as VMs that run every pass themselves.
+// BodyMemo: compact entries (the code in a variable-length encoding) that
+// expand back to exactly what PassManager built, exact keys,
+// least-recently-used eviction under the byte budget, and VMs that share
+// one memo — across runs and across threads — producing the same RunResult
+// as VMs that run every pass themselves.
 #include "opt/body_memo.hpp"
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bytecode/serializer.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
@@ -42,6 +46,7 @@ BodyMemo::Key key(int program, bc::MethodId method, std::string verdicts) {
 TEST(BodyMemo, EntriesExpandToThePassManagerOutput) {
   std::size_t insns = 0;
   std::size_t runs = 0;
+  std::size_t code_bytes = 0;
   for (const wl::Workload& w : wl::make_suite("specjvm98")) {
     BodyMemo memo({&w.program}, kPipeline, kVm.inline_limits);
     const heur::JikesHeuristic h(wide_params());
@@ -57,7 +62,7 @@ TEST(BodyMemo, EntriesExpandToThePassManagerOutput) {
       memo.insert(k, result);
       const auto body = memo.find(k);
       ASSERT_NE(body, nullptr);
-      EXPECT_EQ(body->code, result.body.method.code());
+      EXPECT_EQ(body->decode(), result.body.method.code());
       EXPECT_EQ(body->num_locals, result.body.method.num_locals());
       EXPECT_TRUE(body->stats == result.stats);
       const auto origins = body->expand_origins();
@@ -68,10 +73,58 @@ TEST(BodyMemo, EntriesExpandToThePassManagerOutput) {
       }
       insns += origins.size();
       runs += body->origins.size();
+      code_bytes += body->code.size();
     }
   }
-  // Provenance is stored as runs, not one pair per instruction.
+  // Provenance is stored as runs, not one pair per instruction, and the
+  // code in under 2 bytes an instruction, not sizeof(bc::Instruction).
   EXPECT_LT(runs * 4, insns);
+  EXPECT_LT(code_bytes, 2 * insns);
+}
+
+TEST(BodyMemo, EntriesRoundTripEveryOpcodeOperandAndOrigin) {
+  // One body holding every opcode with `a` at the int32 extremes, -1 and 0
+  // (once with a `b` its opcode does not use), a call of every argument
+  // count the parser accepts, and provenance as the inliner leaves it:
+  // caller runs, inlined argument stores with no origin (-1, -1), a spliced
+  // callee and synthetic instructions that keep their method.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::vector<bc::Instruction> code;
+  for (int op = 0; op < bc::kNumOps; ++op) {
+    for (const std::int32_t a : {kMin, -1, 0, kMax}) {
+      code.push_back({static_cast<bc::Op>(op), a, 0});
+      code.push_back({static_cast<bc::Op>(op), a, a});
+    }
+  }
+  for (std::int32_t argc = 0; argc <= bc::kMaxLocals; ++argc) {
+    code.push_back({bc::Op::kCall, argc % 5, argc});
+  }
+  const std::vector<std::pair<bc::MethodId, std::int32_t>> pattern = {
+      {0, 0}, {0, 1}, {-1, -1}, {-1, -1}, {3, 0}, {3, 1}, {3, 2}, {-1, -1},
+      {0, 2}, {0, 3}, {0, -1},  {0, -1},  {0, 4}, {2, 7}, {2, 6}, {-1, -1}};
+  opt::OptimizeResult result;
+  result.body.method = bc::Method("synthetic", 1, 3);
+  result.body.method.mutable_code() = code;
+  std::vector<std::pair<bc::MethodId, std::int32_t>> origins;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    origins.push_back(pattern[i % pattern.size()]);
+    opt::InstrMeta m;
+    m.origin_method = origins.back().first;
+    m.origin_pc = origins.back().second;
+    result.body.meta.push_back(m);
+  }
+  result.stats.folds = 5;
+
+  const bc::Program prog = test::make_loop_program();
+  BodyMemo memo({&prog}, kPipeline, kVm.inline_limits);
+  memo.insert(key(0, 0, ""), result);
+  const auto body = memo.find(key(0, 0, ""));
+  ASSERT_NE(body, nullptr);
+  EXPECT_EQ(body->decode(), code);
+  EXPECT_EQ(body->expand_origins(), origins);
+  EXPECT_EQ(body->num_locals, 3);
+  EXPECT_TRUE(body->stats == result.stats);
 }
 
 TEST(BodyMemo, KeysCompareProgramMethodAndVerdictBytes) {
@@ -183,7 +236,7 @@ TEST(BodyMemoVm, FourThreadsShareOneMemo) {
     want.push_back(run_vm(w.program, vm::Scenario::kOpt, nullptr));
   }
   // The default budget, where every thread after the first finds its
-  // bodies, then one of a few bodies, where inserts and evictions race
+  // bodies, then one of a few dozen bodies, where inserts and evictions race
   // with finds.
   for (const std::size_t budget : {BodyMemo::kBudgetBytes, std::size_t{32} << 10}) {
     SCOPED_TRACE("memo budget " + std::to_string(budget));

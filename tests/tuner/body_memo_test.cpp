@@ -3,7 +3,8 @@
 // passes would have built. So evaluate() over many distinct decision
 // signatures must equal, field by field, a serial guarded_run loop whose VMs
 // have no memo — with the memo actually hitting, with a budget small enough
-// to evict, and with four threads sharing one evaluator.
+// to evict, and with four threads sharing one evaluator. A whole cold Opt
+// tune must fit the default budget, so that it compiles each body once.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -21,7 +22,9 @@
 #include "heuristics/inline_params.hpp"
 #include "obs/context.hpp"
 #include "tuner/evaluator.hpp"
+#include "tuner/parameter_space.hpp"
 #include "tuner/serial_suite.hpp"
+#include "tuner/tuner.hpp"
 #include "workloads/suite.hpp"
 
 namespace ith {
@@ -92,9 +95,9 @@ TEST_P(MemoizedSuite, EvaluateMatchesSerialRunsWithoutMemo) {
     for (std::size_t i = 0; i < keys.size(); ++i) distinct_runs.emplace(i, keys[i]);
   }
 
-  // The default budget, then one of 128 KiB: a few dozen bodies, so
+  // The default budget, then one of 32 KiB: a few dozen bodies, so
   // inserts evict (and a suite run larger than the memo may never hit).
-  for (const std::size_t budget : {opt::BodyMemo::kBudgetBytes, std::size_t{128} << 10}) {
+  for (const std::size_t budget : {opt::BodyMemo::kBudgetBytes, std::size_t{32} << 10}) {
     SCOPED_TRACE("memo budget " + std::to_string(budget));
     obs::Context ctx(nullptr);
     tuner::EvalConfig traced = config;
@@ -163,6 +166,31 @@ TEST(MemoizedSuiteThreads, FourThreadsMatchSequentialCalls) {
       expect_same(*got[t][i], want[i]);
     }
   }
+}
+
+TEST(MemoizedSuiteBudget, ColdOptTuneCompilesEachBodyOnce) {
+  // The benchmark's tune_opt campaign: 24 generations of dacapo+jbb under
+  // Opt, the default parameters seeded into the first population. Its
+  // bodies fit the default budget, so no entry is evicted and every miss
+  // stays in the memo: each distinct body is compiled once. A change that
+  // makes entries larger shows here first.
+  const std::vector<wl::Workload> suite = wl::make_suite("dacapo+jbb");
+  obs::Context ctx(nullptr);
+  tuner::EvalConfig config;
+  config.scenario = vm::Scenario::kOpt;
+  config.obs = &ctx;
+  tuner::SuiteEvaluator eval(suite, config);
+  ga::GaConfig ga_cfg = tuner::default_ga_config(24, 42);
+  ga_cfg.seed_individuals.push_back(tuner::genome_from_params(heur::default_params(), false));
+  tuner::tune(eval, tuner::Goal::kTotal, ga_cfg);
+
+  const opt::BodyMemo::Stats s = eval.memo_stats();
+  EXPECT_EQ(ctx.counter("opt.memo_evictions").value(), 0u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(ctx.counter("opt.memo_misses").value(), s.entries);
+  EXPECT_EQ(s.misses, s.entries);
+  EXPECT_GT(s.hits, s.misses);
+  EXPECT_LE(s.bytes, opt::BodyMemo::kBudgetBytes / 2);
 }
 
 }  // namespace
